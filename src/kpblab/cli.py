@@ -28,7 +28,8 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import __version__
-from .illposedness import build_phi_N, chi_bound_check, second_iterate_norm
+from .illposedness import (_MIN_CELLS, _MIN_CHI_SAMPLES, build_phi_N,
+                           chi_bound_check, second_iterate_norm)
 from .norms import bourgain_norm, equivalence_gap, sobolev_norm, spacetime_norm
 from .solver import Trajectory, l2_history, solve_etd, solve_picard
 from .spectral_core import Grid2D, SpectralField, forward_transform, make_grid
@@ -51,8 +52,8 @@ _TOLERANCES = {
     "semigroup_admissibility_tol": 1e-10,
     "taper_alpha": 0.2,
     "min_time_steps_for_norms": 16,
-    "min_quadrature_cells": 64,
-    "min_chi_samples": 10000,
+    "min_quadrature_cells": _MIN_CELLS,
+    "min_chi_samples": _MIN_CHI_SAMPLES,
     "etd_phi_series_cutoff": 1e-2,
 }
 
@@ -197,7 +198,7 @@ def _write_outputs(out_dir: str, command: str, header: list[str],
     _write_csv(os.path.join(out_dir, f"{command}.csv"), header, rows)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8",
               newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     if extra_arrays:
         np.savez(os.path.join(out_dir, "states.npz"), **extra_arrays)
@@ -245,6 +246,11 @@ def _run_solve(cfg: dict, out_dir: str, threads: int) -> None:
         traj = solve_etd(phi, T, M)
 
     history = l2_history(traj)
+    if not np.all(np.isfinite(history)):
+        bad = int(np.argmin(np.isfinite(history)))
+        raise NumericalFailure(
+            f"{integrator} solution is not finite at step {bad} "
+            f"(t={traj.times[bad]:.6g})")
     results["final_l2"] = float(history[-1])
     rows = [[k, float(traj.times[k]), float(history[k])]
             for k in range(traj.n_times)]
@@ -282,11 +288,12 @@ def _run_illposed(cfg: dict, out_dir: str, threads: int) -> None:
         raise ConfigError("config field 'N_list' has duplicate entries")
     if Ns[0] < 8:
         raise ConfigError(f"config field 'N_list' entries must be >= 8, got {Ns[0]}")
-    if cells < 64:
-        raise ConfigError(f"config field 'cells' must be >= 64, got {cells}")
-    if samples < 10000:
+    if cells < _MIN_CELLS:
         raise ConfigError(
-            f"config field 'samples' must be >= 10000, got {samples}")
+            f"config field 'cells' must be >= {_MIN_CELLS}, got {cells}")
+    if samples < _MIN_CHI_SAMPLES:
+        raise ConfigError(
+            f"config field 'samples' must be >= {_MIN_CHI_SAMPLES}, got {samples}")
 
     # Independent per-N jobs fan out across threads; the slope fit runs on
     # the gathered table afterwards.

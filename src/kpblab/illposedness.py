@@ -209,17 +209,58 @@ def resonance_chi(xi, xi1, eta, eta1):
     return chi
 
 
-def _cexpm1(z: np.ndarray) -> np.ndarray:
-    """exp(z) - 1 for complex z without cancellation near 0.
+def _kernel_parts(t, xi, xi1, eta, eta1) -> tuple[np.ndarray, np.ndarray]:
+    """(Re K, Im K) in real arithmetic, with one sine and one cosine per node.
 
-    Real part: expm1(x) cos(y) - 2 sin^2(y/2); imaginary part: e^x sin(y).
-    Both pieces are O(|z|) for small |z|.
+    K = e^{-t xi^2} (e^z - 1) / (-2 xi1 xi2 + i chi) with z = a + 2 i h,
+    a = 2 t xi1 xi2 and h = t chi / 2.  The half-angle form
+
+        e^z - 1 = expm1(a) - 2 e^a sin^2 h + 2 i e^a sin h cos h
+
+    has no cancellation near z = 0, and the division is a multiplication by
+    the conjugate over (2 xi1 xi2)^2 + chi^2.  Factors of (t, xi, xi1) alone
+    (expm1, exp, 1/prod, 3 prod) keep their own broadcast shape, so a caller
+    that puts xi1 on its own axis pays for them once per xi1, not per node.
+    The arguments must broadcast to at least one dimension; every node-sized
+    temporary is updated in place.
     """
-    x = np.real(z)
-    y = np.imag(z)
-    re = np.expm1(x) * np.cos(y) - 2.0 * np.sin(0.5 * y) ** 2
-    im = np.exp(x) * np.sin(y)
-    return re + 1j * im
+    xi2 = xi - xi1
+    prod = xi * xi1 * xi2
+    cross = 2.0 * xi1 * xi2
+    decay = np.exp(-t * xi * xi)
+    shift = decay * np.expm1(t * cross)
+    scale = 2.0 * decay * np.exp(t * cross)
+
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (t, xi, xi1, eta, eta1)))
+    chi = np.empty(shape)
+    np.subtract(xi1 * eta, xi * eta1, out=chi)
+    chi *= chi
+    chi *= 1.0 / prod
+    chi += 3.0 * prod
+
+    # numerator e^{-t xi^2} (e^z - 1) = re_n + i im_n
+    h = chi * (0.5 * t)
+    im_n = np.cos(h)
+    sin_h = np.sin(h, out=h)
+    im_n *= sin_h
+    im_n *= scale
+    re_n = np.square(sin_h, out=sin_h)
+    re_n *= -scale
+    re_n += shift
+
+    # K = (cross re_n - chi im_n, chi re_n + cross im_n) / -(cross^2 + chi^2)
+    neg_inv = chi * chi
+    neg_inv += cross * cross
+    np.divide(-1.0, neg_inv, out=neg_inv)
+    chi_im = chi * im_n
+    chi *= re_n
+    re_n *= cross
+    re_n -= chi_im
+    re_n *= neg_inv
+    im_n *= cross
+    chi += im_n
+    chi *= neg_inv
+    return re_n, chi
 
 
 def kernel_K(t, xi, xi1, eta, eta1):
@@ -229,14 +270,12 @@ def kernel_K(t, xi, xi1, eta, eta1):
     which is exact (xi^2 = xi1^2 + xi2^2 + 2 xi1 xi2) and avoids cancellation
     of the two exponentials for small t.
     """
-    xi = np.asarray(xi, dtype=float)
-    xi1 = np.asarray(xi1, dtype=float)
-    xi2 = xi - xi1
-    _require_nonzero(xi, xi1, xi2)
-    chi = resonance_chi(xi, xi1, eta, eta1)
-    cross = 2.0 * xi1 * xi2
-    denom = -cross + 1j * np.asarray(chi)
-    out = np.exp(-t * xi ** 2) * _cexpm1(t * (cross + 1j * np.asarray(chi))) / denom
+    # a trailing unit axis keeps scalar arguments inside array arithmetic
+    t, xi, xi1, eta, eta1 = (np.asarray(a, dtype=float)[..., None]
+                             for a in (t, xi, xi1, eta, eta1))
+    _require_nonzero(xi, xi1, xi - xi1)
+    re, im = _kernel_parts(t, xi, xi1, eta, eta1)
+    out = (re + 1j * im)[..., 0]
     if out.ndim == 0:
         return complex(out)
     return out
@@ -256,6 +295,8 @@ def _dispersion(xi, eta):
 
 
 _MIN_CELLS = 64
+_MIN_CHI_SAMPLES = 10_000
+_BLOCK_NODES = 32 * 1024  # inner nodes per kernel call in _window_density
 
 
 def _check_cells(cells: int) -> None:
@@ -292,8 +333,12 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
 
     Returns (table, hx, hy): ``table[i, j]`` is xi^2 (1+xi^2)^s |I(xi_i, eta_j)|^2
     at window midpoints, with I the bare k-set integral (prefactor modulus
-    xi folded into the weight).  Vectorized one outer-xi row at a time:
-    arrays of shape (n_eta, cells, cells) cover every inner node of that row.
+    xi folded into the weight).  Vectorized one outer-xi row at a time, in
+    blocks of outer eta: a block covers (rows, cells, cells) inner nodes, with
+    rows = _BLOCK_NODES // cells^2 (8 at cells=64, 2 at cells=128, at least 1),
+    so each float64 temporary of the kernel stays near 256 KiB and the
+    working set fits a 2 MiB L2.  Each eta's sum runs over its own
+    (xi1, eta1) slab, whatever the block size.
     """
     xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
     xi_nodes, hx = _midpoints(np.float64(xi_lo), np.float64(xi_hi), cells)
@@ -311,6 +356,9 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     eta_col = eta_nodes[:, None, None]
     y_mid = y_mid[:, None, :]
 
+    rows = max(1, _BLOCK_NODES // (cells * cells))
+    sum_re = np.empty(cells)
+    sum_im = np.empty(cells)
     for i, x in enumerate(xi_nodes):
         x_lo = max(pair.D2.xi_min, x - pair.D1.xi_max)
         x_hi = min(pair.D2.xi_max, x - pair.D1.xi_min)
@@ -318,14 +366,13 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
             continue
         x_mid, wx = _midpoints(np.float64(x_lo), np.float64(x_hi), cells)
         xi1 = x_mid[None, :, None]
-        xi2 = x - xi1
-        prod = x * xi1 * xi2
-        chi = 3.0 * prod + (xi1 * eta_col - x * y_mid) ** 2 / prod
-        cross = 2.0 * xi1 * xi2
-        K = np.exp(-t * x * x) * _cexpm1(t * (cross + 1j * chi)) / (-cross + 1j * chi)
-        S = np.sum(K, axis=(1, 2)) * wx * wy  # (n_eta,)
-        S = np.where(y_ok, S, 0.0)
-        mod2 = np.abs(2.0 * amp2 * S) ** 2
+        for j in range(0, cells, rows):
+            block = slice(j, j + rows)
+            re, im = _kernel_parts(t, x, xi1, eta_col[block], y_mid[block])
+            re.sum(axis=(1, 2), out=sum_re[block])
+            im.sum(axis=(1, 2), out=sum_im[block])
+        mod2 = np.where(y_ok, sum_re * sum_re + sum_im * sum_im, 0.0)
+        mod2 *= (2.0 * amp2 * wx * wy) ** 2
         table[i, :] = x * x * (1.0 + x * x) ** s * mod2
     return table, hx, hy
 
@@ -398,8 +445,8 @@ def chi_bound_check(N: float, samples: int, seed: int = 0) -> float:
     The sampled ratio distribution is exactly N-independent because chi scales
     as N^3 under (xi, eta) -> (N xi', N^2 eta').
     """
-    if samples < 10_000:
-        raise ValueError(f"samples must be >= 10000, got {samples}")
+    if samples < _MIN_CHI_SAMPLES:
+        raise ValueError(f"samples must be >= {_MIN_CHI_SAMPLES}, got {samples}")
     rng = np.random.default_rng([int(seed), int(N)])
     xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
     pair = rectangle_pair(N)

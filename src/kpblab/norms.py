@@ -21,8 +21,9 @@ actually populates.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.signal.windows import tukey
 
 from .spectral_core import SpectralField, dispersion_values
 from .solver import Trajectory
@@ -39,8 +40,24 @@ _TAPER_FRACTION = 0.2  # total cosine fraction; 10% at each end
 
 
 def time_window(n: int) -> np.ndarray:
-    """The fixed taper applied before every time transform."""
-    return tukey(n, alpha=_TAPER_FRACTION)
+    """The fixed taper applied before every time transform.
+
+    The symmetric Tukey window of ``scipy.signal.windows.tukey(n,
+    alpha=_TAPER_FRACTION)``, evaluated with the same three-segment formula
+    so the values are bit-identical (a cosine rise, ones, a cosine fall).
+    """
+    if n < 2:
+        return np.ones(n)
+    alpha = _TAPER_FRACTION
+    k = np.arange(n, dtype=float)
+    width = int(math.floor(alpha * (n - 1) / 2.0))
+    w = np.ones(n)
+    head = k[:width + 1]
+    tail = k[n - width - 1:]
+    w[:width + 1] = 0.5 * (1 + np.cos(np.pi * (-1 + 2.0 * head / alpha / (n - 1))))
+    w[n - width - 1:] = 0.5 * (1 + np.cos(
+        np.pi * (-2.0 / alpha + 1 + 2.0 * tail / alpha / (n - 1))))
+    return w
 
 
 def sobolev_weight(grid, s1: float, s2: float) -> np.ndarray:

@@ -128,6 +128,17 @@ class TestNumericalFailure:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_etd_blowup_exits_3_and_writes_nothing(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", solve_cfg(
+            phi_spec={"type": "gaussian", "amplitude": 500.0, "widths": [0.7, 0.7]},
+            T=10.0, M=16, integrator="etd"))
+        out = tmp_path / "out"
+        with np.errstate(all="ignore"):
+            rc = main(["solve", "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_zero_datum_outputs(self, tmp_path):

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from kpblab.illposedness import (
+    _BLOCK_NODES,
     IllposedResult,
     PhiHat,
     build_phi_N,
@@ -25,6 +26,8 @@ from kpblab.illposedness import (
     scaling_study,
     second_iterate_hat,
     second_iterate_norm,
+    _midpoints,
+    _window_density,
 )
 from kpblab.norms import sobolev_norm
 from kpblab.spectral_core import hermitian_defect, is_kp_admissible, make_grid
@@ -288,6 +291,22 @@ class TestSecondIterate:
     def test_small_cells_rejected(self):
         with pytest.raises(ValueError):
             second_iterate_hat(16, -0.7, 1e-3, 36.0, 400.0, cells=32)
+
+    def test_blocked_table_matches_pointwise_density(self):
+        # each eta block of the table must reproduce the one-point path
+        N, s, cells = 16, -0.7, 64
+        t = 16.0 ** -3.01
+        xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
+        xi_nodes, _ = _midpoints(np.float64(xi_lo), np.float64(xi_hi), cells)
+        eta_nodes, _ = _midpoints(np.float64(eta_lo), np.float64(eta_hi), cells)
+        table = _window_density(N, s, t, cells)[0]
+        rows = max(1, _BLOCK_NODES // cells ** 2)
+        for i in (0, cells // 2, cells - 1):
+            for j in (0, rows - 1, rows, cells - rows, cells - 1):
+                xi, eta = xi_nodes[i], eta_nodes[j]
+                hat = second_iterate_hat(N, s, t, xi, eta, cells)
+                pointwise = (1.0 + xi * xi) ** s * abs(hat) ** 2
+                assert table[i, j] == pytest.approx(pointwise, rel=1e-12)
 
     def test_norm_frozen_regression(self):
         # frozen regression anchor for the full quadrature pipeline

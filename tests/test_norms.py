@@ -109,6 +109,11 @@ class TestWindowedTransform:
         # interior plateau untouched by the taper
         assert w[16] == pytest.approx(1.0)
 
+    def test_window_bit_identical_to_scipy_tukey(self):
+        tukey = pytest.importorskip("scipy.signal.windows").tukey
+        for n in range(2, 2000):
+            assert np.array_equal(time_window(n), tukey(n, alpha=0.2)), n
+
     def test_transform_frequencies_and_scaling(self, smooth_traj):
         tau, uhat = windowed_time_transform(smooth_traj)
         n = smooth_traj.n_times
