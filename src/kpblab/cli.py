@@ -240,8 +240,8 @@ def _run_solve(cfg: dict, out_dir: str, threads: int) -> None:
         if not report.converged:
             raise NumericalFailure(
                 f"Picard iteration did not reach tol={tol} within "
-                f"{max_iter} iterations (last residual "
-                f"{report.residual_history[-1]:.3e})")
+                f"{max_iter} iterations (stopped after {report.iterations}, "
+                f"last residual {report.residual_history[-1]:.3e})")
     else:
         traj = solve_etd(phi, T, M)
 

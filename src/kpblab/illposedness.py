@@ -42,7 +42,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .spectral_core import Grid2D, SpectralField
 
@@ -146,6 +145,10 @@ class PhiHat:
 
     def sobolev_norm(self, s1: float, s2: float = 0.0) -> float:
         """Exact continuum H^{s1,s2} norm (1-D quadrature per rectangle)."""
+        # Imported here, its only use: scipy.integrate costs most of the
+        # package's import time, which every command pays.
+        from scipy.integrate import quad
+
         total = 0.0
         for rect in (self.rectangles.D1, self.rectangles.D2):
             fx = quad(lambda x: (1.0 + x * x) ** s1, rect.xi_min, rect.xi_max,

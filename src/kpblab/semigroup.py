@@ -42,14 +42,22 @@ def _symbol(grid: Grid2D) -> np.ndarray:
     return dispersion_values(grid).values
 
 
+def _w_multiplier(P: np.ndarray, xi: np.ndarray, t: float) -> np.ndarray:
+    """exp(i t P - xi^2 |t|) for a symbol table ``P`` whose rows follow ``xi``.
+
+    The solver calls this on the half-spectrum columns of P, the cached
+    tables on the full grid.
+    """
+    return np.exp(1j * t * P - (xi ** 2)[:, None] * abs(t))
+
+
 @lru_cache(maxsize=64)
 def _factors(grid: Grid2D, t: float, kind: str) -> np.ndarray:
     P = _symbol(grid)
     if kind == "U":
         factors = np.exp(1j * t * P)
     elif kind == "W":
-        xi2 = (grid.xi ** 2)[:, None]
-        factors = np.exp(1j * t * P - xi2 * abs(t))
+        factors = _w_multiplier(P, grid.xi, t)
     elif kind == "heat":
         xi2 = (grid.xi ** 2)[:, None]
         factors = np.exp(-xi2 * abs(t)) * np.ones_like(P)

@@ -13,14 +13,24 @@ nonlinear correction.
 ``solve_etd`` integrates the same dynamics with a second-order exponential
 time differencing scheme (exact on the linear part) and serves as an
 independent discretisation for cross-validation.
+
+Every field evolved here is real, so its spectrum is Hermitian and half of
+it determines the rest.  Both solvers work on the ``rfft2`` half spectrum,
+shape (nx, ny//2 + 1): the columns ky = 0 .. ny/2 of the full (nx, ny)
+array, with ``rfft2``/``irfft2`` as the transforms.  ``_full`` expands a
+half spectrum by conjugate mirroring at the ``Trajectory`` boundary only:
+``Trajectory``, ``picard_step``, ``nonlinearity`` and ``l2_history`` take and
+return full spectra, and the solvers' trajectories are exactly Hermitian.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .semigroup import _w_multiplier
 from .spectral_core import Grid2D, SpectralField, dispersion_values
 
 __all__ = [
@@ -81,40 +91,118 @@ class PicardReport:
     converged: bool = False
 
 
+def _half(coeffs: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """The half-spectrum columns ky = 0 .. ny/2 of full coefficients (a view)."""
+    return coeffs[..., :grid.ny // 2 + 1]
+
+
+def _full(half: np.ndarray, ny: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Expand half spectra (..., nx, ny//2 + 1) to full (..., nx, ny) spectra.
+
+    Column ky = -j is the conjugate of column j read at -kx.  The ky = 0 and
+    Nyquist columns are their own mirrors: their kx < 0 rows are rebuilt
+    from the kx > 0 rows and their self-conjugate modes kx = 0, -nx/2 keep
+    only the real part, so the result is exactly Hermitian.
+    """
+    h = half.shape[-1]
+    m = half.shape[-2] // 2
+    if out is None:
+        out = np.empty(half.shape[:-1] + (ny,), dtype=complex)
+    out[..., :h] = half
+    np.conjugate(half[..., :1, h - 2:0:-1], out=out[..., :1, h:])
+    np.conjugate(half[..., :0:-1, h - 2:0:-1], out=out[..., 1:, h:])
+    edges = out[..., ::h - 1]  # the ky = 0 and Nyquist columns (views)
+    np.conjugate(edges[..., m - 1:0:-1, :], out=edges[..., m + 1:, :])
+    edges[..., ::m, :].imag = 0.0
+    return out
+
+
 def _prepared_data(phi: SpectralField) -> np.ndarray:
-    """Dealias and KP-project initial data.
+    """Half spectrum of the dealiased, KP-projected initial data.
 
     Band-limiting the data to the dealias mask makes the semi-discrete energy
     identity <d/dx(u^2), u> = 0 exact, which is what keeps the discrete L^2
     history nonincreasing.
     """
-    c = np.where(phi.grid.dealias_mask, phi.coeffs, 0.0)
+    grid = phi.grid
+    c = np.where(_half(grid.dealias_mask, grid), _half(phi.coeffs, grid), 0.0)
     c[0, :] = 0.0
     return c
 
 
-def _nonlin(coeffs: np.ndarray, grid: Grid2D, ixi: np.ndarray,
-            mask: np.ndarray) -> np.ndarray:
-    """Spectral coefficients of d/dx(u^2), dealiased and KP-projected."""
-    u = np.fft.ifft2(coeffs * grid.phase).real
-    w = np.fft.fft2(u * u) * grid.phase
-    out = ixi * w
-    out[~mask] = 0.0
-    out[0, :] = 0.0
-    return out
+def _dx_table(grid: Grid2D) -> np.ndarray:
+    """Half-grid multiplier i xi, zero off the dealias mask and on xi = 0."""
+    table = np.where(_half(grid.dealias_mask, grid), 1j * grid.xi[:, None], 0.0)
+    table[0, :] = 0.0
+    return table
+
+
+def _dx_product(a: np.ndarray, b: np.ndarray, grid: Grid2D,
+                table: np.ndarray) -> np.ndarray:
+    """Half spectrum of d/dx(u v), dealiased and KP-projected, from the half
+    spectra ``a`` of u and ``b`` of v; leading axes are a batch.  Passing the
+    same array twice squares with one inverse transform.
+
+    The grid's sign table is left out on both sides: it only shifts the
+    samples by half a period, which commutes with the pointwise product.
+    """
+    shape = (grid.nx, grid.ny)
+    u = np.fft.irfft2(a, s=shape)
+    v = u if b is a else np.fft.irfft2(b, s=shape)
+    w = np.fft.rfft2(u * v)
+    w *= table
+    return w
+
+
+def _nonlin(half: np.ndarray, grid: Grid2D, table: np.ndarray) -> np.ndarray:
+    """Half spectrum of d/dx(u^2), dealiased and KP-projected."""
+    return _dx_product(half, half, grid, table)
+
+
+def _dx_product_full(a: np.ndarray, b: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """``_dx_product`` for full spectra in and out (leading axes batch)."""
+    ha = _half(a, grid)
+    hb = ha if b is a else _half(b, grid)
+    return _full(_dx_product(ha, hb, grid, _dx_table(grid)), grid.ny)
 
 
 def nonlinearity(f: SpectralField) -> SpectralField:
     """Return the spectral field of d/dx(u^2) for the real field behind ``f``."""
-    grid = f.grid
-    ixi = 1j * grid.xi[:, None]
-    out = _nonlin(f.coeffs, grid, ixi, grid.dealias_mask)
-    return SpectralField(grid=grid, coeffs=out)
+    return SpectralField(grid=f.grid, coeffs=_dx_product_full(f.coeffs, f.coeffs, f.grid))
 
 
-def _w_factors(grid: Grid2D, t: float) -> np.ndarray:
-    P = dispersion_values(grid).values
-    return np.exp(1j * t * P - (grid.xi ** 2)[:, None] * abs(t))
+def _picard_tables(phi: SpectralField,
+                   times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-solve invariants of a Picard update, on the half grid:
+    W(t_k) phi for every k, the one-step factor W(dt), and ``_dx_table``."""
+    grid = phi.grid
+    P = _half(dispersion_values(grid).values, grid)
+    phi_c = _prepared_data(phi)
+    w_phi = np.empty((times.size,) + phi_c.shape, dtype=complex)
+    w_phi[0] = phi_c
+    for k in range(1, times.size):
+        np.multiply(_w_multiplier(P, grid.xi, times[k]), phi_c, out=w_phi[k])
+    w_dt = _w_multiplier(P, grid.xi, float(times[1] - times[0]))
+    return w_phi, w_dt, _dx_table(grid)
+
+
+def _picard_update(prev: np.ndarray, out: np.ndarray, grid: Grid2D, dt: float,
+                   w_phi: np.ndarray, w_dt: np.ndarray, table: np.ndarray) -> None:
+    """Write into ``out`` the Picard update of the half-spectrum iterate ``prev``."""
+    out[0] = w_phi[0]
+    g_prev = _nonlin(prev[0], grid, table)
+    acc = np.zeros_like(w_phi[0])
+    for k in range(1, len(prev)):
+        g_k = _nonlin(prev[k], grid, table)
+        # acc = W(dt) acc + (dt/2) (W(dt) g_{k-1} + g_k), in place
+        acc *= w_dt
+        g_prev *= w_dt
+        g_prev += g_k
+        g_prev *= 0.5 * dt
+        acc += g_prev
+        np.multiply(acc, 0.5, out=g_prev)
+        np.subtract(w_phi[k], g_prev, out=out[k])
+        g_prev = g_k
 
 
 def picard_step(prev: Trajectory, phi: SpectralField) -> Trajectory:
@@ -127,34 +215,27 @@ def picard_step(prev: Trajectory, phi: SpectralField) -> Trajectory:
     only ever applying the one-step propagator.
     """
     grid = prev.grid
-    dt = prev.dt
-    n_t = prev.n_times
-    ixi = 1j * grid.xi[:, None]
-    mask = grid.dealias_mask
-    w_dt = _w_factors(grid, dt)
-    phi_c = _prepared_data(phi)
+    w_phi, w_dt, table = _picard_tables(phi, prev.times)
+    out = np.empty_like(w_phi)
+    _picard_update(_half(prev.coeffs, grid), out, grid, prev.dt, w_phi, w_dt, table)
+    return Trajectory(grid=grid, times=prev.times, coeffs=_full(out, grid.ny))
 
-    out = np.empty_like(prev.coeffs)
-    out[0] = phi_c
-    g_prev = _nonlin(prev.coeffs[0], grid, ixi, mask)
-    acc = np.zeros_like(phi_c)
-    for k in range(1, n_t):
-        g_k = _nonlin(prev.coeffs[k], grid, ixi, mask)
-        acc = w_dt * acc + (0.5 * dt) * (w_dt * g_prev + g_k)
-        out[k] = _w_factors(grid, prev.times[k]) * phi_c - 0.5 * acc
-        g_prev = g_k
-    return Trajectory(grid=grid, times=prev.times, coeffs=out)
+
+def _half_energy(half: np.ndarray) -> np.ndarray:
+    """Per-row sum of |c|^2 over the full spectra behind half spectra
+    (K, nx, ny//2 + 1): Parseval column weight 1 for ky = 0 and the Nyquist
+    column, 2 for the others, whose mirrors the half spectrum omits."""
+    weights = np.full(2 * half.shape[-1], 2.0)
+    weights[:2] = weights[-2:] = 1.0
+    v = half.view(np.float64)
+    return np.einsum("kij,kij,j->k", v, v, weights)
 
 
 def l2_history(traj: Trajectory) -> np.ndarray:
     """Per-time L^2 norms of the trajectory states (Parseval)."""
-    e = np.sum(np.abs(traj.coeffs) ** 2, axis=(1, 2)) * traj.grid.cell_measure
-    return np.sqrt(e)
-
-
-def _sup_l2_diff(a: np.ndarray, b: np.ndarray, grid: Grid2D) -> float:
-    e = np.sum(np.abs(a - b) ** 2, axis=(1, 2)) * grid.cell_measure
-    return float(np.sqrt(np.max(e)))
+    c = np.ascontiguousarray(traj.coeffs, dtype=complex)
+    v = c.reshape(c.shape[0], -1).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", v, v) * traj.grid.cell_measure)
 
 
 def _time_grid(T: float, M: int) -> np.ndarray:
@@ -166,7 +247,9 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
     """Iterate ``picard_step`` from the zero trajectory until the sup-in-time
     L^2 difference of successive iterates drops below ``tol``.
 
-    Non-convergence within ``max_iter`` is reported, not raised.
+    The iterates stay on the half grid and only the last one is expanded.
+    Non-convergence within ``max_iter`` is reported, not raised; a
+    non-finite residual ends the iteration at once, unconverged.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -176,19 +259,25 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
         raise ValueError(f"tol must be positive, got {tol}")
     grid = phi.grid
     times = _time_grid(T, M)
-    traj = Trajectory(grid=grid, times=times,
-                      coeffs=np.zeros((M + 1, grid.nx, grid.ny), dtype=complex))
+    dt = float(times[1] - times[0])
+    w_phi, w_dt, table = _picard_tables(phi, times)
+    prev = np.zeros_like(w_phi)
+    nxt = np.empty_like(w_phi)
     report = PicardReport(iterations=0)
-    for _ in range(max_iter):
-        nxt = picard_step(traj, phi)
-        res = _sup_l2_diff(nxt.coeffs, traj.coeffs, grid)
-        report.iterations += 1
-        report.residual_history.append(res)
-        traj = nxt
-        if res <= tol:
-            report.converged = True
-            break
-    return traj, report
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            _picard_update(prev, nxt, grid, dt, w_phi, w_dt, table)
+            prev -= nxt  # prev is free now: it holds the difference
+            res = float(np.sqrt(np.max(_half_energy(prev) * grid.cell_measure)))
+            prev, nxt = nxt, prev
+            report.iterations += 1
+            report.residual_history.append(res)
+            if res <= tol:
+                report.converged = True
+                break
+            if not math.isfinite(res):
+                break
+    return Trajectory(grid=grid, times=times, coeffs=_full(prev, grid.ny)), report
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -221,7 +310,8 @@ def solve_etd(phi: SpectralField, T: float, M: int,
         u_{n+1} = a + dt * phi2(dt L) * (N(a) - N(u_n))
 
     The linear part is propagated exactly, so with the nonlinearity switched
-    off the scheme reproduces W(t_k) phi to rounding accuracy.
+    off the scheme reproduces W(t_k) phi to rounding accuracy.  Stepping
+    stops at the first non-finite state; the rows after it are NaN.
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
@@ -230,26 +320,29 @@ def solve_etd(phi: SpectralField, T: float, M: int,
     grid = phi.grid
     times = _time_grid(T, M)
     dt = float(times[1])
-    ixi = 1j * grid.xi[:, None]
-    mask = grid.dealias_mask
-    P = dispersion_values(grid).values
+    P = _half(dispersion_values(grid).values, grid)
     L = 1j * P - (grid.xi ** 2)[:, None]
     E = np.exp(dt * L)
     f1 = dt * _phi1(dt * L)
     f2 = dt * _phi2(dt * L)
+    table = _dx_table(grid)
 
     def rhs(c: np.ndarray) -> np.ndarray:
-        return -0.5 * _nonlin(c, grid, ixi, mask)
+        return -0.5 * _nonlin(c, grid, table)
 
     out = np.empty((M + 1, grid.nx, grid.ny), dtype=complex)
-    out[0] = _prepared_data(phi)
-    u = out[0].copy()
-    for k in range(1, M + 1):
-        if include_nonlinearity:
-            n0 = rhs(u)
-            a = E * u + f1 * n0
-            u = a + f2 * (rhs(a) - n0)
-        else:
-            u = E * u
-        out[k] = u
+    u = _prepared_data(phi)
+    _full(u, grid.ny, out=out[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, M + 1):
+            if include_nonlinearity:
+                n0 = rhs(u)
+                a = E * u + f1 * n0
+                u = a + f2 * (rhs(a) - n0)
+            else:
+                u = E * u
+            _full(u, grid.ny, out=out[k])
+            if not np.all(np.isfinite(u)):
+                out[k + 1:] = np.nan
+                break
     return Trajectory(grid=grid, times=times, coeffs=out)

@@ -28,7 +28,7 @@ import numpy as np
 
 from .norms import bourgain_norm, sobolev_norm, time_window
 from .semigroup import semigroup_table
-from .solver import Trajectory
+from .solver import Trajectory, _dx_product_full
 from .spectral_core import Grid2D, SpectralField, make_grid
 from .norms import windowed_time_transform  # noqa: F401  (re-exported for tests)
 
@@ -193,14 +193,8 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
         raise ValueError(f"eps must be in (0, delta/10], got {eps}")
     if u.grid is not v.grid or u.n_times != v.n_times:
         raise ValueError("u and v must share grid and time grid")
-    grid = u.grid
-    phase = grid.phase[None, :, :]
-    u_phys = np.fft.ifft2(u.coeffs * phase, axes=(1, 2)).real
-    v_phys = np.fft.ifft2(v.coeffs * phase, axes=(1, 2)).real
-    w = np.fft.fft2(u_phys * v_phys, axes=(1, 2)) * phase
-    w *= 1j * grid.xi[None, :, None]
-    w[:, ~grid.dealias_mask] = 0.0
-    prod = Trajectory(grid=grid, times=u.times, coeffs=w)
+    prod = Trajectory(grid=u.grid, times=u.times,
+                      coeffs=_dx_product_full(u.coeffs, v.coeffs, u.grid))
 
     numer = bourgain_norm(prod, -0.5 + delta, s1 - 2.0 * delta + eps, s2)
     denom = bourgain_norm(u, 0.5, s1, s2) * bourgain_norm(v, 0.5, s1, s2)

@@ -8,6 +8,7 @@ and the solve -> norms round trip.
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
 import sys
@@ -323,3 +324,17 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-m", "kpblab.cli"],
                               capture_output=True, text=True)
         assert proc.returncode != 0
+
+    def test_import_leaves_slow_scipy_modules_unloaded(self):
+        # scipy.integrate and scipy.signal cost most of the import time every
+        # command pays; they are imported only where used.
+        import kpblab
+        src = os.path.dirname(os.path.dirname(os.path.abspath(kpblab.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, kpblab.cli; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.signal') "
+                "if m in sys.modules))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

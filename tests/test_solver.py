@@ -5,13 +5,19 @@ skew-symmetry <d/dx(u^2), u> = 0, the closed-form free decay e^{-t} of a
 single xi=1 mode, and cross-checks between the two independent integrators.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
+import kpblab.solver as solver_module
 from kpblab.semigroup import apply_W, semigroup_table
 from kpblab.solver import (
     PicardReport,
     Trajectory,
+    _dx_table,
+    _full,
+    _nonlin,
     l2_history,
     nonlinearity,
     picard_step,
@@ -238,3 +244,114 @@ class TestL2History:
         traj = Trajectory(grid=grid, times=times, coeffs=states)
         h = l2_history(traj)
         assert np.max(np.abs(h / h[0] - np.exp(-times))) < 1e-13
+
+
+def old_full_fft_nonlin(coeffs, grid):
+    """The full-spectrum formula the half-spectrum _nonlin replaced."""
+    u = np.fft.ifft2(coeffs * grid.phase).real
+    w = np.fft.fft2(u * u) * grid.phase
+    out = 1j * grid.xi[:, None] * w
+    out[~grid.dealias_mask] = 0.0
+    out[0, :] = 0.0
+    return out
+
+
+def random_real_field(grid, seed):
+    rng = np.random.default_rng(seed)
+    return forward_transform(rng.standard_normal((grid.nx, grid.ny)), grid)
+
+
+def blowup_datum():
+    # amplitude 500 over T = 10 with M = 16 overflows at step 4 (t = 2.5)
+    grid = make_grid(32, 32, np.pi, np.pi)
+    u = 500.0 * np.exp(-(grid.x[:, None] ** 2 + grid.y[None, :] ** 2) / (2 * 0.7 ** 2))
+    return forward_transform(u, grid)
+
+
+class TestHalfSpectrumLayout:
+    @pytest.mark.parametrize("fraction", [2.0 / 3.0, 1.0])
+    def test_nonlin_matches_full_fft_formula(self, fraction):
+        # non-square so a swapped axis shows; fraction 1 keeps both Nyquist lines
+        grid = make_grid(32, 24, np.pi, 2.0, dealias_fraction=fraction)
+        f = random_real_field(grid, 5)
+        h = grid.ny // 2 + 1
+        got = _nonlin(f.coeffs[:, :h], grid, _dx_table(grid))
+        expect = old_full_fft_nonlin(f.coeffs, grid)[:, :h]
+        assert got.shape == (grid.nx, h)
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_full_rebuilds_fft2_of_real_field(self):
+        u = np.random.default_rng(3).standard_normal((2, 16, 12))
+        full = _full(np.fft.rfft2(u), 12)
+        expect = np.fft.fft2(u)
+        assert np.max(np.abs(full - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+    def test_full_is_exactly_hermitian_for_any_half(self):
+        grid = make_grid(16, 12, np.pi, np.pi)
+        rng = np.random.default_rng(4)
+        half = rng.standard_normal((16, 7)) + 1j * rng.standard_normal((16, 7))
+        full = _full(half, grid.ny)
+        assert hermitian_defect(SpectralField(grid=grid, coeffs=full)) == 0.0
+        assert np.array_equal(full[:, 1:6], half[:, 1:6])
+        assert np.array_equal(full[:9, [0, 6]].real, half[:9, [0, 6]].real)
+
+    def test_solver_outputs_exactly_hermitian(self, grid):
+        phi = random_real_field(grid, 1)
+        phi = SpectralField(grid=grid, coeffs=0.01 * phi.coeffs)
+        for traj in (solve_picard(phi, 0.2, 16)[0], solve_etd(phi, 0.2, 16)):
+            for k in range(traj.n_times):
+                assert hermitian_defect(traj.state(k)) == 0.0
+
+    def test_solve_picard_equals_iterated_picard_step(self, grid):
+        phi = gaussian_datum(grid, amplitude=0.5)
+        traj, report = solve_picard(phi, 0.2, 16)
+        assert report.converged
+        it = Trajectory(grid=grid, times=traj.times,
+                        coeffs=np.zeros_like(traj.coeffs))
+        residuals = []
+        for _ in range(report.iterations):
+            nxt = picard_step(it, phi)
+            diff = np.sum(np.abs(nxt.coeffs - it.coeffs) ** 2, axis=(1, 2))
+            residuals.append(float(np.sqrt(np.max(diff) * grid.cell_measure)))
+            it = nxt
+        scale = np.max(np.abs(traj.coeffs))
+        assert np.max(np.abs(it.coeffs - traj.coeffs)) <= 1e-13 * scale
+        # the last residual is a difference of nearly equal iterates
+        assert report.residual_history == pytest.approx(
+            residuals, rel=1e-9, abs=1e-12 * residuals[0])
+
+    def test_l2_history_matches_abs_square_sum(self, grid):
+        phi = random_real_field(grid, 2)
+        traj = solve_etd(SpectralField(grid=grid, coeffs=0.01 * phi.coeffs), 0.2, 16)
+        expect = np.sqrt(np.sum(np.abs(traj.coeffs) ** 2, axis=(1, 2))
+                         * grid.cell_measure)
+        assert np.max(np.abs(l2_history(traj) / expect - 1.0)) <= 1e-13
+
+
+class TestBlowUpStopsEarly:
+    def test_etd_stops_at_first_nonfinite_state_silently(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _nonlin(*args)
+
+        monkeypatch.setattr(solver_module, "_nonlin", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = solve_etd(blowup_datum(), 10.0, 16)
+            h = l2_history(traj)
+        assert np.all(np.isfinite(h[:4]))
+        assert not np.isfinite(h[4])
+        assert np.all(np.isnan(traj.coeffs[5:]))
+        assert len(calls) == 2 * 4  # two evaluations per step, none after step 4
+
+    def test_picard_stops_at_nonfinite_residual_silently(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = solve_picard(blowup_datum(), 10.0, 16, max_iter=25)
+        assert not report.converged
+        assert report.iterations < 25
+        assert report.iterations == len(report.residual_history)
+        assert np.all(np.isfinite(report.residual_history[:-1]))
+        assert not np.isfinite(report.residual_history[-1])
