@@ -42,13 +42,14 @@ def _symbol(grid: Grid2D) -> np.ndarray:
     return dispersion_values(grid).values
 
 
-def _w_multiplier(P: np.ndarray, xi: np.ndarray, t: float) -> np.ndarray:
-    """exp(i t P - xi^2 |t|) for a symbol table ``P`` whose rows follow ``xi``.
+def _w_multiplier(P: np.ndarray, xi: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+    """exp(i t P - xi^2 |t|), with ``xi`` and ``t`` broadcast against ``P``.
 
-    The solver calls this on the half-spectrum columns of P, the cached
-    tables on the full grid.
+    The cached tables pass the full grid (xi as a column), the solver its
+    half-spectrum columns, and ``verify.free_trajectory`` a column of times
+    against the occupied modes of its datum.
     """
-    return np.exp(1j * t * P - (xi ** 2)[:, None] * abs(t))
+    return np.exp(1j * t * P - xi ** 2 * abs(t))
 
 
 @lru_cache(maxsize=64)
@@ -57,7 +58,7 @@ def _factors(grid: Grid2D, t: float, kind: str) -> np.ndarray:
     if kind == "U":
         factors = np.exp(1j * t * P)
     elif kind == "W":
-        factors = _w_multiplier(P, grid.xi, t)
+        factors = _w_multiplier(P, grid.xi[:, None], t)
     elif kind == "heat":
         xi2 = (grid.xi ** 2)[:, None]
         factors = np.exp(-xi2 * abs(t)) * np.ones_like(P)

@@ -181,27 +181,30 @@ def _picard_tables(phi: SpectralField,
     w_phi = np.empty((times.size,) + phi_c.shape, dtype=complex)
     w_phi[0] = phi_c
     for k in range(1, times.size):
-        np.multiply(_w_multiplier(P, grid.xi, times[k]), phi_c, out=w_phi[k])
-    w_dt = _w_multiplier(P, grid.xi, float(times[1] - times[0]))
+        np.multiply(_w_multiplier(P, grid.xi[:, None], times[k]), phi_c, out=w_phi[k])
+    w_dt = _w_multiplier(P, grid.xi[:, None], float(times[1] - times[0]))
     return w_phi, w_dt, _dx_table(grid)
 
 
 def _picard_update(prev: np.ndarray, out: np.ndarray, grid: Grid2D, dt: float,
-                   w_phi: np.ndarray, w_dt: np.ndarray, table: np.ndarray) -> None:
-    """Write into ``out`` the Picard update of the half-spectrum iterate ``prev``."""
+                   w_phi: np.ndarray, w_dt: np.ndarray, table: np.ndarray,
+                   g_0: np.ndarray) -> None:
+    """Write into ``out`` the Picard update of the half-spectrum iterate
+    ``prev``, given g_0 = d/dx(prev[0]^2), which is left unchanged."""
     out[0] = w_phi[0]
-    g_prev = _nonlin(prev[0], grid, table)
+    g_prev = g_0
     acc = np.zeros_like(w_phi[0])
+    tmp = np.empty_like(acc)
     for k in range(1, len(prev)):
         g_k = _nonlin(prev[k], grid, table)
         # acc = W(dt) acc + (dt/2) (W(dt) g_{k-1} + g_k), in place
         acc *= w_dt
-        g_prev *= w_dt
-        g_prev += g_k
-        g_prev *= 0.5 * dt
-        acc += g_prev
-        np.multiply(acc, 0.5, out=g_prev)
-        np.subtract(w_phi[k], g_prev, out=out[k])
+        np.multiply(g_prev, w_dt, out=tmp)
+        tmp += g_k
+        tmp *= 0.5 * dt
+        acc += tmp
+        np.multiply(acc, 0.5, out=tmp)
+        np.subtract(w_phi[k], tmp, out=out[k])
         g_prev = g_k
 
 
@@ -216,8 +219,10 @@ def picard_step(prev: Trajectory, phi: SpectralField) -> Trajectory:
     """
     grid = prev.grid
     w_phi, w_dt, table = _picard_tables(phi, prev.times)
+    half = _half(prev.coeffs, grid)
     out = np.empty_like(w_phi)
-    _picard_update(_half(prev.coeffs, grid), out, grid, prev.dt, w_phi, w_dt, table)
+    _picard_update(half, out, grid, prev.dt, w_phi, w_dt, table,
+                   _nonlin(half[0], grid, table))
     return Trajectory(grid=grid, times=prev.times, coeffs=_full(out, grid.ny))
 
 
@@ -261,12 +266,18 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
     times = _time_grid(T, M)
     dt = float(times[1] - times[0])
     w_phi, w_dt, table = _picard_tables(phi, times)
+    # Row 0 of every iterate is the datum, so every update shares
+    # g_0 = d/dx(phi^2).
+    g_0 = _nonlin(w_phi[0], grid, table)
     prev = np.zeros_like(w_phi)
     nxt = np.empty_like(w_phi)
     report = PicardReport(iterations=0)
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
-            _picard_update(prev, nxt, grid, dt, w_phi, w_dt, table)
+            if report.iterations == 0:
+                nxt[...] = w_phi  # d/dx(0^2) = 0: the update of the zero start
+            else:
+                _picard_update(prev, nxt, grid, dt, w_phi, w_dt, table, g_0)
             prev -= nxt  # prev is free now: it holds the difference
             res = float(np.sqrt(np.max(_half_energy(prev) * grid.cell_measure)))
             prev, nxt = nxt, prev

@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import bourgain_norm, sobolev_norm, time_window
-from .semigroup import semigroup_table
+from .norms import _on_modes, _windowed_modes, bourgain_norm, sobolev_norm
+from .semigroup import _w_multiplier
 from .solver import Trajectory, _dx_product_full
-from .spectral_core import Grid2D, SpectralField, make_grid
-from .norms import windowed_time_transform  # noqa: F401  (re-exported for tests)
+from .spectral_core import Grid2D, SpectralField, dispersion_values, make_grid
 
 __all__ = [
     "RatioReport",
@@ -103,15 +102,22 @@ def random_field(grid: Grid2D, rng: np.random.Generator,
 
 def free_trajectory(phi: SpectralField, T: float, M: int,
                     cutoff: bool = True) -> Trajectory:
-    """psi(t - T/2) W(t - T/2) phi sampled on [0, T] (cutoff optional)."""
+    """psi(t - T/2) W(t - T/2) phi sampled on [0, T] (cutoff optional).
+
+    W acts mode by mode, so only the modes where phi is nonzero are
+    evaluated, all times at once; every other mode stays exactly zero.
+    """
     grid = phi.grid
     times = np.linspace(0.0, T, M + 1)
-    out = np.empty((M + 1, grid.nx, grid.ny), dtype=complex)
-    for k, t in enumerate(times):
-        shifted = t - 0.5 * T
-        amp = psi_cutoff(shifted) if cutoff else 1.0
-        out[k] = amp * semigroup_table(grid, shifted).factors * phi.coeffs
-    return Trajectory(grid=grid, times=times, coeffs=out)
+    shifted = (times - 0.5 * T)[:, None]
+    amp = psi_cutoff(shifted) if cutoff else 1.0
+    coeffs = phi.coeffs.reshape(-1)
+    cols = np.flatnonzero(coeffs)
+    P = _on_modes(dispersion_values(grid).values, grid, cols)
+    xi = _on_modes(grid.xi[:, None], grid, cols)
+    out = np.zeros((M + 1, grid.nx * grid.ny), dtype=complex)
+    out[:, cols] = amp * _w_multiplier(P, xi, shifted) * coeffs[cols]
+    return Trajectory(grid=grid, times=times, coeffs=out.reshape(M + 1, grid.nx, grid.ny))
 
 
 def free_estimate_ratio(phi: SpectralField, b: float, s1: float, s2: float,
@@ -135,10 +141,9 @@ def _trapezoid(values: np.ndarray, dt: float) -> complex:
 def _y_norm(samples: np.ndarray, dt: float, xi: float, b: float) -> float:
     """Y^b_xi norm of a windowed time signal: weight (1 + tau^2 + xi^4)^b."""
     n = samples.size
-    ghat = dt * np.fft.fft(time_window(n) * samples)
-    tau = 2.0 * np.pi * np.fft.fftfreq(n, d=dt)
+    tau, ghat, _ = _windowed_modes(samples, dt)
     w = (1.0 + tau ** 2 + xi ** 4) ** b
-    return math.sqrt(float(np.sum(w * np.abs(ghat) ** 2)) / (n * dt))
+    return math.sqrt(float(np.sum(w[:, None] * np.abs(ghat) ** 2)) / (n * dt))
 
 
 def smoothing_ratio(f_samples: np.ndarray, xi: float, delta: float) -> float:

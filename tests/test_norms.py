@@ -9,6 +9,8 @@ frozen tolerance.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kpblab.norms import (
     bourgain_norm,
@@ -23,6 +25,7 @@ from kpblab.semigroup import free_table, semigroup_table
 from kpblab.solver import Trajectory
 from kpblab.spectral_core import (
     SpectralField,
+    dispersion_values,
     forward_transform,
     l2_norm,
     make_grid,
@@ -246,3 +249,109 @@ class TestEquivalenceGap:
         bn = bourgain_norm(traj, 0.5, -0.3, 0.0)
         sn = spacetime_norm(traj, 0.0, -0.3 + 1.0, 0.0)
         assert 0.5 <= bn / sn <= 2.0
+
+
+def dense_norms(traj, b, s1, s2):
+    """(spacetime, bourgain, equivalence_gap) written out over every mode of
+    the (n_t, nx, ny) grid, identically-zero modes included."""
+    grid, n_t, dt = traj.grid, traj.n_times, traj.dt
+    uhat = dt * np.fft.fft(time_window(n_t)[:, None, None] * traj.coeffs, axis=0)
+    tau = (2.0 * np.pi * np.fft.fftfreq(n_t, d=dt))[:, None, None]
+    half_band = np.pi / dt
+    sigma = np.mod(tau - dispersion_values(grid).values[None] + half_band,
+                   2.0 * half_band) - half_band
+    xi2 = (grid.xi ** 2)[None, :, None]
+    ws = sobolev_weight(grid, s1, s2)[None]
+    mu = grid.cell_measure / (n_t * dt)
+
+    def total(weight):
+        return np.sum(weight * ws * np.abs(uhat) ** 2) * mu
+
+    full = total((1.0 + sigma ** 2 + xi2 ** 2) ** b)
+    numer = np.sqrt(full)
+    denom = np.sqrt(total((1.0 + sigma ** 2) ** b)) + np.sqrt(total((1.0 + xi2) ** (2 * b)))
+    gap = 1.0 if numer == 0.0 and denom == 0.0 else numer / denom
+    return np.sqrt(total((1.0 + tau ** 2) ** b)), numer, gap
+
+
+def assert_matches_dense(traj, b, s1, s2):
+    got = (spacetime_norm(traj, b, s1, s2), bourgain_norm(traj, b, s1, s2),
+           equivalence_gap(traj, b, s1, s2))
+    for g, want in zip(got, dense_norms(traj, b, s1, s2)):
+        assert g == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
+class TestOccupiedModes:
+    """The time-dependent norms transform only the modes that are not
+    identically zero in time; a skipped mode contributes 0 to every weighted
+    sum, so the result must equal the sum over the whole grid."""
+
+    PARAMS = [(0.5, -0.3, 0.2), (-0.4, 0.1, 0.0), (0.0, 0.0, 0.3)]
+
+    @staticmethod
+    def full_support(grid, seed=0, n_t=33):
+        rng = np.random.default_rng(seed)
+        shape = (n_t, grid.nx, grid.ny)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return Trajectory(grid=grid, times=np.linspace(0.0, 2.0, n_t), coeffs=coeffs)
+
+    @staticmethod
+    def with_coeffs(traj, coeffs):
+        return Trajectory(grid=traj.grid, times=traj.times, coeffs=coeffs)
+
+    def test_band_limited(self, smooth_traj):
+        occupied = np.any(smooth_traj.coeffs, axis=0)
+        assert 0 < occupied.sum() < occupied.size
+        for b, s1, s2 in self.PARAMS:
+            assert_matches_dense(smooth_traj, b, s1, s2)
+
+    def test_full_support(self, grid):
+        traj = self.full_support(grid)
+        assert np.all(traj.coeffs)
+        for b, s1, s2 in self.PARAMS:
+            assert_matches_dense(traj, b, s1, s2)
+
+    def test_mode_occupied_at_one_time(self, smooth_traj):
+        coeffs = smooth_traj.coeffs.copy()
+        mode = idx(smooth_traj.grid, 13, -11)  # outside the random band
+        assert not np.any(coeffs[(slice(None),) + mode])
+        coeffs[(5,) + mode] = 40.0 - 30.0j
+        traj = self.with_coeffs(smooth_traj, coeffs)
+        for b, s1, s2 in self.PARAMS:
+            assert_matches_dense(traj, b, s1, s2)
+            assert bourgain_norm(traj, b, s1, s2) != bourgain_norm(smooth_traj, b, s1, s2)
+
+    def test_all_zero(self, smooth_traj):
+        traj = self.with_coeffs(smooth_traj, np.zeros_like(smooth_traj.coeffs))
+        assert spacetime_norm(traj, 0.5, -0.3, 0.2) == 0.0
+        assert bourgain_norm(traj, 0.5, -0.3, 0.2) == 0.0
+        assert equivalence_gap(traj, 0.5, -0.3, 0.2) == 1.0
+        assert_matches_dense(traj, 0.5, -0.3, 0.2)
+
+    def test_nan_mode_propagates(self, smooth_traj):
+        coeffs = np.zeros_like(smooth_traj.coeffs)
+        coeffs[(3,) + idx(smooth_traj.grid, 2, 1)] = np.nan
+        traj = self.with_coeffs(smooth_traj, coeffs)
+        assert np.isnan(spacetime_norm(traj, 0.5, 0.0, 0.0))
+        assert np.isnan(bourgain_norm(traj, 0.5, 0.0, 0.0))
+        assert np.isnan(equivalence_gap(traj, 0.5, 0.0, 0.0))
+
+    def test_transform_keeps_full_shape(self, smooth_traj):
+        tau, uhat = windowed_time_transform(smooth_traj)
+        w = time_window(smooth_traj.n_times)[:, None, None]
+        dense = smooth_traj.dt * np.fft.fft(w * smooth_traj.coeffs, axis=0)
+        assert uhat.shape == smooth_traj.coeffs.shape
+        assert np.array_equal(uhat == 0, dense == 0)
+        assert np.max(np.abs(uhat - dense)) <= 1e-13 * np.max(np.abs(dense))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), density=st.floats(0.0, 1.0),
+           b=st.sampled_from([-0.5, -0.1, 0.0, 0.25, 0.5]),
+           s1=st.floats(-0.5, 0.5), s2=st.floats(0.0, 0.5))
+    def test_random_supports(self, seed, density, b, s1, s2):
+        # random per-(t, mode) support: modes occupied at all, some or no times
+        small = make_grid(8, 12, np.pi, np.pi)
+        traj = self.full_support(small, seed, n_t=17)
+        keep = np.random.default_rng(seed).random(traj.coeffs.shape) < density
+        assert_matches_dense(self.with_coeffs(traj, np.where(keep, traj.coeffs, 0.0)),
+                             b, s1, s2)

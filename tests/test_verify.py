@@ -116,6 +116,24 @@ class TestFreeTrajectory:
         mid = 16
         assert np.max(np.abs(traj.coeffs[mid] - phi.coeffs)) < 1e-13
 
+    def test_cutoff_full_support_matches_semigroup(self, grid):
+        # every mode occupied: the vectorised build equals the per-time
+        # product psi(t - T/2) * W(t - T/2) * phi element for element
+        from kpblab.semigroup import semigroup_table
+        rng = np.random.default_rng(11)
+        phi = SpectralField(grid=grid, coeffs=rng.standard_normal((32, 32))
+                            + 1j * rng.standard_normal((32, 32)))
+        traj = free_trajectory(phi, T=4.0, M=40, cutoff=True)
+        for k, t in enumerate(traj.times):
+            shifted = float(t) - 2.0
+            expect = psi_cutoff(shifted) * semigroup_table(grid, shifted).factors * phi.coeffs
+            np.testing.assert_array_equal(traj.coeffs[k], expect)
+
+    def test_zero_modes_stay_zero(self, grid):
+        phi = random_field(grid, np.random.default_rng(3), decay=0)
+        traj = free_trajectory(phi, T=4.0, M=32, cutoff=False)
+        assert np.array_equal(np.any(traj.coeffs, axis=0), phi.coeffs != 0)
+
     def test_no_cutoff_matches_semigroup(self, grid):
         from kpblab.semigroup import semigroup_table
         phi = random_field(grid, np.random.default_rng(2), decay=1)
