@@ -23,16 +23,21 @@ import json
 import math
 import os
 import sys
+import zipfile
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .illposedness import (_MIN_CELLS, _MIN_CHI_SAMPLES, build_phi_N,
+from .illposedness import (_MIN_CELLS, _MIN_CHI_SAMPLES, _MIN_N, build_phi_N,
                            chi_bound_check, second_iterate_norm)
-from .norms import bourgain_norm, equivalence_gap, sobolev_norm, spacetime_norm
-from .solver import Trajectory, l2_history, solve_etd, solve_picard
-from .spectral_core import Grid2D, SpectralField, forward_transform, make_grid
+from .norms import (_MIN_STEPS, _TAPER_FRACTION, bourgain_norm, equivalence_gap,
+                    sobolev_norm, spacetime_norm)
+from .semigroup import _ADMISSIBLE_TOL
+from .solver import (_MIN_SOLVE_STEPS, _PHI_SERIES_CUTOFF, Trajectory, l2_history,
+                     solve_etd, solve_picard)
+from .spectral_core import (_HERMITIAN_TOL, _KP_ADMISSIBLE_TOL, Grid2D, SpectralField,
+                            forward_transform, make_grid)
 from .verify import run_suite
 
 __all__ = ["main", "run", "ConfigError", "NumericalFailure"]
@@ -47,14 +52,14 @@ class NumericalFailure(Exception):
 
 
 _TOLERANCES = {
-    "hermitian_tol": 1e-10,
-    "kp_admissibility_tol": 1e-13,
-    "semigroup_admissibility_tol": 1e-10,
-    "taper_alpha": 0.2,
-    "min_time_steps_for_norms": 16,
+    "hermitian_tol": _HERMITIAN_TOL,
+    "kp_admissibility_tol": _KP_ADMISSIBLE_TOL,
+    "semigroup_admissibility_tol": _ADMISSIBLE_TOL,
+    "taper_alpha": _TAPER_FRACTION,
+    "min_time_steps_for_norms": _MIN_STEPS,
     "min_quadrature_cells": _MIN_CELLS,
     "min_chi_samples": _MIN_CHI_SAMPLES,
-    "etd_phi_series_cutoff": 1e-2,
+    "etd_phi_series_cutoff": _PHI_SERIES_CUTOFF,
 }
 
 
@@ -228,8 +233,8 @@ def _run_solve(cfg: dict, out_dir: str, threads: int) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     phi = _build_phi(cfg["phi_spec"], grid)
-    if M < 8:
-        raise ConfigError(f"config field 'M' must be >= 8, got {M}")
+    if M < _MIN_SOLVE_STEPS:
+        raise ConfigError(f"config field 'M' must be >= {_MIN_SOLVE_STEPS}, got {M}")
 
     results: dict = {"integrator": integrator}
     if integrator == "picard":
@@ -286,8 +291,8 @@ def _run_illposed(cfg: dict, out_dir: str, threads: int) -> None:
             f"config field 'N_list' needs at least 4 values, got {len(Ns)}")
     if len(set(Ns)) != len(Ns):
         raise ConfigError("config field 'N_list' has duplicate entries")
-    if Ns[0] < 8:
-        raise ConfigError(f"config field 'N_list' entries must be >= 8, got {Ns[0]}")
+    if Ns[0] < _MIN_N:
+        raise ConfigError(f"config field 'N_list' entries must be >= {_MIN_N}, got {Ns[0]}")
     if cells < _MIN_CELLS:
         raise ConfigError(
             f"config field 'cells' must be >= {_MIN_CELLS}, got {cells}")
@@ -330,7 +335,7 @@ def _run_verify(cfg: dict, out_dir: str, threads: int) -> None:
     seed = int(_field(cfg, "seed", int))
     params = _field(cfg, "params", dict, required=False, default={})
     refine = params.get("refine", 1)
-    if not isinstance(refine, int) or refine < 1:
+    if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
         raise ConfigError(f"params.refine must be a positive integer, got {refine}")
     if estimate_id not in ("free", "smoothing", "bilinear"):
         raise ConfigError(
@@ -378,14 +383,16 @@ def _run_norms(cfg: dict, out_dir: str, threads: int) -> None:
     except KeyError as exc:
         raise ConfigError(
             f"input_path {input_path!r} lacks required array {exc}") from exc
+    except (ValueError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"input_path {input_path!r}: {exc}") from exc
     try:
         traj = Trajectory(grid=grid, times=times, coeffs=coeffs)
     except ValueError as exc:
         raise ConfigError(f"input_path {input_path!r}: {exc}") from exc
-    if traj.n_times - 1 < 16:
+    if traj.n_times - 1 < _MIN_STEPS:
         raise ConfigError(
             f"input trajectory has {traj.n_times - 1} time steps; norms "
-            "need at least 16")
+            f"need at least {_MIN_STEPS}")
 
     row = [b, s1, s2,
            sobolev_norm(traj.state(traj.n_times - 1), s1, s2),

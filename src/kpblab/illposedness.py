@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral_core import Grid2D, SpectralField
+from .spectral_core import Grid2D, SpectralField, _symbol
 
 __all__ = [
     "Rectangle",
@@ -110,17 +110,23 @@ def output_window(N: float) -> tuple[float, float, float, float]:
     return 1.5 * N, 3.0 * N, (_SQRT3 - 6) * n2, (_SQRT3 + 7) * n2
 
 
-def interaction_rectangle(N: float, xi: float, eta: float) -> Rectangle | None:
-    """The rectangle k1(xi, eta) = D_2 intersected with (nu - D_1), or None.
+def _k1_bounds(pair: RectanglePair, xi, eta):
+    """(x_lo, x_hi, y_lo, y_hi) of k1(xi, eta), elementwise over array arguments.
 
     nu1 in k1 means xi1 in [N, 2N) and xi - xi1 in [N/2, N), and likewise in
-    eta; both constraints are intervals, so k1 is their product.
+    eta; both constraints are intervals, so k1 is their product.  The xi
+    bounds depend on xi only and the eta bounds on eta only; k1 is empty
+    where a lower bound is not below its upper bound.
     """
-    pair = rectangle_pair(N)
-    xlo = max(pair.D2.xi_min, xi - pair.D1.xi_max)
-    xhi = min(pair.D2.xi_max, xi - pair.D1.xi_min)
-    ylo = max(pair.D2.eta_min, eta - pair.D1.eta_max)
-    yhi = min(pair.D2.eta_max, eta - pair.D1.eta_min)
+    return (np.maximum(pair.D2.xi_min, xi - pair.D1.xi_max),
+            np.minimum(pair.D2.xi_max, xi - pair.D1.xi_min),
+            np.maximum(pair.D2.eta_min, eta - pair.D1.eta_max),
+            np.minimum(pair.D2.eta_max, eta - pair.D1.eta_min))
+
+
+def interaction_rectangle(N: float, xi: float, eta: float) -> Rectangle | None:
+    """The rectangle k1(xi, eta) = D_2 intersected with (nu - D_1), or None."""
+    xlo, xhi, ylo, yhi = (float(b) for b in _k1_bounds(rectangle_pair(N), xi, eta))
     if xlo >= xhi or ylo >= yhi:
         return None
     return Rectangle(xlo, xhi, ylo, yhi)
@@ -197,16 +203,25 @@ def _require_nonzero(*arrays) -> None:
             raise ValueError("xi, xi1 and xi - xi1 must all be nonzero")
 
 
+def _chi_into(out: np.ndarray, xi, xi1, eta, eta1) -> np.ndarray:
+    """Write chi at the broadcast nodes into ``out`` and return it.
+
+    The factor xi xi1 (xi - xi1) keeps the broadcast shape of (xi, xi1), so
+    a caller that puts xi1 on its own axis pays for it once per xi1.
+    """
+    prod = xi * xi1 * (xi - xi1)
+    np.subtract(xi1 * eta, xi * eta1, out=out)
+    out *= out
+    out /= prod
+    out += 3.0 * prod
+    return out
+
+
 def resonance_chi(xi, xi1, eta, eta1):
     """chi = 3 xi xi1 (xi-xi1) + (xi1 eta - xi eta1)^2 / (xi xi1 (xi-xi1))."""
-    xi = np.asarray(xi, dtype=float)
-    xi1 = np.asarray(xi1, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    eta1 = np.asarray(eta1, dtype=float)
-    xi2 = xi - xi1
-    _require_nonzero(xi, xi1, xi2)
-    prod = xi * xi1 * xi2
-    chi = 3.0 * prod + (xi1 * eta - xi * eta1) ** 2 / prod
+    xi, xi1, eta, eta1 = (np.asarray(a, dtype=float) for a in (xi, xi1, eta, eta1))
+    _require_nonzero(xi, xi1, xi - xi1)
+    chi = _chi_into(np.empty(np.broadcast(xi, xi1, eta, eta1).shape), xi, xi1, eta, eta1)
     if chi.ndim == 0:
         return float(chi)
     return chi
@@ -222,24 +237,18 @@ def _kernel_parts(t, xi, xi1, eta, eta1) -> tuple[np.ndarray, np.ndarray]:
 
     has no cancellation near z = 0, and the division is a multiplication by
     the conjugate over (2 xi1 xi2)^2 + chi^2.  Factors of (t, xi, xi1) alone
-    (expm1, exp, 1/prod, 3 prod) keep their own broadcast shape, so a caller
+    (expm1, exp, and those of chi) keep their own broadcast shape, so a caller
     that puts xi1 on its own axis pays for them once per xi1, not per node.
     The arguments must broadcast to at least one dimension; every node-sized
     temporary is updated in place.
     """
-    xi2 = xi - xi1
-    prod = xi * xi1 * xi2
-    cross = 2.0 * xi1 * xi2
+    cross = 2.0 * xi1 * (xi - xi1)
     decay = np.exp(-t * xi * xi)
     shift = decay * np.expm1(t * cross)
     scale = 2.0 * decay * np.exp(t * cross)
 
     shape = np.broadcast_shapes(*(np.shape(a) for a in (t, xi, xi1, eta, eta1)))
-    chi = np.empty(shape)
-    np.subtract(xi1 * eta, xi * eta1, out=chi)
-    chi *= chi
-    chi *= 1.0 / prod
-    chi += 3.0 * prod
+    chi = _chi_into(np.empty(shape), xi, xi1, eta, eta1)
 
     # numerator e^{-t xi^2} (e^z - 1) = re_n + i im_n
     h = chi * (0.5 * t)
@@ -293,11 +302,8 @@ def _midpoints(lo, hi, cells: int):
     return lo[..., None] + offsets * h[..., None], h
 
 
-def _dispersion(xi, eta):
-    return xi ** 3 - eta ** 2 / xi
-
-
 _MIN_CELLS = 64
+_MIN_N = 8  # smallest N of a norm evaluation
 _MIN_CHI_SAMPLES = 10_000
 _BLOCK_NODES = 32 * 1024  # inner nodes per kernel call in _window_density
 
@@ -327,7 +333,7 @@ def second_iterate_hat(N: float, s: float, t: float, xi: float, eta: float,
     y_nodes, hy = _midpoints(np.float64(rect.eta_min), np.float64(rect.eta_max), cells)
     K = kernel_K(t, xi, x_nodes[:, None], eta, y_nodes[None, :])
     integral = 2.0 * amp * amp * np.sum(K) * hx * hy
-    prefactor = 1j * xi * np.exp(1j * t * _dispersion(xi, eta))
+    prefactor = 1j * xi * np.exp(1j * t * _symbol(xi, eta))
     return complex(prefactor * integral)
 
 
@@ -347,13 +353,10 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     xi_nodes, hx = _midpoints(np.float64(xi_lo), np.float64(xi_hi), cells)
     eta_nodes, hy = _midpoints(np.float64(eta_lo), np.float64(eta_hi), cells)
 
-    pair = rectangle_pair(N)
     amp2 = float(N) ** (2.0 * (-1.5 - s))
     table = np.zeros((cells, cells))
 
-    # Inner eta-interval of k1 depends on the outer eta only
-    y_lo = np.maximum(pair.D2.eta_min, eta_nodes - pair.D1.eta_max)
-    y_hi = np.minimum(pair.D2.eta_max, eta_nodes - pair.D1.eta_min)
+    x_lo, x_hi, y_lo, y_hi = _k1_bounds(rectangle_pair(N), xi_nodes, eta_nodes)
     y_ok = y_lo < y_hi
     y_mid, wy = _midpoints(y_lo, np.where(y_ok, y_hi, y_lo + 1.0), cells)
     eta_col = eta_nodes[:, None, None]
@@ -363,11 +366,9 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     sum_re = np.empty(cells)
     sum_im = np.empty(cells)
     for i, x in enumerate(xi_nodes):
-        x_lo = max(pair.D2.xi_min, x - pair.D1.xi_max)
-        x_hi = min(pair.D2.xi_max, x - pair.D1.xi_min)
-        if x_lo >= x_hi:
+        if x_lo[i] >= x_hi[i]:
             continue
-        x_mid, wx = _midpoints(np.float64(x_lo), np.float64(x_hi), cells)
+        x_mid, wx = _midpoints(x_lo[i], x_hi[i], cells)
         xi1 = x_mid[None, :, None]
         for j in range(0, cells, rows):
             block = slice(j, j + rows)
@@ -400,8 +401,8 @@ def second_iterate_norm(N: float, s: float, eps0: float, cells: int) -> Illposed
     xi^2 (1+xi^2)^s |I(xi,eta)|^2 over the output window, divided by
     (2 pi)^2 to match the Parseval convention of the discrete norms.
     """
-    if N < 8:
-        raise ValueError(f"N must be >= 8, got {N}")
+    if N < _MIN_N:
+        raise ValueError(f"N must be >= {_MIN_N}, got {N}")
     _check_cells(cells)
     t_N = float(N) ** (-(3.0 + eps0))
     table, hx, hy = _window_density(N, s, t_N, cells)
@@ -452,14 +453,10 @@ def chi_bound_check(N: float, samples: int, seed: int = 0) -> float:
         raise ValueError(f"samples must be >= {_MIN_CHI_SAMPLES}, got {samples}")
     rng = np.random.default_rng([int(seed), int(N)])
     xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
-    pair = rectangle_pair(N)
 
     xi = rng.uniform(xi_lo, xi_hi, size=samples)
     eta = rng.uniform(eta_lo, eta_hi, size=samples)
-    x_lo = np.maximum(pair.D2.xi_min, xi - pair.D1.xi_max)
-    x_hi = np.minimum(pair.D2.xi_max, xi - pair.D1.xi_min)
-    y_lo = np.maximum(pair.D2.eta_min, eta - pair.D1.eta_max)
-    y_hi = np.minimum(pair.D2.eta_max, eta - pair.D1.eta_min)
+    x_lo, x_hi, y_lo, y_hi = _k1_bounds(rectangle_pair(N), xi, eta)
     ok = (x_lo < x_hi) & (y_lo < y_hi)  # boundary fibers are measure zero
     xi, eta = xi[ok], eta[ok]
     x_lo, x_hi, y_lo, y_hi = x_lo[ok], x_hi[ok], y_lo[ok], y_hi[ok]

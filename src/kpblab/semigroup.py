@@ -4,13 +4,10 @@ U(t) multiplies each mode by exp(i t P(xi, eta)) and is unitary on L^2.
 W(t) multiplies by exp(i t P(xi, eta) - xi^2 |t|); the |t| in the damping
 extends the semigroup to negative times as a contraction in both directions.
 
-Factor tables are cached per (grid, t, kind) in a small LRU cache, since time
-steppers reuse few distinct t values.  Cached arrays are read-only.
+Each table is computed on request and is read-only.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,65 +23,52 @@ __all__ = [
     "apply_heat",
 ]
 
+_ADMISSIBLE_TOL = 1e-10
+
 
 class PropagatorTable:
-    """Per-mode multiplier table for one propagator at one time."""
+    """Per-mode multiplier table for one propagator at one time (read-only)."""
 
     __slots__ = ("t", "factors")
 
     def __init__(self, t: float, factors: np.ndarray):
+        factors.setflags(write=False)
         self.t = t
         self.factors = factors
-
-
-@lru_cache(maxsize=64)
-def _symbol(grid: Grid2D) -> np.ndarray:
-    return dispersion_values(grid).values
 
 
 def _w_multiplier(P: np.ndarray, xi: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     """exp(i t P - xi^2 |t|), with ``xi`` and ``t`` broadcast against ``P``.
 
-    The cached tables pass the full grid (xi as a column), the solver its
+    ``semigroup_table`` passes the full grid (xi as a column), the solver its
     half-spectrum columns, and ``verify.free_trajectory`` a column of times
     against the occupied modes of its datum.
     """
     return np.exp(1j * t * P - xi ** 2 * abs(t))
 
 
-@lru_cache(maxsize=64)
-def _factors(grid: Grid2D, t: float, kind: str) -> np.ndarray:
-    P = _symbol(grid)
-    if kind == "U":
-        factors = np.exp(1j * t * P)
-    elif kind == "W":
-        factors = _w_multiplier(P, grid.xi[:, None], t)
-    elif kind == "heat":
-        xi2 = (grid.xi ** 2)[:, None]
-        factors = np.exp(-xi2 * abs(t)) * np.ones_like(P)
-    else:  # pragma: no cover - internal misuse
-        raise ValueError(f"unknown propagator kind {kind!r}")
-    factors.setflags(write=False)
-    return factors
-
-
 def free_table(grid: Grid2D, t: float) -> PropagatorTable:
     """Multiplier table for the free group U(t): exp(i t P)."""
-    return PropagatorTable(t=float(t), factors=_factors(grid, float(t), "U"))
+    t = float(t)
+    return PropagatorTable(t, np.exp(1j * t * dispersion_values(grid).values))
 
 
 def semigroup_table(grid: Grid2D, t: float) -> PropagatorTable:
     """Multiplier table for W(t): exp(i t P - xi^2 |t|)."""
-    return PropagatorTable(t=float(t), factors=_factors(grid, float(t), "W"))
+    t = float(t)
+    P = dispersion_values(grid).values
+    return PropagatorTable(t, _w_multiplier(P, grid.xi[:, None], t))
 
 
 def heat_table(grid: Grid2D, t: float) -> PropagatorTable:
     """Multiplier table for the damping factor exp(-xi^2 |t|)."""
-    return PropagatorTable(t=float(t), factors=_factors(grid, float(t), "heat"))
+    t = float(t)
+    column = np.exp(-(grid.xi ** 2)[:, None] * abs(t))
+    return PropagatorTable(t, np.broadcast_to(column, (grid.nx, grid.ny)))
 
 
 def _require_admissible(f: SpectralField, op: str) -> None:
-    if not is_kp_admissible(f, tol=1e-10):
+    if not is_kp_admissible(f, tol=_ADMISSIBLE_TOL):
         raise ValueError(
             f"{op} requires a KP-admissible field (zero xi=0 line); "
             "apply project_zero_x_mean first")

@@ -43,6 +43,9 @@ __all__ = [
     "l2_history",
 ]
 
+_MIN_SOLVE_STEPS = 8  # smallest M (time steps) of a solve
+_PHI_SERIES_CUTOFF = 1e-2  # |z| below which phi1, phi2 use their Taylor series
+
 
 @dataclass(eq=False)
 class Trajectory:
@@ -258,8 +261,8 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
-    if M < 8:
-        raise ValueError(f"M must be >= 8, got {M}")
+    if M < _MIN_SOLVE_STEPS:
+        raise ValueError(f"M must be >= {_MIN_SOLVE_STEPS}, got {M}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     grid = phi.grid
@@ -293,7 +296,7 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
 
 def _phi1(z: np.ndarray) -> np.ndarray:
     """(e^z - 1)/z with a series branch near 0 to avoid cancellation."""
-    small = np.abs(z) < 1e-2
+    small = np.abs(z) < _PHI_SERIES_CUTOFF
     zs = np.where(small, z, 0.0)
     series = 1.0 + zs / 2 + zs ** 2 / 6 + zs ** 3 / 24 + zs ** 4 / 120 + zs ** 5 / 720
     zb = np.where(small, 1.0, z)
@@ -303,7 +306,7 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 def _phi2(z: np.ndarray) -> np.ndarray:
     """(e^z - 1 - z)/z^2 with a series branch near 0."""
-    small = np.abs(z) < 1e-2
+    small = np.abs(z) < _PHI_SERIES_CUTOFF
     zs = np.where(small, z, 0.0)
     series = 0.5 + zs / 6 + zs ** 2 / 24 + zs ** 3 / 120 + zs ** 4 / 720 + zs ** 5 / 5040
     zb = np.where(small, 1.0, z)
@@ -326,8 +329,8 @@ def solve_etd(phi: SpectralField, T: float, M: int,
     """
     if T <= 0:
         raise ValueError(f"T must be positive, got {T}")
-    if M < 8:
-        raise ValueError(f"M must be >= 8, got {M}")
+    if M < _MIN_SOLVE_STEPS:
+        raise ValueError(f"M must be >= {_MIN_SOLVE_STEPS}, got {M}")
     grid = phi.grid
     times = _time_grid(T, M)
     dt = float(times[1])

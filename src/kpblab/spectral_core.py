@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _HERMITIAN_TOL = 1e-10
+_KP_ADMISSIBLE_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,7 +209,7 @@ def hermitian_defect(f: SpectralField) -> float:
     return float(np.max(np.abs(reflected_coeffs(f.coeffs) - np.conj(f.coeffs))))
 
 
-def is_kp_admissible(f: SpectralField, tol: float = 1e-13) -> bool:
+def is_kp_admissible(f: SpectralField, tol: float = _KP_ADMISSIBLE_TOL) -> bool:
     """True when the xi = 0 coefficient line vanishes (zero x-mean per y line)."""
     line = np.max(np.abs(f.coeffs[0, :]))
     scale = float(np.max(np.abs(f.coeffs))) or 1.0
@@ -227,6 +228,11 @@ def project_zero_x_mean(f: SpectralField) -> SpectralField:
     return SpectralField(grid=f.grid, coeffs=coeffs)
 
 
+def _symbol(xi, eta):
+    """P(xi, eta) = xi^3 - eta^2/xi pointwise; xi must be nonzero."""
+    return xi ** 3 - eta ** 2 / xi
+
+
 def dispersion_values(grid: Grid2D) -> DispersionSymbol:
     """Tabulate P(xi, eta) = xi^3 - eta^2/xi per mode, storing 0 at xi = 0.
 
@@ -234,10 +240,8 @@ def dispersion_values(grid: Grid2D) -> DispersionSymbol:
     so the stored placeholder never influences an admissible field.
     """
     xi = grid.xi[:, None]
-    eta = grid.eta[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = xi ** 3 - np.where(xi != 0.0, eta ** 2 / np.where(xi != 0.0, xi, 1.0), 0.0)
-    values = np.where(xi != 0.0, values, 0.0)
+    nonzero = xi != 0.0
+    values = np.where(nonzero, _symbol(np.where(nonzero, xi, 1.0), grid.eta[None, :]), 0.0)
     values.setflags(write=False)
     return DispersionSymbol(grid=grid, values=values)
 

@@ -132,12 +132,6 @@ def free_estimate_ratio(phi: SpectralField, b: float, s1: float, s2: float,
     return bourgain_norm(traj, b, s1, s2) / denom
 
 
-def _trapezoid(values: np.ndarray, dt: float) -> complex:
-    if values.size < 2:
-        return 0.0
-    return dt * (np.sum(values) - 0.5 * (values[0] + values[-1]))
-
-
 def _y_norm(samples: np.ndarray, dt: float, xi: float, b: float) -> float:
     """Y^b_xi norm of a windowed time signal: weight (1 + tau^2 + xi^4)^b."""
     n = samples.size
@@ -151,7 +145,10 @@ def smoothing_ratio(f_samples: np.ndarray, xi: float, delta: float) -> float:
 
     ``f_samples`` holds time samples of f on a uniform grid over [-2, 2]
     (odd length, so t = 0 is a node).  K_xi(t) = psi(t) int_0^t
-    e^{-|t-t'| xi^2} f(t') dt' is computed by direct trapezoid quadrature.
+    e^{-|t-t'| xi^2} f(t') dt' is the trapezoid rule on the sample grid,
+    accumulated walking out from t = 0 on each side: with a = e^{-dt xi^2},
+    the sum one node further out is A' = a A + (dt/2)(a f + f'), and K is
+    -A for t < 0.
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
@@ -165,15 +162,17 @@ def smoothing_ratio(f_samples: np.ndarray, xi: float, delta: float) -> float:
     dt = t[1] - t[0]
     mid = n // 2
 
-    K = np.zeros(n, dtype=complex)
-    for k in range(n):
-        if k > mid:
-            seg = np.exp(-(t[k] - t[mid:k + 1]) * xi * xi) * f[mid:k + 1]
-            K[k] = _trapezoid(seg, dt)
-        elif k < mid:
-            seg = np.exp(-(t[k:mid + 1] - t[k]) * xi * xi) * f[k:mid + 1]
-            K[k] = -_trapezoid(seg, dt)
-    K *= psi_cutoff(t)
+    a = math.exp(-dt * xi * xi)
+    half = 0.5 * dt
+
+    def walk(values: list[complex]) -> list[complex]:
+        sums = [0j]
+        for prev, cur in zip(values, values[1:]):
+            sums.append(a * sums[-1] + half * (a * prev + cur))
+        return sums
+
+    past = walk(f[mid::-1].tolist())
+    K = np.array([-v for v in past[:0:-1]] + walk(f[mid:].tolist())) * psi_cutoff(t)
 
     left = _y_norm(K, dt, xi, 0.5)
     right = (1.0 + xi * xi) ** (-delta) * _y_norm(f, dt, xi, -0.5 + delta)

@@ -6,6 +6,7 @@ and the solve -> norms round trip.
 """
 
 import csv
+import inspect
 import json
 import math
 import os
@@ -16,6 +17,7 @@ import sys
 import numpy as np
 import pytest
 
+from kpblab import cli, illposedness, norms, semigroup, solver, spectral_core
 from kpblab.cli import main
 
 
@@ -234,6 +236,26 @@ class TestSolveNormsRoundTrip:
         assert rc == 2
         assert "input_path" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", ["text", "bad_grid", "broken_zip"])
+    def test_norms_unreadable_input_is_config_error(self, tmp_path, capsys, content):
+        path = tmp_path / "input.npz"
+        if content == "text":
+            path.write_text("not an npz archive\n", encoding="utf-8")
+        elif content == "bad_grid":
+            np.savez(path, times=np.linspace(0.0, 1.0, 17),
+                     coeffs=np.zeros((17, 7, 8), complex), nx=7, ny=8,
+                     Lx=1.0, Ly=1.0, dealias_fraction=2.0 / 3.0)
+        else:
+            path.write_bytes(b"PK\x03\x04" + b"\x00" * 60)
+        ncfg = write_cfg(tmp_path, "norms.json", {
+            "command": "norms", "input_path": str(path),
+            "b": 0.0, "s1": 0.0, "s2": 0.0})
+        rc = main(["norms", "--config", ncfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "input_path" in err
+        assert not (tmp_path / "o").exists()
+
     def test_norms_too_few_steps(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "solve.json",
                         solve_cfg(M=10, save_states=True))
@@ -301,6 +323,14 @@ class TestVerify:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["violations"] == 0
 
+    def test_boolean_refine_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, "c.json", {
+            "command": "verify", "estimate_id": "free",
+            "suite_size": 4, "seed": 0, "params": {"refine": True}})
+        rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "params.refine" in capsys.readouterr().err
+
     def test_unknown_estimate_id(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {
             "command": "verify", "estimate_id": "sharp",
@@ -308,6 +338,25 @@ class TestVerify:
         rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "estimate_id" in capsys.readouterr().err
+
+
+class TestManifestTolerances:
+    def test_entries_are_the_library_constants(self):
+        expected = {
+            "hermitian_tol": spectral_core._HERMITIAN_TOL,
+            "kp_admissibility_tol": spectral_core._KP_ADMISSIBLE_TOL,
+            "semigroup_admissibility_tol": semigroup._ADMISSIBLE_TOL,
+            "taper_alpha": norms._TAPER_FRACTION,
+            "min_time_steps_for_norms": norms._MIN_STEPS,
+            "min_quadrature_cells": illposedness._MIN_CELLS,
+            "min_chi_samples": illposedness._MIN_CHI_SAMPLES,
+            "etd_phi_series_cutoff": solver._PHI_SERIES_CUTOFF,
+        }
+        assert cli._TOLERANCES.keys() == expected.keys()
+        for name, value in expected.items():
+            assert cli._TOLERANCES[name] is value, name
+        default = inspect.signature(spectral_core.is_kp_admissible).parameters["tol"].default
+        assert default is spectral_core._KP_ADMISSIBLE_TOL
 
 
 class TestEntryPoint:

@@ -1,4 +1,4 @@
-"""Tests for kpblab.semigroup: group/semigroup laws, factorization, caching.
+"""Tests for kpblab.semigroup: group/semigroup laws, factorization, tables.
 
 Oracles: per-mode closed forms exp(i t P) and exp(i t P - xi^2 |t|) computed
 by hand for single modes, plus exact algebraic laws (group composition,
@@ -175,11 +175,6 @@ class TestGuards:
 
 
 class TestCaching:
-    def test_factor_arrays_are_cached_per_grid_and_time(self, grid):
-        assert free_table(grid, 0.25).factors is free_table(grid, 0.25).factors
-        assert semigroup_table(grid, 0.25).factors is semigroup_table(grid, 0.25).factors
-        assert free_table(grid, 0.25).factors is not free_table(grid, 0.5).factors
-
     def test_factors_read_only(self, grid):
         tab = semigroup_table(grid, 0.1)
         with pytest.raises(ValueError):

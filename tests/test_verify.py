@@ -21,6 +21,7 @@ from kpblab.spectral_core import (
 )
 from kpblab.verify import (
     RatioReport,
+    _y_norm,
     bilinear_ratio,
     bilinear_suite,
     free_estimate_ratio,
@@ -214,6 +215,40 @@ class TestSmoothingRatio:
         a = smoothing_ratio(f, 4.0, 0.25)
         b = smoothing_ratio(3.0 * f, 4.0, 0.25)
         assert b == pytest.approx(a, rel=1e-12)
+
+    @staticmethod
+    def reference_ratio(f, xi, delta):
+        # K_xi by a separate trapezoid sum over [0, t_k] (or [t_k, 0]) per node
+        n = f.size
+        t = np.linspace(-2.0, 2.0, n)
+        dt = t[1] - t[0]
+        mid = n // 2
+        K = np.zeros(n, dtype=complex)
+        for k in range(n):
+            lo, hi = min(k, mid), max(k, mid)
+            if lo == hi:
+                continue
+            seg = np.exp(-abs(t[k] - t[lo:hi + 1]) * xi * xi) * f[lo:hi + 1]
+            trap = dt * (np.sum(seg) - 0.5 * (seg[0] + seg[-1]))
+            K[k] = trap if k > mid else -trap
+        K *= psi_cutoff(t)
+        left = _y_norm(K, dt, xi, 0.5)
+        right = (1.0 + xi * xi) ** (-delta) * _y_norm(f, dt, xi, -0.5 + delta)
+        return left / right
+
+    @pytest.mark.parametrize("xi", [0.0, 1.0, 4.0, 16.0])
+    @pytest.mark.parametrize("support", ["both", "past", "future"])
+    def test_matches_quadratic_trapezoid_reference(self, xi, support):
+        # the running sums on each side of t = 0 equal the per-node sums
+        for seed, n in ((4, 257), (5, 513)):
+            f = self.signal(seed, n)
+            if support == "past":
+                f[n // 2 + 1:] = 0.0
+            elif support == "future":
+                f[:n // 2] = 0.0
+            for delta in (0.1, 0.5):
+                assert smoothing_ratio(f, xi, delta) == pytest.approx(
+                    self.reference_ratio(f, xi, delta), rel=1e-13)
 
 
 class TestBilinearRatio:
