@@ -1,11 +1,16 @@
 """Batch front-end: JSON config in, CSV + manifest out.
 
 Subcommands ``solve``, ``illposed``, ``verify``, ``norms``, each taking
-``--config <path>`` and ``--out <dir>`` (``--threads <n>`` optional).  Config
-files are flat JSON with a top-level ``command`` field that must match the
-subcommand.  Exit codes: 0 success, 2 config error (parse errors reported
-with line numbers, precondition violations named by field), 3 numerical
-failure (non-convergence where convergence was required).
+``--config <path>`` and ``--out <dir>`` (``--threads <n>`` optional; the
+``illposed`` sweep fans out over that many threads).  Config files are flat
+JSON with a top-level ``command`` field that must match the subcommand; a
+key the subcommand does not read, at the top level or inside verify's
+``params``, is rejected.  Exit codes: 0 success, 2 config error (parse
+errors reported with line numbers, precondition violations named by field;
+the library checks its own preconditions, and ``run`` reports the
+``ValueError`` it raises as a config error), 3 numerical failure
+(non-convergence where convergence was required, or a result that is not
+finite).
 
 Outputs are deterministic for a fixed config: rows are computed from sorted
 sweep points, gathered from worker threads, and written in sorted order;
@@ -24,18 +29,16 @@ import math
 import os
 import sys
 import zipfile
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
-from .illposedness import (_MIN_CELLS, _MIN_CHI_SAMPLES, _MIN_N, build_phi_N,
-                           chi_bound_check, second_iterate_norm)
+from .illposedness import (_MIN_CELLS, _MIN_CHI_SAMPLES, build_phi_N, chi_bound_check,
+                           scaling_study)
 from .norms import (_MIN_STEPS, _TAPER_FRACTION, bourgain_norm, equivalence_gap,
                     sobolev_norm, spacetime_norm)
 from .semigroup import _ADMISSIBLE_TOL
-from .solver import (_MIN_SOLVE_STEPS, _PHI_SERIES_CUTOFF, Trajectory, l2_history,
-                     solve_etd, solve_picard)
+from .solver import _PHI_SERIES_CUTOFF, Trajectory, l2_history, solve_etd, solve_picard
 from .spectral_core import (_HERMITIAN_TOL, _KP_ADMISSIBLE_TOL, Grid2D, SpectralField,
                             forward_transform, make_grid)
 from .verify import run_suite
@@ -48,7 +51,7 @@ class ConfigError(Exception):
 
 
 class NumericalFailure(Exception):
-    """Required convergence not reached (exit code 3)."""
+    """Required convergence not reached, or a result not finite (exit code 3)."""
 
 
 _TOLERANCES = {
@@ -108,6 +111,14 @@ def _check_command(cfg: dict, expected: str) -> None:
         raise ConfigError(
             f"config field 'command' is '{command}' but the "
             f"'{expected}' subcommand was invoked")
+
+
+def _check_keys(cfg: dict, allowed: frozenset, prefix: str = "") -> None:
+    unknown = sorted(set(cfg) - allowed)
+    if unknown:
+        raise ConfigError(
+            "unknown config field " + ", ".join(f"'{prefix}{k}'" for k in unknown)
+            + f"; expected one of {sorted(allowed)}")
 
 
 def _build_phi(spec, grid: Grid2D) -> SpectralField:
@@ -184,9 +195,10 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _manifest(cfg: dict, command: str, parameters: dict, results: dict) -> dict:
+def _manifest(cfg: dict, command: str, parameters: dict, results: dict) -> str:
+    """The manifest's JSON text; a result that is not finite is a NumericalFailure."""
     canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    return {
+    manifest = {
         "command": command,
         "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),
         "version": __version__,
@@ -194,33 +206,37 @@ def _manifest(cfg: dict, command: str, parameters: dict, results: dict) -> dict:
         "tolerances": dict(_TOLERANCES),
         "results": results,
     }
+    try:
+        return json.dumps(manifest, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        bad = [name for name, value in sorted(results.items())
+               if isinstance(value, float) and not math.isfinite(value)]
+        raise NumericalFailure(
+            f"{command} results not finite: {', '.join(bad) or exc}") from None
 
 
 def _write_outputs(out_dir: str, command: str, header: list[str],
-                   rows: list[list], manifest: dict,
-                   extra_arrays: dict | None = None) -> None:
+                   rows: list[list], manifest: str, arrays: dict | None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, f"{command}.csv"), header, rows)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8",
               newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
-        fh.write("\n")
-    if extra_arrays:
-        np.savez(os.path.join(out_dir, "states.npz"), **extra_arrays)
+        fh.write(manifest)
+    if arrays:
+        np.savez(os.path.join(out_dir, "states.npz"), **arrays)
 
 
 # ---------------------------------------------------------------- solve
 
-def _run_solve(cfg: dict, out_dir: str, threads: int) -> None:
-    _check_command(cfg, "solve")
-    nx = int(_positive(cfg, "nx", int))
-    ny = int(_positive(cfg, "ny", int))
-    Lx = _positive(cfg, "Lx", float)
-    Ly = _positive(cfg, "Ly", float)
-    T = _positive(cfg, "T", float)
-    M = int(_positive(cfg, "M", int))
+def _run_solve(cfg: dict):
+    nx = _field(cfg, "nx", int)
+    ny = _field(cfg, "ny", int)
+    Lx = _field(cfg, "Lx", float)
+    Ly = _field(cfg, "Ly", float)
+    T = _field(cfg, "T", float)
+    M = _field(cfg, "M", int)
     tol = _positive(cfg, "tol", float)
-    max_iter = int(_positive(cfg, "max_iter", int))
+    max_iter = _positive(cfg, "max_iter", int)
     integrator = _field(cfg, "integrator", str, required=False, default="picard")
     if integrator not in ("picard", "etd"):
         raise ConfigError(
@@ -228,13 +244,8 @@ def _run_solve(cfg: dict, out_dir: str, threads: int) -> None:
     save_states = _field(cfg, "save_states", bool, required=False, default=False)
     if "phi_spec" not in cfg:
         raise ConfigError("config field 'phi_spec' is required")
-    try:
-        grid = make_grid(nx, ny, Lx, Ly)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    grid = make_grid(nx, ny, Lx, Ly)
     phi = _build_phi(cfg["phi_spec"], grid)
-    if M < _MIN_SOLVE_STEPS:
-        raise ConfigError(f"config field 'M' must be >= {_MIN_SOLVE_STEPS}, got {M}")
 
     results: dict = {"integrator": integrator}
     if integrator == "picard":
@@ -263,84 +274,54 @@ def _run_solve(cfg: dict, out_dir: str, threads: int) -> None:
                   "tol": tol, "max_iter": max_iter, "integrator": integrator,
                   "phi_spec": cfg["phi_spec"], "save_states": save_states,
                   "dealias_fraction": grid.dealias_fraction}
-    manifest = _manifest(cfg, "solve", parameters, results)
-    extra = None
+    arrays = None
     if save_states:
-        extra = {"times": traj.times, "coeffs": traj.coeffs,
-                 "nx": nx, "ny": ny, "Lx": Lx, "Ly": Ly,
-                 "dealias_fraction": grid.dealias_fraction}
-    _write_outputs(out_dir, "solve", ["k", "t", "l2"], rows, manifest, extra)
+        arrays = {"times": traj.times, "coeffs": traj.coeffs,
+                  "nx": nx, "ny": ny, "Lx": Lx, "Ly": Ly,
+                  "dealias_fraction": grid.dealias_fraction}
+    return ["k", "t", "l2"], rows, parameters, results, arrays
 
 
 # ---------------------------------------------------------------- illposed
 
-def _run_illposed(cfg: dict, out_dir: str, threads: int) -> None:
-    _check_command(cfg, "illposed")
+def _run_illposed(cfg: dict, threads: int | None):
     s = _field(cfg, "s", float)
     eps0 = _field(cfg, "eps0", float)
-    cells = int(_positive(cfg, "cells", int))
-    samples = int(_positive(cfg, "samples", int))
-    seed = int(_field(cfg, "seed", int, required=False, default=0))
+    cells = _field(cfg, "cells", int)
+    samples = _field(cfg, "samples", int)
+    seed = _field(cfg, "seed", int, required=False, default=0)
     N_list = _field(cfg, "N_list", list)
     try:
         Ns = sorted(float(N) for N in N_list)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field 'N_list' must be numeric: {exc}") from exc
-    if len(Ns) < 4:
-        raise ConfigError(
-            f"config field 'N_list' needs at least 4 values, got {len(Ns)}")
-    if len(set(Ns)) != len(Ns):
-        raise ConfigError("config field 'N_list' has duplicate entries")
-    if Ns[0] < _MIN_N:
-        raise ConfigError(f"config field 'N_list' entries must be >= {_MIN_N}, got {Ns[0]}")
-    if cells < _MIN_CELLS:
-        raise ConfigError(
-            f"config field 'cells' must be >= {_MIN_CELLS}, got {cells}")
-    if samples < _MIN_CHI_SAMPLES:
-        raise ConfigError(
-            f"config field 'samples' must be >= {_MIN_CHI_SAMPLES}, got {samples}")
 
-    # Independent per-N jobs fan out across threads; the slope fit runs on
-    # the gathered table afterwards.
-    def one(N: float):
-        res = second_iterate_norm(N, s, eps0, cells)
-        ratio = chi_bound_check(N, samples, seed=seed)
-        return res, ratio
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        gathered = list(pool.map(one, Ns))
-
-    logN = np.log([r.N for r, _ in gathered])
-    logU = np.log([r.norm_u2 for r, _ in gathered])
-    slope, intercept = np.polyfit(logN, logU, 1)
+    # chi_bound_check is cheap: a bad `samples` fails before any quadrature
+    ratios = [chi_bound_check(N, samples, seed=seed) for N in Ns]
+    study = scaling_study(Ns, s, eps0, cells, threads)
 
     rows = [[r.N, r.s, r.eps0, r.t_N, r.norm_phi, r.norm_u2,
-             r.quadrature_cells, ratio] for r, ratio in gathered]
+             r.quadrature_cells, ratio] for r, ratio in zip(study.results, ratios)]
     parameters = {"s": s, "eps0": eps0, "N_list": Ns, "cells": cells,
                   "samples": samples, "seed": seed}
-    results = {"slope": float(slope), "intercept": float(intercept),
+    results = {"slope": study.slope, "intercept": study.intercept,
                "predicted_slope": (-1.0 - 2.0 * eps0 - 2.0 * s) / 2.0}
-    manifest = _manifest(cfg, "illposed", parameters, results)
     header = ["N", "s", "eps0", "t_N", "norm_phi", "norm_u2", "cells",
               "max_chi_ratio"]
-    _write_outputs(out_dir, "illposed", header, rows, manifest)
+    return header, rows, parameters, results, None
 
 
 # ---------------------------------------------------------------- verify
 
-def _run_verify(cfg: dict, out_dir: str, threads: int) -> None:
-    _check_command(cfg, "verify")
+def _run_verify(cfg: dict):
     estimate_id = _field(cfg, "estimate_id", str)
-    suite_size = int(_positive(cfg, "suite_size", int))
-    seed = int(_field(cfg, "seed", int))
+    suite_size = _positive(cfg, "suite_size", int)
+    seed = _field(cfg, "seed", int)
     params = _field(cfg, "params", dict, required=False, default={})
+    _check_keys(params, frozenset({"refine"}), "params.")
     refine = params.get("refine", 1)
     if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
         raise ConfigError(f"params.refine must be a positive integer, got {refine}")
-    if estimate_id not in ("free", "smoothing", "bilinear"):
-        raise ConfigError(
-            "config field 'estimate_id' must be one of free, smoothing, "
-            f"bilinear; got {estimate_id!r}")
 
     report, samples = run_suite(estimate_id, suite_size, seed, refine=refine)
     violations = sum(1 for row in samples if not math.isfinite(row["ratio"]))
@@ -358,15 +339,12 @@ def _run_verify(cfg: dict, out_dir: str, threads: int) -> None:
                "median_ratio": report.median_ratio,
                "violations": violations,
                "suite_params": report.params}
-    manifest = _manifest(cfg, "verify", parameters, results)
-    header = ["estimate_id", "seed", "params", "ratio"]
-    _write_outputs(out_dir, "verify", header, rows, manifest)
+    return ["estimate_id", "seed", "params", "ratio"], rows, parameters, results, None
 
 
 # ---------------------------------------------------------------- norms
 
-def _run_norms(cfg: dict, out_dir: str, threads: int) -> None:
-    _check_command(cfg, "norms")
+def _run_norms(cfg: dict):
     input_path = _field(cfg, "input_path", str)
     b = _field(cfg, "b", float)
     s1 = _field(cfg, "s1", float)
@@ -389,10 +367,6 @@ def _run_norms(cfg: dict, out_dir: str, threads: int) -> None:
         traj = Trajectory(grid=grid, times=times, coeffs=coeffs)
     except ValueError as exc:
         raise ConfigError(f"input_path {input_path!r}: {exc}") from exc
-    if traj.n_times - 1 < _MIN_STEPS:
-        raise ConfigError(
-            f"input trajectory has {traj.n_times - 1} time steps; norms "
-            f"need at least {_MIN_STEPS}")
 
     row = [b, s1, s2,
            sobolev_norm(traj.state(traj.n_times - 1), s1, s2),
@@ -403,27 +377,42 @@ def _run_norms(cfg: dict, out_dir: str, threads: int) -> None:
                   "n_times": traj.n_times, "dt": traj.dt}
     results = {"sobolev_final": row[3], "spacetime": row[4],
                "bourgain": row[5], "equivalence_gap": row[6]}
-    manifest = _manifest(cfg, "norms", parameters, results)
     header = ["b", "s1", "s2", "sobolev_final", "spacetime", "bourgain",
               "equivalence_gap"]
-    _write_outputs(out_dir, "norms", header, [row], manifest)
+    return header, [row], parameters, results, None
 
 
+# runner -> (CSV header, rows, manifest parameters, results, states.npz arrays
+# or None), and the top-level config fields it reads
 _RUNNERS = {
-    "solve": _run_solve,
-    "illposed": _run_illposed,
-    "verify": _run_verify,
-    "norms": _run_norms,
+    "solve": (_run_solve, frozenset({
+        "command", "nx", "ny", "Lx", "Ly", "T", "M", "tol", "max_iter",
+        "integrator", "save_states", "phi_spec"})),
+    "illposed": (_run_illposed, frozenset({
+        "command", "s", "eps0", "cells", "samples", "seed", "N_list"})),
+    "verify": (_run_verify, frozenset({
+        "command", "estimate_id", "suite_size", "seed", "params"})),
+    "norms": (_run_norms, frozenset({"command", "input_path", "b", "s1", "s2"})),
 }
 
 
 def run(command: str, config_path: str, out_dir: str,
         threads: int | None = None) -> None:
-    """Execute one subcommand; raises ConfigError / NumericalFailure."""
-    if threads is None:
-        threads = os.cpu_count() or 1
+    """Execute one subcommand; raises ConfigError / NumericalFailure.
+
+    ``threads`` is the illposed sweep's worker count (None: every CPU).
+    """
     cfg = _load_config(config_path)
-    _RUNNERS[command](cfg, out_dir, threads)
+    _check_command(cfg, command)
+    runner, keys = _RUNNERS[command]
+    _check_keys(cfg, keys)
+    args = (cfg, threads) if command == "illposed" else (cfg,)
+    try:
+        header, rows, parameters, results, arrays = runner(*args)
+    except ValueError as exc:  # a library precondition the config broke
+        raise ConfigError(str(exc)) from exc
+    manifest = _manifest(cfg, command, parameters, results)
+    _write_outputs(out_dir, command, header, rows, manifest, arrays)
 
 
 def main(argv=None) -> int:

@@ -39,6 +39,8 @@ measure-zero convention, for determinism).
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -313,6 +315,12 @@ def _check_cells(cells: int) -> None:
         raise ValueError(f"cells must be >= {_MIN_CELLS}, got {cells}")
 
 
+def _check_norm_args(N: float, cells: int) -> None:
+    if N < _MIN_N:
+        raise ValueError(f"N must be >= {_MIN_N}, got {N}")
+    _check_cells(cells)
+
+
 def second_iterate_hat(N: float, s: float, t: float, xi: float, eta: float,
                        cells: int) -> complex:
     """Spectral density of the second Picard iterate at one (xi, eta).
@@ -401,9 +409,7 @@ def second_iterate_norm(N: float, s: float, eps0: float, cells: int) -> Illposed
     xi^2 (1+xi^2)^s |I(xi,eta)|^2 over the output window, divided by
     (2 pi)^2 to match the Parseval convention of the discrete norms.
     """
-    if N < _MIN_N:
-        raise ValueError(f"N must be >= {_MIN_N}, got {N}")
-    _check_cells(cells)
+    _check_norm_args(N, cells)
     t_N = float(N) ** (-(3.0 + eps0))
     table, hx, hy = _window_density(N, s, t_N, cells)
     norm_sq = float(np.sum(table)) * hx * hy / (4.0 * math.pi ** 2)
@@ -424,14 +430,22 @@ class ScalingStudy:
     results: tuple[IllposedResult, ...]
 
 
-def scaling_study(N_list, s: float, eps0: float, cells: int) -> ScalingStudy:
-    """Least-squares slope of log norm_u2 vs log N over an increasing N sweep."""
+def scaling_study(N_list, s: float, eps0: float, cells: int,
+                  threads: int | None = None) -> ScalingStudy:
+    """Least-squares slope of log norm_u2 vs log N over an increasing N sweep.
+
+    The N values run on ``threads`` worker threads (None: ``os.cpu_count()``);
+    numpy releases the GIL in the kernel, and the results do not depend on it.
+    """
     Ns = [float(N) for N in N_list]
     if len(Ns) < 4:
         raise ValueError(f"need at least 4 values of N, got {len(Ns)}")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ValueError("N_list must be strictly increasing")
-    results = tuple(second_iterate_norm(N, s, eps0, cells) for N in Ns)
+        raise ValueError("N_list must be strictly increasing, without duplicates")
+    _check_norm_args(Ns[0], cells)  # the smallest N: fail before any quadrature
+    with ThreadPoolExecutor(max_workers=threads or os.cpu_count() or 1) as pool:
+        results = tuple(pool.map(
+            lambda N: second_iterate_norm(N, s, eps0, cells), Ns))
     logN = np.log([r.N for r in results])
     logU = np.log([r.norm_u2 for r in results])
     slope, intercept = np.polyfit(logN, logU, 1)

@@ -247,6 +247,10 @@ def l2_history(traj: Trajectory) -> np.ndarray:
 
 
 def _time_grid(T: float, M: int) -> np.ndarray:
+    if T <= 0:
+        raise ValueError(f"T must be positive, got {T}")
+    if M < _MIN_SOLVE_STEPS:
+        raise ValueError(f"M must be >= {_MIN_SOLVE_STEPS}, got {M}")
     return np.linspace(0.0, T, M + 1)
 
 
@@ -259,14 +263,10 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
     Non-convergence within ``max_iter`` is reported, not raised; a
     non-finite residual ends the iteration at once, unconverged.
     """
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
-    if M < _MIN_SOLVE_STEPS:
-        raise ValueError(f"M must be >= {_MIN_SOLVE_STEPS}, got {M}")
+    times = _time_grid(T, M)
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
     grid = phi.grid
-    times = _time_grid(T, M)
     dt = float(times[1] - times[0])
     w_phi, w_dt, table = _picard_tables(phi, times)
     # Row 0 of every iterate is the datum, so every update shares
@@ -327,16 +327,12 @@ def solve_etd(phi: SpectralField, T: float, M: int,
     off the scheme reproduces W(t_k) phi to rounding accuracy.  Stepping
     stops at the first non-finite state; the rows after it are NaN.
     """
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
-    if M < _MIN_SOLVE_STEPS:
-        raise ValueError(f"M must be >= {_MIN_SOLVE_STEPS}, got {M}")
     grid = phi.grid
     times = _time_grid(T, M)
     dt = float(times[1])
     P = _half(dispersion_values(grid).values, grid)
     L = 1j * P - (grid.xi ** 2)[:, None]
-    E = np.exp(dt * L)
+    E = _w_multiplier(P, grid.xi[:, None], dt)
     f1 = dt * _phi1(dt * L)
     f2 = dt * _phi2(dt * L)
     table = _dx_table(grid)

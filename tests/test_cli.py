@@ -10,6 +10,7 @@ import inspect
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -119,6 +120,33 @@ class TestConfigErrors:
         assert main(["solve", "--config", path, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("M", 4), ("T", 0.0), ("nx", 7), ("Lx", 0.0)])
+    def test_library_precondition_is_config_error(self, tmp_path, capsys,
+                                                  field, value):
+        path = write_cfg(tmp_path, "c.json", solve_cfg(**{field: value}))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and re.search(rf"\b{field}\b", err)
+        assert not out.exists()
+
+    def test_unknown_top_level_key(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "c.json", solve_cfg(intgrator="etd"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 2
+        assert "'intgrator'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_params_key(self, tmp_path, capsys):
+        path = write_cfg(tmp_path, "c.json", {
+            "command": "verify", "estimate_id": "free",
+            "suite_size": 4, "seed": 0, "params": {"refien": 2}})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", path, "--out", str(out)]) == 2
+        assert "'params.refien'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestNumericalFailure:
     def test_nonconvergent_picard_exits_3_and_writes_nothing(self, tmp_path, capsys):
@@ -140,6 +168,19 @@ class TestNumericalFailure:
             rc = main(["solve", "--config", cfg, "--out", str(out)])
         assert rc == 3
         assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nonfinite_illposed_result_exits_3_and_writes_nothing(self, tmp_path,
+                                                                   capsys):
+        # eps0 = -10 gives t_N = N^7, and the second iterate overflows to NaN
+        cfg = write_cfg(tmp_path, "c.json", {
+            "command": "illposed", "s": -0.7, "eps0": -10.0,
+            "cells": 64, "samples": 10000, "N_list": [8, 10, 12, 14]})
+        out = tmp_path / "out"
+        rc = main(["illposed", "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "not finite" in err and "slope" in err
         assert not out.exists()
 
 
