@@ -66,6 +66,10 @@ _TOLERANCES = {
 }
 
 
+def _reject_constant(literal: str):
+    raise ConfigError(f"config value {literal} is not a finite number")
+
+
 def _load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -73,7 +77,7 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path} is not valid JSON: {exc.msg} "

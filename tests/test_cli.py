@@ -14,6 +14,7 @@ import re
 import shutil
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,17 @@ class TestConfigErrors:
         assert "'params.refien'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_nonfinite_literal_rejected(self, tmp_path, capsys, literal):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(solve_cfg()).replace("1e-10", literal),
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and literal in err
+        assert not out.exists()
+
 
 class TestNumericalFailure:
     def test_nonconvergent_picard_exits_3_and_writes_nothing(self, tmp_path, capsys):
@@ -182,6 +194,17 @@ class TestNumericalFailure:
         err = capsys.readouterr().err
         assert "not finite" in err and "slope" in err
         assert not out.exists()
+
+    def test_nonfinite_illposed_run_warns_nothing(self, tmp_path, capsys):
+        # the overflow happens on the sweep's worker threads
+        cfg = write_cfg(tmp_path, "c.json", {
+            "command": "illposed", "s": -0.7, "eps0": -10.0,
+            "cells": 64, "samples": 10000, "N_list": [8, 10, 12, 14]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["illposed", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert "not finite" in capsys.readouterr().err
 
 
 class TestSolve:

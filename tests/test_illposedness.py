@@ -8,6 +8,7 @@ anchor.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,9 @@ import pytest
 from kpblab.illposedness import (
     _BLOCK_NODES,
     IllposedResult,
+    _full_columns,
+    _k1_bounds,
+    _kernel_parts,
     PhiHat,
     build_phi_N,
     chi_bound_check,
@@ -324,6 +328,59 @@ class TestSecondIterate:
     def test_small_N_rejected(self):
         with pytest.raises(ValueError):
             second_iterate_norm(4, -0.7, 0.01, cells=64)
+
+
+def direct_window_density(N, s, t, cells):
+    """The _window_density table with a sine and a cosine at every node."""
+    xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
+    xi_nodes, _ = _midpoints(np.float64(xi_lo), np.float64(xi_hi), cells)
+    eta_nodes, _ = _midpoints(np.float64(eta_lo), np.float64(eta_hi), cells)
+    x_lo, x_hi, y_lo, y_hi = _k1_bounds(rectangle_pair(N), xi_nodes, eta_nodes)
+    y_mid, wy = _midpoints(y_lo, y_hi, cells)
+    amp2 = float(N) ** (2.0 * (-1.5 - s))
+    table = np.empty((cells, cells))
+    mod2 = np.empty(cells)
+    for i, x in enumerate(xi_nodes):
+        x_mid, wx = _midpoints(x_lo[i], x_hi[i], cells)
+        for j in range(0, cells, 4):  # 4 outer eta per call keeps the temporaries small
+            re, im = _kernel_parts(t, x, x_mid[None, :, None],
+                                   eta_nodes[j:j + 4, None, None], y_mid[j:j + 4, None, :])
+            mod2[j:j + 4] = re.sum(axis=(1, 2)) ** 2 + im.sum(axis=(1, 2)) ** 2
+        table[i] = x * x * (1.0 + x * x) ** s * (2.0 * amp2 * wx * wy) ** 2 * mod2
+    return table
+
+
+class TestSeparablePhase:
+    @pytest.mark.parametrize("N", [16, 128])
+    @pytest.mark.parametrize("cells", [64, 67, 96])  # 67: the phase tables pad
+    def test_table_matches_direct_kernel(self, N, cells):
+        t = float(N) ** -3.01
+        table = _window_density(N, -0.7, t, cells)[0]
+        np.testing.assert_allclose(table, direct_window_density(N, -0.7, t, cells),
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("N", [16, 128])
+    @pytest.mark.parametrize("cells", [64, 67, 96])
+    def test_full_columns_are_those_covering_D2(self, N, cells):
+        pair = rectangle_pair(N)
+        xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
+        eta_nodes, _ = _midpoints(np.float64(eta_lo), np.float64(eta_hi), cells)
+        expect = []
+        for eta in eta_nodes:
+            rect = interaction_rectangle(N, 0.5 * (xi_lo + xi_hi), eta)
+            expect.append(rect.eta_min == pair.D2.eta_min
+                          and rect.eta_max == pair.D2.eta_max)
+        _, _, y_lo, y_hi = _k1_bounds(pair, 0.0, eta_nodes)
+        full = _full_columns(pair, y_lo, y_hi)
+        assert full.tolist() == expect
+        assert 0.8 < full.mean() < 0.9  # 11 of the window's 13 N^2
+
+    def test_nonfinite_density_stops_quietly(self):
+        # t = N^7 (eps0 = -10): the kernel overflows in the first row
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = _window_density(8, -0.7, 8.0 ** 7, 64)[0]
+        assert np.isnan(table).all()
 
 
 class TestScalingStudy:
