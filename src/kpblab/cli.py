@@ -239,8 +239,8 @@ def _run_solve(cfg: dict):
     Ly = _field(cfg, "Ly", float)
     T = _field(cfg, "T", float)
     M = _field(cfg, "M", int)
-    tol = _positive(cfg, "tol", float)
-    max_iter = _positive(cfg, "max_iter", int)
+    tol = _field(cfg, "tol", float)
+    max_iter = _field(cfg, "max_iter", int)
     integrator = _field(cfg, "integrator", str, required=False, default="picard")
     if integrator not in ("picard", "etd"):
         raise ConfigError(

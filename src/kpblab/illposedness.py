@@ -192,10 +192,9 @@ def build_phi_N(N: float, s: float, grid: Grid2D | None = None):
                 f"[{rect.eta_min},{rect.eta_max}) with only {n_xi}x{n_eta} modes "
                 "(need at least 8x8)")
 
-    xi_m = grid.xi_mesh()
-    eta_m = grid.eta_mesh()
     # hat values / (dx dy) is the coefficient normalization of spectral_core
-    coeffs = descriptor(xi_m, eta_m).astype(complex) / (grid.dx * grid.dy)
+    coeffs = (descriptor(grid.xi[:, None], grid.eta[None, :]).astype(complex)
+              / (grid.dx * grid.dy))
     return SpectralField(grid=grid, coeffs=coeffs)
 
 
@@ -229,60 +228,36 @@ def resonance_chi(xi, xi1, eta, eta1):
     return chi
 
 
-def _kernel_parts(t, xi, xi1, eta, eta1) -> tuple[np.ndarray, np.ndarray]:
-    """(Re K, Im K) in real arithmetic, with one sine and one cosine per node.
-
-    The arguments must broadcast to at least one dimension; see
-    :func:`_phase_kernel` for the arithmetic.
-    """
-    shape = np.broadcast_shapes(*(np.shape(a) for a in (t, xi, xi1, eta, eta1)))
-    chi = _chi_into(np.empty(shape), xi, xi1, eta, eta1)
+def _direct_exp_ih(t, chi) -> np.ndarray:
+    """e^{ih} with h = t chi / 2, one cosine and one sine per node."""
     h = chi * (0.5 * t)
-    cos_h = np.cos(h)
-    return _phase_kernel(t, xi, xi1, chi, cos_h, np.sin(h, out=h))
+    phase = np.empty(h.shape, dtype=complex)
+    np.cos(h, out=phase.real)
+    np.sin(h, out=phase.imag)
+    return phase
 
 
-def _phase_kernel(t, xi, xi1, chi, cos_h, sin_h) -> tuple[np.ndarray, np.ndarray]:
-    """(Re K, Im K) from chi and (cos h, sin h) at the nodes, h = t chi / 2.
+def _kernel(t, xi, xi1, chi, phase) -> np.ndarray:
+    """K at the nodes from chi and phase = e^{ih}, h = t chi / 2.
 
-    K = e^{-t xi^2} (e^z - 1) / (-2 xi1 xi2 + i chi) with z = a + 2 i h and
+    K = e^{-t xi^2} (e^z - 1) / (i chi - 2 xi1 xi2) with z = a + 2 i h and
     a = 2 t xi1 xi2.  The half-angle form
 
-        e^z - 1 = expm1(a) - 2 e^a sin^2 h + 2 i e^a sin h cos h
+        e^z - 1 = expm1(a) + 2 i e^a sin h e^{ih},   sin h = Im e^{ih},
 
-    has no cancellation near z = 0, and the division is a multiplication by
-    the conjugate over (2 xi1 xi2)^2 + chi^2.  Factors of (t, xi, xi1) alone
-    (expm1, exp) keep their own broadcast shape, so a caller that puts xi1 on
-    its own axis pays for them once per xi1, not per node.  ``chi``,
-    ``cos_h`` and ``sin_h`` are node-sized and updated in place; the two
-    returned arrays are the ``sin_h`` and ``chi`` buffers.
+    has no cancellation near z = 0.  Factors of (t, xi, xi1) alone (expm1,
+    exp) keep their own broadcast shape, so a caller that puts xi1 on its
+    own axis pays for them once per xi1, not per node.  K overwrites the
+    complex ``phase`` buffer, which is returned.
     """
     cross = 2.0 * xi1 * (xi - xi1)
     decay = np.exp(-t * xi * xi)
-    shift = decay * np.expm1(t * cross)
-    scale = 2.0 * decay * np.exp(t * cross)
-
-    # numerator e^{-t xi^2} (e^z - 1) = re_n + i im_n
-    im_n = cos_h
-    im_n *= sin_h
-    im_n *= scale
-    re_n = np.square(sin_h, out=sin_h)
-    re_n *= -scale
-    re_n += shift
-
-    # K = (cross re_n - chi im_n, chi re_n + cross im_n) / -(cross^2 + chi^2)
-    neg_inv = chi * chi
-    neg_inv += cross * cross
-    np.divide(-1.0, neg_inv, out=neg_inv)
-    chi_im = chi * im_n
-    chi *= re_n
-    re_n *= cross
-    re_n -= chi_im
-    re_n *= neg_inv
-    im_n *= cross
-    chi += im_n
-    chi *= neg_inv
-    return re_n, chi
+    phase *= phase.imag * (2j * decay * np.exp(t * cross))
+    phase += decay * np.expm1(t * cross)
+    den = chi * 1j
+    den -= cross
+    phase /= den
+    return phase
 
 
 def kernel_K(t, xi, xi1, eta, eta1):
@@ -290,17 +265,25 @@ def kernel_K(t, xi, xi1, eta, eta1):
 
     Evaluated as e^{-t xi^2} expm1(t (2 xi1 xi2 + i chi)) / (-2 xi1 xi2 + i chi),
     which is exact (xi^2 = xi1^2 + xi2^2 + 2 xi1 xi2) and avoids cancellation
-    of the two exponentials for small t.
+    of the two exponentials for small t; see :func:`_kernel`.
     """
     # a trailing unit axis keeps scalar arguments inside array arithmetic
     t, xi, xi1, eta, eta1 = (np.asarray(a, dtype=float)[..., None]
                              for a in (t, xi, xi1, eta, eta1))
     _require_nonzero(xi, xi1, xi - xi1)
-    re, im = _kernel_parts(t, xi, xi1, eta, eta1)
-    out = (re + 1j * im)[..., 0]
+    shape = np.broadcast_shapes(*(a.shape for a in (t, xi, xi1, eta, eta1)))
+    chi = _chi_into(np.empty(shape), xi, xi1, eta, eta1)
+    out = _kernel(t, xi, xi1, chi, _direct_exp_ih(t, chi))[..., 0]
     if out.ndim == 0:
         return complex(out)
     return out
+
+
+def _kernel_parts(t, xi, xi1, eta, eta1) -> tuple[np.ndarray, np.ndarray]:
+    """(Re K, Im K) at broadcast nodes: views of :func:`kernel_K`, whose
+    phase takes one sine and one cosine per node."""
+    K = kernel_K(t, xi, xi1, eta, eta1)
+    return K.real, K.imag
 
 
 def _midpoints(lo, hi, cells: int):
@@ -396,10 +379,13 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     at window midpoints, with I the bare k-set integral (prefactor modulus
     xi folded into the weight).  Vectorized one outer-xi row at a time, in
     blocks of outer eta: a block covers (rows, cells, cells) inner nodes, with
-    rows = _BLOCK_NODES // cells^2 (8 at cells=64, 2 at cells=128, at least 1),
-    so each float64 temporary of the kernel stays near 256 KiB and the
-    working set fits a 2 MiB L2.  Each eta's sum runs over its own
-    (xi1, eta1) slab, whatever the block size.
+    rows = _BLOCK_NODES // cells^2 (8 at cells=64, 2 at cells=128, at least 1).
+    Each block computes chi (float64, 256 KiB), then e^{ih} (complex, 512 KiB)
+    from one of the two phase sources below, and :func:`_kernel` turns e^{ih}
+    into K in place with one complex temporary (512 KiB) alive at a time.
+    The whole call's allocations peak at 1.8 MiB at cells=64 and 2.1 MiB at
+    cells=128 (tracemalloc), about a 2 MiB L2.  Each eta's sum runs over
+    its own (xi1, eta1) slab, whatever the block size.
 
     Separable phase.  A full column is an outer eta whose k1 eta interval is
     all of D_2 (:func:`_full_columns`; 54 of 64 columns at cells=64): the
@@ -414,9 +400,9 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     w = e^{-2 i a xi xi1 eta dy}, and E = e^{i (1.5 t prod + a xi^2 eta1_j^2)}
     built once per row.  A and B come from one exp each by repeated
     multiplication, so a full-column node costs two complex multiplies where
-    the clipped columns (and kernel_K) pay one sine and one cosine; both feed
-    the same :func:`_phase_kernel`.  The block's complex e^{ih} buffer is
-    twice a float64 temporary.  Against the direct sine and cosine, each
+    the clipped columns (and kernel_K) pay one sine and one cosine.  Only the
+    source of e^{ih} differs: both kinds of column go through the same block
+    loop, chi and :func:`_kernel`.  Against the direct sine and cosine, each
     table cell agrees to within 1e-13 relative (9.6e-14 at most over
     N in {16, 128} and cells in {64, 67, 96}) and the norm to about 1e-16.
 
@@ -447,33 +433,30 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     eta1_sq = np.zeros(n_p * _PHASE_Q)
     eta1_sq[:cells] = eta1 * eta1
 
-    sum_re = np.zeros(cells)
-    sum_im = np.zeros(cells)
+    sums = np.zeros(cells, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, x in enumerate(xi_nodes):
             if x_lo[i] >= x_hi[i]:
                 continue
             x_mid, wx = _midpoints(x_lo[i], x_hi[i], cells)
             xi1 = x_mid[None, :, None]
-            for j in range(0, clipped.size, rows):
-                block = clipped[j:j + rows]
-                re, im = _kernel_parts(t, x, xi1, eta_col[block], y_mid[block])
-                sum_re[block] = re.sum(axis=(1, 2))
-                sum_im[block] = im.sum(axis=(1, 2))
             prod = x * x_mid * (x - x_mid)
             half_a = 0.5 * t / prod
             e_tab = np.exp(1j * ((1.5 * t) * prod[:, None]
                                  + (half_a * x * x)[:, None] * eta1_sq))
             e_tab = e_tab.reshape(cells, n_p, _PHASE_Q)
-            for j in range(0, full.size, rows):
-                block = full[j:j + rows]
-                eta = eta_nodes[block, None]
-                phase = _separable_exp_ih(x, x_mid, half_a, eta, c0, dy, e_tab)
-                chi = _chi_into(np.empty(phase.shape), x, xi1, eta[..., None], eta1)
-                re, im = _phase_kernel(t, x, xi1, chi, phase.real, phase.imag)
-                sum_re[block] = re.sum(axis=(1, 2))
-                sum_im[block] = im.sum(axis=(1, 2))
-            mod2 = sum_re * sum_re + sum_im * sum_im
+            for cols, separable in ((clipped, False), (full, True)):
+                for j in range(0, cols.size, rows):
+                    block = cols[j:j + rows]
+                    chi = _chi_into(np.empty((block.size, cells, cells)),
+                                    x, xi1, eta_col[block], y_mid[block])
+                    if separable:
+                        eta = eta_nodes[block, None]
+                        phase = _separable_exp_ih(x, x_mid, half_a, eta, c0, dy, e_tab)
+                    else:
+                        phase = _direct_exp_ih(t, chi)
+                    sums[block] = _kernel(t, x, xi1, chi, phase).sum(axis=(1, 2))
+            mod2 = sums.real * sums.real + sums.imag * sums.imag
             mod2 *= (2.0 * amp2 * wx * wy) ** 2
             table[i, :] = x * x * (1.0 + x * x) ** s * mod2
             if not np.isfinite(table[i]).all():

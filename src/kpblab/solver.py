@@ -264,8 +264,10 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
     non-finite residual ends the iteration at once, unconverged.
     """
     times = _time_grid(T, M)
-    if tol <= 0:
+    if not tol > 0:  # written so that NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     grid = phi.grid
     dt = float(times[1] - times[0])
     w_phi, w_dt, table = _picard_tables(phi, times)

@@ -100,12 +100,6 @@ class Grid2D:
         """Parseval measure per coefficient: dx*dy/(nx*ny)."""
         return self.dx * self.dy / (self.nx * self.ny)
 
-    def xi_mesh(self) -> np.ndarray:
-        return self.xi[:, None] * np.ones_like(self.eta)[None, :]
-
-    def eta_mesh(self) -> np.ndarray:
-        return np.ones_like(self.xi)[:, None] * self.eta[None, :]
-
 
 def make_grid(nx: int, ny: int, Lx: float, Ly: float,
               dealias_fraction: float = 2.0 / 3.0) -> Grid2D:

@@ -122,7 +122,7 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("M", 4), ("T", 0.0), ("nx", 7), ("Lx", 0.0)])
+        ("M", 4), ("T", 0.0), ("nx", 7), ("Lx", 0.0), ("max_iter", 0), ("tol", 0.0)])
     def test_library_precondition_is_config_error(self, tmp_path, capsys,
                                                   field, value):
         path = write_cfg(tmp_path, "c.json", solve_cfg(**{field: value}))

@@ -185,7 +185,8 @@ class TestSolvePicard:
 
     @pytest.mark.parametrize("kwargs", [
         dict(T=0.0, M=16), dict(T=-1.0, M=16), dict(T=0.1, M=4),
-        dict(T=0.1, M=16, tol=0.0),
+        dict(T=0.1, M=16, tol=0.0), dict(T=0.1, M=16, tol=np.nan),
+        dict(T=0.1, M=16, max_iter=0),
     ])
     def test_bad_arguments_rejected(self, grid, kwargs):
         with pytest.raises(ValueError):
