@@ -38,7 +38,8 @@ from .illposedness import (_MIN_CELLS, _MIN_CHI_SAMPLES, build_phi_N, chi_bound_
 from .norms import (_MIN_STEPS, _TAPER_FRACTION, bourgain_norm, equivalence_gap,
                     sobolev_norm, spacetime_norm)
 from .semigroup import _ADMISSIBLE_TOL
-from .solver import _PHI_SERIES_CUTOFF, Trajectory, l2_history, solve_etd, solve_picard
+from .solver import (_PHI_SERIES_CUTOFF, Trajectory, etd_l2_history, l2_history,
+                     solve_etd, solve_picard)
 from .spectral_core import (_HERMITIAN_TOL, _KP_ADMISSIBLE_TOL, Grid2D, SpectralField,
                             forward_transform, make_grid)
 from .verify import run_suite
@@ -252,6 +253,7 @@ def _run_solve(cfg: dict):
     phi = _build_phi(cfg["phi_spec"], grid)
 
     results: dict = {"integrator": integrator}
+    traj = None  # etd without save_states keeps no trajectory
     if integrator == "picard":
         traj, report = solve_picard(phi, T, M, tol=tol, max_iter=max_iter)
         results["iterations"] = report.iterations
@@ -262,18 +264,20 @@ def _run_solve(cfg: dict):
                 f"Picard iteration did not reach tol={tol} within "
                 f"{max_iter} iterations (stopped after {report.iterations}, "
                 f"last residual {report.residual_history[-1]:.3e})")
-    else:
+    elif save_states:
         traj = solve_etd(phi, T, M)
+    if traj is None:
+        times, history = etd_l2_history(phi, T, M)
+    else:
+        times, history = traj.times, l2_history(traj)
 
-    history = l2_history(traj)
     if not np.all(np.isfinite(history)):
         bad = int(np.argmin(np.isfinite(history)))
         raise NumericalFailure(
             f"{integrator} solution is not finite at step {bad} "
-            f"(t={traj.times[bad]:.6g})")
+            f"(t={times[bad]:.6g})")
     results["final_l2"] = float(history[-1])
-    rows = [[k, float(traj.times[k]), float(history[k])]
-            for k in range(traj.n_times)]
+    rows = [[k, float(times[k]), float(history[k])] for k in range(times.size)]
     parameters = {"nx": nx, "ny": ny, "Lx": Lx, "Ly": Ly, "T": T, "M": M,
                   "tol": tol, "max_iter": max_iter, "integrator": integrator,
                   "phi_spec": cfg["phi_spec"], "save_states": save_states,

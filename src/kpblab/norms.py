@@ -99,13 +99,17 @@ def _windowed_modes(samples: np.ndarray,
     """
     n_t = samples.shape[0]
     flat = samples.reshape(n_t, -1)
+    window = time_window(n_t)[:, None]
     occupied = np.any(flat, axis=0)
     if occupied.all():
         cols = slice(None)
+        tapered = window * flat
     else:
         cols = np.flatnonzero(occupied)
-        flat = flat[:, cols]
-    uhat = dt * np.fft.fft(time_window(n_t)[:, None] * flat, axis=0)
+        tapered = np.take(flat, cols, axis=1)
+        tapered *= window
+    uhat = np.fft.fft(tapered, axis=0)
+    uhat *= dt
     tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
     return tau, uhat, cols
 
@@ -130,18 +134,30 @@ def _on_modes(table: np.ndarray, grid, cols: np.ndarray | slice) -> np.ndarray:
     return np.broadcast_to(table, (grid.nx, grid.ny)).reshape(-1)[cols]
 
 
-def _squared_sum(traj: Trajectory, weight: np.ndarray, uhat: np.ndarray) -> float:
+def _windowed_power(traj: Trajectory) -> tuple[np.ndarray, np.ndarray,
+                                                np.ndarray | slice]:
+    """(tau, |uhat|^2, cols) of ``_windowed_modes`` on the trajectory; the
+    complex transform is released once its squared modulus is formed."""
+    tau, uhat, cols = _windowed_modes(traj.coeffs, traj.dt)
+    power = np.abs(uhat)
+    power **= 2
+    return tau, power, cols
+
+
+def _squared_sum(traj: Trajectory, weight: np.ndarray, power: np.ndarray) -> float:
+    """mu * sum(weight * power); ``weight``, shaped like ``power``, is overwritten."""
     mu = traj.grid.cell_measure / (traj.n_times * traj.dt)
-    return float(np.sum(weight * np.abs(uhat) ** 2) * mu)
+    weight *= power
+    return float(np.sum(weight) * mu)
 
 
 def spacetime_norm(traj: Trajectory, b: float, s1: float, s2: float) -> float:
     """H^{b,s1,s2} norm of the tapered trajectory."""
     _check_time_samples(traj)
-    tau, uhat, cols = _windowed_modes(traj.coeffs, traj.dt)
+    tau, power, cols = _windowed_power(traj)
     wt = (1.0 + tau ** 2) ** b
     ws = _on_modes(sobolev_weight(traj.grid, s1, s2), traj.grid, cols)
-    return float(np.sqrt(_squared_sum(traj, wt[:, None] * ws[None, :], uhat)))
+    return float(np.sqrt(_squared_sum(traj, wt[:, None] * ws[None, :], power)))
 
 
 def _wrapped_sigma(traj: Trajectory, tau: np.ndarray,
@@ -151,18 +167,25 @@ def _wrapped_sigma(traj: Trajectory, tau: np.ndarray,
     P = _on_modes(dispersion_values(traj.grid).values, traj.grid, cols)
     sigma = tau[:, None] - P[None, :]
     half_band = np.pi / traj.dt
-    return np.mod(sigma + half_band, 2.0 * half_band) - half_band
+    sigma += half_band
+    np.mod(sigma, 2.0 * half_band, out=sigma)
+    sigma -= half_band
+    return sigma
 
 
 def bourgain_norm(traj: Trajectory, b: float, s1: float, s2: float) -> float:
     """X^{b,s1,s2} norm with sigma = tau - P(nu) per (tau, nu) bin."""
     _check_time_samples(traj)
-    tau, uhat, cols = _windowed_modes(traj.coeffs, traj.dt)
-    sigma = _wrapped_sigma(traj, tau, cols)
+    tau, power, cols = _windowed_power(traj)
+    weight = _wrapped_sigma(traj, tau, cols)
     xi4 = _on_modes((traj.grid.xi ** 4)[:, None], traj.grid, cols)[None, :]
-    wb = (1.0 + sigma ** 2 + xi4) ** b
-    ws = _on_modes(sobolev_weight(traj.grid, s1, s2), traj.grid, cols)
-    return float(np.sqrt(_squared_sum(traj, wb * ws[None, :], uhat)))
+    # (1 + sigma^2 + xi^4)^b (1 + xi^2)^s1 (1 + eta^2)^s2, in place
+    weight **= 2
+    weight += 1.0
+    weight += xi4
+    weight **= b
+    weight *= _on_modes(sobolev_weight(traj.grid, s1, s2), traj.grid, cols)[None, :]
+    return float(np.sqrt(_squared_sum(traj, weight, power)))
 
 
 def equivalence_gap(traj: Trajectory, b: float, s1: float, s2: float) -> float:
@@ -176,14 +199,21 @@ def equivalence_gap(traj: Trajectory, b: float, s1: float, s2: float) -> float:
     Both sides zero returns 1 by convention.
     """
     _check_time_samples(traj)
-    tau, uhat, cols = _windowed_modes(traj.coeffs, traj.dt)
-    sigma = _wrapped_sigma(traj, tau, cols)
+    tau, power, cols = _windowed_power(traj)
     ws = _on_modes(sobolev_weight(traj.grid, s1, s2), traj.grid, cols)[None, :]
     xi2 = _on_modes((traj.grid.xi ** 2)[:, None], traj.grid, cols)[None, :]
-
-    full = _squared_sum(traj, (1.0 + sigma ** 2 + xi2 ** 2) ** b * ws, uhat)
-    shifted = _squared_sum(traj, (1.0 + sigma ** 2) ** b * ws, uhat)
-    elliptic = _squared_sum(traj, (1.0 + xi2) ** (2.0 * b) * ws, uhat)
+    shifted_w = _wrapped_sigma(traj, tau, cols)
+    shifted_w **= 2
+    shifted_w += 1.0  # 1 + sigma^2
+    weight = shifted_w + xi2 ** 2
+    weight **= b
+    weight *= ws
+    full = _squared_sum(traj, weight, power)
+    shifted_w **= b
+    shifted_w *= ws
+    shifted = _squared_sum(traj, shifted_w, power)
+    weight[...] = (1.0 + xi2) ** (2.0 * b) * ws
+    elliptic = _squared_sum(traj, weight, power)
 
     denom = np.sqrt(shifted) + np.sqrt(elliptic)
     numer = np.sqrt(full)

@@ -12,7 +12,16 @@ nonlinear correction.
 
 ``solve_etd`` integrates the same dynamics with a second-order exponential
 time differencing scheme (exact on the linear part) and serves as an
-independent discretisation for cross-validation.
+independent discretisation for cross-validation.  ``etd_l2_history`` runs
+the same steps and keeps only each state's L^2 norm.
+
+Which paths keep a trajectory: ``solve_picard`` holds three half-spectrum
+trajectories while it iterates (the W(t_k) phi table and two iterates), and
+then expands the last iterate to the full layout; ``solve_etd`` fills one
+full (M+1, nx, ny) trajectory; ``etd_l2_history`` holds one state at a time
+and no trajectory.  The two trajectory-keeping solvers estimate those bytes
+before allocating anything and raise ``ValueError`` when they exceed the
+machine's physical memory.
 
 Every field evolved here is real, so its spectrum is Hermitian and half of
 it determines the rest.  Both solvers work on the ``rfft2`` half spectrum,
@@ -26,6 +35,7 @@ return full spectra, and the solvers' trajectories are exactly Hermitian.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +50,7 @@ __all__ = [
     "picard_step",
     "solve_picard",
     "solve_etd",
+    "etd_l2_history",
     "l2_history",
 ]
 
@@ -239,11 +250,16 @@ def _half_energy(half: np.ndarray) -> np.ndarray:
     return np.einsum("kij,kij,j->k", v, v, weights)
 
 
+def _l2_rows(coeffs: np.ndarray, cell_measure: float) -> np.ndarray:
+    """L^2 norm (Parseval) of each full spectrum in ``coeffs`` (K, nx, ny)."""
+    c = np.ascontiguousarray(coeffs, dtype=complex)
+    v = c.reshape(c.shape[0], -1).view(np.float64)
+    return np.sqrt(np.einsum("ij,ij->i", v, v) * cell_measure)
+
+
 def l2_history(traj: Trajectory) -> np.ndarray:
     """Per-time L^2 norms of the trajectory states (Parseval)."""
-    c = np.ascontiguousarray(traj.coeffs, dtype=complex)
-    v = c.reshape(c.shape[0], -1).view(np.float64)
-    return np.sqrt(np.einsum("ij,ij->i", v, v) * traj.grid.cell_measure)
+    return _l2_rows(traj.coeffs, traj.grid.cell_measure)
 
 
 def _time_grid(T: float, M: int) -> np.ndarray:
@@ -254,21 +270,46 @@ def _time_grid(T: float, M: int) -> np.ndarray:
     return np.linspace(0.0, T, M + 1)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where the OS does not say."""
+    try:
+        return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+
+
+def _check_fits(solver: str, grid: Grid2D, M: int, half_tables: int,
+                full_tables: int) -> None:
+    """Raise ``ValueError`` if the trajectories a solve keeps, ``half_tables``
+    half-spectrum and ``full_tables`` full (M+1, nx, ny) complex arrays,
+    exceed physical memory.  Called before anything is allocated."""
+    per_state = grid.nx * (half_tables * (grid.ny // 2 + 1) + full_tables * grid.ny) * 16
+    needed = (M + 1) * per_state
+    memory = _physical_memory()
+    if memory is not None and needed > memory:
+        raise ValueError(
+            f"{solver} with M={M} on a {grid.nx}x{grid.ny} grid would keep "
+            f"{needed / 2**30:,.1f} GiB of trajectory, more than the "
+            f"{memory / 2**30:,.1f} GiB of physical memory")
+
+
 def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
                  max_iter: int = 25) -> tuple[Trajectory, PicardReport]:
     """Iterate ``picard_step`` from the zero trajectory until the sup-in-time
     L^2 difference of successive iterates drops below ``tol``.
 
-    The iterates stay on the half grid and only the last one is expanded.
+    The iterates stay on the half grid and only the last one is expanded,
+    after the W(t_k) phi table and the other iterate are released.
     Non-convergence within ``max_iter`` is reported, not raised; a
     non-finite residual ends the iteration at once, unconverged.
     """
+    grid = phi.grid
+    _check_fits("solve_picard", grid, M, half_tables=3, full_tables=1)
     times = _time_grid(T, M)
     if not tol > 0:  # written so that NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-    grid = phi.grid
     dt = float(times[1] - times[0])
     w_phi, w_dt, table = _picard_tables(phi, times)
     # Row 0 of every iterate is the datum, so every update shares
@@ -293,6 +334,7 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
                 break
             if not math.isfinite(res):
                 break
+    del w_phi, nxt
     return Trajectory(grid=grid, times=times, coeffs=_full(prev, grid.ny)), report
 
 
@@ -316,6 +358,40 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
+def _etd_states(phi: SpectralField, T: float, M: int,
+                include_nonlinearity: bool):
+    """Yield (k, half spectrum of u_k) for k = 0 .. M, the ETD2RK states of
+    ``solve_etd``; stop after the first state that is not finite.
+
+    The yielded array is the stepper's own state and must not be modified.
+    """
+    grid = phi.grid
+    dt = float(_time_grid(T, M)[1])
+    P = _half(dispersion_values(grid).values, grid)
+    L = 1j * P - (grid.xi ** 2)[:, None]
+    E = _w_multiplier(P, grid.xi[:, None], dt)
+    f1 = dt * _phi1(dt * L)
+    f2 = dt * _phi2(dt * L)
+    table = _dx_table(grid)
+
+    def rhs(c: np.ndarray) -> np.ndarray:
+        return -0.5 * _nonlin(c, grid, table)
+
+    u = _prepared_data(phi)
+    yield 0, u
+    for k in range(1, M + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            if include_nonlinearity:
+                n0 = rhs(u)
+                a = E * u + f1 * n0
+                u = a + f2 * (rhs(a) - n0)
+            else:
+                u = E * u
+        yield k, u
+        if not np.all(np.isfinite(u)):
+            return
+
+
 def solve_etd(phi: SpectralField, T: float, M: int,
               include_nonlinearity: bool = True) -> Trajectory:
     """Second-order exponential time differencing (ETD2RK) for the same dynamics.
@@ -330,31 +406,31 @@ def solve_etd(phi: SpectralField, T: float, M: int,
     stops at the first non-finite state; the rows after it are NaN.
     """
     grid = phi.grid
+    _check_fits("solve_etd", grid, M, half_tables=0, full_tables=1)
     times = _time_grid(T, M)
-    dt = float(times[1])
-    P = _half(dispersion_values(grid).values, grid)
-    L = 1j * P - (grid.xi ** 2)[:, None]
-    E = _w_multiplier(P, grid.xi[:, None], dt)
-    f1 = dt * _phi1(dt * L)
-    f2 = dt * _phi2(dt * L)
-    table = _dx_table(grid)
-
-    def rhs(c: np.ndarray) -> np.ndarray:
-        return -0.5 * _nonlin(c, grid, table)
-
     out = np.empty((M + 1, grid.nx, grid.ny), dtype=complex)
-    u = _prepared_data(phi)
-    _full(u, grid.ny, out=out[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, M + 1):
-            if include_nonlinearity:
-                n0 = rhs(u)
-                a = E * u + f1 * n0
-                u = a + f2 * (rhs(a) - n0)
-            else:
-                u = E * u
-            _full(u, grid.ny, out=out[k])
-            if not np.all(np.isfinite(u)):
-                out[k + 1:] = np.nan
-                break
+    for k, u in _etd_states(phi, T, M, include_nonlinearity):
+        _full(u, grid.ny, out=out[k])
+    out[k + 1:] = np.nan
     return Trajectory(grid=grid, times=times, coeffs=out)
+
+
+def etd_l2_history(phi: SpectralField, T: float,
+                   M: int) -> tuple[np.ndarray, np.ndarray]:
+    """(times, L^2 norms) of the ``solve_etd`` states, without the trajectory.
+
+    Each state is expanded into one reused (nx, ny) buffer and reduced
+    there, so the values equal ``l2_history(solve_etd(phi, T, M))`` bit for
+    bit, NaN after an early stop included.  The buffer is row 0 of a
+    two-row batch whose row 1 stays zero: einsum sums a one-row batch in a
+    single pass but a longer one in chunks, and only the batch keeps
+    ``l2_history``'s summation order.
+    """
+    grid = phi.grid
+    times = _time_grid(T, M)
+    l2 = np.full(M + 1, np.nan)
+    buf = np.zeros((2, grid.nx, grid.ny), dtype=complex)
+    for k, u in _etd_states(phi, T, M, True):
+        _full(u, grid.ny, out=buf[0])
+        l2[k] = _l2_rows(buf, grid.cell_measure)[0]
+    return times, l2

@@ -132,6 +132,18 @@ class TestConfigErrors:
         assert err.startswith("config error:") and re.search(rf"\b{field}\b", err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("over", [{"integrator": "picard"},
+                                      {"integrator": "etd", "save_states": True}])
+    def test_oversized_trajectory_is_config_error(self, tmp_path, capsys, over):
+        path = write_cfg(tmp_path, "c.json", solve_cfg(
+            nx=512, ny=512, M=10 ** 7, phi_spec={"type": "zero"}, **over))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert re.search(r"[\d,.]+ GiB of trajectory", err) and "physical memory" in err
+        assert not out.exists()
+
     def test_unknown_top_level_key(self, tmp_path, capsys):
         path = write_cfg(tmp_path, "c.json", solve_cfg(intgrator="etd"))
         out = tmp_path / "out"
@@ -180,6 +192,21 @@ class TestNumericalFailure:
             rc = main(["solve", "--config", cfg, "--out", str(out)])
         assert rc == 3
         assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("save_states", [False, True])
+    def test_etd_blowup_names_first_nonfinite_step(self, tmp_path, capsys,
+                                                   save_states):
+        # amplitude 500 over T = 10 with M = 16 overflows at step 4 (t = 2.5)
+        cfg = write_cfg(tmp_path, "c.json", solve_cfg(
+            phi_spec={"type": "gaussian", "amplitude": 500.0, "widths": [0.7, 0.7]},
+            T=10.0, M=16, integrator="etd", save_states=save_states))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["solve", "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        assert "etd solution is not finite at step 4 (t=2.5)" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nonfinite_illposed_result_exits_3_and_writes_nothing(self, tmp_path,
@@ -248,6 +275,26 @@ class TestSolve:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["results"]["integrator"] == "etd"
         assert "converged" not in manifest["results"]
+
+    def test_etd_csv_same_with_and_without_states(self, tmp_path):
+        outs = []
+        for save_states in (False, True):
+            cfg = write_cfg(tmp_path, f"c{save_states}.json", solve_cfg(
+                integrator="etd", save_states=save_states))
+            outs.append(tmp_path / f"out{save_states}")
+            assert main(["solve", "--config", cfg, "--out", str(outs[-1])]) == 0
+        assert (outs[0] / "solve.csv").read_bytes() == (outs[1] / "solve.csv").read_bytes()
+        assert not (outs[0] / "states.npz").exists()
+        assert (outs[1] / "states.npz").exists()
+
+    def test_etd_without_states_keeps_no_trajectory(self, tmp_path, alloc_peak):
+        M, n = 128, 64
+        cfg = write_cfg(tmp_path, "c.json", solve_cfg(
+            integrator="etd", nx=n, ny=n, M=M))
+        rc, peak = alloc_peak(main, ["solve", "--config", cfg,
+                                     "--out", str(tmp_path / "out")])
+        assert rc == 0
+        assert peak < (M + 1) * n * n * 16 / 4
 
     def test_deterministic_bytes(self, tmp_path):
         cfg = write_cfg(tmp_path, "c.json", solve_cfg())

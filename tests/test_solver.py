@@ -18,6 +18,7 @@ from kpblab.solver import (
     _dx_table,
     _full,
     _nonlin,
+    etd_l2_history,
     l2_history,
     nonlinearity,
     picard_step,
@@ -356,3 +357,73 @@ class TestBlowUpStopsEarly:
         assert report.iterations == len(report.residual_history)
         assert np.all(np.isfinite(report.residual_history[:-1]))
         assert not np.isfinite(report.residual_history[-1])
+
+
+class TestStreamingEtd:
+    # 96 x 96 holds 18432 floats per state, more than einsum reduces in one
+    # chunk of a batch, so it checks that the streamed sum keeps the order
+    @pytest.mark.parametrize("n, M", [(32, 20), (48, 16), (96, 12)])
+    def test_equals_l2_history_of_solve_etd_bitwise(self, n, M):
+        g = make_grid(n, n, np.pi, np.pi)
+        phi = SpectralField(grid=g, coeffs=0.01 * random_real_field(g, 3).coeffs)
+        traj = solve_etd(phi, 0.2, M)
+        times, l2 = etd_l2_history(phi, 0.2, M)
+        assert times.tobytes() == traj.times.tobytes()
+        assert l2.tobytes() == l2_history(traj).tobytes()
+
+    def test_blowup_stops_at_the_same_step(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, l2 = etd_l2_history(blowup_datum(), 10.0, 16)
+            expect = l2_history(solve_etd(blowup_datum(), 10.0, 16))
+        np.testing.assert_array_equal(l2, expect)
+        assert np.all(np.isfinite(l2[:4]))
+        assert not np.isfinite(l2[4])
+        assert np.all(np.isnan(l2[5:]))
+
+    def test_bad_arguments_rejected(self, grid):
+        phi = gaussian_datum(grid)
+        with pytest.raises(ValueError):
+            etd_l2_history(phi, 0.0, 16)
+        with pytest.raises(ValueError):
+            etd_l2_history(phi, 0.1, 2)
+
+
+class TestTrajectoryMemory:
+    def test_picard_holds_under_four_half_trajectories(self, alloc_peak):
+        g = make_grid(64, 64, np.pi, np.pi)
+        (_, report), peak = alloc_peak(solve_picard, gaussian_datum(g), 0.1, 32)
+        assert report.converged
+        assert peak < 4 * 33 * 64 * 33 * 16  # (M+1) nx (ny/2+1) complex values
+
+    @pytest.mark.parametrize("solve", [solve_picard, solve_etd])
+    def test_oversized_trajectory_rejected_before_allocating(self, solve,
+                                                             alloc_peak):
+        g = make_grid(512, 512, np.pi, np.pi)
+        phi = SpectralField(grid=g, coeffs=np.zeros((512, 512), dtype=complex))
+
+        def attempt():
+            with pytest.raises(ValueError, match="GiB of trajectory") as info:
+                solve(phi, 1.0, 10 ** 7)
+            return str(info.value)
+
+        message, peak = alloc_peak(attempt)
+        assert "M=10000000 on a 512x512 grid" in message
+        assert peak < 2 ** 20  # not even the time grid was allocated
+
+    def test_estimate_counts_what_each_solver_keeps(self, grid, monkeypatch):
+        # 32 x 32 at M = 20: a half table is 21 * 32 * 17 * 16 B, the full
+        # trajectory 21 * 32 * 32 * 16 B
+        half, full = 21 * 32 * 17 * 16, 21 * 32 * 32 * 16
+        phi = gaussian_datum(grid)
+        for memory, picard_ok, etd_ok in [(3 * half + full, True, True),
+                                          (3 * half + full - 1, False, True),
+                                          (full - 1, False, False)]:
+            monkeypatch.setattr(solver_module, "_physical_memory", lambda: memory)
+            for solve, ok in [(solve_picard, picard_ok), (solve_etd, etd_ok)]:
+                if ok:
+                    solve(phi, 0.1, 20)
+                else:
+                    with pytest.raises(ValueError, match="physical memory"):
+                        solve(phi, 0.1, 20)
+            etd_l2_history(phi, 0.1, 20)  # keeps no trajectory: never checked
