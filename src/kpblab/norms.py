@@ -23,6 +23,20 @@ nonzero at some time.  Skipping the others is exact: a mode that is zero at
 every time has a zero time transform, so with the (finite) weights above it
 adds 0 to every weighted sum.  Band-limited fields occupy a few percent of
 the grid and dealiased solver states under half of it.
+
+Trajectories of real fields are Hermitian, u(t, -k) = conj(u(t, k)), and
+then their transform satisfies uhat(tau, -k) = conj(uhat(-tau, k)).  The
+weights agree at (tau, -k) and (-tau, k): they are even in xi, eta and tau,
+and sigma changes sign because P is odd.  So the norms transform one mode
+of each conjugate pair and count it twice (Parseval weight 2); a
+self-conjugate mode counts once.  The kx = -nx/2 row is not paired: the
+mirror of (-nx/2, ky) is (-nx/2, -ky) on the grid, with the same xi, so P
+is even along that row and sigma = tau - P does not mirror.  Its modes are
+transformed like self-conjugate ones, with weight 1.  The half is used only
+when it is exact: the occupied set equals its mirror and every occupied
+pair holds u(t, -k) == conj(u(t, k)) bit for bit at every time, as the
+solver's and the free trajectories do.  Any other trajectory, one holding
+NaN included, takes the full path over all occupied modes.
 """
 
 from __future__ import annotations
@@ -86,6 +100,19 @@ def _check_time_samples(traj: Trajectory) -> None:
             f"got {traj.n_times - 1}")
 
 
+def _taper_transform(columns: np.ndarray,
+                     dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(tau, uhat) for time samples ``columns`` of shape (n_t, n_cols), which
+    are tapered in place: tau the FFT bin frequencies and uhat =
+    dt * FFT_t(window * columns)."""
+    n_t = columns.shape[0]
+    columns *= time_window(n_t)[:, None]
+    uhat = np.fft.fft(columns, axis=0)
+    uhat *= dt
+    tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
+    return tau, uhat
+
+
 def _windowed_modes(samples: np.ndarray,
                     dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | slice]:
     """Windowed time transform of the modes that are not identically zero.
@@ -94,23 +121,18 @@ def _windowed_modes(samples: np.ndarray,
     Returns (tau, uhat, cols): tau the FFT bin frequencies, uhat =
     dt * FFT_t(window * samples) on the occupied modes only, shape
     (n_t, len(cols)), and cols the flat mode indices it covers (a plain
-    slice, and no copy of ``samples``, when every mode is occupied).  A mode
-    that holds NaN counts as occupied, so non-finite input propagates.
+    slice when every mode is occupied).  A mode that holds NaN counts as
+    occupied, so non-finite input propagates.
     """
-    n_t = samples.shape[0]
-    flat = samples.reshape(n_t, -1)
-    window = time_window(n_t)[:, None]
+    flat = samples.reshape(samples.shape[0], -1)
     occupied = np.any(flat, axis=0)
     if occupied.all():
         cols = slice(None)
-        tapered = window * flat
+        columns = flat.copy()
     else:
         cols = np.flatnonzero(occupied)
-        tapered = np.take(flat, cols, axis=1)
-        tapered *= window
-    uhat = np.fft.fft(tapered, axis=0)
-    uhat *= dt
-    tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
+        columns = np.take(flat, cols, axis=1)
+    tau, uhat = _taper_transform(columns, dt)
     return tau, uhat, cols
 
 
@@ -134,14 +156,79 @@ def _on_modes(table: np.ndarray, grid, cols: np.ndarray | slice) -> np.ndarray:
     return np.broadcast_to(table, (grid.nx, grid.ny)).reshape(-1)[cols]
 
 
+def _mode_pairs(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat mode indices (first, mirror, single) of an nx x ny grid.
+
+    first[i] and mirror[i], the flat index of -first[i], are a conjugate
+    pair whose weights agree at tau and -tau.  single holds the modes that
+    are never paired: the self-conjugate ones and the whole kx = -nx/2 row.
+    """
+    mirror = (((-np.arange(nx)) % nx)[:, None] * ny
+              + ((-np.arange(ny)) % ny)[None, :]).reshape(-1)
+    index = np.arange(nx * ny)
+    single = mirror == index
+    single[(nx // 2) * ny:(nx // 2 + 1) * ny] = True
+    first = (index < mirror) & ~single
+    return np.flatnonzero(first), mirror[first], np.flatnonzero(single)
+
+
+def _hermitian_half(flat: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray,
+                                                     np.ndarray] | None:
+    """(columns, cols, colw) for the Hermitian half of the time samples
+    ``flat`` (n_t, nx*ny), or None unless every conjugate pair is exact.
+
+    The occupied set must equal its mirror, and each occupied pair must hold
+    mirror == conj(first) bit for bit at every time.  Then cols is the
+    occupied first modes followed by the occupied single modes, columns
+    their gathered samples, and colw their Parseval weights: 2 for a first
+    mode, which stands for its mirror too, and 1 for a single mode.
+    """
+    first, mirror, single = _mode_pairs(grid.nx, grid.ny)
+    occupied = np.any(flat, axis=0)
+    paired = occupied[first]
+    if not np.array_equal(paired, occupied[mirror]):
+        return None
+    first = first[paired]
+    mirrored = np.take(flat, mirror[paired], axis=1)
+    cols = np.concatenate((first, single[occupied[single]]))
+    columns = np.take(flat, cols, axis=1)
+    if not np.array_equal(columns[:, :first.size],
+                          np.conjugate(mirrored, out=mirrored)):
+        return None
+    colw = np.ones(cols.size)
+    colw[:first.size] = 2.0
+    return columns, cols, colw
+
+
 def _windowed_power(traj: Trajectory) -> tuple[np.ndarray, np.ndarray,
-                                                np.ndarray | slice]:
-    """(tau, |uhat|^2, cols) of ``_windowed_modes`` on the trajectory; the
-    complex transform is released once its squared modulus is formed."""
-    tau, uhat, cols = _windowed_modes(traj.coeffs, traj.dt)
+                                                np.ndarray | slice,
+                                                np.ndarray | float]:
+    """(tau, |uhat|^2, cols, colw): the windowed transform's power on the
+    flat modes ``cols``, each of which counts colw times in a weighted sum.
+
+    An exactly Hermitian trajectory is transformed on its Hermitian half
+    (``_hermitian_half``); any other takes the occupied modes of
+    ``_windowed_modes``, each with weight 1.  The complex transform is
+    released once its squared modulus is formed.
+    """
+    flat = traj.coeffs.reshape(traj.n_times, -1)
+    half = _hermitian_half(flat, traj.grid)
+    if half is None:
+        tau, uhat, cols = _windowed_modes(flat, traj.dt)
+        colw = 1.0
+    else:
+        tau, uhat = _taper_transform(half[0], traj.dt)
+        cols, colw = half[1:]
+        del half  # the samples, no longer needed once transformed
     power = np.abs(uhat)
     power **= 2
-    return tau, power, cols
+    return tau, power, cols, colw
+
+
+def _sobolev_on(traj: Trajectory, s1: float, s2: float, cols: np.ndarray | slice,
+                colw: np.ndarray | float) -> np.ndarray:
+    """The H^{s1,s2} weight on the modes ``cols``, times their weights ``colw``."""
+    return _on_modes(sobolev_weight(traj.grid, s1, s2), traj.grid, cols) * colw
 
 
 def _squared_sum(traj: Trajectory, weight: np.ndarray, power: np.ndarray) -> float:
@@ -154,9 +241,9 @@ def _squared_sum(traj: Trajectory, weight: np.ndarray, power: np.ndarray) -> flo
 def spacetime_norm(traj: Trajectory, b: float, s1: float, s2: float) -> float:
     """H^{b,s1,s2} norm of the tapered trajectory."""
     _check_time_samples(traj)
-    tau, power, cols = _windowed_power(traj)
+    tau, power, cols, colw = _windowed_power(traj)
     wt = (1.0 + tau ** 2) ** b
-    ws = _on_modes(sobolev_weight(traj.grid, s1, s2), traj.grid, cols)
+    ws = _sobolev_on(traj, s1, s2, cols, colw)
     return float(np.sqrt(_squared_sum(traj, wt[:, None] * ws[None, :], power)))
 
 
@@ -176,7 +263,7 @@ def _wrapped_sigma(traj: Trajectory, tau: np.ndarray,
 def bourgain_norm(traj: Trajectory, b: float, s1: float, s2: float) -> float:
     """X^{b,s1,s2} norm with sigma = tau - P(nu) per (tau, nu) bin."""
     _check_time_samples(traj)
-    tau, power, cols = _windowed_power(traj)
+    tau, power, cols, colw = _windowed_power(traj)
     weight = _wrapped_sigma(traj, tau, cols)
     xi4 = _on_modes((traj.grid.xi ** 4)[:, None], traj.grid, cols)[None, :]
     # (1 + sigma^2 + xi^4)^b (1 + xi^2)^s1 (1 + eta^2)^s2, in place
@@ -184,7 +271,7 @@ def bourgain_norm(traj: Trajectory, b: float, s1: float, s2: float) -> float:
     weight += 1.0
     weight += xi4
     weight **= b
-    weight *= _on_modes(sobolev_weight(traj.grid, s1, s2), traj.grid, cols)[None, :]
+    weight *= _sobolev_on(traj, s1, s2, cols, colw)[None, :]
     return float(np.sqrt(_squared_sum(traj, weight, power)))
 
 
@@ -199,8 +286,8 @@ def equivalence_gap(traj: Trajectory, b: float, s1: float, s2: float) -> float:
     Both sides zero returns 1 by convention.
     """
     _check_time_samples(traj)
-    tau, power, cols = _windowed_power(traj)
-    ws = _on_modes(sobolev_weight(traj.grid, s1, s2), traj.grid, cols)[None, :]
+    tau, power, cols, colw = _windowed_power(traj)
+    ws = _sobolev_on(traj, s1, s2, cols, colw)[None, :]
     xi2 = _on_modes((traj.grid.xi ** 2)[:, None], traj.grid, cols)[None, :]
     shifted_w = _wrapped_sigma(traj, tau, cols)
     shifted_w **= 2

@@ -151,16 +151,16 @@ def _dx_table(grid: Grid2D) -> np.ndarray:
     return table
 
 
-def _dx_product(a: np.ndarray, b: np.ndarray, grid: Grid2D,
+def _dx_product(a: np.ndarray, b: np.ndarray, shape: tuple[int, int],
                 table: np.ndarray) -> np.ndarray:
     """Half spectrum of d/dx(u v), dealiased and KP-projected, from the half
-    spectra ``a`` of u and ``b`` of v; leading axes are a batch.  Passing the
-    same array twice squares with one inverse transform.
+    spectra ``a`` of u and ``b`` of v on a grid of ``shape`` points; leading
+    axes are a batch.  Passing the same array twice squares with one
+    inverse transform.
 
     The grid's sign table is left out on both sides: it only shifts the
     samples by half a period, which commutes with the pointwise product.
     """
-    shape = (grid.nx, grid.ny)
     u = np.fft.irfft2(a, s=shape)
     v = u if b is a else np.fft.irfft2(b, s=shape)
     w = np.fft.rfft2(u * v)
@@ -170,14 +170,58 @@ def _dx_product(a: np.ndarray, b: np.ndarray, grid: Grid2D,
 
 def _nonlin(half: np.ndarray, grid: Grid2D, table: np.ndarray) -> np.ndarray:
     """Half spectrum of d/dx(u^2), dealiased and KP-projected."""
-    return _dx_product(half, half, grid, table)
+    return _dx_product(half, half, (grid.nx, grid.ny), table)
+
+
+def _band_grid(a: np.ndarray, b: np.ndarray,
+               grid: Grid2D) -> tuple[int, int] | None:
+    """(mx, my), the smallest even grid on which the product of the fields
+    behind the full spectra ``a`` and ``b`` does not alias, or None when
+    either is zero.
+
+    Along each axis the product occupies |k| <= B, the sum of the two
+    occupied bands, and 2B + 2 points hold it with the Nyquist line empty.
+    """
+    mx = my = 2
+    for c in (a, b):
+        occupied = np.any(c, axis=tuple(range(c.ndim - 2)))
+        if not occupied.any():
+            return None
+        mx += 2 * int(np.max(np.abs(grid.kx_int[occupied.any(axis=1)])))
+        my += 2 * int(np.max(np.abs(grid.ky_int[occupied.any(axis=0)])))
+    return mx, my
 
 
 def _dx_product_full(a: np.ndarray, b: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """``_dx_product`` for full spectra in and out (leading axes batch)."""
-    ha = _half(a, grid)
-    hb = ha if b is a else _half(b, grid)
-    return _full(_dx_product(ha, hb, grid, _dx_table(grid)), grid.ny)
+    """``_dx_product`` for full spectra in and out (leading axes batch).
+
+    The product runs on the band grid of ``_band_grid`` when it fits in
+    the grid: the fields are gathered onto it, multiplied there under the
+    grid's own ``_dx_table`` (dealias mask and xi = 0 projection), with the
+    band grid's Nyquist row and column dropped and the transform scale
+    (mx*my)/(nx*ny) restored, and scattered back.  The product is then
+    exact up to rounding and zero outside its band.  A band too wide for
+    the grid takes the full grid.
+    """
+    band = _band_grid(a, b, grid)
+    if band is None:
+        return np.zeros(a.shape, dtype=complex)
+    mx, my = band
+    if mx > grid.nx or my > grid.ny:
+        ha = _half(a, grid)
+        hb = ha if b is a else _half(b, grid)
+        return _full(_dx_product(ha, hb, (grid.nx, grid.ny), _dx_table(grid)), grid.ny)
+    rows = (np.fft.fftfreq(mx, d=1.0 / mx).astype(np.int64) % grid.nx)[:, None]
+    cols = np.arange(my // 2 + 1)
+    table = _dx_table(grid)[rows, cols] * (mx * my / (grid.nx * grid.ny))
+    table[mx // 2] = 0.0
+    table[:, my // 2] = 0.0
+    ha = a[..., rows, cols]
+    hb = ha if b is a else b[..., rows, cols]
+    w = _dx_product(ha, hb, (mx, my), table)
+    half = np.zeros(w.shape[:-2] + (grid.nx, grid.ny // 2 + 1), dtype=complex)
+    half[..., rows, cols] = w
+    return _full(half, grid.ny)
 
 
 def nonlinearity(f: SpectralField) -> SpectralField:

@@ -186,6 +186,14 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
     """||d/dx(uv)||_{X^{-1/2+delta, s1-2delta+eps, s2}} over the product of
     ||u||_{X^{1/2,s1,s2}} and ||v||_{X^{1/2,s1,s2}}.
 
+    d/dx(uv) is multiplied on the alias-free band grid of
+    ``solver._dx_product_full``: the smallest even grid that holds the
+    product's band, 34 x 34 for two fields in |k| <= 8.  There it is exact
+    up to rounding and zero outside |k| <= 16, so the numerator's norm
+    transforms 528 columns, the Hermitian half of 33 * 32 = 1056 modes.  On
+    the 32 x 32 suite grid (refine = 1) the band does not fit, and the
+    product is taken on the whole grid.
+
     Returns 0 when both sides vanish and inf on a violation (nonzero
     numerator over a zero denominator).
     """

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kpblab.norms as norms_module
 from kpblab.norms import (
     bourgain_norm,
     equivalence_gap,
@@ -22,7 +23,7 @@ from kpblab.norms import (
     windowed_time_transform,
 )
 from kpblab.semigroup import free_table, semigroup_table
-from kpblab.solver import Trajectory
+from kpblab.solver import Trajectory, _dx_product_full, solve_picard
 from kpblab.spectral_core import (
     SpectralField,
     dispersion_values,
@@ -31,7 +32,7 @@ from kpblab.spectral_core import (
     make_grid,
     project_zero_x_mean,
 )
-from kpblab.verify import free_trajectory, random_field
+from kpblab.verify import bilinear_ratio, free_trajectory, random_field
 
 
 def idx(grid, kx, ky):
@@ -355,3 +356,113 @@ class TestOccupiedModes:
         keep = np.random.default_rng(seed).random(traj.coeffs.shape) < density
         assert_matches_dense(self.with_coeffs(traj, np.where(keep, traj.coeffs, 0.0)),
                              b, s1, s2)
+
+
+
+def mirrored(coeffs):
+    """R[:, k] = coeffs[:, -k] for a batch of spectra (n_t, nx, ny)."""
+    return np.roll(coeffs[:, ::-1, ::-1], shift=(1, 1), axis=(1, 2))
+
+
+def exactly_hermitian(coeffs):
+    """(c(k) + conj(c(-k))) / 2, whose mirror equals its conjugate bit for
+    bit because floating-point addition commutes."""
+    return 0.5 * (coeffs + np.conj(mirrored(coeffs)))
+
+
+def half_columns(traj):
+    """Column count of the Hermitian half: one per occupied conjugate pair,
+    plus each occupied mode that is self-conjugate or on the kx = -nx/2 row."""
+    grid = traj.grid
+    occupied = np.any(traj.coeffs, axis=0)
+    row = np.arange(grid.nx)[:, None]
+    col = np.arange(grid.ny)[None, :]
+    single = (row == grid.nx // 2) | ((row == 0) & (col % (grid.ny // 2) == 0))
+    n_single = int(np.sum(occupied & single))
+    return (int(occupied.sum()) - n_single) // 2 + n_single
+
+
+@pytest.fixture
+def fft_columns(monkeypatch):
+    """The column count of every np.fft.fft call, recorded while it runs."""
+    calls = []
+    fft = np.fft.fft
+
+    def counted(a, *args, **kwargs):
+        calls.append(a.shape[1])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(norms_module.np.fft, "fft", counted)
+    return calls
+
+
+class TestHermitianHalf:
+    """An exactly Hermitian trajectory is transformed on one column of each
+    conjugate pair, with Parseval weight 2.  The kx = -nx/2 row is never
+    paired: the mirror of (-nx/2, ky) is (-nx/2, -ky), with the same xi, so
+    P is even there and sigma = tau - P does not mirror."""
+
+    @staticmethod
+    def free_pair(grid, seed):
+        rng = np.random.default_rng(seed)
+        return (free_trajectory(random_field(grid, rng), 4.0, 48),
+                free_trajectory(random_field(grid, rng), 4.0, 48))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), nx=st.sampled_from([8, 10, 12]),
+           ny=st.sampled_from([8, 10, 12]), n_t=st.sampled_from([17, 18, 25, 32]),
+           density=st.floats(0.0, 1.0), b=st.sampled_from([0.5, 0.25, -0.45]),
+           s1=st.floats(-0.5, 0.5), s2=st.floats(0.0, 0.5))
+    def test_matches_dense_oracle(self, seed, nx, ny, n_t, density, b, s1, s2):
+        grid = make_grid(nx, ny, np.pi, np.pi)
+        rng = np.random.default_rng(seed)
+        shape = (n_t, nx, ny)
+        coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        keep = rng.random((nx, ny)) < density
+        keep[nx // 2, :] = True  # the kx = -nx/2 row
+        keep[:, ny // 2] = True  # the ky Nyquist column
+        traj = Trajectory(grid=grid, times=np.linspace(0.0, 2.0, n_t),
+                          coeffs=exactly_hermitian(np.where(keep, coeffs, 0.0)))
+        flat = traj.coeffs.reshape(n_t, -1)
+        assert norms_module._hermitian_half(flat, grid) is not None
+        assert_matches_dense(traj, b, s1, s2)
+
+    def test_solver_free_and_product_take_the_half(self, fft_columns):
+        grid = make_grid(32, 32, np.pi, np.pi)
+        u0 = 0.05 * np.exp(-(grid.x[:, None] ** 2 + grid.y[None, :] ** 2))
+        picard, _ = solve_picard(project_zero_x_mean(forward_transform(u0, grid)),
+                                 T=0.1, M=32)
+        for traj in (picard, self.free_pair(grid, 11)[0]):
+            fft_columns.clear()
+            bourgain_norm(traj, 0.5, -0.3, 0.2)
+            assert fft_columns == [half_columns(traj)]
+            assert 2 * fft_columns[0] <= np.count_nonzero(np.any(traj.coeffs, axis=0)) + 2
+        # the bilinear ratio transforms the product, then u and v
+        u, v = self.free_pair(make_grid(64, 64, np.pi, np.pi), 12)
+        prod = Trajectory(grid=u.grid, times=u.times,
+                          coeffs=_dx_product_full(u.coeffs, v.coeffs, u.grid))
+        fft_columns.clear()
+        bilinear_ratio(u, v, -0.2, 0.0, 0.0375, 0.00375)
+        assert fft_columns == [half_columns(prod), half_columns(u), half_columns(v)]
+        assert fft_columns == [528, 136, 136]
+
+    @pytest.mark.parametrize("kind", ["ulp", "nan"])
+    def test_inexact_mirror_takes_full_path(self, fft_columns, kind):
+        traj = self.free_pair(make_grid(32, 32, np.pi, np.pi), 13)[0]
+        coeffs = traj.coeffs.copy()
+        mode = (20,) + idx(traj.grid, 3, -2)
+        if kind == "ulp":
+            coeffs[mode] = np.nextafter(coeffs[mode].real, np.inf) + 1j * coeffs[mode].imag
+        else:
+            coeffs[mode] = np.nan
+        off = Trajectory(grid=traj.grid, times=traj.times, coeffs=coeffs)
+        occupied = np.count_nonzero(np.any(coeffs, axis=0))
+        for norm in (spacetime_norm, bourgain_norm, equivalence_gap):
+            fft_columns.clear()
+            value = norm(off, 0.5, -0.3, 0.2)
+            assert fft_columns == [occupied]
+            assert np.isnan(value) == (kind == "nan")
+        if kind == "ulp":
+            assert_matches_dense(off, 0.5, -0.3, 0.2)
+        else:
+            assert all(np.isnan(dense_norms(off, 0.5, -0.3, 0.2)))

@@ -15,6 +15,9 @@ from kpblab.semigroup import apply_W, semigroup_table
 from kpblab.solver import (
     PicardReport,
     Trajectory,
+    _band_grid,
+    _dx_product,
+    _dx_product_full,
     _dx_table,
     _full,
     _nonlin,
@@ -34,6 +37,7 @@ from kpblab.spectral_core import (
     make_grid,
     project_zero_x_mean,
 )
+from kpblab.verify import free_trajectory, random_field
 
 
 def idx(grid, kx, ky):
@@ -427,3 +431,64 @@ class TestTrajectoryMemory:
                     with pytest.raises(ValueError, match="physical memory"):
                         solve(phi, 0.1, 20)
             etd_l2_history(phi, 0.1, 20)  # keeps no trajectory: never checked
+
+
+def full_grid_product(a, b, grid):
+    """d/dx(uv) from full spectra, multiplied on the whole grid."""
+    h = grid.ny // 2 + 1
+    return _full(_dx_product(a[..., :h], b[..., :h], (grid.nx, grid.ny),
+                             _dx_table(grid)), grid.ny)
+
+
+class TestBandProduct:
+    """_dx_product_full multiplies on the smallest even grid that holds the
+    product's band without aliasing, and on the whole grid otherwise."""
+
+    @pytest.fixture(scope="class")
+    def pair(self):
+        grid = make_grid(64, 64, np.pi, np.pi)
+        rng = np.random.default_rng([1, 0])
+        return (free_trajectory(random_field(grid, rng), 4.0, 96).coeffs,
+                free_trajectory(random_field(grid, rng), 4.0, 96).coeffs, grid)
+
+    def test_matches_full_grid_on_band_and_zero_off_it(self, pair):
+        a, b, grid = pair
+        assert _band_grid(a, b, grid) == (34, 34)
+        got = _dx_product_full(a, b, grid)
+        want = full_grid_product(a, b, grid)
+        band = (np.abs(grid.kx_int)[:, None] <= 16) & (np.abs(grid.ky_int)[None, :] <= 16)
+        assert np.max(np.abs(got - want)[:, band]) <= 1e-15 * np.max(np.abs(want))
+        assert not np.any(got[:, ~band])
+        assert np.count_nonzero(np.any(got, axis=0)) == 33 * 33 - 33
+        assert hermitian_defect(SpectralField(grid=grid, coeffs=got[40])) == 0.0
+
+    def test_zero_input_gives_zeros(self, pair):
+        a, _, grid = pair
+        zero = np.zeros_like(a)
+        for x, y in ((zero, a), (a, zero), (zero, zero)):
+            out = _dx_product_full(x, y, grid)
+            assert out.shape == a.shape and not np.any(out)
+
+    def test_wide_band_takes_full_grid_bit_for_bit(self, grid):
+        # a gaussian occupies every mode, so no smaller grid holds the band
+        a = gaussian_datum(grid, amplitude=1.0).coeffs
+        b = random_real_field(grid, 6).coeffs
+        assert np.array_equal(_dx_product_full(a, b, grid), full_grid_product(a, b, grid))
+        assert np.array_equal(nonlinearity(SpectralField(grid=grid, coeffs=a)).coeffs,
+                              full_grid_product(a, a, grid))
+
+    def test_narrow_x_wide_y_takes_full_grid(self, grid):
+        # band 2 * 1 + 2 = 4 in x, but the y band does not fit
+        u = np.cos(grid.x)[:, None] * np.exp(np.sin(grid.y))[None, :]
+        a = forward_transform(u, grid).coeffs
+        assert np.array_equal(_dx_product_full(a, a, grid), full_grid_product(a, a, grid))
+
+    def test_nonlinearity_of_band_limited_field(self):
+        grid = make_grid(64, 48, np.pi, 2.0)
+        f = random_field(grid, np.random.default_rng(8))
+        got = nonlinearity(f).coeffs
+        want = old_full_fft_nonlin(f.coeffs, grid)
+        assert _band_grid(f.coeffs, f.coeffs, grid) == (34, 34)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        band = (np.abs(grid.kx_int)[:, None] <= 16) & (np.abs(grid.ky_int)[None, :] <= 16)
+        assert not np.any(got[~band])
