@@ -228,34 +228,50 @@ def resonance_chi(xi, xi1, eta, eta1):
     return chi
 
 
-def _direct_exp_ih(t, chi) -> np.ndarray:
-    """e^{ih} with h = t chi / 2, one cosine and one sine per node."""
-    h = chi * (0.5 * t)
-    phase = np.empty(h.shape, dtype=complex)
+def _direct_exp_ih(t, chi, phase, h) -> np.ndarray:
+    """Write e^{ih}, h = t chi / 2, into ``phase`` with one cosine and one sine
+    per node; ``h`` is a float buffer of the same shape, and may be ``chi``
+    itself.  Returns ``phase``."""
+    np.multiply(chi, 0.5 * t, out=h)
     np.cos(h, out=phase.real)
     np.sin(h, out=phase.imag)
     return phase
 
 
-def _kernel(t, xi, xi1, chi, phase) -> np.ndarray:
-    """K at the nodes from chi and phase = e^{ih}, h = t chi / 2.
+def _kernel_factors(t, xi, xi1):
+    """(cross, g, e1) of :func:`_kernel`: cross = 2 xi1 (xi - xi1) and, with
+    a = t cross, g = 2 e^{-t xi^2} e^a and e1 = e^{-t xi^2} expm1(a).
 
-    K = e^{-t xi^2} (e^z - 1) / (i chi - 2 xi1 xi2) with z = a + 2 i h and
-    a = 2 t xi1 xi2.  The half-angle form
-
-        e^z - 1 = expm1(a) + 2 i e^a sin h e^{ih},   sin h = Im e^{ih},
-
-    has no cancellation near z = 0.  Factors of (t, xi, xi1) alone (expm1,
-    exp) keep their own broadcast shape, so a caller that puts xi1 on its
-    own axis pays for them once per xi1, not per node.  K overwrites the
-    complex ``phase`` buffer, which is returned.
+    All three depend on (t, xi, xi1) alone and keep that broadcast shape,
+    so a caller that puts xi1 on its own axis pays for them once per xi1.
     """
     cross = 2.0 * xi1 * (xi - xi1)
     decay = np.exp(-t * xi * xi)
-    phase *= phase.imag * (2j * decay * np.exp(t * cross))
-    phase += decay * np.expm1(t * cross)
-    den = chi * 1j
-    den -= cross
+    return cross, 2.0 * decay * np.exp(t * cross), decay * np.expm1(t * cross)
+
+
+def _kernel(den, phase, scratch, g, e1) -> np.ndarray:
+    """K at the nodes, in place of phase = e^{ih}, h = t chi / 2.
+
+    K = e^{-t xi^2} (e^z - 1) / (i chi - cross) with cross = 2 xi1 xi2 and
+    z = a + 2 i h, a = t cross.  The half-angle form
+
+        e^z - 1 = expm1(a) + 2 i e^a sin h e^{ih},   sin h = Im e^{ih},
+
+    has no cancellation near z = 0.  Multiplying numerator and denominator
+    by -i gives
+
+        K = (g sin h e^{ih} - i e1) / (chi + i cross)
+
+    with g and e1 from :func:`_kernel_factors`, so the numerator is two
+    real scalings of e^{ih} and one real subtraction, and no complex
+    temporary is made.  ``den`` holds chi + i cross, ``scratch`` is a float
+    buffer of the node shape.  K overwrites ``phase``, which is returned.
+    """
+    np.multiply(phase.imag, g, out=scratch)
+    phase.real *= scratch
+    phase.imag *= scratch
+    phase.imag -= e1
     phase /= den
     return phase
 
@@ -272,8 +288,12 @@ def kernel_K(t, xi, xi1, eta, eta1):
                              for a in (t, xi, xi1, eta, eta1))
     _require_nonzero(xi, xi1, xi - xi1)
     shape = np.broadcast_shapes(*(a.shape for a in (t, xi, xi1, eta, eta1)))
+    cross, g, e1 = _kernel_factors(t, xi, xi1)
     chi = _chi_into(np.empty(shape), xi, xi1, eta, eta1)
-    out = _kernel(t, xi, xi1, chi, _direct_exp_ih(t, chi))[..., 0]
+    den = chi + 1j * cross
+    # once den holds chi, chi's buffer serves as h and as the kernel's scratch
+    phase = _direct_exp_ih(t, chi, np.empty(shape, dtype=complex), chi)
+    out = _kernel(den, phase, chi, g, e1)[..., 0]
     if out.ndim == 0:
         return complex(out)
     return out
@@ -343,33 +363,37 @@ def _full_columns(pair: RectanglePair, y_lo, y_hi) -> np.ndarray:
 
 
 def _powers(first, base, n: int) -> np.ndarray:
-    """first * base**k for k = 0 .. n-1 on a new last axis, by repeated doubling."""
-    out = np.empty(np.shape(base) + (n,), dtype=complex)
-    out[..., 0] = first
-    k, step = 1, base
+    """first * base**k for k = 0 .. n-1, by repeated doubling.
+
+    ``base`` has shape (..., m); the power index k is a new axis in front
+    of the last one, so each product runs over the m values of that axis.
+    """
+    out = np.empty(base.shape[:-1] + (n,) + base.shape[-1:], dtype=complex)
+    out[..., 0, :] = first
+    k, step = 1, base[..., None, :]
     while k < n:
         m = min(k, n - k)
-        np.multiply(out[..., :m], step[..., None], out=out[..., k:k + m])
+        np.multiply(out[..., :m, :], step, out=out[..., k:k + m, :])
         step = step * step
         k += m
     return out
 
 
-def _separable_exp_ih(x, x_mid, half_a, eta, c0, dy, e_tab) -> np.ndarray:
-    """e^{ih} = A B E at the full-column nodes (eta, xi1, eta1) of one block.
+def _separable_exp_ih(x, x_mid, half_a, eta, c0, dy, e_tab, out) -> None:
+    """Write e^{ih} = A B E at the full-column nodes of one block into ``out``.
 
     ``eta`` is a (rows, 1) column of outer eta, ``half_a`` is t / (2 prod)
-    at the xi1 nodes ``x_mid``, and ``e_tab`` the row's (cells, P, Q) table
-    E; see :func:`_window_density`.  Returns a (rows, cells, cells) view.
+    at the xi1 nodes ``x_mid``, ``e_tab`` the row's (P, Q, cells) table E
+    and ``out`` a (rows, P, Q, cells) buffer, the nodes (eta, eta1, xi1)
+    with eta1 index j = Q p + q; see :func:`_window_density`.
     """
     a_eta = half_a * x_mid * eta
     w = np.exp(-2j * x * dy * a_eta)
     b_tab = _powers(1.0, w, _PHASE_Q)
     a_tab = _powers(np.exp(1j * a_eta * (x_mid * eta - 2.0 * x * c0)),
-                    b_tab[..., -1] * w, e_tab.shape[1])
-    out = a_tab[..., None] * b_tab[..., None, :]
+                    b_tab[:, -1] * w, e_tab.shape[0])
+    np.multiply(a_tab[:, :, None], b_tab[:, None], out=out)
     out *= e_tab
-    return out.reshape(eta.shape[0], x_mid.size, -1)[..., :x_mid.size]
 
 
 def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarray, float, float]:
@@ -378,14 +402,26 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     Returns (table, hx, hy): ``table[i, j]`` is xi^2 (1+xi^2)^s |I(xi_i, eta_j)|^2
     at window midpoints, with I the bare k-set integral (prefactor modulus
     xi folded into the weight).  Vectorized one outer-xi row at a time, in
-    blocks of outer eta: a block covers (rows, cells, cells) inner nodes, with
-    rows = _BLOCK_NODES // cells^2 (8 at cells=64, 2 at cells=128, at least 1).
-    Each block computes chi (float64, 256 KiB), then e^{ih} (complex, 512 KiB)
-    from one of the two phase sources below, and :func:`_kernel` turns e^{ih}
-    into K in place with one complex temporary (512 KiB) alive at a time.
-    The whole call's allocations peak at 1.8 MiB at cells=64 and 2.1 MiB at
-    cells=128 (tracemalloc), about a 2 MiB L2.  Each eta's sum runs over
-    its own (xi1, eta1) slab, whatever the block size.
+    blocks of outer eta: a block covers (rows, cells, cells) inner nodes
+    (eta, eta1, xi1), with rows = _BLOCK_NODES // cells^2 (8 at cells=64, 2
+    at cells=128, at least 1).  xi1 is the inner axis, so every node-sized
+    operation runs over ``cells`` values, and the factors of (t, xi, xi1)
+    alone (:func:`_kernel_factors`, the phase tables) are per-row vectors
+    along it.
+
+    A block allocates no node-sized array.  The call allocates three block
+    buffers once: the complex phase e^{ih} (padded to P Q eta1 nodes, see
+    below), the complex denominator chi + i cross, whose imaginary part is
+    set once per row, and a float scratch.  chi goes to the scratch first,
+    where its four passes run on contiguous memory, and is copied into the
+    denominator; the scratch then holds h or g sin h.  The row's table E
+    (below) has its own buffer, rebuilt in place.  The buffers belong to
+    the call, so calls on concurrent threads share nothing.  The whole
+    call's allocations peak at 1.78 MiB at cells=64 and 2.12 MiB at
+    cells=128 (tracemalloc, N=16), about a 2 MiB L2; numpy's iterator
+    buffers, at most 8192 elements per operand, are the largest transient
+    allocations of a block.  Each eta's sum runs over its own (eta1, xi1)
+    slab, whatever the block size.
 
     Separable phase.  A full column is an outer eta whose k1 eta interval is
     all of D_2 (:func:`_full_columns`; 54 of 64 columns at cells=64): the
@@ -398,12 +434,13 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     so e^{ih} = A(eta, xi1, p) B(eta, xi1, q) E(xi1, j) with
     A = e^{i a xi1 eta (xi1 eta - 2 xi c0)} w^{Q p},  B = w^q,
     w = e^{-2 i a xi xi1 eta dy}, and E = e^{i (1.5 t prod + a xi^2 eta1_j^2)}
-    built once per row.  A and B come from one exp each by repeated
-    multiplication, so a full-column node costs two complex multiplies where
-    the clipped columns (and kernel_K) pay one sine and one cosine.  Only the
+    built once per row; the phase buffer holds the product as (eta, p, q,
+    xi1).  A and B come from one exp each by repeated multiplication, so a
+    full-column node costs two complex multiplies where the clipped
+    columns (and kernel_K) pay one sine and one cosine.  Only the
     source of e^{ih} differs: both kinds of column go through the same block
     loop, chi and :func:`_kernel`.  Against the direct sine and cosine, each
-    table cell agrees to within 1e-13 relative (9.6e-14 at most over
+    table cell agrees to within 1e-13 relative (9.7e-14 at most over
     N in {16, 128} and cells in {64, 67, 96}) and the norm to about 1e-16.
 
     The quadrature runs under its own errstate (it may run on a worker
@@ -420,18 +457,26 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     pair = rectangle_pair(N)
     x_lo, x_hi, y_lo, y_hi = _k1_bounds(pair, xi_nodes, eta_nodes)
     y_mid, wy = _midpoints(y_lo, y_hi, cells)
-    eta_col = eta_nodes[:, None, None]
-    y_mid = y_mid[:, None, :]
 
     rows = max(1, _BLOCK_NODES // (cells * cells))
     is_full = _full_columns(pair, y_lo, y_hi)
     clipped = np.flatnonzero(~is_full & (y_lo < y_hi))  # empty columns stay 0
     full = np.flatnonzero(is_full)  # never empty: 11 of the window's 13 N^2
-    eta1 = y_mid[full[0], 0]  # the same nodes in every full column
+    eta1 = y_mid[full[0]]  # the same nodes in every full column
     c0, dy = eta1[0], wy[full[0]]
     n_p = -(-cells // _PHASE_Q)
     eta1_sq = np.zeros(n_p * _PHASE_Q)
     eta1_sq[:cells] = eta1 * eta1
+    eta1_sq = eta1_sq.reshape(n_p, _PHASE_Q, 1)
+    eta_col = eta_nodes[:, None, None]
+    y_mid = y_mid[:, :, None]
+
+    # Per-call buffers: concurrent calls (scaling_study's threads) share none.
+    phase_buf = np.empty((rows, n_p, _PHASE_Q, cells), dtype=complex)
+    phase = phase_buf.reshape(rows, -1, cells)[:, :cells]
+    den = np.empty((rows, cells, cells), dtype=complex)
+    scratch = np.empty((rows, cells, cells))
+    e_tab = np.empty((n_p, _PHASE_Q, cells), dtype=complex)  # the row's E
 
     sums = np.zeros(cells, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -439,23 +484,27 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
             if x_lo[i] >= x_hi[i]:
                 continue
             x_mid, wx = _midpoints(x_lo[i], x_hi[i], cells)
-            xi1 = x_mid[None, :, None]
             prod = x * x_mid * (x - x_mid)
             half_a = 0.5 * t / prod
-            e_tab = np.exp(1j * ((1.5 * t) * prod[:, None]
-                                 + (half_a * x * x)[:, None] * eta1_sq))
-            e_tab = e_tab.reshape(cells, n_p, _PHASE_Q)
+            e_tab.real = 0.0
+            np.multiply(eta1_sq, half_a * x * x, out=e_tab.imag)
+            e_tab.imag += (1.5 * t) * prod
+            np.exp(e_tab, out=e_tab)
+            cross, g, e1 = _kernel_factors(t, x, x_mid)
+            den.imag[...] = cross
             for cols, separable in ((clipped, False), (full, True)):
                 for j in range(0, cols.size, rows):
                     block = cols[j:j + rows]
-                    chi = _chi_into(np.empty((block.size, cells, cells)),
-                                    x, xi1, eta_col[block], y_mid[block])
+                    n = block.size
+                    chi = _chi_into(scratch[:n], x, x_mid, eta_col[block], y_mid[block])
+                    den.real[:n] = chi
                     if separable:
-                        eta = eta_nodes[block, None]
-                        phase = _separable_exp_ih(x, x_mid, half_a, eta, c0, dy, e_tab)
+                        _separable_exp_ih(x, x_mid, half_a, eta_nodes[block, None],
+                                          c0, dy, e_tab, phase_buf[:n])
                     else:
-                        phase = _direct_exp_ih(t, chi)
-                    sums[block] = _kernel(t, x, xi1, chi, phase).sum(axis=(1, 2))
+                        _direct_exp_ih(t, chi, phase[:n], chi)
+                    K = _kernel(den[:n], phase[:n], scratch[:n], g, e1)
+                    sums[block] = K.sum(axis=(1, 2))
             mod2 = sums.real * sums.real + sums.imag * sums.imag
             mod2 *= (2.0 * amp2 * wx * wy) ** 2
             table[i, :] = x * x * (1.0 + x * x) ** s * mod2

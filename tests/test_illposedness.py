@@ -8,7 +8,9 @@ anchor.
 """
 
 import math
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -297,16 +299,26 @@ class TestSecondIterate:
             second_iterate_hat(16, -0.7, 1e-3, 36.0, 400.0, cells=32)
 
     def test_blocked_table_matches_pointwise_density(self):
-        # each eta block of the table must reproduce the one-point path
+        # The first and last column of every block must reproduce the
+        # one-point path.  Blocks are runs of ``rows`` entries of the clipped
+        # and of the full column lists, not runs of consecutive eta.
         N, s, cells = 16, -0.7, 64
         t = 16.0 ** -3.01
         xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
         xi_nodes, _ = _midpoints(np.float64(xi_lo), np.float64(xi_hi), cells)
         eta_nodes, _ = _midpoints(np.float64(eta_lo), np.float64(eta_hi), cells)
-        table = _window_density(N, s, t, cells)[0]
+        pair = rectangle_pair(N)
+        _, _, y_lo, y_hi = _k1_bounds(pair, xi_nodes, eta_nodes)
+        is_full = _full_columns(pair, y_lo, y_hi)
         rows = max(1, _BLOCK_NODES // cells ** 2)
+        edges = set()
+        for cols in (np.flatnonzero(~is_full & (y_lo < y_hi)), np.flatnonzero(is_full)):
+            assert cols.size > rows  # each kind has a block edge inside its list
+            for j in range(0, cols.size, rows):
+                edges.update((cols[j], cols[min(j + rows, cols.size) - 1]))
+        table = _window_density(N, s, t, cells)[0]
         for i in (0, cells // 2, cells - 1):
-            for j in (0, rows - 1, rows, cells - rows, cells - 1):
+            for j in sorted(edges):
                 xi, eta = xi_nodes[i], eta_nodes[j]
                 hat = second_iterate_hat(N, s, t, xi, eta, cells)
                 pointwise = (1.0 + xi * xi) ** s * abs(hat) ** 2
@@ -381,6 +393,34 @@ class TestSeparablePhase:
             warnings.simplefilter("error")
             table = _window_density(8, -0.7, 8.0 ** 7, 64)[0]
         assert np.isnan(table).all()
+
+
+class TestQuadratureBuffers:
+    def test_concurrent_calls_match_serial(self):
+        # Each call owns its block buffers: two calls at once on two threads
+        # (as scaling_study runs them) give the serial tables bit for bit.
+        args = [(N, -0.7, float(N) ** -3.01, 64) for N in (16, 32)]
+        serial = [_window_density(*a)[0] for a in args]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                futures = [pool.submit(_window_density, *a) for a in args]
+                threaded = [f.result(timeout=300)[0] for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for want, got in zip(serial, threaded):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("cells, pin_mib", [(64, 1.78), (128, 2.12)])
+    def test_peak_allocation_per_call(self, alloc_peak, cells, pin_mib):
+        # tracemalloc peak of one call at N=16, in MiB: 1.78 (cells=64) and
+        # 2.12 (cells=128) when every block allocated fresh temporaries;
+        # 1.78 and 2.27 with the per-call phase, denominator and scratch
+        # buffers and a fresh table E per row; 1.78 and 2.12 with E in a
+        # per-call buffer too.  The pin allows 10% over the last pair.
+        _, peak = alloc_peak(_window_density, 16, -0.7, 16.0 ** -3.01, cells)
+        assert peak <= 1.1 * pin_mib * 2 ** 20
 
 
 class TestScalingStudy:

@@ -55,3 +55,17 @@ def test_invariant_under_partner_swap(N):
     K = kernel_K(t, xi, xi1, eta, eta1)
     swapped = kernel_K(t, xi, xi - xi1, eta, eta - eta1)
     assert np.max(np.abs(swapped - K)) <= 1e-14 * t
+
+
+@pytest.mark.parametrize("N", [16, 128])
+@pytest.mark.parametrize("t", [1e-10, 1e-14])
+def test_small_time_matches_complex_expm1(N, t):
+    # Far below the quadrature's t, where e^z - 1 is all cancellation:
+    # against numpy's complex expm1 on the unfolded quotient.
+    xi, xi1, eta, eta1 = quadrature_nodes(N)
+    cross = 2.0 * xi1 * (xi - xi1)
+    chi = resonance_chi(xi, xi1, eta, eta1)
+    decay = np.exp(-t * xi * xi)
+    expect = decay * np.expm1(t * (cross + 1j * chi)) / (1j * chi - cross)
+    got = kernel_K(t, xi, xi1, eta, eta1)
+    np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
