@@ -67,8 +67,24 @@ _TOLERANCES = {
 }
 
 
-def _reject_constant(literal: str):
+def _reject_literal(literal: str):
+    if len(literal) > 40:
+        literal = f"{literal[:20]}...({len(literal)} characters)"
     raise ConfigError(f"config value {literal} is not a finite number")
+
+
+def _finite_number(parse):
+    """A JSON number hook: ``parse(literal)``, rejecting a literal that does
+    not parse or lies outside the float range as a non-finite config value."""
+    def hook(literal: str):
+        try:
+            value = parse(literal)
+            if math.isfinite(float(value)):
+                return value
+        except (OverflowError, ValueError):  # float range; int digit limit
+            pass
+        _reject_literal(literal)
+    return hook
 
 
 def _load_config(path: str) -> dict:
@@ -78,7 +94,9 @@ def _load_config(path: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
-        cfg = json.loads(text, parse_constant=_reject_constant)
+        cfg = json.loads(text, parse_constant=_reject_literal,
+                         parse_float=_finite_number(float),
+                         parse_int=_finite_number(int))
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"config {path} is not valid JSON: {exc.msg} "
@@ -126,21 +144,30 @@ def _check_keys(cfg: dict, allowed: frozenset, prefix: str = "") -> None:
             + f"; expected one of {sorted(allowed)}")
 
 
+def _as_float(value) -> float:
+    """float(value) for a number inside a config object or list; ValueError
+    unless it is a finite number (a string such as "inf" parses to one)."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"config value {value!r} is not a finite number")
+    return number
+
+
 def _build_phi(spec, grid: Grid2D) -> SpectralField:
     if not isinstance(spec, dict):
         raise ConfigError("config field 'phi_spec' must be an object")
     kind = spec.get("type")
     if kind == "phi_N":
         try:
-            return build_phi_N(float(spec["N"]), float(spec["s"]), grid)
+            return build_phi_N(_as_float(spec["N"]), _as_float(spec["s"]), grid)
         except KeyError as exc:
             raise ConfigError(f"phi_spec of type phi_N needs field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"phi_spec: {exc}") from exc
     if kind == "gaussian":
         try:
-            amp = float(spec["amplitude"])
-            wx, wy = (float(w) for w in spec["widths"])
+            amp = _as_float(spec["amplitude"])
+            wx, wy = (_as_float(w) for w in spec["widths"])
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
                 "phi_spec of type gaussian needs 'amplitude' and 'widths' "
@@ -161,7 +188,7 @@ def _build_phi(spec, grid: Grid2D) -> SpectralField:
             try:
                 kx, ky, re, im = entry
                 kx, ky = int(kx), int(ky)
-                value = complex(float(re), float(im))
+                value = complex(_as_float(re), _as_float(im))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"phi_spec modes entry {entry!r} is not [kx, ky, re, im]"
@@ -300,7 +327,7 @@ def _run_illposed(cfg: dict, threads: int | None):
     seed = _field(cfg, "seed", int, required=False, default=0)
     N_list = _field(cfg, "N_list", list)
     try:
-        Ns = sorted(float(N) for N in N_list)
+        Ns = sorted(_as_float(N) for N in N_list)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field 'N_list' must be numeric: {exc}") from exc
 

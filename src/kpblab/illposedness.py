@@ -157,12 +157,16 @@ class PhiHat:
         # package's import time, which every command pays.
         from scipy.integrate import quad
 
+        def weight(x: float, s: float) -> float:
+            try:
+                return (1.0 + x * x) ** s
+            except OverflowError:  # a weight past the float range is inf
+                return math.inf
+
         total = 0.0
         for rect in (self.rectangles.D1, self.rectangles.D2):
-            fx = quad(lambda x: (1.0 + x * x) ** s1, rect.xi_min, rect.xi_max,
-                      epsrel=1e-12)[0]
-            fy = quad(lambda y: (1.0 + y * y) ** s2, rect.eta_min, rect.eta_max,
-                      epsrel=1e-12)[0]
+            fx = quad(weight, rect.xi_min, rect.xi_max, args=(s1,), epsrel=1e-12)[0]
+            fy = quad(weight, rect.eta_min, rect.eta_max, args=(s2,), epsrel=1e-12)[0]
             total += fx * fy
         total *= 2.0 * self.amplitude ** 2  # conjugate mirrors double the mass
         return math.sqrt(total / (4.0 * math.pi ** 2))
@@ -297,13 +301,6 @@ def kernel_K(t, xi, xi1, eta, eta1):
     if out.ndim == 0:
         return complex(out)
     return out
-
-
-def _kernel_parts(t, xi, xi1, eta, eta1) -> tuple[np.ndarray, np.ndarray]:
-    """(Re K, Im K) at broadcast nodes: views of :func:`kernel_K`, whose
-    phase takes one sine and one cosine per node."""
-    K = kernel_K(t, xi, xi1, eta, eta1)
-    return K.real, K.imag
 
 
 def _midpoints(lo, hi, cells: int):

@@ -27,16 +27,16 @@ the grid and dealiased solver states under half of it.
 Trajectories of real fields are Hermitian, u(t, -k) = conj(u(t, k)), and
 then their transform satisfies uhat(tau, -k) = conj(uhat(-tau, k)).  The
 weights agree at (tau, -k) and (-tau, k): they are even in xi, eta and tau,
-and sigma changes sign because P is odd.  So the norms transform one mode
-of each conjugate pair and count it twice (Parseval weight 2); a
-self-conjugate mode counts once.  The kx = -nx/2 row is not paired: the
-mirror of (-nx/2, ky) is (-nx/2, -ky) on the grid, with the same xi, so P
-is even along that row and sigma = tau - P does not mirror.  Its modes are
-transformed like self-conjugate ones, with weight 1.  The half is used only
-when it is exact: the occupied set equals its mirror and every occupied
-pair holds u(t, -k) == conj(u(t, k)) bit for bit at every time, as the
-solver's and the free trajectories do.  Any other trajectory, one holding
-NaN included, takes the full path over all occupied modes.
+and sigma changes sign because P is odd.  So a conjugate pair whose mirror
+equals the conjugate of its first mode bit for bit at every time is
+transformed once, on the first mode, and counted twice (Parseval weight 2).
+Every other occupied mode is transformed once with weight 1: the
+self-conjugate modes, pairs that are not exact (one holding NaN included)
+and modes whose mirror is unoccupied.  The kx = -nx/2 row is never paired:
+the mirror of (-nx/2, ky) is (-nx/2, -ky) on the grid, with the same xi, so
+P is even along that row and sigma = tau - P does not mirror.  The solver's
+and the free trajectories are exactly Hermitian, so they are transformed on
+their Hermitian half.
 """
 
 from __future__ import annotations
@@ -113,120 +113,83 @@ def _taper_transform(columns: np.ndarray,
     return tau, uhat
 
 
-def _windowed_modes(samples: np.ndarray,
-                    dt: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | slice]:
-    """Windowed time transform of the modes that are not identically zero.
-
-    ``samples`` has time on axis 0; the other axes are flattened into modes.
-    Returns (tau, uhat, cols): tau the FFT bin frequencies, uhat =
-    dt * FFT_t(window * samples) on the occupied modes only, shape
-    (n_t, len(cols)), and cols the flat mode indices it covers (a plain
-    slice when every mode is occupied).  A mode that holds NaN counts as
-    occupied, so non-finite input propagates.
-    """
-    flat = samples.reshape(samples.shape[0], -1)
-    occupied = np.any(flat, axis=0)
-    if occupied.all():
-        cols = slice(None)
-        columns = flat.copy()
-    else:
-        cols = np.flatnonzero(occupied)
-        columns = np.take(flat, cols, axis=1)
-    tau, uhat = _taper_transform(columns, dt)
-    return tau, uhat, cols
-
-
 def windowed_time_transform(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Taper the trajectory in time and apply the discrete time transform.
 
     Returns (tau, uhat) with tau the FFT bin frequencies (shape (n_t,)) and
     uhat = dt * FFT_t(window * states) of shape (n_t, nx, ny), normalised so
     that sum_j |uhat_j|^2 / (n_t * dt) is the quadrature of the windowed
-    squared time signal.
+    squared time signal.  Every mode is transformed; the norms transform
+    only the columns ``_windowed_power`` picks.
     """
-    tau, occupied, cols = _windowed_modes(traj.coeffs, traj.dt)
-    uhat = np.zeros((traj.n_times, traj.grid.nx * traj.grid.ny), dtype=complex)
-    uhat[:, cols] = occupied
+    tau, uhat = _taper_transform(traj.coeffs.reshape(traj.n_times, -1).copy(), traj.dt)
     return tau, uhat.reshape(traj.coeffs.shape)
 
 
-def _on_modes(table: np.ndarray, grid, cols: np.ndarray | slice) -> np.ndarray:
+def _on_modes(table: np.ndarray, grid, cols: np.ndarray) -> np.ndarray:
     """A per-mode table (anything that broadcasts to (nx, ny)) at the flat
     mode indices ``cols``."""
     return np.broadcast_to(table, (grid.nx, grid.ny)).reshape(-1)[cols]
 
 
-def _mode_pairs(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flat mode indices (first, mirror, single) of an nx x ny grid.
+def _mode_pairs(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat mode indices (first, mirror) of the conjugate pairs of an nx x ny grid.
 
     first[i] and mirror[i], the flat index of -first[i], are a conjugate
-    pair whose weights agree at tau and -tau.  single holds the modes that
-    are never paired: the self-conjugate ones and the whole kx = -nx/2 row.
+    pair whose weights agree at tau and -tau.  The modes that are never
+    paired are the self-conjugate ones and the whole kx = -nx/2 row.
     """
     mirror = (((-np.arange(nx)) % nx)[:, None] * ny
               + ((-np.arange(ny)) % ny)[None, :]).reshape(-1)
     index = np.arange(nx * ny)
-    single = mirror == index
-    single[(nx // 2) * ny:(nx // 2 + 1) * ny] = True
-    first = (index < mirror) & ~single
-    return np.flatnonzero(first), mirror[first], np.flatnonzero(single)
+    first = index < mirror
+    first[(nx // 2) * ny:(nx // 2 + 1) * ny] = False
+    return np.flatnonzero(first), mirror[first]
 
 
-def _hermitian_half(flat: np.ndarray, grid) -> tuple[np.ndarray, np.ndarray,
-                                                     np.ndarray] | None:
-    """(columns, cols, colw) for the Hermitian half of the time samples
-    ``flat`` (n_t, nx*ny), or None unless every conjugate pair is exact.
-
-    The occupied set must equal its mirror, and each occupied pair must hold
-    mirror == conj(first) bit for bit at every time.  Then cols is the
-    occupied first modes followed by the occupied single modes, columns
-    their gathered samples, and colw their Parseval weights: 2 for a first
-    mode, which stands for its mirror too, and 1 for a single mode.
-    """
-    first, mirror, single = _mode_pairs(grid.nx, grid.ny)
-    occupied = np.any(flat, axis=0)
-    paired = occupied[first]
-    if not np.array_equal(paired, occupied[mirror]):
-        return None
-    first = first[paired]
-    mirrored = np.take(flat, mirror[paired], axis=1)
-    cols = np.concatenate((first, single[occupied[single]]))
-    columns = np.take(flat, cols, axis=1)
-    if not np.array_equal(columns[:, :first.size],
-                          np.conjugate(mirrored, out=mirrored)):
-        return None
-    colw = np.ones(cols.size)
-    colw[:first.size] = 2.0
-    return columns, cols, colw
+_PAIR_BLOCK = 2 ** 14  # complex values per gathered block of the pair check
 
 
 def _windowed_power(traj: Trajectory) -> tuple[np.ndarray, np.ndarray,
-                                                np.ndarray | slice,
-                                                np.ndarray | float]:
+                                                np.ndarray, np.ndarray]:
     """(tau, |uhat|^2, cols, colw): the windowed transform's power on the
     flat modes ``cols``, each of which counts colw times in a weighted sum.
 
-    An exactly Hermitian trajectory is transformed on its Hermitian half
-    (``_hermitian_half``); any other takes the occupied modes of
-    ``_windowed_modes``, each with weight 1.  The complex transform is
-    released once its squared modulus is formed.
+    Each occupied mode is transformed once.  An exact pair, an occupied
+    first mode whose mirror equals its conjugate bit for bit at every time,
+    is transformed on the first mode with weight 2; every other occupied
+    mode with weight 1.  cols lists the exact first modes, then the other
+    occupied modes in flat order.  The pairs are compared over blocks of
+    time rows, so the check holds no full-size copy of the mirrors, and the
+    complex transform is released once its squared modulus is formed.
     """
     flat = traj.coeffs.reshape(traj.n_times, -1)
-    half = _hermitian_half(flat, traj.grid)
-    if half is None:
-        tau, uhat, cols = _windowed_modes(flat, traj.dt)
-        colw = 1.0
-    else:
-        tau, uhat = _taper_transform(half[0], traj.dt)
-        cols, colw = half[1:]
-        del half  # the samples, no longer needed once transformed
+    occupied = np.any(flat, axis=0)
+    first, mirror = _mode_pairs(traj.grid.nx, traj.grid.ny)
+    paired = occupied[first]
+    first, mirror = first[paired], mirror[paired]
+    exact = np.ones(first.size, dtype=bool)
+    step = max(1, _PAIR_BLOCK // max(first.size, 1))
+    for t in range(0, traj.n_times, step):
+        rows = flat[t:t + step]
+        mirrored = np.take(rows, mirror, axis=1)
+        exact &= np.all(np.take(rows, first, axis=1)
+                        == np.conjugate(mirrored, out=mirrored), axis=0)
+    first = first[exact]
+    rest = occupied  # the occupied modes outside the exact pairs
+    rest[first] = False
+    rest[mirror[exact]] = False
+    cols = np.concatenate((first, np.flatnonzero(rest)))
+    colw = np.ones(cols.size)
+    colw[:first.size] = 2.0
+    tau, uhat = _taper_transform(np.take(flat, cols, axis=1), traj.dt)
     power = np.abs(uhat)
     power **= 2
     return tau, power, cols, colw
 
 
-def _sobolev_on(traj: Trajectory, s1: float, s2: float, cols: np.ndarray | slice,
-                colw: np.ndarray | float) -> np.ndarray:
+def _sobolev_on(traj: Trajectory, s1: float, s2: float, cols: np.ndarray,
+                colw: np.ndarray) -> np.ndarray:
     """The H^{s1,s2} weight on the modes ``cols``, times their weights ``colw``."""
     return _on_modes(sobolev_weight(traj.grid, s1, s2), traj.grid, cols) * colw
 
@@ -247,8 +210,7 @@ def spacetime_norm(traj: Trajectory, b: float, s1: float, s2: float) -> float:
     return float(np.sqrt(_squared_sum(traj, wt[:, None] * ws[None, :], power)))
 
 
-def _wrapped_sigma(traj: Trajectory, tau: np.ndarray,
-                   cols: np.ndarray | slice) -> np.ndarray:
+def _wrapped_sigma(traj: Trajectory, tau: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """sigma = tau - P(nu) on the modes ``cols``, reduced into the principal
     tau band [-pi/dt, pi/dt)."""
     P = _on_modes(dispersion_values(traj.grid).values, traj.grid, cols)

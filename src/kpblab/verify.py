@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import _on_modes, _windowed_modes, bourgain_norm, sobolev_norm
+from .norms import _on_modes, _taper_transform, bourgain_norm, sobolev_norm
 from .semigroup import _w_multiplier
 from .solver import Trajectory, _dx_product_full
 from .spectral_core import Grid2D, SpectralField, dispersion_values, make_grid
@@ -135,7 +135,7 @@ def free_estimate_ratio(phi: SpectralField, b: float, s1: float, s2: float,
 def _y_norm(samples: np.ndarray, dt: float, xi: float, b: float) -> float:
     """Y^b_xi norm of a windowed time signal: weight (1 + tau^2 + xi^4)^b."""
     n = samples.size
-    tau, ghat, _ = _windowed_modes(samples, dt)
+    tau, ghat = _taper_transform(samples[:, None].copy(), dt)
     w = (1.0 + tau ** 2 + xi ** 4) ** b
     return math.sqrt(float(np.sum(w[:, None] * np.abs(ghat) ** 2)) / (n * dt))
 

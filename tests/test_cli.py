@@ -160,7 +160,11 @@ class TestConfigErrors:
         assert "'params.refien'" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("literal", [
+        "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e999",
+        # past the float range, and past int()'s 4300-digit limit
+        pytest.param("1" + "0" * 400, id="400-digit-int"),
+        pytest.param("1" + "0" * 5000, id="5001-digit-int")])
     def test_nonfinite_literal_rejected(self, tmp_path, capsys, literal):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(solve_cfg()).replace("1e-10", literal),
@@ -168,7 +172,33 @@ class TestConfigErrors:
         out = tmp_path / "out"
         assert main(["solve", "--config", str(path), "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and literal in err
+        assert err.startswith("config error:") and literal[:20] in err
+        assert len(err) < 200  # a long literal is named by its head and length
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("solve", solve_cfg(phi_spec={"type": "gaussian", "amplitude": 1e999,
+                                      "widths": [0.7, 0.7]})),
+        ("solve", solve_cfg(phi_spec={"type": "gaussian", "amplitude": 0.05,
+                                      "widths": [0.7, "1e400"]})),
+        ("illposed", {"command": "illposed", "s": -0.7, "eps0": 1e999, "cells": 64,
+                      "samples": 10000, "N_list": [8, 10, 12, 14]}),
+        ("illposed", {"command": "illposed", "s": -0.7, "eps0": 0.01, "cells": 64,
+                      "samples": 10000, "N_list": [8, 10, 12, 10 ** 400]}),
+        ("illposed", {"command": "illposed", "s": -0.7, "eps0": 0.01, "cells": 64,
+                      "samples": 10000, "N_list": [8, 10, 12, "inf"]}),
+    ], ids=["amplitude", "width-string", "eps0", "N_list-int", "N_list-string"])
+    def test_out_of_range_number_rejected(self, tmp_path, capsys, command, cfg):
+        # json.dumps writes a float past the range as Infinity, so write 1e400
+        text = json.dumps(cfg).replace("Infinity", "1e400")
+        path = tmp_path / "c.json"
+        path.write_text(text, encoding="utf-8")
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "not a finite number" in err
         assert not out.exists()
 
 
@@ -232,6 +262,20 @@ class TestNumericalFailure:
             rc = main(["illposed", "--config", cfg, "--out", str(tmp_path / "out")])
         assert rc == 3
         assert "not finite" in capsys.readouterr().err
+
+
+    def test_overflowing_sobolev_weight_exits_3(self, tmp_path, capsys):
+        # (1+xi^2)^200 passes the float range in the exact norm of phi_N
+        cfg = write_cfg(tmp_path, "c.json", {
+            "command": "illposed", "s": 200.0, "eps0": 0.01,
+            "cells": 64, "samples": 10000, "N_list": [8, 10, 12, 14]})
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main(["illposed", "--config", cfg, "--out", str(out)])
+        assert rc == 3
+        assert "not finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSolve:

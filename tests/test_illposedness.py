@@ -20,7 +20,6 @@ from kpblab.illposedness import (
     IllposedResult,
     _full_columns,
     _k1_bounds,
-    _kernel_parts,
     PhiHat,
     build_phi_N,
     chi_bound_check,
@@ -355,9 +354,9 @@ def direct_window_density(N, s, t, cells):
     for i, x in enumerate(xi_nodes):
         x_mid, wx = _midpoints(x_lo[i], x_hi[i], cells)
         for j in range(0, cells, 4):  # 4 outer eta per call keeps the temporaries small
-            re, im = _kernel_parts(t, x, x_mid[None, :, None],
-                                   eta_nodes[j:j + 4, None, None], y_mid[j:j + 4, None, :])
-            mod2[j:j + 4] = re.sum(axis=(1, 2)) ** 2 + im.sum(axis=(1, 2)) ** 2
+            K = kernel_K(t, x, x_mid[None, :, None],
+                         eta_nodes[j:j + 4, None, None], y_mid[j:j + 4, None, :])
+            mod2[j:j + 4] = K.real.sum(axis=(1, 2)) ** 2 + K.imag.sum(axis=(1, 2)) ** 2
         table[i] = x * x * (1.0 + x * x) ** s * (2.0 * amp2 * wx * wy) ** 2 * mod2
     return table
 

@@ -9,7 +9,7 @@ frozen tolerance.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kpblab.norms as norms_module
@@ -397,10 +397,12 @@ def fft_columns(monkeypatch):
 
 
 class TestHermitianHalf:
-    """An exactly Hermitian trajectory is transformed on one column of each
-    conjugate pair, with Parseval weight 2.  The kx = -nx/2 row is never
-    paired: the mirror of (-nx/2, ky) is (-nx/2, -ky), with the same xi, so
-    P is even there and sigma = tau - P does not mirror."""
+    """An exact conjugate pair, whose mirror equals the conjugate of its
+    first mode bit for bit at every time, is transformed on one column with
+    Parseval weight 2; every other occupied mode on its own column.  The
+    kx = -nx/2 row is never paired: the mirror of (-nx/2, ky) is
+    (-nx/2, -ky), with the same xi, so P is even there and sigma = tau - P
+    does not mirror."""
 
     @staticmethod
     def free_pair(grid, seed):
@@ -408,12 +410,25 @@ class TestHermitianHalf:
         return (free_trajectory(random_field(grid, rng), 4.0, 48),
                 free_trajectory(random_field(grid, rng), 4.0, 48))
 
-    @settings(max_examples=60, deadline=None)
+    @staticmethod
+    def occupied_pairs(coeffs):
+        """(k, -k) index pairs of the occupied conjugate pairs of a batch of
+        spectra (n_t, nx, ny), off the kx = -nx/2 row."""
+        _, nx, ny = coeffs.shape
+        occupied = np.any(coeffs, axis=0)
+        return [((a, c), (-a % nx, -c % ny))
+                for a in range(nx) if a != nx // 2 for c in range(ny)
+                if occupied[a, c] and a * ny + c < (-a % nx) * ny + (-c % ny)]
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(seed=st.integers(0, 2 ** 32 - 1), nx=st.sampled_from([8, 10, 12]),
            ny=st.sampled_from([8, 10, 12]), n_t=st.sampled_from([17, 18, 25, 32]),
            density=st.floats(0.0, 1.0), b=st.sampled_from([0.5, 0.25, -0.45]),
-           s1=st.floats(-0.5, 0.5), s2=st.floats(0.0, 0.5))
-    def test_matches_dense_oracle(self, seed, nx, ny, n_t, density, b, s1, s2):
+           s1=st.floats(-0.5, 0.5), s2=st.floats(0.0, 0.5),
+           breaks=st.lists(st.sampled_from(["ulp", "nan", "zero"]), max_size=3))
+    def test_matches_dense_oracle(self, fft_columns, seed, nx, ny, n_t, density,
+                                  b, s1, s2, breaks):
         grid = make_grid(nx, ny, np.pi, np.pi)
         rng = np.random.default_rng(seed)
         shape = (n_t, nx, ny)
@@ -423,9 +438,35 @@ class TestHermitianHalf:
         keep[:, ny // 2] = True  # the ky Nyquist column
         traj = Trajectory(grid=grid, times=np.linspace(0.0, 2.0, n_t),
                           coeffs=exactly_hermitian(np.where(keep, coeffs, 0.0)))
-        flat = traj.coeffs.reshape(n_t, -1)
-        assert norms_module._hermitian_half(flat, grid) is not None
+        fft_columns.clear()
+        spacetime_norm(traj, b, s1, s2)
+        assert fft_columns == [half_columns(traj)]
         assert_matches_dense(traj, b, s1, s2)
+
+        # break some pairs: each one-ulp change or NaN adds its other mode's
+        # column; a zeroed mode leaves the pair's one occupied column
+        pairs = self.occupied_pairs(traj.coeffs)
+        broken = traj.coeffs.copy()
+        chosen = rng.permutation(len(pairs))[:len(breaks)]
+        for kind, i in zip(breaks, chosen):
+            mode = pairs[i][rng.integers(2)]
+            at = (rng.integers(n_t),) + mode
+            if kind == "ulp":
+                broken[at] = np.nextafter(broken[at].real, np.inf) + 1j * broken[at].imag
+            elif kind == "nan":
+                broken[at] = np.nan
+            else:
+                broken[(slice(None),) + mode] = 0.0
+        added = sum(kind != "zero" for kind, _ in zip(breaks, chosen))
+        off = Trajectory(grid=grid, times=traj.times, coeffs=broken)
+        fft_columns.clear()
+        got = [norm(off, b, s1, s2)
+               for norm in (spacetime_norm, bourgain_norm, equivalence_gap)]
+        assert fft_columns == [half_columns(traj) + added] * 3
+        if np.isnan(broken).any():
+            assert all(np.isnan(got)) and all(np.isnan(dense_norms(off, b, s1, s2)))
+        else:
+            assert_matches_dense(off, b, s1, s2)
 
     def test_solver_free_and_product_take_the_half(self, fft_columns):
         grid = make_grid(32, 32, np.pi, np.pi)
@@ -447,7 +488,8 @@ class TestHermitianHalf:
         assert fft_columns == [528, 136, 136]
 
     @pytest.mark.parametrize("kind", ["ulp", "nan"])
-    def test_inexact_mirror_takes_full_path(self, fft_columns, kind):
+    def test_inexact_pair_adds_one_column(self, fft_columns, kind):
+        # only the broken pair leaves the half: its mirror gets its own column
         traj = self.free_pair(make_grid(32, 32, np.pi, np.pi), 13)[0]
         coeffs = traj.coeffs.copy()
         mode = (20,) + idx(traj.grid, 3, -2)
@@ -456,11 +498,10 @@ class TestHermitianHalf:
         else:
             coeffs[mode] = np.nan
         off = Trajectory(grid=traj.grid, times=traj.times, coeffs=coeffs)
-        occupied = np.count_nonzero(np.any(coeffs, axis=0))
         for norm in (spacetime_norm, bourgain_norm, equivalence_gap):
             fft_columns.clear()
             value = norm(off, 0.5, -0.3, 0.2)
-            assert fft_columns == [occupied]
+            assert fft_columns == [half_columns(traj) + 1]
             assert np.isnan(value) == (kind == "nan")
         if kind == "ulp":
             assert_matches_dense(off, 0.5, -0.3, 0.2)
