@@ -289,8 +289,9 @@ def _run_solve(cfg: dict):
         if not report.converged:
             raise NumericalFailure(
                 f"Picard iteration did not reach tol={tol} within "
-                f"{max_iter} iterations (stopped after {report.iterations}, "
-                f"last residual {report.residual_history[-1]:.3e})")
+                f"{max_iter} iterations (stopped after {report.iterations}: "
+                f"{report.stop_reason}, last residual "
+                f"{report.residual_history[-1]:.3e})")
     elif save_states:
         traj = solve_etd(phi, T, M)
     if traj is None:

@@ -15,21 +15,30 @@ time differencing scheme (exact on the linear part) and serves as an
 independent discretisation for cross-validation.  ``etd_l2_history`` runs
 the same steps and keeps only each state's L^2 norm.
 
-Which paths keep a trajectory: ``solve_picard`` holds three half-spectrum
-trajectories while it iterates (the W(t_k) phi table and two iterates), and
-then expands the last iterate to the full layout; ``solve_etd`` fills one
-full (M+1, nx, ny) trajectory; ``etd_l2_history`` holds one state at a time
-and no trajectory.  The two trajectory-keeping solvers estimate those bytes
-before allocating anything and raise ``ValueError`` when they exceed the
-machine's physical memory.
-
 Every field evolved here is real, so its spectrum is Hermitian and half of
-it determines the rest.  Both solvers work on the ``rfft2`` half spectrum,
-shape (nx, ny//2 + 1): the columns ky = 0 .. ny/2 of the full (nx, ny)
-array, with ``rfft2``/``irfft2`` as the transforms.  ``_full`` expands a
-half spectrum by conjugate mirroring at the ``Trajectory`` boundary only:
-``Trajectory``, ``picard_step``, ``nonlinearity`` and ``l2_history`` take and
-return full spectra, and the solvers' trajectories are exactly Hermitian.
+it determines the rest: the ``rfft2`` half spectrum, the columns
+ky = 0 .. ny/2 of the full (nx, ny) array.  Every solver state is also
+masked to the dealias band, so the solvers keep less still.  The solver
+band is the half spectrum's rows |kx| <= f nx/2, in FFT order, and its
+leading columns ky = 0 .. f ny/2, for the grid's dealias fraction f.  At
+256^2 and f = 2/3 that is 171 x 86 of the 256 x 129 half-spectrum
+entries.  ``_dx_product`` transforms a band without its zero columns (see
+there), bit for bit as ``irfft2``/``rfft2`` of its half spectrum.
+``_full`` expands a band by conjugate mirroring at the ``Trajectory``
+boundary only, and writes +0.0 off it.  ``Trajectory``, ``picard_step``,
+``nonlinearity`` and ``l2_history`` take and return full spectra.
+``picard_step`` and the band-grid product behind ``nonlinearity`` take
+fields that need not be band-limited, so they pass a whole half spectrum
+as their band.  The solvers' trajectories are exactly Hermitian.
+
+What each solver keeps: ``solve_picard`` holds three band trajectories
+while it iterates (the W(t_k) phi table and two iterates), and then
+expands the last iterate, one state at a time, into the full output;
+``solve_etd`` fills one full (M+1, nx, ny) trajectory; ``etd_l2_history``
+holds one band state at a time and no trajectory.  The two
+trajectory-keeping solvers estimate those bytes before allocating
+anything and raise ``ValueError`` when they exceed the machine's physical
+memory.
 """
 
 from __future__ import annotations
@@ -98,79 +107,120 @@ class Trajectory:
 
 @dataclass
 class PicardReport:
-    """Convergence record for one Picard solve."""
+    """Convergence record for one Picard solve.
+
+    ``stop_reason`` says why the iteration ended: ``converged`` (the
+    residual reached tol), ``max_iter`` (the iteration budget ran out),
+    ``non_finite`` or ``residual_grew`` (the last residual is not finite,
+    or larger than the one before it).
+    """
 
     iterations: int
     residual_history: list[float] = field(default_factory=list)
-    converged: bool = False
+    stop_reason: str = "max_iter"
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason == "converged"
 
 
-def _half(coeffs: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """The half-spectrum columns ky = 0 .. ny/2 of full coefficients (a view)."""
-    return coeffs[..., :grid.ny // 2 + 1]
+def _band(grid: Grid2D) -> tuple[np.ndarray, int]:
+    """(rows, cols) of the solver band: the half-spectrum rows the dealias
+    mask keeps, in increasing order (row 0, kx = 0, first), and the number
+    of leading columns ky = 0 .. cols-1 it keeps."""
+    half = grid.dealias_mask[:, :grid.ny // 2 + 1]
+    return np.flatnonzero(half[:, 0]), int(np.count_nonzero(half[0]))
 
 
-def _full(half: np.ndarray, ny: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Expand half spectra (..., nx, ny//2 + 1) to full (..., nx, ny) spectra.
+def _whole(grid: Grid2D) -> tuple[np.ndarray, int]:
+    """(rows, cols) of the whole ``rfft2`` half spectrum, as a band."""
+    return np.arange(grid.nx), grid.ny // 2 + 1
 
-    Column ky = -j is the conjugate of column j read at -kx.  The ky = 0 and
-    Nyquist columns are their own mirrors: their kx < 0 rows are rebuilt
-    from the kx > 0 rows and their self-conjugate modes kx = 0, -nx/2 keep
-    only the real part, so the result is exactly Hermitian.
+
+def _full(band: np.ndarray, rows: np.ndarray, shape: tuple[int, int],
+          out: np.ndarray | None = None) -> np.ndarray:
+    """Expand band spectra (..., len(rows), C) to full spectra (..., nx, ny).
+
+    ``band`` holds the half-spectrum rows ``rows`` in the columns
+    ky = 0 .. C-1.  Column ky = -j is the conjugate of column j read at
+    -kx.  The ky = 0 and Nyquist columns are their own mirrors:
+    their kx < 0 rows are rebuilt from the kx > 0 rows and their
+    self-conjugate modes kx = 0, -nx/2 keep only the real part, so the
+    result is exactly Hermitian.  Every entry off the band and its mirror
+    is +0.0; ``out``, if given, must already be, as it is after an earlier
+    expansion of the same band.
     """
-    h = half.shape[-1]
-    m = half.shape[-2] // 2
+    nx, ny = shape
+    h, cols = ny // 2 + 1, band.shape[-1]
     if out is None:
-        out = np.empty(half.shape[:-1] + (ny,), dtype=complex)
-    out[..., :h] = half
-    np.conjugate(half[..., :1, h - 2:0:-1], out=out[..., :1, h:])
-    np.conjugate(half[..., :0:-1, h - 2:0:-1], out=out[..., 1:, h:])
-    edges = out[..., ::h - 1]  # the ky = 0 and Nyquist columns (views)
-    np.conjugate(edges[..., m - 1:0:-1, :], out=edges[..., m + 1:, :])
-    edges[..., ::m, :].imag = 0.0
+        out = np.zeros(band.shape[:-2] + shape, dtype=complex)
+    out[..., rows, :cols] = band
+    inner = min(cols, h - 1)  # columns 1 .. inner-1 are mirrored as a whole
+    out[..., -rows % nx, ny - inner + 1:] = np.conjugate(band[..., inner - 1:0:-1])
+    edges = out[..., ::h - 1] if cols == h else out[..., :1]  # views
+    pos = rows[(rows > 0) & (rows < nx // 2)]
+    edges[..., -pos % nx, :] = np.conjugate(edges[..., pos, :])
+    edges.imag[..., rows[rows % (nx // 2) == 0], :] = 0.0
     return out
 
 
-def _prepared_data(phi: SpectralField) -> np.ndarray:
-    """Half spectrum of the dealiased, KP-projected initial data.
+def _prepared_data(phi: SpectralField, rows: np.ndarray, cols: int) -> np.ndarray:
+    """Band of the dealiased, KP-projected initial data.
 
     Band-limiting the data to the dealias mask makes the semi-discrete energy
     identity <d/dx(u^2), u> = 0 exact, which is what keeps the discrete L^2
     history nonincreasing.
     """
     grid = phi.grid
-    c = np.where(_half(grid.dealias_mask, grid), _half(phi.coeffs, grid), 0.0)
-    c[0, :] = 0.0
+    c = np.where(grid.dealias_mask[rows, :cols], phi.coeffs[rows, :cols], 0.0)
+    c[0] = 0.0
     return c
 
 
-def _dx_table(grid: Grid2D) -> np.ndarray:
-    """Half-grid multiplier i xi, zero off the dealias mask and on xi = 0."""
-    table = np.where(_half(grid.dealias_mask, grid), 1j * grid.xi[:, None], 0.0)
-    table[0, :] = 0.0
+def _dx_table(grid: Grid2D, rows: np.ndarray, cols: int) -> np.ndarray:
+    """Multiplier i xi on a band, zero off the dealias mask and on xi = 0."""
+    table = np.where(grid.dealias_mask[rows, :cols], 1j * grid.xi[rows, None], 0.0)
+    table[0] = 0.0
     return table
 
 
 def _dx_product(a: np.ndarray, b: np.ndarray, shape: tuple[int, int],
-                table: np.ndarray) -> np.ndarray:
-    """Half spectrum of d/dx(u v), dealiased and KP-projected, from the half
-    spectra ``a`` of u and ``b`` of v on a grid of ``shape`` points; leading
-    axes are a batch.  Passing the same array twice squares with one
-    inverse transform.
+                rows: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Band of d/dx(u v), dealiased and KP-projected, from the bands ``a``
+    of u and ``b`` of v on a grid of ``shape`` points; leading axes are a
+    batch.  A band holds the half-spectrum rows ``rows`` in the leading
+    columns that ``table``, its ``_dx_table``, covers.  Passing the same
+    array twice squares with one inverse transform.
 
-    The grid's sign table is left out on both sides: it only shifts the
-    samples by half a period, which commutes with the pointwise product.
+    Only the band's columns are transformed along x.  The inverse scatters
+    a band into zeroed full columns, runs ``ifft`` along x and then
+    ``irfft`` along y; the forward runs ``rfft`` along y, ``fft`` along x
+    on the band's columns, and gathers the band's rows.  Every line gets
+    the arithmetic ``irfft2``/``rfft2`` give it, so the band equals
+    theirs bit for bit.  The grid's sign table is left out on both sides:
+    it only shifts the samples by half a period, which commutes with the
+    pointwise product.
     """
-    u = np.fft.irfft2(a, s=shape)
-    v = u if b is a else np.fft.irfft2(b, s=shape)
-    w = np.fft.rfft2(u * v)
+    nx, ny = shape
+    cols = table.shape[-1]
+
+    def inverse(c: np.ndarray) -> np.ndarray:
+        columns = np.zeros(c.shape[:-2] + (nx, cols), dtype=complex)
+        columns[..., rows, :] = c
+        return np.fft.irfft(np.fft.ifft(columns, axis=-2), n=ny, axis=-1)
+
+    u = inverse(a)
+    v = u if b is a else inverse(b)
+    w = np.fft.fft(np.fft.rfft(u * v, axis=-1)[..., :cols], axis=-2)
+    w = w[..., rows, :]
     w *= table
     return w
 
 
-def _nonlin(half: np.ndarray, grid: Grid2D, table: np.ndarray) -> np.ndarray:
-    """Half spectrum of d/dx(u^2), dealiased and KP-projected."""
-    return _dx_product(half, half, (grid.nx, grid.ny), table)
+def _nonlin(band: np.ndarray, grid: Grid2D, rows: np.ndarray,
+            table: np.ndarray) -> np.ndarray:
+    """Band of d/dx(u^2), dealiased and KP-projected."""
+    return _dx_product(band, band, (grid.nx, grid.ny), rows, table)
 
 
 def _band_grid(a: np.ndarray, b: np.ndarray,
@@ -201,27 +251,27 @@ def _dx_product_full(a: np.ndarray, b: np.ndarray, grid: Grid2D) -> np.ndarray:
     band grid's Nyquist row and column dropped and the transform scale
     (mx*my)/(nx*ny) restored, and scattered back.  The product is then
     exact up to rounding and zero outside its band.  A band too wide for
-    the grid takes the full grid.
+    the grid takes the whole grid.  Either way the grid passes its whole
+    half spectrum to ``_dx_product`` as the band.
     """
     band = _band_grid(a, b, grid)
     if band is None:
         return np.zeros(a.shape, dtype=complex)
     mx, my = band
-    if mx > grid.nx or my > grid.ny:
-        ha = _half(a, grid)
-        hb = ha if b is a else _half(b, grid)
-        return _full(_dx_product(ha, hb, (grid.nx, grid.ny), _dx_table(grid)), grid.ny)
-    rows = (np.fft.fftfreq(mx, d=1.0 / mx).astype(np.int64) % grid.nx)[:, None]
-    cols = np.arange(my // 2 + 1)
-    table = _dx_table(grid)[rows, cols] * (mx * my / (grid.nx * grid.ny))
-    table[mx // 2] = 0.0
-    table[:, my // 2] = 0.0
-    ha = a[..., rows, cols]
-    hb = ha if b is a else b[..., rows, cols]
-    w = _dx_product(ha, hb, (mx, my), table)
-    half = np.zeros(w.shape[:-2] + (grid.nx, grid.ny // 2 + 1), dtype=complex)
-    half[..., rows, cols] = w
-    return _full(half, grid.ny)
+    wide = mx > grid.nx or my > grid.ny
+    if wide:
+        mx, my = grid.nx, grid.ny
+    rows = np.fft.fftfreq(mx, d=1.0 / mx).astype(np.int64) % grid.nx
+    cols = my // 2 + 1
+    table = _dx_table(grid, rows, cols)
+    if not wide:
+        table *= mx * my / (grid.nx * grid.ny)
+        table[mx // 2] = 0.0
+        table[:, my // 2] = 0.0
+    ha = a[..., rows, :cols]
+    hb = ha if b is a else b[..., rows, :cols]
+    w = _dx_product(ha, hb, (mx, my), np.arange(mx), table)
+    return _full(w, rows, (grid.nx, grid.ny))
 
 
 def nonlinearity(f: SpectralField) -> SpectralField:
@@ -229,32 +279,33 @@ def nonlinearity(f: SpectralField) -> SpectralField:
     return SpectralField(grid=f.grid, coeffs=_dx_product_full(f.coeffs, f.coeffs, f.grid))
 
 
-def _picard_tables(phi: SpectralField,
-                   times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The per-solve invariants of a Picard update, on the half grid:
-    W(t_k) phi for every k, the one-step factor W(dt), and ``_dx_table``."""
+def _picard_tables(phi: SpectralField, times: np.ndarray, rows: np.ndarray,
+                   cols: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The per-solve invariants of a Picard update, on a band: W(t_k) phi
+    for every k, the one-step factor W(dt), and ``_dx_table``."""
     grid = phi.grid
-    P = _half(dispersion_values(grid).values, grid)
-    phi_c = _prepared_data(phi)
+    P = dispersion_values(grid).values[rows, :cols]
+    xi = grid.xi[rows, None]
+    phi_c = _prepared_data(phi, rows, cols)
     w_phi = np.empty((times.size,) + phi_c.shape, dtype=complex)
     w_phi[0] = phi_c
     for k in range(1, times.size):
-        np.multiply(_w_multiplier(P, grid.xi[:, None], times[k]), phi_c, out=w_phi[k])
-    w_dt = _w_multiplier(P, grid.xi[:, None], float(times[1] - times[0]))
-    return w_phi, w_dt, _dx_table(grid)
+        np.multiply(_w_multiplier(P, xi, times[k]), phi_c, out=w_phi[k])
+    w_dt = _w_multiplier(P, xi, float(times[1] - times[0]))
+    return w_phi, w_dt, _dx_table(grid, rows, cols)
 
 
 def _picard_update(prev: np.ndarray, out: np.ndarray, grid: Grid2D, dt: float,
-                   w_phi: np.ndarray, w_dt: np.ndarray, table: np.ndarray,
-                   g_0: np.ndarray) -> None:
-    """Write into ``out`` the Picard update of the half-spectrum iterate
-    ``prev``, given g_0 = d/dx(prev[0]^2), which is left unchanged."""
+                   w_phi: np.ndarray, w_dt: np.ndarray, rows: np.ndarray,
+                   table: np.ndarray, g_0: np.ndarray) -> None:
+    """Write into ``out`` the Picard update of the iterate ``prev`` on the
+    band ``rows``, given g_0 = d/dx(prev[0]^2), which is left unchanged."""
     out[0] = w_phi[0]
     g_prev = g_0
     acc = np.zeros_like(w_phi[0])
     tmp = np.empty_like(acc)
     for k in range(1, len(prev)):
-        g_k = _nonlin(prev[k], grid, table)
+        g_k = _nonlin(prev[k], grid, rows, table)
         # acc = W(dt) acc + (dt/2) (W(dt) g_{k-1} + g_k), in place
         acc *= w_dt
         np.multiply(g_prev, w_dt, out=tmp)
@@ -276,12 +327,14 @@ def picard_step(prev: Trajectory, phi: SpectralField) -> Trajectory:
     only ever applying the one-step propagator.
     """
     grid = prev.grid
-    w_phi, w_dt, table = _picard_tables(phi, prev.times)
-    half = _half(prev.coeffs, grid)
+    rows, cols = _whole(grid)  # prev need not be band-limited
+    w_phi, w_dt, table = _picard_tables(phi, prev.times, rows, cols)
+    half = prev.coeffs[..., :cols]
     out = np.empty_like(w_phi)
-    _picard_update(half, out, grid, prev.dt, w_phi, w_dt, table,
-                   _nonlin(half[0], grid, table))
-    return Trajectory(grid=grid, times=prev.times, coeffs=_full(out, grid.ny))
+    _picard_update(half, out, grid, prev.dt, w_phi, w_dt, rows, table,
+                   _nonlin(half[0], grid, rows, table))
+    return Trajectory(grid=grid, times=prev.times,
+                      coeffs=_full(out, rows, (grid.nx, grid.ny)))
 
 
 def _half_energy(half: np.ndarray) -> np.ndarray:
@@ -292,6 +345,25 @@ def _half_energy(half: np.ndarray) -> np.ndarray:
     weights[:2] = weights[-2:] = 1.0
     v = half.view(np.float64)
     return np.einsum("kij,kij,j->k", v, v, weights)
+
+
+def _band_energy(states: np.ndarray, rows: np.ndarray, grid: Grid2D) -> np.ndarray:
+    """``_half_energy`` of the half spectra behind band states
+    (K, len(rows), C), bit for bit as of all K in one batch.
+
+    The states go two at a time into a two-row half-spectrum batch that is
+    zero off the band: einsum sums any batch of two or more rows in the
+    same per-row order (see ``etd_l2_history``).  After an odd count the
+    second row holds a stale state whose energy is dropped.
+    """
+    half = np.zeros((2, grid.nx, grid.ny // 2 + 1), dtype=complex)
+    cols = states.shape[-1]
+    energy = np.empty(len(states))
+    for k in range(0, len(states), 2):
+        pair = states[k:k + 2]
+        half[:len(pair), rows, :cols] = pair
+        energy[k:k + 2] = _half_energy(half)[:len(pair)]
+    return energy
 
 
 def _l2_rows(coeffs: np.ndarray, cell_measure: float) -> np.ndarray:
@@ -322,12 +394,14 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_fits(solver: str, grid: Grid2D, M: int, half_tables: int,
+def _check_fits(solver: str, grid: Grid2D, M: int, band_tables: int,
                 full_tables: int) -> None:
-    """Raise ``ValueError`` if the trajectories a solve keeps, ``half_tables``
-    half-spectrum and ``full_tables`` full (M+1, nx, ny) complex arrays,
-    exceed physical memory.  Called before anything is allocated."""
-    per_state = grid.nx * (half_tables * (grid.ny // 2 + 1) + full_tables * grid.ny) * 16
+    """Raise ``ValueError`` if the trajectories a solve keeps, ``band_tables``
+    (M+1, rows, cols) arrays on the solver band and ``full_tables`` full
+    (M+1, nx, ny) complex arrays, exceed physical memory.  Called before
+    anything is allocated."""
+    rows, cols = _band(grid)
+    per_state = (band_tables * rows.size * cols + full_tables * grid.nx * grid.ny) * 16
     needed = (M + 1) * per_state
     memory = _physical_memory()
     if memory is not None and needed > memory:
@@ -342,44 +416,55 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
     """Iterate ``picard_step`` from the zero trajectory until the sup-in-time
     L^2 difference of successive iterates drops below ``tol``.
 
-    The iterates stay on the half grid and only the last one is expanded,
-    after the W(t_k) phi table and the other iterate are released.
-    Non-convergence within ``max_iter`` is reported, not raised; a
-    non-finite residual ends the iteration at once, unconverged.
+    The iterates stay on the solver band and only the last one is
+    expanded, after the W(t_k) phi table and the other iterate are
+    released.  Non-convergence is reported, not raised: the iteration also
+    ends, unconverged, at the first residual that is not finite or that is
+    larger than the one before it (``PicardReport.stop_reason``).
     """
     grid = phi.grid
-    _check_fits("solve_picard", grid, M, half_tables=3, full_tables=1)
+    _check_fits("solve_picard", grid, M, band_tables=3, full_tables=1)
     times = _time_grid(T, M)
     if not tol > 0:  # written so that NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     dt = float(times[1] - times[0])
-    w_phi, w_dt, table = _picard_tables(phi, times)
-    # Row 0 of every iterate is the datum, so every update shares
-    # g_0 = d/dx(phi^2).
-    g_0 = _nonlin(w_phi[0], grid, table)
+    rows, cols = _band(grid)
+    w_phi, w_dt, table = _picard_tables(phi, times, rows, cols)
     prev = np.zeros_like(w_phi)
     nxt = np.empty_like(w_phi)
     report = PicardReport(iterations=0)
+    history = report.residual_history
     with np.errstate(over="ignore", invalid="ignore"):
+        # Row 0 of every iterate is the datum, so every update shares
+        # g_0 = d/dx(phi^2).
+        g_0 = _nonlin(w_phi[0], grid, rows, table)
         for _ in range(max_iter):
             if report.iterations == 0:
                 nxt[...] = w_phi  # d/dx(0^2) = 0: the update of the zero start
             else:
-                _picard_update(prev, nxt, grid, dt, w_phi, w_dt, table, g_0)
+                _picard_update(prev, nxt, grid, dt, w_phi, w_dt, rows, table, g_0)
             prev -= nxt  # prev is free now: it holds the difference
-            res = float(np.sqrt(np.max(_half_energy(prev) * grid.cell_measure)))
+            energy = _band_energy(prev, rows, grid)
+            res = float(np.sqrt(np.max(energy * grid.cell_measure)))
             prev, nxt = nxt, prev
             report.iterations += 1
-            report.residual_history.append(res)
-            if res <= tol:
-                report.converged = True
-                break
+            history.append(res)
             if not math.isfinite(res):
-                break
+                report.stop_reason = "non_finite"
+            elif res <= tol:
+                report.stop_reason = "converged"
+            elif len(history) > 1 and res > history[-2]:
+                report.stop_reason = "residual_grew"
+            else:
+                continue
+            break
     del w_phi, nxt
-    return Trajectory(grid=grid, times=times, coeffs=_full(prev, grid.ny)), report
+    out = np.zeros((times.size, grid.nx, grid.ny), dtype=complex)
+    for k in range(times.size):
+        _full(prev[k], rows, (grid.nx, grid.ny), out=out[k])
+    return Trajectory(grid=grid, times=times, coeffs=out), report
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -404,31 +489,35 @@ def _phi2(z: np.ndarray) -> np.ndarray:
 
 def _etd_states(phi: SpectralField, T: float, M: int,
                 include_nonlinearity: bool):
-    """Yield (k, half spectrum of u_k) for k = 0 .. M, the ETD2RK states of
-    ``solve_etd``; stop after the first state that is not finite.
+    """Yield (k, u_k on the solver band) for k = 0 .. M, the ETD2RK states
+    of ``solve_etd``; stop after the first state that is not finite.
 
     The yielded array is the stepper's own state and must not be modified.
     """
     grid = phi.grid
     dt = float(_time_grid(T, M)[1])
-    P = _half(dispersion_values(grid).values, grid)
-    L = 1j * P - (grid.xi ** 2)[:, None]
-    E = _w_multiplier(P, grid.xi[:, None], dt)
+    rows, cols = _band(grid)
+    P = dispersion_values(grid).values[rows, :cols]
+    xi = grid.xi[rows, None]
+    L = 1j * P - xi ** 2
+    E = _w_multiplier(P, xi, dt)
     f1 = dt * _phi1(dt * L)
     f2 = dt * _phi2(dt * L)
-    table = _dx_table(grid)
+    table = _dx_table(grid, rows, cols)
 
     def rhs(c: np.ndarray) -> np.ndarray:
-        return -0.5 * _nonlin(c, grid, table)
+        return -0.5 * _nonlin(c, grid, rows, table)
 
-    u = _prepared_data(phi)
+    u = _prepared_data(phi, rows, cols)
     yield 0, u
     for k in range(1, M + 1):
         with np.errstate(over="ignore", invalid="ignore"):
             if include_nonlinearity:
                 n0 = rhs(u)
                 a = E * u + f1 * n0
-                u = a + f2 * (rhs(a) - n0)
+                # numpy's complex product is not commutative in the last
+                # bit, so this operand order is part of the result
+                u = a + (rhs(a) - n0) * f2
             else:
                 u = E * u
         yield k, u
@@ -450,11 +539,12 @@ def solve_etd(phi: SpectralField, T: float, M: int,
     stops at the first non-finite state; the rows after it are NaN.
     """
     grid = phi.grid
-    _check_fits("solve_etd", grid, M, half_tables=0, full_tables=1)
+    _check_fits("solve_etd", grid, M, band_tables=0, full_tables=1)
     times = _time_grid(T, M)
-    out = np.empty((M + 1, grid.nx, grid.ny), dtype=complex)
+    rows, _ = _band(grid)
+    out = np.zeros((M + 1, grid.nx, grid.ny), dtype=complex)
     for k, u in _etd_states(phi, T, M, include_nonlinearity):
-        _full(u, grid.ny, out=out[k])
+        _full(u, rows, (grid.nx, grid.ny), out=out[k])
     out[k + 1:] = np.nan
     return Trajectory(grid=grid, times=times, coeffs=out)
 
@@ -472,9 +562,10 @@ def etd_l2_history(phi: SpectralField, T: float,
     """
     grid = phi.grid
     times = _time_grid(T, M)
+    rows, _ = _band(grid)
     l2 = np.full(M + 1, np.nan)
     buf = np.zeros((2, grid.nx, grid.ny), dtype=complex)
     for k, u in _etd_states(phi, T, M, True):
-        _full(u, grid.ny, out=buf[0])
+        _full(u, rows, (grid.nx, grid.ny), out=buf[0])
         l2[k] = _l2_rows(buf, grid.cell_measure)[0]
     return times, l2

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import _on_modes, _taper_transform, bourgain_norm, sobolev_norm
+from .norms import _mode_pairs, _on_modes, _taper_transform, bourgain_norm, sobolev_norm
 from .semigroup import _w_multiplier
 from .solver import Trajectory, _dx_product_full
 from .spectral_core import Grid2D, SpectralField, dispersion_values, make_grid
@@ -105,18 +105,26 @@ def free_trajectory(phi: SpectralField, T: float, M: int,
     """psi(t - T/2) W(t - T/2) phi sampled on [0, T] (cutoff optional).
 
     W acts mode by mode, so only the modes where phi is nonzero are
-    evaluated, all times at once; every other mode stays exactly zero.
+    evaluated, all times at once; every other mode stays exactly zero.  P
+    is odd and xi^2 even, so where phi at -k is the conjugate of phi at k
+    bit for bit, the mode -k is written as the conjugate of mode k.
     """
     grid = phi.grid
     times = np.linspace(0.0, T, M + 1)
     shifted = (times - 0.5 * T)[:, None]
     amp = psi_cutoff(shifted) if cutoff else 1.0
     coeffs = phi.coeffs.reshape(-1)
-    cols = np.flatnonzero(coeffs)
+    first, mirror = _mode_pairs(grid.nx, grid.ny)
+    exact = (coeffs[first] != 0) & (coeffs[mirror] == np.conjugate(coeffs[first]))
+    first, mirror = first[exact], mirror[exact]
+    occupied = coeffs != 0
+    occupied[mirror] = False
+    cols = np.flatnonzero(occupied)
     P = _on_modes(dispersion_values(grid).values, grid, cols)
     xi = _on_modes(grid.xi[:, None], grid, cols)
     out = np.zeros((M + 1, grid.nx * grid.ny), dtype=complex)
     out[:, cols] = amp * _w_multiplier(P, xi, shifted) * coeffs[cols]
+    out[:, mirror] = np.conjugate(out[:, first])
     return Trajectory(grid=grid, times=times, coeffs=out.reshape(M + 1, grid.nx, grid.ny))
 
 

@@ -213,6 +213,18 @@ class TestNumericalFailure:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("amplitude, T, reason", [(5.0, 1.0, "max_iter"),
+                                                      (500.0, 10.0, "residual_grew"),
+                                                      (1e150, 0.1, "non_finite")])
+    def test_nonconvergent_picard_names_the_stop_reason(self, tmp_path, capsys,
+                                                        amplitude, T, reason):
+        cfg = write_cfg(tmp_path, "c.json", solve_cfg(
+            phi_spec={"type": "gaussian", "amplitude": amplitude, "widths": [0.7, 0.7]},
+            T=T, M=16, tol=1e-14, max_iter=2))
+        rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert f"stopped after 2: {reason}," in capsys.readouterr().err
+
     def test_etd_blowup_exits_3_and_writes_nothing(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", solve_cfg(
             phi_spec={"type": "gaussian", "amplitude": 500.0, "widths": [0.7, 0.7]},

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kpblab.semigroup import apply_U, apply_W, free_table, semigroup_table
-from kpblab.solver import _dx_table, _nonlin
+from kpblab.solver import _dx_table, _nonlin, _whole
 from kpblab.spectral_core import (
     forward_transform,
     l2_norm,
@@ -39,7 +39,8 @@ def random_field(nx, ny, Lx, Ly, seed, amplitude=1.0):
 def test_nonlin_keeps_hermitian_symmetry(nx, ny, Lx, Ly, seed, amplitude):
     f = random_field(nx, ny, Lx, Ly, seed, amplitude)
     grid = f.grid
-    w = _nonlin(f.coeffs[:, :ny // 2 + 1], grid, _dx_table(grid))
+    rows, cols = _whole(grid)
+    w = _nonlin(f.coeffs[:, :cols], grid, rows, _dx_table(grid, rows, cols))
     mirror = np.roll(w[::-1], 1, axis=0)  # row kx holds row -kx
     scale = float(np.max(np.abs(w))) or 1.0
     for col in (0, ny // 2):

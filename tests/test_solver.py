@@ -20,7 +20,9 @@ from kpblab.solver import (
     _dx_product_full,
     _dx_table,
     _full,
+    _band,
     _nonlin,
+    _whole,
     etd_l2_history,
     l2_history,
     nonlinearity,
@@ -130,12 +132,32 @@ class TestPicardStep:
                           coeffs=np.zeros((17, 32, 32), complex))
         assert np.all(picard_step(prev, phi).coeffs == 0)
 
+    def test_previous_iterate_off_the_band_matches_full_formula(self, grid):
+        # prev occupies every mode, so the whole half spectrum enters d/dx(u^2)
+        from kpblab.spectral_core import dealias
+        phi = gaussian_datum(grid, amplitude=0.5)
+        times = np.linspace(0.0, 0.5, 9)
+        dt = times[1]
+        prev = Trajectory(grid=grid, times=times, coeffs=np.array(
+            [0.1 * random_real_field(grid, 20 + k).coeffs for k in range(9)]))
+        g = [old_full_fft_nonlin(c, grid) for c in prev.coeffs]
+        w_dt = semigroup_table(grid, dt).factors
+        prepared = dealias(project_zero_x_mean(phi)).coeffs
+        acc = np.zeros_like(prepared)
+        expect = []
+        for k, t in enumerate(times):
+            if k:
+                acc = w_dt * acc + 0.5 * dt * (w_dt * g[k - 1] + g[k])
+            expect.append(semigroup_table(grid, t).factors * prepared - 0.5 * acc)
+        got = picard_step(prev, phi).coeffs
+        assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
+
 
 class TestSolvePicard:
     def test_zero_datum_converges_immediately(self, grid):
         phi = SpectralField(grid=grid, coeffs=np.zeros((32, 32), complex))
         traj, report = solve_picard(phi, 0.5, 16)
-        assert report.converged
+        assert report.converged and report.stop_reason == "converged"
         assert np.all(traj.coeffs == 0)
 
     def test_report_residuals_strictly_decreasing(self, grid):
@@ -186,6 +208,7 @@ class TestSolvePicard:
         phi = gaussian_datum(grid, amplitude=1.0)
         _, report = solve_picard(phi, 0.5, 16, tol=1e-15, max_iter=2)
         assert not report.converged
+        assert report.stop_reason == "max_iter"
         assert report.iterations == 2
 
     @pytest.mark.parametrize("kwargs", [
@@ -280,15 +303,15 @@ class TestHalfSpectrumLayout:
         # non-square so a swapped axis shows; fraction 1 keeps both Nyquist lines
         grid = make_grid(32, 24, np.pi, 2.0, dealias_fraction=fraction)
         f = random_real_field(grid, 5)
-        h = grid.ny // 2 + 1
-        got = _nonlin(f.coeffs[:, :h], grid, _dx_table(grid))
+        rows, h = _whole(grid)
+        got = _nonlin(f.coeffs[:, :h], grid, rows, _dx_table(grid, rows, h))
         expect = old_full_fft_nonlin(f.coeffs, grid)[:, :h]
         assert got.shape == (grid.nx, h)
         assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_full_rebuilds_fft2_of_real_field(self):
         u = np.random.default_rng(3).standard_normal((2, 16, 12))
-        full = _full(np.fft.rfft2(u), 12)
+        full = _full(np.fft.rfft2(u), np.arange(16), (16, 12))
         expect = np.fft.fft2(u)
         assert np.max(np.abs(full - expect)) <= 1e-13 * np.max(np.abs(expect))
 
@@ -296,7 +319,7 @@ class TestHalfSpectrumLayout:
         grid = make_grid(16, 12, np.pi, np.pi)
         rng = np.random.default_rng(4)
         half = rng.standard_normal((16, 7)) + 1j * rng.standard_normal((16, 7))
-        full = _full(half, grid.ny)
+        full = _full(half, np.arange(16), (16, 12))
         assert hermitian_defect(SpectralField(grid=grid, coeffs=full)) == 0.0
         assert np.array_equal(full[:, 1:6], half[:, 1:6])
         assert np.array_equal(full[:9, [0, 6]].real, half[:9, [0, 6]].real)
@@ -334,6 +357,42 @@ class TestHalfSpectrumLayout:
         assert np.max(np.abs(l2_history(traj) / expect - 1.0)) <= 1e-13
 
 
+class TestBandLayout:
+    """The solvers keep and transform the dealias band only: the half
+    spectrum's rows |kx| <= f nx/2 and its leading columns ky <= f ny/2."""
+
+    # fraction 1 keeps both Nyquist lines in the band
+    @pytest.mark.parametrize("shape, fraction, size", [((32, 24), 2.0 / 3.0, (21, 9)),
+                                                       ((32, 24), 1.0, (32, 13)),
+                                                       ((256, 256), 2.0 / 3.0, (171, 86))])
+    def test_dx_product_equals_rfft2_product_bitwise(self, shape, fraction, size):
+        grid = make_grid(*shape, np.pi, 2.0, dealias_fraction=fraction)
+        rows, cols = _band(grid)
+        assert (rows.size, cols) == size
+        rng = np.random.default_rng(9)
+        a, b = (rng.standard_normal((2, 2, rows.size, cols))  # batches of two
+                + 1j * rng.standard_normal((2, 2, rows.size, cols)))
+        half_a, half_b = np.zeros((2, 2, grid.nx, grid.ny // 2 + 1), dtype=complex)
+        half_a[:, rows, :cols] = a
+        half_b[:, rows, :cols] = b
+        whole = _dx_table(grid, *_whole(grid))
+        u, v = np.fft.irfft2(half_a, s=shape), np.fft.irfft2(half_b, s=shape)
+        table = _dx_table(grid, rows, cols)
+        for got, w in [(_dx_product(a, b, shape, rows, table), np.fft.rfft2(u * v)),
+                       (_dx_product(a, a, shape, rows, table), np.fft.rfft2(u * u))]:
+            w *= whole
+            assert np.array_equal(got, w[:, rows, :cols])
+            w[:, rows, :cols] = 0.0
+            assert not np.any(w)
+
+    def test_solver_states_are_positive_zero_off_the_band(self, grid):
+        phi = SpectralField(grid=grid, coeffs=0.01 * random_real_field(grid, 1).coeffs)
+        for traj in (solve_picard(phi, 0.2, 16)[0], solve_etd(phi, 0.2, 16)):
+            off = traj.coeffs[:, ~grid.dealias_mask]
+            parts = np.concatenate([off.real, off.imag])
+            assert not np.any(parts) and not np.any(np.signbit(parts))
+
+
 class TestBlowUpStopsEarly:
     def test_etd_stops_at_first_nonfinite_state_silently(self, monkeypatch):
         calls = []
@@ -353,14 +412,28 @@ class TestBlowUpStopsEarly:
         assert len(calls) == 2 * 4  # two evaluations per step, none after step 4
 
     def test_picard_stops_at_nonfinite_residual_silently(self):
+        # amplitude 1e150: the datum's residual is finite, the first update's
+        # difference is not
+        grid = make_grid(32, 32, np.pi, np.pi)
+        u = 1e150 * np.exp(-(grid.x[:, None] ** 2 + grid.y[None, :] ** 2) / (2 * 0.7 ** 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, report = solve_picard(forward_transform(u, grid), 0.1, 16, max_iter=25)
+        assert not report.converged
+        assert report.stop_reason == "non_finite"
+        assert report.iterations == 2 == len(report.residual_history)
+        assert np.isfinite(report.residual_history[0])
+        assert not np.isfinite(report.residual_history[1])
+
+    def test_picard_stops_when_the_residual_grows(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, report = solve_picard(blowup_datum(), 10.0, 16, max_iter=25)
         assert not report.converged
-        assert report.iterations < 25
-        assert report.iterations == len(report.residual_history)
-        assert np.all(np.isfinite(report.residual_history[:-1]))
-        assert not np.isfinite(report.residual_history[-1])
+        assert report.stop_reason == "residual_grew"
+        assert report.iterations == 2 == len(report.residual_history)
+        assert np.all(np.isfinite(report.residual_history))
+        assert report.residual_history[1] > report.residual_history[0]
 
 
 class TestStreamingEtd:
@@ -395,10 +468,15 @@ class TestStreamingEtd:
 
 class TestTrajectoryMemory:
     def test_picard_holds_under_four_half_trajectories(self, alloc_peak):
+        # The peak is the full (M+1, nx, ny) output, the last band iterate
+        # and one state's temporaries: 2,743,244 B measured, 1.16 band
+        # tables above the output.  Four half-spectrum tables would be
+        # 4,460,544 B.
         g = make_grid(64, 64, np.pi, np.pi)
         (_, report), peak = alloc_peak(solve_picard, gaussian_datum(g), 0.1, 32)
         assert report.converged
-        assert peak < 4 * 33 * 64 * 33 * 16  # (M+1) nx (ny/2+1) complex values
+        band, full = 33 * 43 * 22 * 16, 33 * 64 * 64 * 16  # (M+1) rows cols complex
+        assert peak < full + 2 * band
 
     @pytest.mark.parametrize("solve", [solve_picard, solve_etd])
     def test_oversized_trajectory_rejected_before_allocating(self, solve,
@@ -416,12 +494,12 @@ class TestTrajectoryMemory:
         assert peak < 2 ** 20  # not even the time grid was allocated
 
     def test_estimate_counts_what_each_solver_keeps(self, grid, monkeypatch):
-        # 32 x 32 at M = 20: a half table is 21 * 32 * 17 * 16 B, the full
-        # trajectory 21 * 32 * 32 * 16 B
-        half, full = 21 * 32 * 17 * 16, 21 * 32 * 32 * 16
+        # 32 x 32 at M = 20: a band table is 21 * 21 * 11 * 16 B (|kx| <= 10,
+        # ky = 0 .. 10), the full trajectory 21 * 32 * 32 * 16 B
+        band, full = 21 * 21 * 11 * 16, 21 * 32 * 32 * 16
         phi = gaussian_datum(grid)
-        for memory, picard_ok, etd_ok in [(3 * half + full, True, True),
-                                          (3 * half + full - 1, False, True),
+        for memory, picard_ok, etd_ok in [(3 * band + full, True, True),
+                                          (3 * band + full - 1, False, True),
                                           (full - 1, False, False)]:
             monkeypatch.setattr(solver_module, "_physical_memory", lambda: memory)
             for solve, ok in [(solve_picard, picard_ok), (solve_etd, etd_ok)]:
@@ -435,9 +513,10 @@ class TestTrajectoryMemory:
 
 def full_grid_product(a, b, grid):
     """d/dx(uv) from full spectra, multiplied on the whole grid."""
-    h = grid.ny // 2 + 1
-    return _full(_dx_product(a[..., :h], b[..., :h], (grid.nx, grid.ny),
-                             _dx_table(grid)), grid.ny)
+    rows, h = _whole(grid)
+    shape = (grid.nx, grid.ny)
+    return _full(_dx_product(a[..., :h], b[..., :h], shape, rows,
+                             _dx_table(grid, rows, h)), rows, shape)
 
 
 class TestBandProduct:
