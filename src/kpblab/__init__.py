@@ -10,6 +10,8 @@ form on a periodic box under the zero-x-mean constraint.  Modules:
 - ``illposedness``: second-Picard-iterate norm-growth counterexample
 - ``verify``: randomized ratio checks of the linear/bilinear estimates
 - ``cli``: batch front-end (``kpblab solve|illposed|verify|norms``)
+- ``states``: the streamed ``states.npz`` file that ``solve`` writes and
+  ``norms`` reads
 """
 
 __version__ = "0.1.0"

@@ -17,12 +17,18 @@ sweep points, gathered from worker threads, and written in sorted order;
 floats are printed with 17 significant digits; the manifest records the
 config hash, package version, and every tolerance and window parameter in
 play (no silent defaults).  Nothing is written until the whole computation
-has succeeded, so a failed run leaves no partial outputs.
+has succeeded, so a failed run leaves no partial outputs.  The one
+exception is ``solve``'s ``states.npz`` (see ``kpblab.states``): it is
+streamed, one state at a time, into a temporary file, which is renamed
+into the output directory after the CSV and the manifest and removed if
+the run fails.  ``norms`` reads it back in blocks of time rows, so
+neither side holds a full trajectory.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import math
@@ -35,11 +41,11 @@ import numpy as np
 from . import __version__
 from .illposedness import (_MIN_CELLS, _MIN_CHI_SAMPLES, build_phi_N, chi_bound_check,
                            scaling_study)
-from .norms import (_MIN_STEPS, _TAPER_FRACTION, bourgain_norm, equivalence_gap,
-                    sobolev_norm, spacetime_norm)
+from .norms import (_MIN_STEPS, _TAPER_FRACTION, _bourgain, _check_time_samples, _gap,
+                    _spacetime, _windowed_power, sobolev_norm)
 from .semigroup import _ADMISSIBLE_TOL
-from .solver import (_PHI_SERIES_CUTOFF, Trajectory, etd_l2_history, l2_history,
-                     solve_etd, solve_picard)
+from .solver import (_PHI_SERIES_CUTOFF, Trajectory, _check_fits, _etd_states, _expanded,
+                     _picard_band, _time_grid)
 from .spectral_core import (_HERMITIAN_TOL, _KP_ADMISSIBLE_TOL, Grid2D, SpectralField,
                             forward_transform, make_grid)
 from .verify import run_suite
@@ -247,20 +253,32 @@ def _manifest(cfg: dict, command: str, parameters: dict, results: dict) -> str:
             f"{command} results not finite: {', '.join(bad) or exc}") from None
 
 
-def _write_outputs(out_dir: str, command: str, header: list[str],
-                   rows: list[list], manifest: str, arrays: dict | None) -> None:
+def _staging_path(out_dir: str) -> str:
+    """A fresh temporary path for ``states.npz``.  It lies in the closest
+    existing directory on the way up from ``out_dir``, so renaming it into
+    ``out_dir`` stays on one file system."""
+    where = os.path.abspath(out_dir)
+    while not os.path.isdir(where):
+        where = os.path.dirname(where)
+    return os.path.join(where, f".states.npz.{os.urandom(6).hex()}.part")
+
+
+def _write_outputs(out_dir: str, command: str, header: list[str], rows: list[list],
+                   manifest: str, states_path: str) -> None:
+    """Write the CSV and the manifest, then rename the temporary file at
+    ``states_path``, if the run wrote one, to states.npz in ``out_dir``."""
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, f"{command}.csv"), header, rows)
     with open(os.path.join(out_dir, "manifest.json"), "w", encoding="utf-8",
               newline="\n") as fh:
         fh.write(manifest)
-    if arrays:
-        np.savez(os.path.join(out_dir, "states.npz"), **arrays)
+    if os.path.exists(states_path):
+        os.replace(states_path, os.path.join(out_dir, "states.npz"))
 
 
 # ---------------------------------------------------------------- solve
 
-def _run_solve(cfg: dict):
+def _run_solve(cfg: dict, states_path: str):
     nx = _field(cfg, "nx", int)
     ny = _field(cfg, "ny", int)
     Lx = _field(cfg, "Lx", float)
@@ -278,11 +296,12 @@ def _run_solve(cfg: dict):
         raise ConfigError("config field 'phi_spec' is required")
     grid = make_grid(nx, ny, Lx, Ly)
     phi = _build_phi(cfg["phi_spec"], grid)
+    if save_states:  # `kpblab norms` gathers up to the whole saved trajectory
+        _check_fits("states.npz", grid, M, band_tables=0, full_tables=1)
 
     results: dict = {"integrator": integrator}
-    traj = None  # etd without save_states keeps no trajectory
     if integrator == "picard":
-        traj, report = solve_picard(phi, T, M, tol=tol, max_iter=max_iter)
+        times, band, report = _picard_band(phi, T, M, tol, max_iter, full_tables=0)
         results["iterations"] = report.iterations
         results["converged"] = report.converged
         results["residual_history"] = report.residual_history
@@ -292,30 +311,38 @@ def _run_solve(cfg: dict):
                 f"{max_iter} iterations (stopped after {report.iterations}: "
                 f"{report.stop_reason}, last residual "
                 f"{report.residual_history[-1]:.3e})")
-    elif save_states:
-        traj = solve_etd(phi, T, M)
-    if traj is None:
-        times, history = etd_l2_history(phi, T, M)
+        band_states = enumerate(band)
     else:
-        times, history = traj.times, l2_history(traj)
+        times = _time_grid(T, M)
+        band_states = _etd_states(phi, T, M, True)
+    history = []
 
-    if not np.all(np.isfinite(history)):
-        bad = int(np.argmin(np.isfinite(history)))
-        raise NumericalFailure(
-            f"{integrator} solution is not finite at step {bad} "
-            f"(t={times[bad]:.6g})")
-    results["final_l2"] = float(history[-1])
-    rows = [[k, float(times[k]), float(history[k])] for k in range(times.size)]
+    def finite_states():
+        """The full states in time order, each L^2 norm appended to history."""
+        for k, state, l2 in _expanded(band_states, grid):
+            if not math.isfinite(l2):
+                raise NumericalFailure(
+                    f"{integrator} solution is not finite at step {k} "
+                    f"(t={times[k]:.6g})")
+            history.append(l2)
+            yield state
+
+    if save_states:
+        from . import states
+        states.write(states_path, {
+            "times": times, "coeffs": ((times.size, nx, ny), finite_states()),
+            "nx": nx, "ny": ny, "Lx": Lx, "Ly": Ly,
+            "dealias_fraction": grid.dealias_fraction})
+    else:
+        for _ in finite_states():
+            pass
+    results["final_l2"] = history[-1]
+    rows = [[k, float(times[k]), history[k]] for k in range(times.size)]
     parameters = {"nx": nx, "ny": ny, "Lx": Lx, "Ly": Ly, "T": T, "M": M,
                   "tol": tol, "max_iter": max_iter, "integrator": integrator,
                   "phi_spec": cfg["phi_spec"], "save_states": save_states,
                   "dealias_fraction": grid.dealias_fraction}
-    arrays = None
-    if save_states:
-        arrays = {"times": traj.times, "coeffs": traj.coeffs,
-                  "nx": nx, "ny": ny, "Lx": Lx, "Ly": Ly,
-                  "dealias_fraction": grid.dealias_fraction}
-    return ["k", "t", "l2"], rows, parameters, results, arrays
+    return ["k", "t", "l2"], rows, parameters, results
 
 
 # ---------------------------------------------------------------- illposed
@@ -344,7 +371,7 @@ def _run_illposed(cfg: dict, threads: int | None):
                "predicted_slope": (-1.0 - 2.0 * eps0 - 2.0 * s) / 2.0}
     header = ["N", "s", "eps0", "t_N", "norm_phi", "norm_u2", "cells",
               "max_chi_ratio"]
-    return header, rows, parameters, results, None
+    return header, rows, parameters, results
 
 
 # ---------------------------------------------------------------- verify
@@ -375,51 +402,59 @@ def _run_verify(cfg: dict):
                "median_ratio": report.median_ratio,
                "violations": violations,
                "suite_params": report.params}
-    return ["estimate_id", "seed", "params", "ratio"], rows, parameters, results, None
+    return ["estimate_id", "seed", "params", "ratio"], rows, parameters, results
 
 
 # ---------------------------------------------------------------- norms
+
+@contextlib.contextmanager
+def _reading(input_path: str):
+    """Report a failure to read the norms input as a ConfigError naming it."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot read input_path {input_path!r}: {exc}") from exc
+    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise ConfigError(f"input_path {input_path!r}: {exc}") from exc
+
 
 def _run_norms(cfg: dict):
     input_path = _field(cfg, "input_path", str)
     b = _field(cfg, "b", float)
     s1 = _field(cfg, "s1", float)
     s2 = _field(cfg, "s2", float)
-    try:
-        with np.load(input_path) as data:
-            times = data["times"]
-            coeffs = data["coeffs"]
-            grid = make_grid(int(data["nx"]), int(data["ny"]),
-                             float(data["Lx"]), float(data["Ly"]),
-                             float(data["dealias_fraction"]))
-    except OSError as exc:
-        raise ConfigError(f"cannot read input_path {input_path!r}: {exc}") from exc
-    except KeyError as exc:
-        raise ConfigError(
-            f"input_path {input_path!r} lacks required array {exc}") from exc
-    except (ValueError, zipfile.BadZipFile) as exc:
-        raise ConfigError(f"input_path {input_path!r}: {exc}") from exc
-    try:
-        traj = Trajectory(grid=grid, times=times, coeffs=coeffs)
-    except ValueError as exc:
-        raise ConfigError(f"input_path {input_path!r}: {exc}") from exc
+    from . import states
+    with _reading(input_path):
+        arrays, shape = states.read_header(
+            input_path, ("times", "nx", "ny", "Lx", "Ly", "dealias_fraction"))
+        grid = make_grid(int(arrays["nx"]), int(arrays["ny"]), float(arrays["Lx"]),
+                         float(arrays["Ly"]), float(arrays["dealias_fraction"]))
+        # A zero-stride stand-in of the stored shape: Trajectory checks the
+        # time grid and the shape, and the norms read only grid, dt, n_times.
+        traj = Trajectory(grid=grid, times=arrays["times"],
+                          coeffs=np.broadcast_to(np.complex128(0), shape))
+    _check_time_samples(traj)
+    last = np.empty((grid.nx, grid.ny), dtype=complex)
+    with _reading(input_path):
+        windowed = _windowed_power(
+            traj, lambda: states.coeff_blocks(input_path, shape, last))
 
     row = [b, s1, s2,
-           sobolev_norm(traj.state(traj.n_times - 1), s1, s2),
-           spacetime_norm(traj, b, s1, s2),
-           bourgain_norm(traj, b, s1, s2),
-           equivalence_gap(traj, b, s1, s2)]
+           sobolev_norm(SpectralField(grid=grid, coeffs=last), s1, s2),
+           _spacetime(traj, windowed, b, s1, s2),
+           _bourgain(traj, windowed, b, s1, s2),
+           _gap(traj, windowed, b, s1, s2)]
     parameters = {"input_path": input_path, "b": b, "s1": s1, "s2": s2,
                   "n_times": traj.n_times, "dt": traj.dt}
     results = {"sobolev_final": row[3], "spacetime": row[4],
                "bourgain": row[5], "equivalence_gap": row[6]}
     header = ["b", "s1", "s2", "sobolev_final", "spacetime", "bourgain",
               "equivalence_gap"]
-    return header, [row], parameters, results, None
+    return header, [row], parameters, results
 
 
-# runner -> (CSV header, rows, manifest parameters, results, states.npz arrays
-# or None), and the top-level config fields it reads
+# runner -> (CSV header, rows, manifest parameters, results), and the
+# top-level config fields it reads
 _RUNNERS = {
     "solve": (_run_solve, frozenset({
         "command", "nx", "ny", "Lx", "Ly", "T", "M", "tol", "max_iter",
@@ -442,13 +477,18 @@ def run(command: str, config_path: str, out_dir: str,
     _check_command(cfg, command)
     runner, keys = _RUNNERS[command]
     _check_keys(cfg, keys)
-    args = (cfg, threads) if command == "illposed" else (cfg,)
+    states_path = _staging_path(out_dir)  # solve --save_states writes here
+    args = {"illposed": (cfg, threads), "solve": (cfg, states_path)}.get(command, (cfg,))
     try:
-        header, rows, parameters, results, arrays = runner(*args)
-    except ValueError as exc:  # a library precondition the config broke
-        raise ConfigError(str(exc)) from exc
-    manifest = _manifest(cfg, command, parameters, results)
-    _write_outputs(out_dir, command, header, rows, manifest, arrays)
+        try:
+            header, rows, parameters, results = runner(*args)
+        except ValueError as exc:  # a library precondition the config broke
+            raise ConfigError(str(exc)) from exc
+        manifest = _manifest(cfg, command, parameters, results)
+        _write_outputs(out_dir, command, header, rows, manifest, states_path)
+    finally:  # a failed run leaves no states file behind
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(states_path)
 
 
 def main(argv=None) -> int:

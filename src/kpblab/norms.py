@@ -37,6 +37,14 @@ the mirror of (-nx/2, ky) is (-nx/2, -ky) on the grid, with the same xi, so
 P is even along that row and sigma = tau - P does not mirror.  The solver's
 and the free trajectories are exactly Hermitian, so they are transformed on
 their Hermitian half.
+
+The windowed power is taken in two passes over consecutive blocks of time
+rows: the first selects the columns (the occupied modes and the exact
+pairs), the second gathers them for the transform.  An in-memory
+trajectory is a single block.  ``kpblab norms`` streams the blocks from
+``states.npz`` and evaluates all three time-dependent norms from one
+windowed power (``_spacetime``, ``_bourgain``, ``_gap``), so it never holds
+the whole trajectory.
 """
 
 from __future__ import annotations
@@ -150,39 +158,67 @@ def _mode_pairs(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
 _PAIR_BLOCK = 2 ** 14  # complex values per gathered block of the pair check
 
 
-def _windowed_power(traj: Trajectory) -> tuple[np.ndarray, np.ndarray,
-                                                np.ndarray, np.ndarray]:
-    """(tau, |uhat|^2, cols, colw): the windowed transform's power on the
-    flat modes ``cols``, each of which counts colw times in a weighted sum.
+def _selected_columns(grid, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, colw): the flat modes the windowed power is taken on, and how
+    many times each counts in a weighted sum, for a trajectory given as
+    consecutive blocks of time rows (n, nx * ny).
 
-    Each occupied mode is transformed once.  An exact pair, an occupied
-    first mode whose mirror equals its conjugate bit for bit at every time,
-    is transformed on the first mode with weight 2; every other occupied
-    mode with weight 1.  cols lists the exact first modes, then the other
-    occupied modes in flat order.  The pairs are compared over blocks of
-    time rows, so the check holds no full-size copy of the mirrors, and the
+    An exact pair, an occupied first mode whose mirror equals its conjugate
+    bit for bit at every time, counts twice on its first mode; every other
+    occupied mode once.  cols lists the exact first modes, then the other
+    occupied modes in flat order.  Within a block only the pairs with an
+    occupied mode are compared (two zero columns agree), over runs of rows
+    of at most ``_PAIR_BLOCK`` gathered values, so no full-size copy of the
+    mirrors is made.
+    """
+    first, mirror = _mode_pairs(grid.nx, grid.ny)
+    occupied = np.zeros(grid.nx * grid.ny, dtype=bool)
+    exact = np.ones(first.size, dtype=bool)
+    for block in blocks:
+        live = np.any(block, axis=0)
+        occupied |= live
+        pairs = np.flatnonzero(live[first] | live[mirror])
+        ahead, behind = first[pairs], mirror[pairs]
+        agree = np.ones(pairs.size, dtype=bool)
+        step = max(1, _PAIR_BLOCK // max(pairs.size, 1))
+        for t in range(0, len(block), step):
+            rows = block[t:t + step]
+            mirrored = np.take(rows, behind, axis=1)
+            agree &= np.all(np.take(rows, ahead, axis=1)
+                            == np.conjugate(mirrored, out=mirrored), axis=0)
+        exact[pairs] &= agree
+    exact &= occupied[first]
+    rest = occupied  # the occupied modes outside the exact pairs
+    rest[first[exact]] = False
+    rest[mirror[exact]] = False
+    cols = np.concatenate((first[exact], np.flatnonzero(rest)))
+    colw = np.ones(cols.size)
+    colw[:np.count_nonzero(exact)] = 2.0
+    return cols, colw
+
+
+def _windowed_power(traj: Trajectory, blocks=None) -> tuple[np.ndarray, np.ndarray,
+                                                             np.ndarray, np.ndarray]:
+    """(tau, |uhat|^2, cols, colw): the windowed transform's power on the
+    flat modes ``cols`` of ``_selected_columns``, each of which counts colw
+    times in a weighted sum.
+
+    ``blocks()`` returns the trajectory's time rows as consecutive blocks
+    (n, nx * ny); it is called twice, once to select the columns and once
+    to gather them.  By default ``traj.coeffs`` is the one block.  The
     complex transform is released once its squared modulus is formed.
     """
-    flat = traj.coeffs.reshape(traj.n_times, -1)
-    occupied = np.any(flat, axis=0)
-    first, mirror = _mode_pairs(traj.grid.nx, traj.grid.ny)
-    paired = occupied[first]
-    first, mirror = first[paired], mirror[paired]
-    exact = np.ones(first.size, dtype=bool)
-    step = max(1, _PAIR_BLOCK // max(first.size, 1))
-    for t in range(0, traj.n_times, step):
-        rows = flat[t:t + step]
-        mirrored = np.take(rows, mirror, axis=1)
-        exact &= np.all(np.take(rows, first, axis=1)
-                        == np.conjugate(mirrored, out=mirrored), axis=0)
-    first = first[exact]
-    rest = occupied  # the occupied modes outside the exact pairs
-    rest[first] = False
-    rest[mirror[exact]] = False
-    cols = np.concatenate((first, np.flatnonzero(rest)))
-    colw = np.ones(cols.size)
-    colw[:first.size] = 2.0
-    tau, uhat = _taper_transform(np.take(flat, cols, axis=1), traj.dt)
+    if blocks is None:
+        flat = traj.coeffs.reshape(traj.n_times, -1)
+        blocks = lambda: (flat,)
+    cols, colw = _selected_columns(traj.grid, blocks())
+    columns = np.empty((traj.n_times, cols.size), dtype=traj.coeffs.dtype)
+    t = 0
+    for block in blocks():
+        # mode="clip" (cols are in range) lets take write into columns unbuffered
+        np.take(block, cols, axis=1, out=columns[t:t + len(block)], mode="clip")
+        t += len(block)
+    tau, uhat = _taper_transform(columns, traj.dt)
     power = np.abs(uhat)
     power **= 2
     return tau, power, cols, colw
@@ -204,7 +240,13 @@ def _squared_sum(traj: Trajectory, weight: np.ndarray, power: np.ndarray) -> flo
 def spacetime_norm(traj: Trajectory, b: float, s1: float, s2: float) -> float:
     """H^{b,s1,s2} norm of the tapered trajectory."""
     _check_time_samples(traj)
-    tau, power, cols, colw = _windowed_power(traj)
+    return _spacetime(traj, _windowed_power(traj), b, s1, s2)
+
+
+def _spacetime(traj: Trajectory, windowed: tuple, b: float, s1: float,
+               s2: float) -> float:
+    """``spacetime_norm`` from the trajectory's ``_windowed_power``."""
+    tau, power, cols, colw = windowed
     wt = (1.0 + tau ** 2) ** b
     ws = _sobolev_on(traj, s1, s2, cols, colw)
     return float(np.sqrt(_squared_sum(traj, wt[:, None] * ws[None, :], power)))
@@ -225,7 +267,13 @@ def _wrapped_sigma(traj: Trajectory, tau: np.ndarray, cols: np.ndarray) -> np.nd
 def bourgain_norm(traj: Trajectory, b: float, s1: float, s2: float) -> float:
     """X^{b,s1,s2} norm with sigma = tau - P(nu) per (tau, nu) bin."""
     _check_time_samples(traj)
-    tau, power, cols, colw = _windowed_power(traj)
+    return _bourgain(traj, _windowed_power(traj), b, s1, s2)
+
+
+def _bourgain(traj: Trajectory, windowed: tuple, b: float, s1: float,
+              s2: float) -> float:
+    """``bourgain_norm`` from the trajectory's ``_windowed_power``."""
+    tau, power, cols, colw = windowed
     weight = _wrapped_sigma(traj, tau, cols)
     xi4 = _on_modes((traj.grid.xi ** 4)[:, None], traj.grid, cols)[None, :]
     # (1 + sigma^2 + xi^4)^b (1 + xi^2)^s1 (1 + eta^2)^s2, in place
@@ -248,7 +296,12 @@ def equivalence_gap(traj: Trajectory, b: float, s1: float, s2: float) -> float:
     Both sides zero returns 1 by convention.
     """
     _check_time_samples(traj)
-    tau, power, cols, colw = _windowed_power(traj)
+    return _gap(traj, _windowed_power(traj), b, s1, s2)
+
+
+def _gap(traj: Trajectory, windowed: tuple, b: float, s1: float, s2: float) -> float:
+    """``equivalence_gap`` from the trajectory's ``_windowed_power``."""
+    tau, power, cols, colw = windowed
     ws = _sobolev_on(traj, s1, s2, cols, colw)[None, :]
     xi2 = _on_modes((traj.grid.xi ** 2)[:, None], traj.grid, cols)[None, :]
     shifted_w = _wrapped_sigma(traj, tau, cols)

@@ -38,7 +38,10 @@ expands the last iterate, one state at a time, into the full output;
 holds one band state at a time and no trajectory.  The two
 trajectory-keeping solvers estimate those bytes before allocating
 anything and raise ``ValueError`` when they exceed the machine's physical
-memory.
+memory.  ``_picard_band`` is the Picard solve without the expansion, and
+``_expanded`` expands a sequence of band states one at a time into one
+reused buffer and takes each one's L^2 norm there; the CLI runs both
+integrators' states through it, so it keeps no full trajectory either.
 """
 
 from __future__ import annotations
@@ -411,19 +414,15 @@ def _check_fits(solver: str, grid: Grid2D, M: int, band_tables: int,
             f"{memory / 2**30:,.1f} GiB of physical memory")
 
 
-def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
-                 max_iter: int = 25) -> tuple[Trajectory, PicardReport]:
-    """Iterate ``picard_step`` from the zero trajectory until the sup-in-time
-    L^2 difference of successive iterates drops below ``tol``.
+def _picard_band(phi: SpectralField, T: float, M: int, tol: float, max_iter: int,
+                 full_tables: int) -> tuple[np.ndarray, np.ndarray, PicardReport]:
+    """(times, last iterate on the solver band, report) of ``solve_picard``.
 
-    The iterates stay on the solver band and only the last one is
-    expanded, after the W(t_k) phi table and the other iterate are
-    released.  Non-convergence is reported, not raised: the iteration also
-    ends, unconverged, at the first residual that is not finite or that is
-    larger than the one before it (``PicardReport.stop_reason``).
+    ``full_tables`` counts the full (M+1, nx, ny) trajectories the caller
+    keeps besides the three band tables, for the memory estimate.
     """
     grid = phi.grid
-    _check_fits("solve_picard", grid, M, band_tables=3, full_tables=1)
+    _check_fits("solve_picard", grid, M, band_tables=3, full_tables=full_tables)
     times = _time_grid(T, M)
     if not tol > 0:  # written so that NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
@@ -460,10 +459,26 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
             else:
                 continue
             break
-    del w_phi, nxt
+    return times, prev, report
+
+
+def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
+                 max_iter: int = 25) -> tuple[Trajectory, PicardReport]:
+    """Iterate ``picard_step`` from the zero trajectory until the sup-in-time
+    L^2 difference of successive iterates drops below ``tol``.
+
+    The iterates stay on the solver band and only the last one is
+    expanded, after the W(t_k) phi table and the other iterate are
+    released.  Non-convergence is reported, not raised: the iteration also
+    ends, unconverged, at the first residual that is not finite or that is
+    larger than the one before it (``PicardReport.stop_reason``).
+    """
+    grid = phi.grid
+    times, band, report = _picard_band(phi, T, M, tol, max_iter, full_tables=1)
+    rows, _ = _band(grid)
     out = np.zeros((times.size, grid.nx, grid.ny), dtype=complex)
     for k in range(times.size):
-        _full(prev[k], rows, (grid.nx, grid.ny), out=out[k])
+        _full(band[k], rows, (grid.nx, grid.ny), out=out[k])
     return Trajectory(grid=grid, times=times, coeffs=out), report
 
 
@@ -549,23 +564,33 @@ def solve_etd(phi: SpectralField, T: float, M: int,
     return Trajectory(grid=grid, times=times, coeffs=out)
 
 
+def _expanded(states, grid: Grid2D):
+    """Yield (k, full state, its L^2 norm) for the (k, band state) pairs of
+    ``states``.
+
+    Each state is expanded into one reused (nx, ny) buffer and reduced
+    there, so the norms equal ``l2_history`` of the expanded trajectory bit
+    for bit.  The buffer is row 0 of a two-row batch whose row 1 stays
+    zero: einsum sums a one-row batch in a single pass but a longer one in
+    chunks, and only the batch keeps ``l2_history``'s summation order.  The
+    yielded state is that buffer, overwritten by the next one.
+    """
+    rows, _ = _band(grid)
+    buf = np.zeros((2, grid.nx, grid.ny), dtype=complex)
+    for k, u in states:
+        _full(u, rows, (grid.nx, grid.ny), out=buf[0])
+        yield k, buf[0], float(_l2_rows(buf, grid.cell_measure)[0])
+
+
 def etd_l2_history(phi: SpectralField, T: float,
                    M: int) -> tuple[np.ndarray, np.ndarray]:
     """(times, L^2 norms) of the ``solve_etd`` states, without the trajectory.
 
-    Each state is expanded into one reused (nx, ny) buffer and reduced
-    there, so the values equal ``l2_history(solve_etd(phi, T, M))`` bit for
-    bit, NaN after an early stop included.  The buffer is row 0 of a
-    two-row batch whose row 1 stays zero: einsum sums a one-row batch in a
-    single pass but a longer one in chunks, and only the batch keeps
-    ``l2_history``'s summation order.
+    The values equal ``l2_history(solve_etd(phi, T, M))`` bit for bit, NaN
+    after an early stop included (see ``_expanded``).
     """
-    grid = phi.grid
     times = _time_grid(T, M)
-    rows, _ = _band(grid)
     l2 = np.full(M + 1, np.nan)
-    buf = np.zeros((2, grid.nx, grid.ny), dtype=complex)
-    for k, u in _etd_states(phi, T, M, True):
-        _full(u, rows, (grid.nx, grid.ny), out=buf[0])
-        l2[k] = _l2_rows(buf, grid.cell_measure)[0]
+    for k, _, norm in _expanded(_etd_states(phi, T, M, True), phi.grid):
+        l2[k] = norm
     return times, l2

@@ -1,0 +1,90 @@
+"""The ``states.npz`` file that ``kpblab solve --save_states`` writes and
+``kpblab norms`` reads, streamed so that neither side holds the trajectory.
+
+The file is the one ``np.savez`` writes for the members ``times``,
+``coeffs``, ``nx``, ``ny``, ``Lx``, ``Ly`` and ``dealias_fraction``, byte
+for byte.  ``coeffs`` is a C-order '<c16' array of shape
+(len(times), nx, ny); it is written one time row at a time, as the solver
+produces the states, and read back in blocks of whole time rows.  A
+``coeffs`` of another dtype, order or format version, or one whose data
+is shorter or longer than its shape, raises ``ValueError``; zipfile
+raises ``BadZipFile`` on a CRC mismatch, which every read pass checks.
+
+The CLI imports this module only in the commands that touch the file.
+"""
+
+from __future__ import annotations
+
+import zipfile
+
+import numpy as np
+
+_READ_BLOCK = 2 ** 18  # bytes of coeffs.npy read at a time (whole rows)
+
+
+def write(path: str, members: dict) -> None:
+    """Write the file ``np.savez(path, **members)`` writes, byte for byte,
+    where a member may also be a pair (shape, rows): a C-order complex128
+    array of ``shape`` given as an iterable of its rows, each written as it
+    comes."""
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
+        for name, value in members.items():
+            # np.savez forces zip64 on every member
+            with archive.open(name + ".npy", "w", force_zip64=True) as fid:
+                if isinstance(value, tuple):
+                    shape, rows = value
+                    np.lib.format.write_array_header_1_0(
+                        fid, {"descr": "<c16", "fortran_order": False, "shape": shape})
+                    for row in rows:
+                        fid.write(np.asarray(row, dtype="<c16"))
+                else:
+                    np.lib.format.write_array(fid, np.asanyarray(value))
+
+
+def _coeffs_shape(fid) -> tuple:
+    """The shape in the .npy header at ``fid``, which must describe C-order
+    '<c16' data; leaves ``fid`` at the data."""
+    version = np.lib.format.read_magic(fid)
+    if version != (1, 0):
+        raise ValueError(f"coeffs.npy has .npy format version {version}, not 1.0")
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fid)
+    if fortran_order or dtype != np.dtype("<c16"):
+        raise ValueError(
+            f"coeffs must be a C-order '<c16' array, got a "
+            f"{'Fortran' if fortran_order else 'C'}-order {dtype.str!r} one")
+    return shape
+
+
+def read_header(path: str, names) -> tuple[dict, tuple]:
+    """({name: array} of the small members ``names``, the shape of coeffs)."""
+    with zipfile.ZipFile(path) as archive:
+        arrays = {}
+        for name in names:
+            with archive.open(name + ".npy") as fid:
+                arrays[name] = np.lib.format.read_array(fid, allow_pickle=False)
+        with archive.open("coeffs.npy") as fid:
+            return arrays, _coeffs_shape(fid)
+
+
+def coeff_blocks(path: str, shape: tuple, last: np.ndarray):
+    """Yield the time rows of coeffs, of ``shape``, as blocks (n, nx * ny)
+    of whole rows and at most ``_READ_BLOCK`` bytes, and copy the last row
+    into ``last``.  The member is read to its end, so zipfile checks its
+    CRC."""
+    n_t, nx, ny = shape
+    row = nx * ny * 16
+    step = max(1, _READ_BLOCK // row)
+    with zipfile.ZipFile(path) as archive, archive.open("coeffs.npy") as fid:
+        if _coeffs_shape(fid) != shape:
+            raise ValueError("coeffs.npy changed while it was read")
+        for t in range(0, n_t, step):
+            size = min(step, n_t - t) * row
+            data = fid.read(size)
+            if len(data) != size:
+                raise ValueError(
+                    f"coeffs.npy ends inside time row {t + len(data) // row} of {n_t}")
+            block = np.frombuffer(data, dtype="<c16").reshape(-1, nx * ny)
+            yield block
+        if fid.read(1):
+            raise ValueError(f"coeffs.npy holds more data than its shape {shape}")
+    last[...] = block[-1].reshape(nx, ny)

@@ -1,8 +1,12 @@
 """Shared test helpers."""
 
+import sys
 import tracemalloc
 
+import numpy as np
 import pytest
+
+import kpblab.norms as norms_module
 
 
 @pytest.fixture
@@ -27,3 +31,19 @@ def alloc_peak():
         return result, peak
 
     return measure
+
+
+@pytest.fixture
+def fft_columns(monkeypatch):
+    """The column count of every np.fft.fft call made by kpblab.norms,
+    recorded while it runs (the solver's band product calls it too)."""
+    calls = []
+    fft = np.fft.fft
+
+    def counted(a, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] == norms_module.__name__:
+            calls.append(a.shape[1])
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(norms_module.np.fft, "fft", counted)
+    return calls

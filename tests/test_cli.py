@@ -7,14 +7,17 @@ and the solve -> norms round trip.
 
 import csv
 import inspect
+import io
 import json
 import math
 import os
 import re
 import shutil
+import struct
 import subprocess
 import sys
 import warnings
+import zipfile
 
 import numpy as np
 import pytest
@@ -40,6 +43,11 @@ def solve_cfg(**over):
     }
     cfg.update(over)
     return cfg
+
+
+def norms_cfg(tmp_path, input_path, b=0.0, s1=0.0, s2=0.0):
+    return write_cfg(tmp_path, "norms.json", {
+        "command": "norms", "input_path": str(input_path), "b": b, "s1": s1, "s2": s2})
 
 
 def read_csv(path):
@@ -423,6 +431,61 @@ class TestSolveNormsRoundTrip:
         assert err.startswith("config error:") and "input_path" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("case", [
+        "complex64", "float64", "big_endian", "fortran", "shape", "times",
+        "truncated", "trailing", "corrupt", "no_coeffs"])
+    def test_norms_input_contract(self, tmp_path, capsys, case):
+        # norms streams C-order '<c16' coeffs of shape (len(times), nx, ny),
+        # exactly what solve writes; anything else is a config error
+        times = np.linspace(0.0, 1.0, 17)
+        coeffs = np.zeros((17, 8, 8), complex)
+        coeffs[:, 1, 2] = coeffs[:, -1, -2] = 1.0
+        rest = {"nx": 8, "ny": 8, "Lx": 1.0, "Ly": 1.0, "dealias_fraction": 2.0 / 3.0}
+        path = tmp_path / "input.npz"
+        np.savez(path, times=times, coeffs=coeffs, **rest)
+        assert main(["norms", "--config", norms_cfg(tmp_path, path),
+                     "--out", str(tmp_path / "ok")]) == 0
+        arrays = {"times": times, "coeffs": coeffs, **rest}
+        if case in ("complex64", "float64", "big_endian"):
+            arrays["coeffs"] = {"complex64": coeffs.astype(np.complex64),
+                                "float64": coeffs.real.copy(),
+                                "big_endian": coeffs.astype(">c16")}[case]
+        elif case == "fortran":
+            arrays["coeffs"] = np.asfortranarray(coeffs)
+        elif case == "shape":
+            arrays["coeffs"] = coeffs[:, :, :6]
+        elif case == "times":
+            arrays["times"] = np.linspace(0.0, 1.0, 18)
+        elif case == "no_coeffs":
+            del arrays["coeffs"]
+        if case in ("truncated", "trailing"):
+            data = io.BytesIO()
+            np.lib.format.write_array(data, coeffs)
+            data = data.getvalue()
+            data = data[:-16] if case == "truncated" else data + bytes(16)
+            with zipfile.ZipFile(path, "w") as archive:
+                for name, value in arrays.items():
+                    array = io.BytesIO()
+                    np.lib.format.write_array(array, np.asanyarray(value))
+                    archive.writestr(name + ".npy",
+                                     data if name == "coeffs" else array.getvalue())
+        else:
+            np.savez(path, **arrays)
+        if case == "corrupt":  # flip one bit of the last coeffs byte: a CRC error
+            raw = bytearray(path.read_bytes())
+            with zipfile.ZipFile(path) as archive:
+                info = archive.getinfo("coeffs.npy")
+            name_len, extra_len = struct.unpack(
+                "<HH", raw[info.header_offset + 26:info.header_offset + 30])
+            raw[info.header_offset + 30 + name_len + extra_len + info.file_size - 1] ^= 1
+            path.write_bytes(bytes(raw))
+        out = tmp_path / "o"
+        rc = main(["norms", "--config", norms_cfg(tmp_path, path), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "input_path" in err
+        assert not out.exists()
+
     def test_norms_too_few_steps(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "solve.json",
                         solve_cfg(M=10, save_states=True))
@@ -434,6 +497,119 @@ class TestSolveNormsRoundTrip:
         rc = main(["norms", "--config", ncfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "16" in capsys.readouterr().err
+
+
+class TestStreamedStates:
+    """solve writes states.npz one state at a time and norms reads it in
+    blocks of time rows: the files and numbers are those of np.savez and of
+    the in-memory library, and neither side holds a full trajectory."""
+
+    @staticmethod
+    def library_solve(integrator):
+        cfg = solve_cfg(integrator=integrator)
+        grid = spectral_core.make_grid(cfg["nx"], cfg["ny"], cfg["Lx"], cfg["Ly"])
+        phi = cli._build_phi(cfg["phi_spec"], grid)
+        if integrator == "picard":
+            return solver.solve_picard(phi, cfg["T"], cfg["M"], tol=cfg["tol"],
+                                       max_iter=cfg["max_iter"])[0]
+        return solver.solve_etd(phi, cfg["T"], cfg["M"])
+
+    @staticmethod
+    def savez(path, traj):
+        np.savez(path, times=traj.times, coeffs=traj.coeffs, nx=traj.grid.nx,
+                 ny=traj.grid.ny, Lx=math.pi, Ly=math.pi,
+                 dealias_fraction=traj.grid.dealias_fraction)
+
+    @pytest.mark.parametrize("integrator", ["picard", "etd"])
+    def test_states_bytes_equal_np_savez(self, tmp_path, integrator):
+        # the criterion-10 solve config, saving its states
+        cfg = write_cfg(tmp_path, "c.json", solve_cfg(integrator=integrator,
+                                                      save_states=True))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        traj = self.library_solve(integrator)
+        self.savez(tmp_path / "library.npz", traj)
+        assert (out / "states.npz").read_bytes() == (tmp_path / "library.npz").read_bytes()
+        l2 = np.array([float(row[2]) for row in read_csv(out / "solve.csv")[1:]])
+        assert l2.tobytes() == solver.l2_history(traj).tobytes()
+
+    @pytest.mark.parametrize("case", ["solver", "inexact_pair"])
+    def test_norms_equal_library_bitwise(self, tmp_path, fft_columns, case):
+        traj = self.library_solve("picard")
+        if case == "inexact_pair":  # one ulp off the conjugate of its mirror
+            coeffs = traj.coeffs.copy()
+            at = (7, 3, -2 % traj.grid.ny)
+            assert coeffs[at] != 0
+            coeffs[at] = np.nextafter(coeffs[at].real, np.inf) + 1j * coeffs[at].imag
+            traj = solver.Trajectory(grid=traj.grid, times=traj.times, coeffs=coeffs)
+        self.savez(tmp_path / "states.npz", traj)
+        out = tmp_path / "out"
+        fft_columns.clear()
+        assert main(["norms", "--config",
+                     norms_cfg(tmp_path, tmp_path / "states.npz", 0.5, -0.3, 0.2),
+                     "--out", str(out)]) == 0
+        assert len(fft_columns) == 1  # one windowed transform for the three norms
+        results = json.loads((out / "manifest.json").read_text())["results"]
+        assert results == {
+            "sobolev_final": norms.sobolev_norm(traj.state(traj.n_times - 1), -0.3, 0.2),
+            "spacetime": norms.spacetime_norm(traj, 0.5, -0.3, 0.2),
+            "bourgain": norms.bourgain_norm(traj, 0.5, -0.3, 0.2),
+            "equivalence_gap": norms.equivalence_gap(traj, 0.5, -0.3, 0.2)}
+        assert fft_columns[1:] == fft_columns[:1] * 3
+
+    def test_norms_of_a_nan_pair_exit_3(self, tmp_path, capsys):
+        traj = self.library_solve("picard")
+        traj.coeffs[7, 3, -2 % traj.grid.ny] = np.nan
+        self.savez(tmp_path / "states.npz", traj)
+        out = tmp_path / "out"
+        rc = main(["norms", "--config", norms_cfg(tmp_path, tmp_path / "states.npz", 0.5),
+                   "--out", str(out)])
+        assert rc == 3
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_solve_and_norms_keep_no_full_trajectory(self, tmp_path, alloc_peak):
+        M, n = 32, 64
+        full = (M + 1) * n * n * 16
+        cfg = write_cfg(tmp_path, "c.json", solve_cfg(nx=n, ny=n, M=M, save_states=True))
+        out = tmp_path / "out"
+        rc, peak = alloc_peak(main, ["solve", "--config", cfg, "--out", str(out)])
+        assert rc == 0 and peak < full
+        rc, peak = alloc_peak(main, ["norms", "--config",
+                                     norms_cfg(tmp_path, out / "states.npz", 0.5, -0.3, 0.2),
+                                     "--out", str(tmp_path / "nout")])
+        assert rc == 0 and peak < full
+
+    @pytest.mark.parametrize("case", ["picard_nonconvergent", "etd_blowup",
+                                      "out_under_a_file"])
+    def test_failed_run_leaves_no_temporary_file(self, tmp_path, case):
+        blowup = {"type": "gaussian", "amplitude": 500.0, "widths": [0.7, 0.7]}
+        overrides = {
+            "picard_nonconvergent": dict(T=1.0, tol=1e-14, max_iter=2, phi_spec=dict(
+                blowup, amplitude=5.0)),
+            "etd_blowup": dict(T=10.0, M=16, integrator="etd", phi_spec=blowup),
+            "out_under_a_file": {}}[case]
+        cfg = write_cfg(tmp_path, "c.json", solve_cfg(save_states=True, **overrides))
+        if case == "out_under_a_file":  # fails after the states are written
+            (tmp_path / "file").write_text("", encoding="utf-8")
+            with pytest.raises(OSError):
+                cli.run("solve", cfg, str(tmp_path / "file" / "out"))
+        else:
+            with np.errstate(all="ignore"):
+                assert main(["solve", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert sorted(os.listdir(tmp_path)) == ["c.json"] + ["file"] * (
+            case == "out_under_a_file")
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_states_are_renamed_into_out_dir(self, tmp_path, existing):
+        out = tmp_path / "a" / "b"
+        if existing:
+            out.mkdir(parents=True)
+        cfg = write_cfg(tmp_path, "c.json", solve_cfg(save_states=True))
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["manifest.json", "solve.csv", "states.npz"]
+        assert sorted(p.name for p in tmp_path.rglob("*")) == [
+            "a", "b", "c.json", "manifest.json", "solve.csv", "states.npz"]
 
 
 class TestIllposed:

@@ -7,8 +7,6 @@ weights.  One windowed-resolution consistency value is checked against a
 frozen tolerance.
 """
 
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -384,22 +382,6 @@ def half_columns(traj):
     return (int(occupied.sum()) - n_single) // 2 + n_single
 
 
-@pytest.fixture
-def fft_columns(monkeypatch):
-    """The column count of every np.fft.fft call made by kpblab.norms,
-    recorded while it runs (the solver's band product calls it too)."""
-    calls = []
-    fft = np.fft.fft
-
-    def counted(a, *args, **kwargs):
-        if sys._getframe(1).f_globals["__name__"] == norms_module.__name__:
-            calls.append(a.shape[1])
-        return fft(a, *args, **kwargs)
-
-    monkeypatch.setattr(norms_module.np.fft, "fft", counted)
-    return calls
-
-
 class TestHermitianHalf:
     """An exact conjugate pair, whose mirror equals the conjugate of its
     first mode bit for bit at every time, is transformed on one column with
@@ -511,3 +493,30 @@ class TestHermitianHalf:
             assert_matches_dense(off, 0.5, -0.3, 0.2)
         else:
             assert all(np.isnan(dense_norms(off, 0.5, -0.3, 0.2)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_row_blocks_match_one_block(self, fft_columns, seed):
+        # the windowed power of a trajectory read in blocks of time rows, as
+        # `kpblab norms` reads states.npz, equals the one-block power bit for
+        # bit: the same columns, weights and values
+        rng = np.random.default_rng(seed)
+        traj = self.free_pair(make_grid(16, 12, np.pi, np.pi), seed)[0]
+        coeffs = traj.coeffs.copy()
+        for kind in ("ulp", "zero")[:seed % 3]:  # leave up to two pairs inexact
+            kx, ky = rng.integers(1, 5, size=2)
+            if kind == "ulp":
+                at = (rng.integers(traj.n_times),) + idx(traj.grid, kx, ky)
+                coeffs[at] = np.nextafter(coeffs[at].real, np.inf) + 1j * coeffs[at].imag
+            else:
+                coeffs[(slice(None),) + idx(traj.grid, -kx, -ky)] = 0.0
+        traj = Trajectory(grid=traj.grid, times=traj.times, coeffs=coeffs)
+        flat = traj.coeffs.reshape(traj.n_times, -1)
+        fft_columns.clear()
+        whole = norms_module._windowed_power(traj)
+        for step in (1, 5, traj.n_times - 1):
+            def blocks():
+                return (flat[t:t + step] for t in range(0, traj.n_times, step))
+            got = norms_module._windowed_power(traj, blocks)
+            for a, b in zip(got, whole):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        assert len(set(fft_columns)) == 1 and len(fft_columns) == 4

@@ -5,12 +5,14 @@ skew-symmetry <d/dx(u^2), u> = 0, the closed-form free decay e^{-t} of a
 single xi=1 mode, and cross-checks between the two independent integrators.
 """
 
+import json
 import warnings
 
 import numpy as np
 import pytest
 
 import kpblab.solver as solver_module
+from kpblab import cli
 from kpblab.semigroup import apply_W, semigroup_table
 from kpblab.solver import (
     PicardReport,
@@ -493,7 +495,7 @@ class TestTrajectoryMemory:
         assert "M=10000000 on a 512x512 grid" in message
         assert peak < 2 ** 20  # not even the time grid was allocated
 
-    def test_estimate_counts_what_each_solver_keeps(self, grid, monkeypatch):
+    def test_estimate_counts_what_each_solver_keeps(self, grid, monkeypatch, tmp_path):
         # 32 x 32 at M = 20: a band table is 21 * 21 * 11 * 16 B (|kx| <= 10,
         # ky = 0 .. 10), the full trajectory 21 * 32 * 32 * 16 B
         band, full = 21 * 21 * 11 * 16, 21 * 32 * 32 * 16
@@ -509,6 +511,26 @@ class TestTrajectoryMemory:
                     with pytest.raises(ValueError, match="physical memory"):
                         solve(phi, 0.1, 20)
             etd_l2_history(phi, 0.1, 20)  # keeps no trajectory: never checked
+
+        # `kpblab solve` keeps the three band tables of a Picard solve and
+        # streams the states; a states.npz counts as one full table, which
+        # `kpblab norms` may gather whole.  ETD without states: never checked.
+        config = {"command": "solve", "nx": 32, "ny": 32, "Lx": np.pi, "Ly": np.pi,
+                  "T": 0.1, "M": 20, "tol": 1e-10, "max_iter": 25,
+                  "phi_spec": {"type": "gaussian", "amplitude": 0.05, "widths": [1, 1]}}
+        for estimate, over in [(3 * band, {"integrator": "picard"}),
+                               (full, {"integrator": "picard", "save_states": True}),
+                               (full, {"integrator": "etd", "save_states": True}),
+                               (0, {"integrator": "etd"})]:
+            path = tmp_path / "c.json"
+            path.write_text(json.dumps(dict(config, **over)), encoding="utf-8")
+            for memory, ok in [(estimate, True), (estimate - 1, estimate == 0)]:
+                monkeypatch.setattr(solver_module, "_physical_memory", lambda: memory)
+                if ok:
+                    cli.run("solve", str(path), str(tmp_path / "out"))
+                else:
+                    with pytest.raises(cli.ConfigError, match="physical memory"):
+                        cli.run("solve", str(path), str(tmp_path / "out"))
 
 
 def full_grid_product(a, b, grid):
