@@ -43,11 +43,13 @@ from .solver import (
     PicardReport,
     nonlinearity,
     picard_step,
+    solve_states,
     solve_picard,
     solve_etd,
     l2_history,
 )
 from .norms import (
+    WindowedPower,
     sobolev_norm,
     spacetime_norm,
     bourgain_norm,
@@ -74,17 +76,31 @@ from .verify import (
     bilinear_ratio,
     run_suite,
 )
+from . import illposedness, norms, semigroup, solver, spectral_core
+
+# Every tolerance and window parameter in play, as each manifest names it.
+TOLERANCES = {
+    "hermitian_tol": spectral_core._HERMITIAN_TOL,
+    "kp_admissibility_tol": spectral_core._KP_ADMISSIBLE_TOL,
+    "semigroup_admissibility_tol": semigroup._ADMISSIBLE_TOL,
+    "taper_alpha": norms._TAPER_FRACTION,
+    "min_time_steps_for_norms": norms._MIN_STEPS,
+    "min_quadrature_cells": illposedness._MIN_CELLS,
+    "min_chi_samples": illposedness._MIN_CHI_SAMPLES,
+    "etd_phi_series_cutoff": solver._PHI_SERIES_CUTOFF,
+}
 
 __all__ = [
-    "__version__",
+    "__version__", "TOLERANCES",
     "Grid2D", "SpectralField", "DispersionSymbol", "make_grid",
     "forward_transform", "inverse_transform", "dealias",
     "project_zero_x_mean", "dispersion_values", "is_kp_admissible", "l2_norm",
     "PropagatorTable", "free_table", "semigroup_table", "heat_table",
     "apply_U", "apply_W", "apply_heat",
     "Trajectory", "PicardReport", "nonlinearity", "picard_step",
-    "solve_picard", "solve_etd", "l2_history",
-    "sobolev_norm", "spacetime_norm", "bourgain_norm", "equivalence_gap",
+    "solve_states", "solve_picard", "solve_etd", "l2_history",
+    "WindowedPower", "sobolev_norm", "spacetime_norm", "bourgain_norm",
+    "equivalence_gap",
     "Rectangle", "RectanglePair", "IllposedResult", "ScalingStudy",
     "rectangle_pair", "build_phi_N", "resonance_chi", "kernel_K",
     "second_iterate_hat", "second_iterate_norm", "scaling_study",

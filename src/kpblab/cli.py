@@ -38,16 +38,11 @@ import zipfile
 
 import numpy as np
 
-from . import __version__
-from .illposedness import (_MIN_CELLS, _MIN_CHI_SAMPLES, build_phi_N, chi_bound_check,
-                           scaling_study)
-from .norms import (_MIN_STEPS, _TAPER_FRACTION, _bourgain, _check_time_samples, _gap,
-                    _spacetime, _windowed_power, sobolev_norm)
-from .semigroup import _ADMISSIBLE_TOL
-from .solver import (_PHI_SERIES_CUTOFF, Trajectory, _check_fits, _etd_states, _expanded,
-                     _picard_band, _time_grid)
-from .spectral_core import (_HERMITIAN_TOL, _KP_ADMISSIBLE_TOL, Grid2D, SpectralField,
-                            forward_transform, make_grid)
+from . import TOLERANCES, __version__
+from .illposedness import build_phi_N, chi_bound_check, scaling_study
+from .norms import WindowedPower, sobolev_norm
+from .solver import Trajectory, solve_states
+from .spectral_core import Grid2D, SpectralField, forward_transform, make_grid
 from .verify import run_suite
 
 __all__ = ["main", "run", "ConfigError", "NumericalFailure"]
@@ -59,18 +54,6 @@ class ConfigError(Exception):
 
 class NumericalFailure(Exception):
     """Required convergence not reached, or a result not finite (exit code 3)."""
-
-
-_TOLERANCES = {
-    "hermitian_tol": _HERMITIAN_TOL,
-    "kp_admissibility_tol": _KP_ADMISSIBLE_TOL,
-    "semigroup_admissibility_tol": _ADMISSIBLE_TOL,
-    "taper_alpha": _TAPER_FRACTION,
-    "min_time_steps_for_norms": _MIN_STEPS,
-    "min_quadrature_cells": _MIN_CELLS,
-    "min_chi_samples": _MIN_CHI_SAMPLES,
-    "etd_phi_series_cutoff": _PHI_SERIES_CUTOFF,
-}
 
 
 def _reject_literal(literal: str):
@@ -241,7 +224,7 @@ def _manifest(cfg: dict, command: str, parameters: dict, results: dict) -> str:
         "config_sha256": hashlib.sha256(canon.encode()).hexdigest(),
         "version": __version__,
         "parameters": parameters,
-        "tolerances": dict(_TOLERANCES),
+        "tolerances": dict(TOLERANCES),
         "results": results,
     }
     try:
@@ -288,20 +271,18 @@ def _run_solve(cfg: dict, states_path: str):
     tol = _field(cfg, "tol", float)
     max_iter = _field(cfg, "max_iter", int)
     integrator = _field(cfg, "integrator", str, required=False, default="picard")
-    if integrator not in ("picard", "etd"):
-        raise ConfigError(
-            f"config field 'integrator' must be picard or etd, got {integrator!r}")
     save_states = _field(cfg, "save_states", bool, required=False, default=False)
     if "phi_spec" not in cfg:
         raise ConfigError("config field 'phi_spec' is required")
     grid = make_grid(nx, ny, Lx, Ly)
     phi = _build_phi(cfg["phi_spec"], grid)
-    if save_states:  # `kpblab norms` gathers up to the whole saved trajectory
-        _check_fits("states.npz", grid, M, band_tables=0, full_tables=1)
+    if save_states:
+        from . import states
+        states.check_fits(grid, M)
 
     results: dict = {"integrator": integrator}
-    if integrator == "picard":
-        times, band, report = _picard_band(phi, T, M, tol, max_iter, full_tables=0)
+    times, report, full_states = solve_states(phi, T, M, integrator, tol, max_iter)
+    if report is not None:
         results["iterations"] = report.iterations
         results["converged"] = report.converged
         results["residual_history"] = report.residual_history
@@ -311,15 +292,11 @@ def _run_solve(cfg: dict, states_path: str):
                 f"{max_iter} iterations (stopped after {report.iterations}: "
                 f"{report.stop_reason}, last residual "
                 f"{report.residual_history[-1]:.3e})")
-        band_states = enumerate(band)
-    else:
-        times = _time_grid(T, M)
-        band_states = _etd_states(phi, T, M, True)
     history = []
 
     def finite_states():
         """The full states in time order, each L^2 norm appended to history."""
-        for k, state, l2 in _expanded(band_states, grid):
+        for k, state, l2 in full_states:
             if not math.isfinite(l2):
                 raise NumericalFailure(
                     f"{integrator} solution is not finite at step {k} "
@@ -328,7 +305,6 @@ def _run_solve(cfg: dict, states_path: str):
             yield state
 
     if save_states:
-        from . import states
         states.write(states_path, {
             "times": times, "coeffs": ((times.size, nx, ny), finite_states()),
             "nx": nx, "ny": ny, "Lx": Lx, "Ly": Ly,
@@ -430,20 +406,17 @@ def _run_norms(cfg: dict):
         grid = make_grid(int(arrays["nx"]), int(arrays["ny"]), float(arrays["Lx"]),
                          float(arrays["Ly"]), float(arrays["dealias_fraction"]))
         # A zero-stride stand-in of the stored shape: Trajectory checks the
-        # time grid and the shape, and the norms read only grid, dt, n_times.
+        # time grid and the shape, and WindowedPower.of reads the blocks.
         traj = Trajectory(grid=grid, times=arrays["times"],
                           coeffs=np.broadcast_to(np.complex128(0), shape))
-    _check_time_samples(traj)
     last = np.empty((grid.nx, grid.ny), dtype=complex)
     with _reading(input_path):
-        windowed = _windowed_power(
+        power = WindowedPower.of(
             traj, lambda: states.coeff_blocks(input_path, shape, last))
 
     row = [b, s1, s2,
            sobolev_norm(SpectralField(grid=grid, coeffs=last), s1, s2),
-           _spacetime(traj, windowed, b, s1, s2),
-           _bourgain(traj, windowed, b, s1, s2),
-           _gap(traj, windowed, b, s1, s2)]
+           power.spacetime(b, s1, s2), power.bourgain(b, s1, s2), power.gap(b, s1, s2)]
     parameters = {"input_path": input_path, "b": b, "s1": s1, "s2": s2,
                   "n_times": traj.n_times, "dt": traj.dt}
     results = {"sobolev_final": row[3], "spacetime": row[4],

@@ -38,25 +38,29 @@ P is even along that row and sigma = tau - P does not mirror.  The solver's
 and the free trajectories are exactly Hermitian, so they are transformed on
 their Hermitian half.
 
-The windowed power is taken in two passes over consecutive blocks of time
-rows: the first selects the columns (the occupied modes and the exact
-pairs), the second gathers them for the transform.  An in-memory
-trajectory is a single block.  ``kpblab norms`` streams the blocks from
-``states.npz`` and evaluates all three time-dependent norms from one
-windowed power (``_spacetime``, ``_bourgain``, ``_gap``), so it never holds
-the whole trajectory.
+A ``WindowedPower`` holds the windowed transform's power on those columns,
+and its ``spacetime``, ``bourgain`` and ``gap`` methods are the three
+time-dependent norms, so one transform serves all three.  It is taken in
+two passes over consecutive blocks of time rows: the first selects the
+columns (the occupied modes and the exact pairs), the second gathers them
+for the transform.  An in-memory trajectory is a single block.  ``kpblab
+norms`` streams the blocks from ``states.npz``, so it never holds the whole
+trajectory.  ``spacetime_norm``, ``bourgain_norm`` and ``equivalence_gap``
+are the methods on the power of one in-memory trajectory.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral_core import SpectralField, dispersion_values
+from .spectral_core import Grid2D, SpectralField, dispersion_values
 from .solver import Trajectory
 
 __all__ = [
+    "WindowedPower",
     "sobolev_norm",
     "spacetime_norm",
     "bourgain_norm",
@@ -101,13 +105,6 @@ def sobolev_norm(f: SpectralField, s1: float, s2: float) -> float:
     return float(np.sqrt(total))
 
 
-def _check_time_samples(traj: Trajectory) -> None:
-    if traj.n_times - 1 < _MIN_STEPS:
-        raise ValueError(
-            f"time-dependent norms need at least {_MIN_STEPS} time steps, "
-            f"got {traj.n_times - 1}")
-
-
 def _taper_transform(columns: np.ndarray,
                      dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(tau, uhat) for time samples ``columns`` of shape (n_t, n_cols), which
@@ -119,19 +116,6 @@ def _taper_transform(columns: np.ndarray,
     uhat *= dt
     tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
     return tau, uhat
-
-
-def windowed_time_transform(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
-    """Taper the trajectory in time and apply the discrete time transform.
-
-    Returns (tau, uhat) with tau the FFT bin frequencies (shape (n_t,)) and
-    uhat = dt * FFT_t(window * states) of shape (n_t, nx, ny), normalised so
-    that sum_j |uhat_j|^2 / (n_t * dt) is the quadrature of the windowed
-    squared time signal.  Every mode is transformed; the norms transform
-    only the columns ``_windowed_power`` picks.
-    """
-    tau, uhat = _taper_transform(traj.coeffs.reshape(traj.n_times, -1).copy(), traj.dt)
-    return tau, uhat.reshape(traj.coeffs.shape)
 
 
 def _on_modes(table: np.ndarray, grid, cols: np.ndarray) -> np.ndarray:
@@ -197,128 +181,133 @@ def _selected_columns(grid, blocks) -> tuple[np.ndarray, np.ndarray]:
     return cols, colw
 
 
-def _windowed_power(traj: Trajectory, blocks=None) -> tuple[np.ndarray, np.ndarray,
-                                                             np.ndarray, np.ndarray]:
-    """(tau, |uhat|^2, cols, colw): the windowed transform's power on the
-    flat modes ``cols`` of ``_selected_columns``, each of which counts colw
-    times in a weighted sum.
-
-    ``blocks()`` returns the trajectory's time rows as consecutive blocks
-    (n, nx * ny); it is called twice, once to select the columns and once
-    to gather them.  By default ``traj.coeffs`` is the one block.  The
-    complex transform is released once its squared modulus is formed.
+@dataclass(eq=False)
+class WindowedPower:
+    """The power |uhat|^2 (n_times, cols.size) of a trajectory's windowed
+    time transform on the flat modes ``cols`` of ``_selected_columns``,
+    each of which counts ``colw`` times in a weighted sum, at the bin
+    frequencies ``tau``.  uhat = dt * FFT_t(window * states), normalised
+    so that sum_j |uhat_j|^2 / (n_times * dt) is the quadrature of the
+    windowed squared time signal.
     """
-    if blocks is None:
-        flat = traj.coeffs.reshape(traj.n_times, -1)
-        blocks = lambda: (flat,)
-    cols, colw = _selected_columns(traj.grid, blocks())
-    columns = np.empty((traj.n_times, cols.size), dtype=traj.coeffs.dtype)
-    t = 0
-    for block in blocks():
-        # mode="clip" (cols are in range) lets take write into columns unbuffered
-        np.take(block, cols, axis=1, out=columns[t:t + len(block)], mode="clip")
-        t += len(block)
-    tau, uhat = _taper_transform(columns, traj.dt)
-    power = np.abs(uhat)
-    power **= 2
-    return tau, power, cols, colw
 
+    grid: Grid2D
+    dt: float
+    n_times: int
+    tau: np.ndarray
+    power: np.ndarray
+    cols: np.ndarray
+    colw: np.ndarray
 
-def _sobolev_on(traj: Trajectory, s1: float, s2: float, cols: np.ndarray,
-                colw: np.ndarray) -> np.ndarray:
-    """The H^{s1,s2} weight on the modes ``cols``, times their weights ``colw``."""
-    return _on_modes(sobolev_weight(traj.grid, s1, s2), traj.grid, cols) * colw
+    @classmethod
+    def of(cls, traj: Trajectory, blocks=None) -> WindowedPower:
+        """The windowed power of ``traj``, whose time steps are counted
+        first.  ``blocks()`` returns its time rows as consecutive blocks
+        (n, nx * ny), and is called twice: to select the columns and to
+        gather them.  By default ``traj.coeffs`` is the one block.  The
+        complex transform is released once its squared modulus is formed.
+        """
+        if traj.n_times - 1 < _MIN_STEPS:
+            raise ValueError(
+                f"time-dependent norms need at least {_MIN_STEPS} time steps, "
+                f"got {traj.n_times - 1}")
+        if blocks is None:
+            flat = traj.coeffs.reshape(traj.n_times, -1)
+            blocks = lambda: (flat,)
+        cols, colw = _selected_columns(traj.grid, blocks())
+        columns = np.empty((traj.n_times, cols.size), dtype=traj.coeffs.dtype)
+        t = 0
+        for block in blocks():
+            # mode="clip" (cols are in range) lets take write into columns unbuffered
+            np.take(block, cols, axis=1, out=columns[t:t + len(block)], mode="clip")
+            t += len(block)
+        tau, uhat = _taper_transform(columns, traj.dt)
+        power = np.abs(uhat)
+        power **= 2
+        return cls(traj.grid, traj.dt, traj.n_times, tau, power, cols, colw)
 
+    def _sobolev(self, s1: float, s2: float) -> np.ndarray:
+        """The H^{s1,s2} weight on the modes ``cols``, times ``colw``."""
+        weight = sobolev_weight(self.grid, s1, s2)
+        return _on_modes(weight, self.grid, self.cols) * self.colw
 
-def _squared_sum(traj: Trajectory, weight: np.ndarray, power: np.ndarray) -> float:
-    """mu * sum(weight * power); ``weight``, shaped like ``power``, is overwritten."""
-    mu = traj.grid.cell_measure / (traj.n_times * traj.dt)
-    weight *= power
-    return float(np.sum(weight) * mu)
+    def _squared_sum(self, weight: np.ndarray) -> float:
+        """mu * sum(weight * power); ``weight`` is overwritten."""
+        mu = self.grid.cell_measure / (self.n_times * self.dt)
+        weight *= self.power
+        return float(np.sum(weight) * mu)
+
+    def _wrapped_sigma(self) -> np.ndarray:
+        """sigma = tau - P(nu) on the modes ``cols``, reduced into the
+        principal tau band [-pi/dt, pi/dt)."""
+        P = _on_modes(dispersion_values(self.grid).values, self.grid, self.cols)
+        sigma = self.tau[:, None] - P[None, :]
+        half_band = np.pi / self.dt
+        sigma += half_band
+        np.mod(sigma, 2.0 * half_band, out=sigma)
+        sigma -= half_band
+        return sigma
+
+    def spacetime(self, b: float, s1: float, s2: float) -> float:
+        """H^{b,s1,s2} norm of the tapered trajectory."""
+        wt = (1.0 + self.tau ** 2) ** b
+        ws = self._sobolev(s1, s2)
+        return float(np.sqrt(self._squared_sum(wt[:, None] * ws[None, :])))
+
+    def bourgain(self, b: float, s1: float, s2: float) -> float:
+        """X^{b,s1,s2} norm with sigma = tau - P(nu) per (tau, nu) bin."""
+        weight = self._wrapped_sigma()
+        xi4 = _on_modes((self.grid.xi ** 4)[:, None], self.grid, self.cols)[None, :]
+        # (1 + sigma^2 + xi^4)^b (1 + xi^2)^s1 (1 + eta^2)^s2, in place
+        weight **= 2
+        weight += 1.0
+        weight += xi4
+        weight **= b
+        weight *= self._sobolev(s1, s2)[None, :]
+        return float(np.sqrt(self._squared_sum(weight)))
+
+    def gap(self, b: float, s1: float, s2: float) -> float:
+        """Ratio X^{b,s1,s2} / (||U(-t)u||_{H^{b,s1,s2}} + ||u||_{L^2_t H^{s1+2b,s2}}).
+
+        All three terms come from the one windowed transform: conjugating
+        by the free group exactly shifts tau to sigma on the discrete bins,
+        so the first denominator term carries weight (1+sigma^2)^b and the
+        second (1+xi^2)^{2b}.  The weight splitting (1+sigma^2+xi^4)^b vs
+        the two-term sum pins the ratio inside fixed bounds (within
+        [1/3, 3] for |b| <= 1/2).  Both sides zero returns 1 by convention.
+        """
+        ws = self._sobolev(s1, s2)[None, :]
+        xi2 = _on_modes((self.grid.xi ** 2)[:, None], self.grid, self.cols)[None, :]
+        shifted_w = self._wrapped_sigma()
+        shifted_w **= 2
+        shifted_w += 1.0  # 1 + sigma^2
+        weight = shifted_w + xi2 ** 2
+        weight **= b
+        weight *= ws
+        full = self._squared_sum(weight)
+        shifted_w **= b
+        shifted_w *= ws
+        shifted = self._squared_sum(shifted_w)
+        weight[...] = (1.0 + xi2) ** (2.0 * b) * ws
+        elliptic = self._squared_sum(weight)
+
+        denom = np.sqrt(shifted) + np.sqrt(elliptic)
+        numer = np.sqrt(full)
+        if denom == 0.0 and numer == 0.0:
+            return 1.0
+        return float(numer / denom)
 
 
 def spacetime_norm(traj: Trajectory, b: float, s1: float, s2: float) -> float:
-    """H^{b,s1,s2} norm of the tapered trajectory."""
-    _check_time_samples(traj)
-    return _spacetime(traj, _windowed_power(traj), b, s1, s2)
-
-
-def _spacetime(traj: Trajectory, windowed: tuple, b: float, s1: float,
-               s2: float) -> float:
-    """``spacetime_norm`` from the trajectory's ``_windowed_power``."""
-    tau, power, cols, colw = windowed
-    wt = (1.0 + tau ** 2) ** b
-    ws = _sobolev_on(traj, s1, s2, cols, colw)
-    return float(np.sqrt(_squared_sum(traj, wt[:, None] * ws[None, :], power)))
-
-
-def _wrapped_sigma(traj: Trajectory, tau: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """sigma = tau - P(nu) on the modes ``cols``, reduced into the principal
-    tau band [-pi/dt, pi/dt)."""
-    P = _on_modes(dispersion_values(traj.grid).values, traj.grid, cols)
-    sigma = tau[:, None] - P[None, :]
-    half_band = np.pi / traj.dt
-    sigma += half_band
-    np.mod(sigma, 2.0 * half_band, out=sigma)
-    sigma -= half_band
-    return sigma
+    """H^{b,s1,s2} norm of the tapered trajectory (``WindowedPower.spacetime``)."""
+    return WindowedPower.of(traj).spacetime(b, s1, s2)
 
 
 def bourgain_norm(traj: Trajectory, b: float, s1: float, s2: float) -> float:
-    """X^{b,s1,s2} norm with sigma = tau - P(nu) per (tau, nu) bin."""
-    _check_time_samples(traj)
-    return _bourgain(traj, _windowed_power(traj), b, s1, s2)
-
-
-def _bourgain(traj: Trajectory, windowed: tuple, b: float, s1: float,
-              s2: float) -> float:
-    """``bourgain_norm`` from the trajectory's ``_windowed_power``."""
-    tau, power, cols, colw = windowed
-    weight = _wrapped_sigma(traj, tau, cols)
-    xi4 = _on_modes((traj.grid.xi ** 4)[:, None], traj.grid, cols)[None, :]
-    # (1 + sigma^2 + xi^4)^b (1 + xi^2)^s1 (1 + eta^2)^s2, in place
-    weight **= 2
-    weight += 1.0
-    weight += xi4
-    weight **= b
-    weight *= _sobolev_on(traj, s1, s2, cols, colw)[None, :]
-    return float(np.sqrt(_squared_sum(traj, weight, power)))
+    """X^{b,s1,s2} norm of the tapered trajectory (``WindowedPower.bourgain``)."""
+    return WindowedPower.of(traj).bourgain(b, s1, s2)
 
 
 def equivalence_gap(traj: Trajectory, b: float, s1: float, s2: float) -> float:
-    """Ratio X^{b,s1,s2} / (||U(-t)u||_{H^{b,s1,s2}} + ||u||_{L^2_t H^{s1+2b,s2}}).
-
-    All three terms are evaluated from one windowed transform: conjugating by
-    the free group exactly shifts tau to sigma on the discrete bins, so the
-    first denominator term carries weight (1+sigma^2)^b and the second
-    (1+xi^2)^{2b}.  The weight splitting (1+sigma^2+xi^4)^b vs the two-term
-    sum pins the ratio inside fixed bounds (within [1/3, 3] for |b| <= 1/2).
-    Both sides zero returns 1 by convention.
-    """
-    _check_time_samples(traj)
-    return _gap(traj, _windowed_power(traj), b, s1, s2)
-
-
-def _gap(traj: Trajectory, windowed: tuple, b: float, s1: float, s2: float) -> float:
-    """``equivalence_gap`` from the trajectory's ``_windowed_power``."""
-    tau, power, cols, colw = windowed
-    ws = _sobolev_on(traj, s1, s2, cols, colw)[None, :]
-    xi2 = _on_modes((traj.grid.xi ** 2)[:, None], traj.grid, cols)[None, :]
-    shifted_w = _wrapped_sigma(traj, tau, cols)
-    shifted_w **= 2
-    shifted_w += 1.0  # 1 + sigma^2
-    weight = shifted_w + xi2 ** 2
-    weight **= b
-    weight *= ws
-    full = _squared_sum(traj, weight, power)
-    shifted_w **= b
-    shifted_w *= ws
-    shifted = _squared_sum(traj, shifted_w, power)
-    weight[...] = (1.0 + xi2) ** (2.0 * b) * ws
-    elliptic = _squared_sum(traj, weight, power)
-
-    denom = np.sqrt(shifted) + np.sqrt(elliptic)
-    numer = np.sqrt(full)
-    if denom == 0.0 and numer == 0.0:
-        return 1.0
-    return float(numer / denom)
+    """The equivalence-gap ratio of the tapered trajectory (``WindowedPower.gap``)."""
+    return WindowedPower.of(traj).gap(b, s1, s2)

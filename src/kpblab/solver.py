@@ -12,8 +12,7 @@ nonlinear correction.
 
 ``solve_etd`` integrates the same dynamics with a second-order exponential
 time differencing scheme (exact on the linear part) and serves as an
-independent discretisation for cross-validation.  ``etd_l2_history`` runs
-the same steps and keeps only each state's L^2 norm.
+independent discretisation for cross-validation.
 
 Every field evolved here is real, so its spectrum is Hermitian and half of
 it determines the rest: the ``rfft2`` half spectrum, the columns
@@ -31,23 +30,22 @@ boundary only, and writes +0.0 off it.  ``Trajectory``, ``picard_step``,
 fields that need not be band-limited, so they pass a whole half spectrum
 as their band.  The solvers' trajectories are exactly Hermitian.
 
-What each solver keeps: ``solve_picard`` holds three band trajectories
-while it iterates (the W(t_k) phi table and two iterates), and then
-expands the last iterate, one state at a time, into the full output;
-``solve_etd`` fills one full (M+1, nx, ny) trajectory; ``etd_l2_history``
-holds one band state at a time and no trajectory.  The two
-trajectory-keeping solvers estimate those bytes before allocating
-anything and raise ``ValueError`` when they exceed the machine's physical
-memory.  ``_picard_band`` is the Picard solve without the expansion, and
-``_expanded`` expands a sequence of band states one at a time into one
-reused buffer and takes each one's L^2 norm there; the CLI runs both
-integrators' states through it, so it keeps no full trajectory either.
+``solve_states`` is the one path from a datum to the states of either
+integrator, one full state at a time with its L^2 norm; ``solve_picard``
+collects them into a ``Trajectory``, and ``solve_etd`` expands its band
+states straight into its rows.  A Picard solve holds three band
+trajectories while it iterates (the W(t_k) phi table and two iterates)
+and one after; an ETD stream holds one band state; a collector adds one
+full (M+1, nx, ny) trajectory.  Whatever keeps a trajectory estimates its
+bytes before allocating anything and raises ``ValueError`` when they
+exceed the machine's physical memory.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,9 +58,9 @@ __all__ = [
     "PicardReport",
     "nonlinearity",
     "picard_step",
+    "solve_states",
     "solve_picard",
     "solve_etd",
-    "etd_l2_history",
     "l2_history",
 ]
 
@@ -356,7 +354,7 @@ def _band_energy(states: np.ndarray, rows: np.ndarray, grid: Grid2D) -> np.ndarr
 
     The states go two at a time into a two-row half-spectrum batch that is
     zero off the band: einsum sums any batch of two or more rows in the
-    same per-row order (see ``etd_l2_history``).  After an odd count the
+    same per-row order (see ``solve_states``).  After an odd count the
     second row holds a stale state whose energy is dropped.
     """
     half = np.zeros((2, grid.nx, grid.ny // 2 + 1), dtype=complex)
@@ -382,8 +380,8 @@ def l2_history(traj: Trajectory) -> np.ndarray:
 
 
 def _time_grid(T: float, M: int) -> np.ndarray:
-    if T <= 0:
-        raise ValueError(f"T must be positive, got {T}")
+    if not 0 < T < math.inf:  # written so that NaN fails too
+        raise ValueError(f"T must be positive and finite, got {T}")
     if M < _MIN_SOLVE_STEPS:
         raise ValueError(f"M must be >= {_MIN_SOLVE_STEPS}, got {M}")
     return np.linspace(0.0, T, M + 1)
@@ -414,20 +412,16 @@ def _check_fits(solver: str, grid: Grid2D, M: int, band_tables: int,
             f"{memory / 2**30:,.1f} GiB of physical memory")
 
 
-def _picard_band(phi: SpectralField, T: float, M: int, tol: float, max_iter: int,
-                 full_tables: int) -> tuple[np.ndarray, np.ndarray, PicardReport]:
-    """(times, last iterate on the solver band, report) of ``solve_picard``.
-
-    ``full_tables`` counts the full (M+1, nx, ny) trajectories the caller
-    keeps besides the three band tables, for the memory estimate.
-    """
-    grid = phi.grid
-    _check_fits("solve_picard", grid, M, band_tables=3, full_tables=full_tables)
-    times = _time_grid(T, M)
+def _picard_band(phi: SpectralField, times: np.ndarray, tol: float,
+                 max_iter: int) -> tuple[np.ndarray, PicardReport]:
+    """(last iterate on the solver band, report) of the Picard solve of
+    ``solve_picard`` on the time grid ``times``.  The W(t_k) phi table and
+    the other iterate are released on return."""
     if not tol > 0:  # written so that NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    grid = phi.grid
     dt = float(times[1] - times[0])
     rows, cols = _band(grid)
     w_phi, w_dt, table = _picard_tables(phi, times, rows, cols)
@@ -459,7 +453,49 @@ def _picard_band(phi: SpectralField, T: float, M: int, tol: float, max_iter: int
             else:
                 continue
             break
-    return times, prev, report
+    return prev, report
+
+
+def solve_states(phi: SpectralField, T: float, M: int, integrator: str = "picard",
+                 tol: float = 1e-10, max_iter: int = 25
+                 ) -> tuple[np.ndarray, PicardReport | None, Iterator]:
+    """(times, report, states) of a solve on the grid t_k = k T / M that
+    keeps no full trajectory.
+
+    ``states`` yields (k, u_k, its L^2 norm) for k = 0, 1, ...: u_k is the
+    full (nx, ny) spectrum at ``times[k]`` in one reused buffer, which the
+    next state overwrites.  The buffer is row 0 of a two-row batch whose
+    row 1 stays zero: einsum sums a one-row batch in a single pass but a
+    longer one in chunks, and only the batch keeps ``l2_history``'s
+    summation order, so the norms equal it bit for bit.
+
+    ``"picard"`` iterates before this returns and keeps only the last band
+    iterate; ``report`` is its ``PicardReport``.  ``"etd"`` steps as the
+    states are drawn and stops after the first one that is not finite;
+    ``report`` is None, and ``tol`` and ``max_iter`` are unread.  The
+    arguments and a Picard solve's memory estimate are checked before
+    anything is allocated.
+    """
+    grid = phi.grid
+    if integrator == "picard":
+        _check_fits(integrator, grid, M, band_tables=3, full_tables=0)
+    elif integrator != "etd":
+        raise ValueError(f"integrator must be picard or etd, got {integrator!r}")
+    times = _time_grid(T, M)
+    if integrator == "picard":
+        band, report = _picard_band(phi, times, tol, max_iter)
+        band_states = enumerate(band)
+    else:
+        band_states, report = _etd_states(phi, times, True), None
+    rows, _ = _band(grid)
+
+    def states():
+        buf = np.zeros((2, grid.nx, grid.ny), dtype=complex)
+        for k, u in band_states:
+            _full(u, rows, (grid.nx, grid.ny), out=buf[0])
+            yield k, buf[0], float(_l2_rows(buf, grid.cell_measure)[0])
+
+    return times, report, states()
 
 
 def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
@@ -467,18 +503,18 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
     """Iterate ``picard_step`` from the zero trajectory until the sup-in-time
     L^2 difference of successive iterates drops below ``tol``.
 
-    The iterates stay on the solver band and only the last one is
-    expanded, after the W(t_k) phi table and the other iterate are
-    released.  Non-convergence is reported, not raised: the iteration also
-    ends, unconverged, at the first residual that is not finite or that is
-    larger than the one before it (``PicardReport.stop_reason``).
+    The output collects ``solve_states``: it is allocated after the
+    W(t_k) phi table and the spare iterate are released.  Non-convergence
+    is reported, not raised: the iteration also ends, unconverged, at the
+    first residual that is not finite or that is larger than the one
+    before it (``PicardReport.stop_reason``).
     """
     grid = phi.grid
-    times, band, report = _picard_band(phi, T, M, tol, max_iter, full_tables=1)
-    rows, _ = _band(grid)
-    out = np.zeros((times.size, grid.nx, grid.ny), dtype=complex)
-    for k in range(times.size):
-        _full(band[k], rows, (grid.nx, grid.ny), out=out[k])
+    _check_fits("solve_picard", grid, M, band_tables=3, full_tables=1)
+    times, report, states = solve_states(phi, T, M, "picard", tol, max_iter)
+    out = np.empty((times.size, grid.nx, grid.ny), dtype=complex)
+    for k, state, _ in states:
+        out[k] = state
     return Trajectory(grid=grid, times=times, coeffs=out), report
 
 
@@ -502,15 +538,16 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def _etd_states(phi: SpectralField, T: float, M: int,
+def _etd_states(phi: SpectralField, times: np.ndarray,
                 include_nonlinearity: bool):
-    """Yield (k, u_k on the solver band) for k = 0 .. M, the ETD2RK states
-    of ``solve_etd``; stop after the first state that is not finite.
+    """Yield (k, u_k on the solver band) for the ETD2RK states of
+    ``solve_etd`` on the time grid ``times``; stop after the first state
+    that is not finite.
 
     The yielded array is the stepper's own state and must not be modified.
     """
     grid = phi.grid
-    dt = float(_time_grid(T, M)[1])
+    dt = float(times[1])
     rows, cols = _band(grid)
     P = dispersion_values(grid).values[rows, :cols]
     xi = grid.xi[rows, None]
@@ -525,7 +562,7 @@ def _etd_states(phi: SpectralField, T: float, M: int,
 
     u = _prepared_data(phi, rows, cols)
     yield 0, u
-    for k in range(1, M + 1):
+    for k in range(1, times.size):
         with np.errstate(over="ignore", invalid="ignore"):
             if include_nonlinearity:
                 n0 = rhs(u)
@@ -551,46 +588,16 @@ def solve_etd(phi: SpectralField, T: float, M: int,
 
     The linear part is propagated exactly, so with the nonlinearity switched
     off the scheme reproduces W(t_k) phi to rounding accuracy.  Stepping
-    stops at the first non-finite state; the rows after it are NaN.
+    stops at the first non-finite state; the rows after it are NaN.  The
+    band states are expanded straight into their rows, since
+    ``include_nonlinearity`` is not a ``solve_states`` option.
     """
     grid = phi.grid
     _check_fits("solve_etd", grid, M, band_tables=0, full_tables=1)
     times = _time_grid(T, M)
     rows, _ = _band(grid)
     out = np.zeros((M + 1, grid.nx, grid.ny), dtype=complex)
-    for k, u in _etd_states(phi, T, M, include_nonlinearity):
+    for k, u in _etd_states(phi, times, include_nonlinearity):
         _full(u, rows, (grid.nx, grid.ny), out=out[k])
     out[k + 1:] = np.nan
     return Trajectory(grid=grid, times=times, coeffs=out)
-
-
-def _expanded(states, grid: Grid2D):
-    """Yield (k, full state, its L^2 norm) for the (k, band state) pairs of
-    ``states``.
-
-    Each state is expanded into one reused (nx, ny) buffer and reduced
-    there, so the norms equal ``l2_history`` of the expanded trajectory bit
-    for bit.  The buffer is row 0 of a two-row batch whose row 1 stays
-    zero: einsum sums a one-row batch in a single pass but a longer one in
-    chunks, and only the batch keeps ``l2_history``'s summation order.  The
-    yielded state is that buffer, overwritten by the next one.
-    """
-    rows, _ = _band(grid)
-    buf = np.zeros((2, grid.nx, grid.ny), dtype=complex)
-    for k, u in states:
-        _full(u, rows, (grid.nx, grid.ny), out=buf[0])
-        yield k, buf[0], float(_l2_rows(buf, grid.cell_measure)[0])
-
-
-def etd_l2_history(phi: SpectralField, T: float,
-                   M: int) -> tuple[np.ndarray, np.ndarray]:
-    """(times, L^2 norms) of the ``solve_etd`` states, without the trajectory.
-
-    The values equal ``l2_history(solve_etd(phi, T, M))`` bit for bit, NaN
-    after an early stop included (see ``_expanded``).
-    """
-    times = _time_grid(T, M)
-    l2 = np.full(M + 1, np.nan)
-    for k, _, norm in _expanded(_etd_states(phi, T, M, True), phi.grid):
-        l2[k] = norm
-    return times, l2

@@ -5,6 +5,7 @@ layout (CSV + manifest + optional states), determinism of written bytes,
 and the solve -> norms round trip.
 """
 
+import ast
 import csv
 import inspect
 import io
@@ -22,6 +23,7 @@ import zipfile
 import numpy as np
 import pytest
 
+import kpblab
 from kpblab import cli, illposedness, norms, semigroup, solver, spectral_core
 from kpblab.cli import main
 
@@ -130,7 +132,8 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("M", 4), ("T", 0.0), ("nx", 7), ("Lx", 0.0), ("max_iter", 0), ("tol", 0.0)])
+        ("M", 4), ("T", 0.0), ("nx", 7), ("Lx", 0.0), ("max_iter", 0), ("tol", 0.0),
+        ("integrator", "rk4")])
     def test_library_precondition_is_config_error(self, tmp_path, capsys,
                                                   field, value):
         path = write_cfg(tmp_path, "c.json", solve_cfg(**{field: value}))
@@ -695,11 +698,33 @@ class TestManifestTolerances:
             "min_chi_samples": illposedness._MIN_CHI_SAMPLES,
             "etd_phi_series_cutoff": solver._PHI_SERIES_CUTOFF,
         }
-        assert cli._TOLERANCES.keys() == expected.keys()
+        assert kpblab.TOLERANCES.keys() == expected.keys()
         for name, value in expected.items():
-            assert cli._TOLERANCES[name] is value, name
+            assert kpblab.TOLERANCES[name] is value, name
         default = inspect.signature(spectral_core.is_kp_admissible).parameters["tol"].default
         assert default is spectral_core._KP_ADMISSIBLE_TOL
+
+
+class TestPublicPath:
+    """The CLI reaches the library through public names only."""
+
+    def test_cli_imports_no_private_name(self):
+        with open(cli.__file__, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        private = [f"{'.' * node.level}{node.module or ''}: {alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level > 0
+                   for alias in node.names
+                   if alias.name.startswith("_") and not alias.name.endswith("__")]
+        assert private == []
+
+    def test_stream_and_windowed_power_are_exported(self):
+        for module, name in [(solver, "solve_states"), (norms, "WindowedPower")]:
+            assert name in module.__all__ and name in kpblab.__all__
+            assert getattr(kpblab, name) is getattr(module, name)
+        for module in (kpblab, spectral_core, semigroup, solver, norms, illposedness):
+            missing = [name for name in module.__all__ if not hasattr(module, name)]
+            assert missing == [], module.__name__
 
 
 class TestEntryPoint:

@@ -12,15 +12,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import kpblab.norms as norms_module
 from kpblab.norms import (
+    WindowedPower,
+    _taper_transform,
     bourgain_norm,
     equivalence_gap,
     sobolev_norm,
     sobolev_weight,
     spacetime_norm,
     time_window,
-    windowed_time_transform,
 )
 from kpblab.semigroup import free_table, semigroup_table
 from kpblab.solver import Trajectory, _dx_product_full, solve_picard
@@ -37,6 +37,16 @@ from kpblab.verify import bilinear_ratio, free_trajectory, random_field
 
 def idx(grid, kx, ky):
     return kx % grid.nx, ky % grid.ny
+
+
+def windowed_time_transform(traj):
+    """The dense oracle: (tau, uhat) with tau the FFT bin frequencies and
+    uhat = dt * FFT_t(window * states) of shape (n_t, nx, ny), the norms'
+    taper transform on every mode, where the norms take only the columns
+    ``WindowedPower`` picks.  Normalised so that sum_j |uhat_j|^2 / (n_t dt)
+    is the quadrature of the windowed squared time signal."""
+    tau, uhat = _taper_transform(traj.coeffs.reshape(traj.n_times, -1).copy(), traj.dt)
+    return tau, uhat.reshape(traj.coeffs.shape)
 
 
 def single_mode(grid, kx, ky, value=1.0):
@@ -512,11 +522,12 @@ class TestHermitianHalf:
         traj = Trajectory(grid=traj.grid, times=traj.times, coeffs=coeffs)
         flat = traj.coeffs.reshape(traj.n_times, -1)
         fft_columns.clear()
-        whole = norms_module._windowed_power(traj)
+        whole = WindowedPower.of(traj)
         for step in (1, 5, traj.n_times - 1):
             def blocks():
                 return (flat[t:t + step] for t in range(0, traj.n_times, step))
-            got = norms_module._windowed_power(traj, blocks)
-            for a, b in zip(got, whole):
+            got = WindowedPower.of(traj, blocks)
+            for name in ("tau", "power", "cols", "colw"):
+                a, b = getattr(got, name), getattr(whole, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert len(set(fft_columns)) == 1 and len(fft_columns) == 4

@@ -25,12 +25,12 @@ from kpblab.solver import (
     _band,
     _nonlin,
     _whole,
-    etd_l2_history,
     l2_history,
     nonlinearity,
     picard_step,
     solve_etd,
     solve_picard,
+    solve_states,
 )
 from kpblab.spectral_core import (
     SpectralField,
@@ -216,7 +216,7 @@ class TestSolvePicard:
     @pytest.mark.parametrize("kwargs", [
         dict(T=0.0, M=16), dict(T=-1.0, M=16), dict(T=0.1, M=4),
         dict(T=0.1, M=16, tol=0.0), dict(T=0.1, M=16, tol=np.nan),
-        dict(T=0.1, M=16, max_iter=0),
+        dict(T=0.1, M=16, max_iter=0), dict(T=np.nan, M=16), dict(T=np.inf, M=16),
     ])
     def test_bad_arguments_rejected(self, grid, kwargs):
         with pytest.raises(ValueError):
@@ -255,6 +255,9 @@ class TestSolveEtd:
             solve_etd(gaussian_datum(grid), 0.0, 16)
         with pytest.raises(ValueError):
             solve_etd(gaussian_datum(grid), 0.1, 4)
+        for T in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                solve_etd(gaussian_datum(grid), T, 16)
 
 
 class TestL2History:
@@ -438,7 +441,19 @@ class TestBlowUpStopsEarly:
         assert report.residual_history[1] > report.residual_history[0]
 
 
+def stream_l2(phi, T, M, integrator):
+    """(times, L^2 norms) of the ``solve_states`` stream, NaN after an early stop."""
+    times, _, states = solve_states(phi, T, M, integrator)
+    l2 = np.full(times.size, np.nan)
+    for k, _, norm in states:
+        l2[k] = norm
+    return times, l2
+
+
 class TestStreamingEtd:
+    """The ``solve_states`` stream keeps no trajectory, and its L^2 norms
+    equal ``l2_history`` of the collectors' trajectories bit for bit."""
+
     # 96 x 96 holds 18432 floats per state, more than einsum reduces in one
     # chunk of a batch, so it checks that the streamed sum keeps the order
     @pytest.mark.parametrize("n, M", [(32, 20), (48, 16), (96, 12)])
@@ -446,14 +461,28 @@ class TestStreamingEtd:
         g = make_grid(n, n, np.pi, np.pi)
         phi = SpectralField(grid=g, coeffs=0.01 * random_real_field(g, 3).coeffs)
         traj = solve_etd(phi, 0.2, M)
-        times, l2 = etd_l2_history(phi, 0.2, M)
+        times, l2 = stream_l2(phi, 0.2, M, "etd")
         assert times.tobytes() == traj.times.tobytes()
         assert l2.tobytes() == l2_history(traj).tobytes()
+
+    @pytest.mark.parametrize("n, M", [(32, 20), (96, 12)])
+    def test_picard_equals_l2_history_of_solve_picard_bitwise(self, n, M):
+        g = make_grid(n, n, np.pi, np.pi)
+        phi = SpectralField(grid=g, coeffs=0.01 * random_real_field(g, 3).coeffs)
+        traj, report = solve_picard(phi, 0.2, M)
+        times, _, states = solve_states(phi, 0.2, M)
+        assert report.converged
+        assert times.tobytes() == traj.times.tobytes()
+        l2 = []
+        for k, state, norm in states:
+            assert state.tobytes() == traj.coeffs[k].tobytes()
+            l2.append(norm)
+        assert np.array(l2).tobytes() == l2_history(traj).tobytes()
 
     def test_blowup_stops_at_the_same_step(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, l2 = etd_l2_history(blowup_datum(), 10.0, 16)
+            _, l2 = stream_l2(blowup_datum(), 10.0, 16, "etd")
             expect = l2_history(solve_etd(blowup_datum(), 10.0, 16))
         np.testing.assert_array_equal(l2, expect)
         assert np.all(np.isfinite(l2[:4]))
@@ -462,10 +491,24 @@ class TestStreamingEtd:
 
     def test_bad_arguments_rejected(self, grid):
         phi = gaussian_datum(grid)
-        with pytest.raises(ValueError):
-            etd_l2_history(phi, 0.0, 16)
-        with pytest.raises(ValueError):
-            etd_l2_history(phi, 0.1, 2)
+        for integrator in ("picard", "etd"):
+            for T, M in [(0.0, 16), (0.1, 2), (np.nan, 16), (np.inf, 16)]:
+                with pytest.raises(ValueError):
+                    solve_states(phi, T, M, integrator)
+        with pytest.raises(ValueError, match="integrator must be picard or etd"):
+            solve_states(phi, 0.1, 16, "rk4")
+
+    @pytest.mark.parametrize("T", [np.nan, np.inf])
+    def test_non_finite_T_named_before_any_step(self, grid, monkeypatch, T):
+        def no_step(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr(solver_module, "_nonlin", no_step)
+        phi = gaussian_datum(grid)
+        for solve in (solve_picard, solve_etd, solve_states,
+                      lambda *args: solve_states(*args, "etd")):
+            with pytest.raises(ValueError, match="T must be positive and finite"):
+                solve(phi, T, 16)
 
 
 class TestTrajectoryMemory:
@@ -510,7 +553,8 @@ class TestTrajectoryMemory:
                 else:
                     with pytest.raises(ValueError, match="physical memory"):
                         solve(phi, 0.1, 20)
-            etd_l2_history(phi, 0.1, 20)  # keeps no trajectory: never checked
+            for _ in solve_states(phi, 0.1, 20, "etd")[2]:
+                pass  # the ETD stream keeps no trajectory: never checked
 
         # `kpblab solve` keeps the three band tables of a Picard solve and
         # streams the states; a states.npz counts as one full table, which
