@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 _SQRT3 = math.sqrt(3.0)
+_GAUSS_NODES = 16  # Gauss-Legendre nodes per rectangle side in PhiHat.sobolev_norm
 
 
 @dataclass(frozen=True)
@@ -151,25 +152,36 @@ class PhiHat:
                   | d1.contains(-xi, -eta) | d2.contains(-xi, -eta))
         return np.where(inside, self.amplitude, 0.0)
 
-    def sobolev_norm(self, s1: float, s2: float = 0.0) -> float:
-        """Exact continuum H^{s1,s2} norm (1-D quadrature per rectangle)."""
-        # Imported here, its only use: scipy.integrate costs most of the
-        # package's import time, which every command pays.
-        from scipy.integrate import quad
+    def sobolev_norm(self, s: float) -> float:
+        """Continuum H^{s,0} norm.
 
-        def weight(x: float, s: float) -> float:
-            try:
-                return (1.0 + x * x) ** s
-            except OverflowError:  # a weight past the float range is inf
-                return math.inf
+        Each rectangle contributes its eta side's length times the integral
+        of (1+xi^2)^s over its xi side, by a fixed 16-node Gauss-Legendre
+        rule.  The weight's poles at +-i stay far from both xi sides,
+        [N/2, N) and [N, 2N), at every N (Bernstein ellipse parameter at
+        least 3 + 2 sqrt(2)), so the rule's error is far below rounding.  On
+        s in {-0.7, -0.5, -0.3, 0, 0.5, 2} and N from 8 to 65536 the norm
+        agrees with one built on adaptive quadrature (scipy.integrate.quad,
+        epsrel 1e-12) within 4.4e-16 relative.  At s = 0 each integral is
+        exactly its side's length.  A weight past the float range makes the
+        norm inf.  There is no eta weight: the eta side of D_1 straddles 0,
+        next to the poles, where no fixed rule converges.
+        """
+        # Imported here: numpy.polynomial adds to the import time every
+        # command pays, and only this norm needs it.
+        from numpy.polynomial.legendre import leggauss
 
+        nodes, weights = leggauss(_GAUSS_NODES)
         total = 0.0
         for rect in (self.rectangles.D1, self.rectangles.D2):
-            fx = quad(weight, rect.xi_min, rect.xi_max, args=(s1,), epsrel=1e-12)[0]
-            fy = quad(weight, rect.eta_min, rect.eta_max, args=(s2,), epsrel=1e-12)[0]
-            total += fx * fy
-        total *= 2.0 * self.amplitude ** 2  # conjugate mirrors double the mass
-        return math.sqrt(total / (4.0 * math.pi ** 2))
+            half = 0.5 * (rect.xi_max - rect.xi_min)
+            xi = 0.5 * (rect.xi_min + rect.xi_max) + half * nodes
+            with np.errstate(over="ignore"):
+                fx = half * float(np.sum(weights * (1.0 + xi * xi) ** s))
+            total += fx * (rect.eta_max - rect.eta_min)
+        # The conjugate mirrors double the mass.  The amplitude stays outside
+        # the root, so its square cannot underflow to 0 against an inf total.
+        return self.amplitude * math.sqrt(2.0 * total) / (2.0 * math.pi)
 
 
 def build_phi_N(N: float, s: float, grid: Grid2D | None = None):
@@ -538,7 +550,7 @@ def second_iterate_norm(N: float, s: float, eps0: float, cells: int) -> Illposed
     phi = build_phi_N(N, s)
     return IllposedResult(
         N=float(N), s=float(s), eps0=float(eps0), t_N=t_N,
-        norm_u2=math.sqrt(norm_sq), norm_phi=phi.sobolev_norm(s, 0.0),
+        norm_u2=math.sqrt(norm_sq), norm_phi=phi.sobolev_norm(s),
         quadrature_cells=int(cells),
     )
 

@@ -96,7 +96,7 @@ def test_criterion_03_data_normalization():
         for N in SWEEP_N:
             g = make_grid(80, 128, 16 * np.pi / N, 8 * np.pi / N ** 2)
             grid_vals.append(sobolev_norm(build_phi_N(N, s, g), s, 0.0))
-            analytic_vals.append(build_phi_N(N, s).sobolev_norm(s, 0.0))
+            analytic_vals.append(build_phi_N(N, s).sobolev_norm(s))
         for vals in (grid_vals, analytic_vals):
             worst = max(worst, max(vals) / min(vals))
     ok = worst <= 1.5

@@ -727,6 +727,12 @@ class TestPublicPath:
             assert missing == [], module.__name__
 
 
+def src_env() -> dict:
+    """The environment with only this checkout's src on PYTHONPATH."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(kpblab.__file__)))
+    return dict(os.environ, PYTHONPATH=src)
+
+
 class TestEntryPoint:
     def test_help_runs(self):
         exe = shutil.which("kpblab")
@@ -743,15 +749,27 @@ class TestEntryPoint:
         assert proc.returncode != 0
 
     def test_import_leaves_slow_scipy_modules_unloaded(self):
-        # scipy.integrate and scipy.signal cost most of the import time every
-        # command pays; they are imported only where used.
-        import kpblab
-        src = os.path.dirname(os.path.dirname(os.path.abspath(kpblab.__file__)))
-        env = dict(os.environ, PYTHONPATH=src)
+        # scipy.integrate and scipy.signal would cost most of the import time
+        # every command pays; kpblab does not use scipy at runtime at all.
+        # numpy.polynomial is imported only by the illposed data norm.
         code = ("import sys, kpblab.cli; "
-                "print(sorted(m for m in ('scipy.integrate', 'scipy.signal') "
-                "if m in sys.modules))")
+                "print(sorted(m for m in ('numpy.polynomial', 'scipy.integrate', "
+                "'scipy.signal') if m in sys.modules))")
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env)
+                              text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_illposed_run_never_loads_scipy(self, tmp_path):
+        cfg = write_cfg(tmp_path, "c.json", {
+            "command": "illposed", "s": -0.7, "eps0": 0.01, "cells": 64,
+            "samples": 10000, "N_list": [8, 10, 12, 14]})
+        code = ("import sys, kpblab.cli; "
+                f"rc = kpblab.cli.main(['illposed', '--config', {cfg!r}, "
+                f"'--out', {str(tmp_path / 'out')!r}]); "
+                "print(rc, sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"

@@ -121,7 +121,7 @@ class TestPhiHat:
 
     def test_analytic_norm_near_constant_in_N(self):
         # the amplitude is chosen so the H^{s,0} size is N-uniform
-        vals = [build_phi_N(N, -0.7).sobolev_norm(-0.7, 0.0) for N in (16, 64, 256)]
+        vals = [build_phi_N(N, -0.7).sobolev_norm(-0.7) for N in (16, 64, 256)]
         assert max(vals) / min(vals) < 1.01
 
     def test_grid_realization_matches_analytic_norm(self):
@@ -129,7 +129,7 @@ class TestPhiHat:
         g = make_grid(80, 128, 16 * np.pi / N, 8 * np.pi / N ** 2)
         f = build_phi_N(N, -0.7, g)
         grid_norm = sobolev_norm(f, -0.7, 0.0)
-        analytic = build_phi_N(N, -0.7).sobolev_norm(-0.7, 0.0)
+        analytic = build_phi_N(N, -0.7).sobolev_norm(-0.7)
         assert grid_norm == pytest.approx(analytic, rel=0.05)
 
     def test_grid_realization_real_and_admissible(self):
@@ -156,6 +156,54 @@ class TestPhiHat:
     def test_small_N_rejected(self):
         with pytest.raises(ValueError):
             build_phi_N(2, -0.7)
+
+
+def data_norm(N, s, xi_integral):
+    """||phi_N||_{H^{s,0}} from a given integral of (1+xi^2)^s over [a, b)."""
+    desc = build_phi_N(N, s)
+    total = sum(xi_integral(r.xi_min, r.xi_max) * (r.eta_max - r.eta_min)
+                for r in (desc.rectangles.D1, desc.rectangles.D2))
+    return desc.amplitude * math.sqrt(2.0 * total) / (2.0 * math.pi)
+
+
+class TestDataNorm:
+    """PhiHat.sobolev_norm against closed forms and adaptive quadrature."""
+
+    NS = (8, 16, 23.5, 32, 64, 128, 1000, 65536)
+
+    @pytest.mark.parametrize("N", NS)
+    def test_s0_is_the_rectangle_areas(self, N):
+        desc = build_phi_N(N, 0.0)
+        areas = desc.rectangles.D1.area + desc.rectangles.D2.area
+        assert desc.sobolev_norm(0.0) == (
+            desc.amplitude * math.sqrt(2.0 * areas) / (2.0 * math.pi))
+
+    @pytest.mark.parametrize("N", NS)
+    def test_s1_exact_for_quadratic_weight(self, N):
+        exact = data_norm(N, 1.0, lambda a, b: (b - a) + (b ** 3 - a ** 3) / 3.0)
+        assert build_phi_N(N, 1.0).sobolev_norm(1.0) == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("N", NS)
+    def test_s_minus_one_is_arctan_difference(self, N):
+        # arctan(b) - arctan(a), written without the cancellation at large N
+        exact = data_norm(N, -1.0, lambda a, b: math.atan((b - a) / (1.0 + a * b)))
+        assert build_phi_N(N, -1.0).sobolev_norm(-1.0) == pytest.approx(exact, rel=1e-14)
+
+    @pytest.mark.parametrize("s", (-0.7, -0.5, -0.3, 0.0, 0.5, 2.0))
+    def test_matches_adaptive_quadrature(self, s):
+        quad = pytest.importorskip("scipy.integrate").quad
+
+        def adaptive(a, b):
+            return quad(lambda x: (1.0 + x * x) ** s, a, b, epsrel=1e-12)[0]
+
+        for N in self.NS:
+            assert build_phi_N(N, s).sobolev_norm(s) == pytest.approx(
+                data_norm(N, s, adaptive), rel=1e-15, abs=0.0), N
+
+    def test_overflowing_weight_is_inf_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert build_phi_N(16, 200.0).sobolev_norm(200.0) == math.inf
 
 
 class TestResonanceChi:
@@ -333,7 +381,7 @@ class TestSecondIterate:
         r = second_iterate_norm(16, -0.7, 0.01, cells=64)
         assert r.t_N == pytest.approx(16.0 ** (-3.01), rel=1e-14)
         assert r.norm_phi == pytest.approx(
-            build_phi_N(16, -0.7).sobolev_norm(-0.7, 0.0), rel=1e-12)
+            build_phi_N(16, -0.7).sobolev_norm(-0.7), rel=1e-12)
         assert r.quadrature_cells == 64
 
     def test_small_N_rejected(self):
