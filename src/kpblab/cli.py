@@ -100,12 +100,16 @@ def _field(cfg: dict, name: str, kind, required: bool = True, default=None):
         if required:
             raise ConfigError(f"config field '{name}' is required")
         return default
-    value = cfg[name]
+    return _typed(f"config field '{name}'", cfg[name], kind)
+
+
+def _typed(what: str, value, kind):
+    """``value`` as a ``kind`` (an int as a float, a bool only as a bool)."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
         value = float(value)
     if not isinstance(value, kind) or (kind is not bool and isinstance(value, bool)):
         raise ConfigError(
-            f"config field '{name}' must be {getattr(kind, '__name__', kind)}, "
+            f"{what} must be {getattr(kind, '__name__', kind)}, "
             f"got {type(value).__name__}")
     return value
 
@@ -176,12 +180,13 @@ def _build_phi(spec, grid: Grid2D) -> SpectralField:
         for entry in entries:
             try:
                 kx, ky, re, im = entry
-                kx, ky = int(kx), int(ky)
                 value = complex(_as_float(re), _as_float(im))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"phi_spec modes entry {entry!r} is not [kx, ky, re, im]"
                 ) from exc
+            kx = _typed(f"phi_spec modes entry {entry!r}: kx", kx, int)
+            ky = _typed(f"phi_spec modes entry {entry!r}: ky", ky, int)
             if abs(kx) >= grid.nx // 2 or abs(ky) >= grid.ny // 2:
                 raise ConfigError(
                     f"phi_spec mode ({kx},{ky}) outside the grid band")

@@ -599,6 +599,8 @@ def chi_bound_check(N: float, samples: int, seed: int = 0) -> float:
     """
     if samples < _MIN_CHI_SAMPLES:
         raise ValueError(f"samples must be >= {_MIN_CHI_SAMPLES}, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng([int(seed), int(N)])
     xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
 

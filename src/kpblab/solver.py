@@ -32,13 +32,12 @@ as their band.  The solvers' trajectories are exactly Hermitian.
 
 ``solve_states`` is the one path from a datum to the states of either
 integrator, one full state at a time with its L^2 norm; ``solve_picard``
-collects them into a ``Trajectory``, and ``solve_etd`` expands its band
-states straight into its rows.  A Picard solve holds three band
-trajectories while it iterates (the W(t_k) phi table and two iterates)
-and one after; an ETD stream holds one band state; a collector adds one
-full (M+1, nx, ny) trajectory.  Whatever keeps a trajectory estimates its
-bytes before allocating anything and raises ``ValueError`` when they
-exceed the machine's physical memory.
+and ``solve_etd`` collect them into a ``Trajectory``.  A Picard solve
+holds three band trajectories while it iterates (the W(t_k) phi table
+and two iterates) and one after; an ETD stream holds one band state; a
+collector adds one full (M+1, nx, ny) trajectory.  Whatever keeps a
+trajectory estimates its bytes before allocating anything and raises
+``ValueError`` when they exceed the machine's physical memory.
 """
 
 from __future__ import annotations
@@ -338,32 +337,27 @@ def picard_step(prev: Trajectory, phi: SpectralField) -> Trajectory:
                       coeffs=_full(out, rows, (grid.nx, grid.ny)))
 
 
-def _half_energy(half: np.ndarray) -> np.ndarray:
-    """Per-row sum of |c|^2 over the full spectra behind half spectra
-    (K, nx, ny//2 + 1): Parseval column weight 1 for ky = 0 and the Nyquist
-    column, 2 for the others, whose mirrors the half spectrum omits."""
-    weights = np.full(2 * half.shape[-1], 2.0)
-    weights[:2] = weights[-2:] = 1.0
-    v = half.view(np.float64)
-    return np.einsum("kij,kij,j->k", v, v, weights)
-
-
 def _band_energy(states: np.ndarray, rows: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """``_half_energy`` of the half spectra behind band states
+    """Per-state sum of |c|^2 over the full spectra behind band states
     (K, len(rows), C), bit for bit as of all K in one batch.
 
     The states go two at a time into a two-row half-spectrum batch that is
-    zero off the band: einsum sums any batch of two or more rows in the
-    same per-row order (see ``solve_states``).  After an odd count the
-    second row holds a stale state whose energy is dropped.
+    zero off the band, weighted 1 in the ky = 0 and Nyquist columns and 2
+    in the others, whose mirrors it omits (Parseval).  einsum sums any
+    batch of two or more rows in the same per-row order (see
+    ``solve_states``).  After an odd count the second row holds a stale
+    state whose energy is dropped.
     """
     half = np.zeros((2, grid.nx, grid.ny // 2 + 1), dtype=complex)
+    v = half.view(np.float64)
+    weights = np.full(v.shape[-1], 2.0)
+    weights[:2] = weights[-2:] = 1.0
     cols = states.shape[-1]
     energy = np.empty(len(states))
     for k in range(0, len(states), 2):
         pair = states[k:k + 2]
         half[:len(pair), rows, :cols] = pair
-        energy[k:k + 2] = _half_energy(half)[:len(pair)]
+        energy[k:k + 2] = np.einsum("kij,kij,j->k", v, v, weights)[:len(pair)]
     return energy
 
 
@@ -486,7 +480,7 @@ def solve_states(phi: SpectralField, T: float, M: int, integrator: str = "picard
         band, report = _picard_band(phi, times, tol, max_iter)
         band_states = enumerate(band)
     else:
-        band_states, report = _etd_states(phi, times, True), None
+        band_states, report = _etd_states(phi, times), None
     rows, _ = _band(grid)
 
     def states():
@@ -496,6 +490,21 @@ def solve_states(phi: SpectralField, T: float, M: int, integrator: str = "picard
             yield k, buf[0], float(_l2_rows(buf, grid.cell_measure)[0])
 
     return times, report, states()
+
+
+def _collect(phi: SpectralField, T: float, M: int, integrator: str,
+             **options) -> tuple[Trajectory, PicardReport | None]:
+    """(``solve_states`` collected into a ``Trajectory``, NaN after an early
+    ETD stop; its report).  What the solve keeps is checked to fit first."""
+    grid = phi.grid
+    band_tables = 3 if integrator == "picard" else 0
+    _check_fits(f"solve_{integrator}", grid, M, band_tables, full_tables=1)
+    times, report, states = solve_states(phi, T, M, integrator, **options)
+    out = np.empty((times.size, grid.nx, grid.ny), dtype=complex)
+    for k, state, _ in states:
+        out[k] = state
+    out[k + 1:] = np.nan
+    return Trajectory(grid=grid, times=times, coeffs=out), report
 
 
 def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
@@ -509,13 +518,7 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
     first residual that is not finite or that is larger than the one
     before it (``PicardReport.stop_reason``).
     """
-    grid = phi.grid
-    _check_fits("solve_picard", grid, M, band_tables=3, full_tables=1)
-    times, report, states = solve_states(phi, T, M, "picard", tol, max_iter)
-    out = np.empty((times.size, grid.nx, grid.ny), dtype=complex)
-    for k, state, _ in states:
-        out[k] = state
-    return Trajectory(grid=grid, times=times, coeffs=out), report
+    return _collect(phi, T, M, "picard", tol=tol, max_iter=max_iter)
 
 
 def _phi1(z: np.ndarray) -> np.ndarray:
@@ -538,8 +541,7 @@ def _phi2(z: np.ndarray) -> np.ndarray:
     return np.where(small, series, direct)
 
 
-def _etd_states(phi: SpectralField, times: np.ndarray,
-                include_nonlinearity: bool):
+def _etd_states(phi: SpectralField, times: np.ndarray):
     """Yield (k, u_k on the solver band) for the ETD2RK states of
     ``solve_etd`` on the time grid ``times``; stop after the first state
     that is not finite.
@@ -564,21 +566,17 @@ def _etd_states(phi: SpectralField, times: np.ndarray,
     yield 0, u
     for k in range(1, times.size):
         with np.errstate(over="ignore", invalid="ignore"):
-            if include_nonlinearity:
-                n0 = rhs(u)
-                a = E * u + f1 * n0
-                # numpy's complex product is not commutative in the last
-                # bit, so this operand order is part of the result
-                u = a + (rhs(a) - n0) * f2
-            else:
-                u = E * u
+            n0 = rhs(u)
+            a = E * u + f1 * n0
+            # numpy's complex product is not commutative in the last
+            # bit, so this operand order is part of the result
+            u = a + (rhs(a) - n0) * f2
         yield k, u
         if not np.all(np.isfinite(u)):
             return
 
 
-def solve_etd(phi: SpectralField, T: float, M: int,
-              include_nonlinearity: bool = True) -> Trajectory:
+def solve_etd(phi: SpectralField, T: float, M: int) -> Trajectory:
     """Second-order exponential time differencing (ETD2RK) for the same dynamics.
 
     Per step, with L = iP - xi^2 and N(u) = -(1/2) d/dx(u^2):
@@ -586,18 +584,8 @@ def solve_etd(phi: SpectralField, T: float, M: int,
         a       = e^{dt L} u_n + dt * phi1(dt L) * N(u_n)
         u_{n+1} = a + dt * phi2(dt L) * (N(a) - N(u_n))
 
-    The linear part is propagated exactly, so with the nonlinearity switched
-    off the scheme reproduces W(t_k) phi to rounding accuracy.  Stepping
-    stops at the first non-finite state; the rows after it are NaN.  The
-    band states are expanded straight into their rows, since
-    ``include_nonlinearity`` is not a ``solve_states`` option.
+    The linear part is propagated exactly, so where N(u) vanishes on the
+    band the scheme reproduces W(t_k) phi to rounding accuracy.  Stepping
+    stops at the first non-finite state; the rows after it are NaN.
     """
-    grid = phi.grid
-    _check_fits("solve_etd", grid, M, band_tables=0, full_tables=1)
-    times = _time_grid(T, M)
-    rows, _ = _band(grid)
-    out = np.zeros((M + 1, grid.nx, grid.ny), dtype=complex)
-    for k, u in _etd_states(phi, times, include_nonlinearity):
-        _full(u, rows, (grid.nx, grid.ny), out=out[k])
-    out[k + 1:] = np.nan
-    return Trajectory(grid=grid, times=times, coeffs=out)
+    return _collect(phi, T, M, "etd")[0]

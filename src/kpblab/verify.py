@@ -238,14 +238,20 @@ def _suite_grid(refine: int) -> Grid2D:
     return make_grid(32 * refine, 32 * refine, np.pi, np.pi)
 
 
+def _draws(suite_size: int, seed: int):
+    """(k, the generator of sample k) for each sample of a suite."""
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return ((k, np.random.default_rng([int(seed), k])) for k in range(suite_size))
+
+
 def free_suite(suite_size: int, seed: int, s1: float = 0.0, s2: float = 0.0,
                refine: int = 1) -> tuple[RatioReport, list[dict]]:
     """free_estimate_ratio over random fields, cycling b in {0, 1/4, 1/2}."""
     grid = _suite_grid(refine)
     rows = []
     ratios = []
-    for k in range(suite_size):
-        rng = np.random.default_rng([int(seed), k])
+    for k, rng in _draws(suite_size, seed):
         phi = random_field(grid, rng)
         b = _B_SWEEP[k % len(_B_SWEEP)]
         r = free_estimate_ratio(phi, b, s1, s2, M=48 * refine)
@@ -264,8 +270,7 @@ def smoothing_suite(suite_size: int, seed: int,
     pairs = [(x, d) for x in _XI_SWEEP for d in _DELTA_SWEEP]
     rows = []
     ratios = []
-    for k in range(suite_size):
-        rng = np.random.default_rng([int(seed), k])
+    for k, rng in _draws(suite_size, seed):
         decay = int(rng.integers(0, 3))
         m = np.arange(-_BAND, _BAND + 1)
         amp = (rng.standard_normal(m.size) + 1j * rng.standard_normal(m.size))
@@ -292,8 +297,7 @@ def bilinear_suite(suite_size: int, seed: int, s2: float = 0.0,
     grid = _suite_grid(refine)
     rows = []
     ratios = []
-    for k in range(suite_size):
-        rng = np.random.default_rng([int(seed), k])
+    for k, rng in _draws(suite_size, seed):
         s1 = _S1_SWEEP[k % len(_S1_SWEEP)]
         delta = min(0.05, (s1 + 0.5) / 8.0)
         eps = delta / 10.0

@@ -100,6 +100,31 @@ class TestConfigErrors:
         assert rc == 2
         assert "outside the grid band" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, hint", [
+        ([1.7, 2, 0.01, 0], "kx must be int, got float"),
+        ([1, "2", 0.01, 0], "ky must be int, got str"),
+        ([True, 0, 0.01, 0], "kx must be int, got bool"),
+        ([1, 2.0, 0.01, 0], "ky must be int, got float")])
+    def test_mode_index_not_an_integer(self, tmp_path, capsys, entry, hint):
+        cfg = write_cfg(tmp_path, "c.json", solve_cfg(
+            phi_spec={"type": "modes", "modes": [[1, 0, 0.01, 0], entry]}))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"phi_spec modes entry {entry!r}: {hint}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cfg", [
+        {"command": "illposed", "s": -0.7, "eps0": 0.01, "cells": 64,
+         "samples": 10000, "N_list": [8, 10, 12, 14], "seed": -1},
+        {"command": "verify", "estimate_id": "free", "suite_size": 4, "seed": -1}])
+    def test_negative_seed_is_named(self, tmp_path, capsys, cfg):
+        path = write_cfg(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main([cfg["command"], "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "config error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
     def test_illposed_preconditions(self, tmp_path, capsys):
         base = {"command": "illposed", "s": -0.7, "eps0": 0.01,
                 "cells": 64, "samples": 10000, "N_list": [8, 10, 12, 14]}
@@ -706,17 +731,37 @@ class TestManifestTolerances:
 
 
 class TestPublicPath:
-    """The CLI reaches the library through public names only."""
+    """The CLI reaches the library through public names only, and the
+    modules reach each other's private names only where listed."""
 
-    def test_cli_imports_no_private_name(self):
-        with open(cli.__file__, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
-        private = [f"{'.' * node.level}{node.module or ''}: {alias.name}"
-                   for node in ast.walk(tree)
-                   if isinstance(node, ast.ImportFrom) and node.level > 0
-                   for alias in node.names
-                   if alias.name.startswith("_") and not alias.name.endswith("__")]
-        assert private == []
+    # Every `from .module import _name` in the package, as
+    # "importer: module._name".  A new coupling fails the test; removing one
+    # means shrinking the list.  The CLI has none.
+    PRIVATE_IMPORTS = [
+        "illposedness: spectral_core._symbol",
+        "solver: semigroup._w_multiplier",
+        "states: solver._check_fits",
+        "verify: norms._mode_pairs",
+        "verify: norms._on_modes",
+        "verify: norms._taper_transform",
+        "verify: semigroup._w_multiplier",
+        "verify: solver._dx_product_full",
+    ]
+
+    def test_private_imports_across_modules(self):
+        package = os.path.dirname(kpblab.__file__)
+        found = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            found += [f"{name[:-3]}: {node.module or ''}.{alias.name}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom) and node.level > 0
+                      for alias in node.names
+                      if alias.name.startswith("_") and not alias.name.endswith("__")]
+        assert sorted(found) == self.PRIVATE_IMPORTS
 
     def test_stream_and_windowed_power_are_exported(self):
         for module, name in [(solver, "solve_states"), (norms, "WindowedPower")]:

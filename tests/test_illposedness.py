@@ -517,3 +517,7 @@ class TestChiBound:
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             chi_bound_check(16, 9999)
+
+    def test_negative_seed_rejected_by_name(self):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            chi_bound_check(16, 10000, seed=-1)

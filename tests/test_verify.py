@@ -323,6 +323,15 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_suite("nonsense", 3, seed=0)
 
+    @pytest.mark.parametrize("suite", [free_suite, smoothing_suite, bilinear_suite])
+    def test_negative_seed_rejected_by_name(self, suite):
+        # suite_size 0 draws nothing, so the check comes before any draw
+        for size in (0, 2):
+            with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
+                suite(size, seed=-3)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
+            run_suite("free", 2, seed=-3)
+
     def test_refinement_stability_free(self):
         r1, _ = free_suite(4, seed=3, refine=1)
         r2, _ = free_suite(4, seed=3, refine=2)
