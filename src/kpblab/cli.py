@@ -137,13 +137,15 @@ def _check_keys(cfg: dict, allowed: frozenset, prefix: str = "") -> None:
             + f"; expected one of {sorted(allowed)}")
 
 
-def _as_float(value) -> float:
-    """float(value) for a number inside a config object or list; ValueError
-    unless it is a finite number (a string such as "inf" parses to one)."""
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"config value {value!r} is not a finite number")
-    return number
+def _as_float(what: str, value) -> float:
+    """``value``, a number inside a config object or list, as a float.  Only
+    a JSON number is one, by ``_typed``'s rule: an int or a float, never a
+    bool or a string (the loader has rejected the non-finite ones)."""
+    try:
+        return _typed(what, value, float)
+    except ConfigError:
+        raise ConfigError(f"{what} is not a finite number, got "
+                          f"{type(value).__name__}") from None
 
 
 def _build_phi(spec, grid: Grid2D) -> SpectralField:
@@ -152,15 +154,17 @@ def _build_phi(spec, grid: Grid2D) -> SpectralField:
     kind = spec.get("type")
     if kind == "phi_N":
         try:
-            return build_phi_N(_as_float(spec["N"]), _as_float(spec["s"]), grid)
+            return build_phi_N(_as_float("phi_spec N", spec["N"]),
+                               _as_float("phi_spec s", spec["s"]), grid)
         except KeyError as exc:
             raise ConfigError(f"phi_spec of type phi_N needs field {exc}") from exc
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"phi_spec: {exc}") from exc
     if kind == "gaussian":
         try:
-            amp = _as_float(spec["amplitude"])
-            wx, wy = (_as_float(w) for w in spec["widths"])
+            amp = _as_float("phi_spec amplitude", spec["amplitude"])
+            wx, wy = (_as_float(f"phi_spec widths[{i}]", w)
+                      for i, w in enumerate(spec["widths"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(
                 "phi_spec of type gaussian needs 'amplitude' and 'widths' "
@@ -180,13 +184,14 @@ def _build_phi(spec, grid: Grid2D) -> SpectralField:
         for entry in entries:
             try:
                 kx, ky, re, im = entry
-                value = complex(_as_float(re), _as_float(im))
             except (TypeError, ValueError) as exc:
                 raise ConfigError(
                     f"phi_spec modes entry {entry!r} is not [kx, ky, re, im]"
                 ) from exc
             kx = _typed(f"phi_spec modes entry {entry!r}: kx", kx, int)
             ky = _typed(f"phi_spec modes entry {entry!r}: ky", ky, int)
+            value = complex(_as_float(f"phi_spec modes entry {entry!r}: re", re),
+                            _as_float(f"phi_spec modes entry {entry!r}: im", im))
             if abs(kx) >= grid.nx // 2 or abs(ky) >= grid.ny // 2:
                 raise ConfigError(
                     f"phi_spec mode ({kx},{ky}) outside the grid band")
@@ -335,10 +340,8 @@ def _run_illposed(cfg: dict, threads: int | None):
     samples = _field(cfg, "samples", int)
     seed = _field(cfg, "seed", int, required=False, default=0)
     N_list = _field(cfg, "N_list", list)
-    try:
-        Ns = sorted(_as_float(N) for N in N_list)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config field 'N_list' must be numeric: {exc}") from exc
+    Ns = sorted(_as_float(f"config field 'N_list' entry {i}", N)
+                for i, N in enumerate(N_list))
 
     # chi_bound_check is cheap: a bad `samples` fails before any quadrature
     ratios = [chi_bound_check(N, samples, seed=seed) for N in Ns]

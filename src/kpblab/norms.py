@@ -38,15 +38,20 @@ P is even along that row and sigma = tau - P does not mirror.  The solver's
 and the free trajectories are exactly Hermitian, so they are transformed on
 their Hermitian half.
 
-A ``WindowedPower`` holds the windowed transform's power on those columns,
-and its ``spacetime``, ``bourgain`` and ``gap`` methods are the three
-time-dependent norms, so one transform serves all three.  It is taken in
-two passes over consecutive blocks of time rows: the first selects the
-columns (the occupied modes and the exact pairs), the second gathers them
-for the transform.  An in-memory trajectory is a single block.  ``kpblab
+A trajectory's mode form is those columns: the flat mode indices ``cols``,
+their Parseval weights ``colw`` (2 on the first mode of an exact pair, 1
+elsewhere) and the (n_times, cols.size) values on them.  A
+``WindowedPower`` is the windowed transform's power of a mode form, made by
+``WindowedPower.of_modes``, and its ``spacetime``, ``bourgain`` and ``gap``
+methods are the three time-dependent norms, so one transform serves all
+three.  ``WindowedPower.of`` takes a trajectory's mode form in two passes
+over consecutive blocks of time rows: the first selects the columns, the
+second gathers them.  An in-memory trajectory is a single block.  ``kpblab
 norms`` streams the blocks from ``states.npz``, so it never holds the whole
-trajectory.  ``spacetime_norm``, ``bourgain_norm`` and ``equivalence_gap``
-are the methods on the power of one in-memory trajectory.
+trajectory.  The free evolutions and products of ``verify`` are built on
+their mode forms directly and never expanded to the whole grid.
+``spacetime_norm``, ``bourgain_norm`` and ``equivalence_gap`` are the
+methods on the power of one in-memory trajectory.
 """
 
 from __future__ import annotations
@@ -143,7 +148,7 @@ _PAIR_BLOCK = 2 ** 14  # complex values per gathered block of the pair check
 
 
 def _selected_columns(grid, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, colw): the flat modes the windowed power is taken on, and how
+    """(cols, colw): the flat modes of a trajectory's mode form, and how
     many times each counts in a weighted sum, for a trajectory given as
     consecutive blocks of time rows (n, nx * ny).
 
@@ -183,12 +188,12 @@ def _selected_columns(grid, blocks) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class WindowedPower:
-    """The power |uhat|^2 (n_times, cols.size) of a trajectory's windowed
-    time transform on the flat modes ``cols`` of ``_selected_columns``,
-    each of which counts ``colw`` times in a weighted sum, at the bin
-    frequencies ``tau``.  uhat = dt * FFT_t(window * states), normalised
-    so that sum_j |uhat_j|^2 / (n_times * dt) is the quadrature of the
-    windowed squared time signal.
+    """The power |uhat|^2 (n_times, cols.size) of a windowed time transform
+    on the flat modes ``cols`` of a mode form, each of which counts
+    ``colw`` times in a weighted sum, at the bin frequencies ``tau``.
+    uhat = dt * FFT_t(window * states), normalised so that
+    sum_j |uhat_j|^2 / (n_times * dt) is the quadrature of the windowed
+    squared time signal.
     """
 
     grid: Grid2D
@@ -201,16 +206,11 @@ class WindowedPower:
 
     @classmethod
     def of(cls, traj: Trajectory, blocks=None) -> WindowedPower:
-        """The windowed power of ``traj``, whose time steps are counted
-        first.  ``blocks()`` returns its time rows as consecutive blocks
-        (n, nx * ny), and is called twice: to select the columns and to
-        gather them.  By default ``traj.coeffs`` is the one block.  The
-        complex transform is released once its squared modulus is formed.
+        """The windowed power of ``traj``'s mode form.  ``blocks()`` returns
+        its time rows as consecutive blocks (n, nx * ny), and is called
+        twice: to select the columns with ``_selected_columns`` and to
+        gather them.  By default ``traj.coeffs`` is the one block.
         """
-        if traj.n_times - 1 < _MIN_STEPS:
-            raise ValueError(
-                f"time-dependent norms need at least {_MIN_STEPS} time steps, "
-                f"got {traj.n_times - 1}")
         if blocks is None:
             flat = traj.coeffs.reshape(traj.n_times, -1)
             blocks = lambda: (flat,)
@@ -221,10 +221,25 @@ class WindowedPower:
             # mode="clip" (cols are in range) lets take write into columns unbuffered
             np.take(block, cols, axis=1, out=columns[t:t + len(block)], mode="clip")
             t += len(block)
-        tau, uhat = _taper_transform(columns, traj.dt)
+        return cls.of_modes(traj.grid, traj.dt, cols, colw, columns)
+
+    @classmethod
+    def of_modes(cls, grid: Grid2D, dt: float, cols: np.ndarray, colw: np.ndarray,
+                 values: np.ndarray) -> WindowedPower:
+        """The windowed power of the mode form (``cols``, ``colw``,
+        ``values``) sampled every ``dt``, whose time steps are counted
+        first.  ``values`` (n_times, cols.size) is tapered in place, and
+        the complex transform is released once its squared modulus is
+        formed.
+        """
+        if len(values) - 1 < _MIN_STEPS:
+            raise ValueError(
+                f"time-dependent norms need at least {_MIN_STEPS} time steps, "
+                f"got {len(values) - 1}")
+        tau, uhat = _taper_transform(values, dt)
         power = np.abs(uhat)
         power **= 2
-        return cls(traj.grid, traj.dt, traj.n_times, tau, power, cols, colw)
+        return cls(grid, dt, len(values), tau, power, cols, colw)
 
     def _sobolev(self, s1: float, s2: float) -> np.ndarray:
         """The H^{s1,s2} weight on the modes ``cols``, times ``colw``."""

@@ -41,8 +41,8 @@ def _w_multiplier(P: np.ndarray, xi: np.ndarray, t: float | np.ndarray) -> np.nd
     """exp(i t P - xi^2 |t|), with ``xi`` and ``t`` broadcast against ``P``.
 
     ``semigroup_table`` passes the full grid (xi as a column), the solver its
-    half-spectrum columns, and ``verify.free_trajectory`` a column of times
-    against the occupied modes of its datum.
+    half-spectrum columns, and ``verify``'s free evolutions a column of
+    times against the mode form of their datum.
     """
     return np.exp(1j * t * P - xi ** 2 * abs(t))
 

@@ -28,7 +28,8 @@ boundary only, and writes +0.0 off it.  ``Trajectory``, ``picard_step``,
 ``nonlinearity`` and ``l2_history`` take and return full spectra.
 ``picard_step`` and the band-grid product behind ``nonlinearity`` take
 fields that need not be band-limited, so they pass a whole half spectrum
-as their band.  The solvers' trajectories are exactly Hermitian.
+as their band.  ``_dx_product_modes`` takes and returns the norms' mode
+forms, which ``verify`` keeps instead of full trajectories.  The solvers' trajectories are exactly Hermitian.
 
 ``solve_states`` is the one path from a datum to the states of either
 integrator, one full state at a time with its L^2 norm; ``solve_picard``
@@ -223,55 +224,130 @@ def _nonlin(band: np.ndarray, grid: Grid2D, rows: np.ndarray,
     return _dx_product(band, band, (grid.nx, grid.ny), rows, table)
 
 
-def _band_grid(a: np.ndarray, b: np.ndarray,
-               grid: Grid2D) -> tuple[int, int] | None:
-    """(mx, my), the smallest even grid on which the product of the fields
-    behind the full spectra ``a`` and ``b`` does not alias, or None when
-    either is zero.
+def _band_extent(grid: Grid2D, *occupied: np.ndarray) -> tuple[int, int]:
+    """(mx, my), the smallest even grid on which the product of fields
+    occupying the flat modes ``occupied`` (one index array per field, each
+    mode's mirror counting as occupied too) does not alias.
 
-    Along each axis the product occupies |k| <= B, the sum of the two
+    Along each axis the product occupies |k| <= B, the sum of the
     occupied bands, and 2B + 2 points hold it with the Nyquist line empty.
     """
     mx = my = 2
-    for c in (a, b):
-        occupied = np.any(c, axis=tuple(range(c.ndim - 2)))
-        if not occupied.any():
-            return None
-        mx += 2 * int(np.max(np.abs(grid.kx_int[occupied.any(axis=1)])))
-        my += 2 * int(np.max(np.abs(grid.ky_int[occupied.any(axis=0)])))
+    for modes in occupied:
+        kx, ky = np.divmod(modes, grid.ny)
+        mx += 2 * int(np.max(np.abs(grid.kx_int[kx])))
+        my += 2 * int(np.max(np.abs(grid.ky_int[ky])))
     return mx, my
+
+
+def _band_grid(a: np.ndarray, b: np.ndarray,
+               grid: Grid2D) -> tuple[int, int] | None:
+    """``_band_extent`` of the fields behind the full spectra ``a`` and
+    ``b`` (leading axes batch), or None when either is zero."""
+    occupied = []
+    for c in (a, b):
+        modes = np.flatnonzero(np.any(c, axis=tuple(range(c.ndim - 2))))
+        if modes.size == 0:
+            return None
+        occupied.append(modes)
+    return _band_extent(grid, *occupied)
+
+
+def _product_layout(grid: Grid2D, mx: int,
+                    my: int) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
+    """(shape, rows, table) of the product on the mx x my band grid: its
+    half spectrum holds the grid's rows ``rows`` and ``table.shape[-1]``
+    leading columns, and ``table`` is the grid's own ``_dx_table`` (dealias
+    mask and xi = 0 projection) there, with the band grid's Nyquist row and
+    column dropped and the transform scale (mx*my)/(nx*ny) restored.  A
+    band too wide for the grid takes the whole grid, whose whole half
+    spectrum is then the band.
+    """
+    wide = mx > grid.nx or my > grid.ny
+    if wide:
+        mx, my = grid.nx, grid.ny
+    rows = np.fft.fftfreq(mx, d=1.0 / mx).astype(np.int64) % grid.nx
+    table = _dx_table(grid, rows, my // 2 + 1)
+    if not wide:
+        table *= mx * my / (grid.nx * grid.ny)
+        table[mx // 2] = 0.0
+        table[:, my // 2] = 0.0
+    return (mx, my), rows, table
 
 
 def _dx_product_full(a: np.ndarray, b: np.ndarray, grid: Grid2D) -> np.ndarray:
     """``_dx_product`` for full spectra in and out (leading axes batch).
 
-    The product runs on the band grid of ``_band_grid`` when it fits in
-    the grid: the fields are gathered onto it, multiplied there under the
-    grid's own ``_dx_table`` (dealias mask and xi = 0 projection), with the
-    band grid's Nyquist row and column dropped and the transform scale
-    (mx*my)/(nx*ny) restored, and scattered back.  The product is then
-    exact up to rounding and zero outside its band.  A band too wide for
-    the grid takes the whole grid.  Either way the grid passes its whole
-    half spectrum to ``_dx_product`` as the band.
+    The product runs on the band grid of ``_band_grid`` laid out by
+    ``_product_layout``: the fields are gathered onto it, multiplied, and
+    expanded back with ``_full``.  On a band grid that fits, the product is
+    exact up to rounding and zero outside its band.
     """
     band = _band_grid(a, b, grid)
     if band is None:
         return np.zeros(a.shape, dtype=complex)
-    mx, my = band
-    wide = mx > grid.nx or my > grid.ny
-    if wide:
-        mx, my = grid.nx, grid.ny
-    rows = np.fft.fftfreq(mx, d=1.0 / mx).astype(np.int64) % grid.nx
-    cols = my // 2 + 1
-    table = _dx_table(grid, rows, cols)
-    if not wide:
-        table *= mx * my / (grid.nx * grid.ny)
-        table[mx // 2] = 0.0
-        table[:, my // 2] = 0.0
+    shape, rows, table = _product_layout(grid, *band)
+    cols = table.shape[-1]
     ha = a[..., rows, :cols]
     hb = ha if b is a else b[..., rows, :cols]
-    w = _dx_product(ha, hb, (mx, my), np.arange(mx), table)
+    w = _dx_product(ha, hb, shape, np.arange(shape[0]), table)
     return _full(w, rows, (grid.nx, grid.ny))
+
+
+def _modes_at(modes, grid: Grid2D, pos: np.ndarray | None = None) -> np.ndarray:
+    """The field of the mode form ``modes`` = (cols, colw, values) at the
+    flat modes ``pos`` (default: every mode), of shape values.shape[:-1] +
+    pos.shape: ``values`` on ``cols``, their conjugates on the mirrors of
+    the modes of weight 2, and +0.0 elsewhere."""
+    cols, colw, values = modes
+    k = cols.size
+    source = np.full(grid.nx * grid.ny, 2 * k)  # a column of [values, conj, 0]
+    source[cols] = np.arange(k)
+    pairs = np.flatnonzero(colw == 2.0)
+    kx, ky = np.divmod(cols[pairs], grid.ny)
+    source[(-kx % grid.nx) * grid.ny + (-ky % grid.ny)] = k + pairs
+    stacked = np.concatenate(
+        (values, np.conjugate(values), np.zeros(values.shape[:-1] + (1,), complex)),
+        axis=-1)
+    return np.take(stacked, source if pos is None else source[pos], axis=-1)
+
+
+def _dx_product_modes(u, v, grid: Grid2D, select):
+    """``_dx_product_full`` of mode forms: u and v are given as (cols, colw,
+    values (n, cols.size)), and the result is the mode form that
+    ``select(grid, blocks)``, the norms' column rule, gives the expanded
+    product, built without any full (n, nx, ny) array.
+
+    u and v are placed straight into the half spectra of their band grid
+    and multiplied there.  The gather map comes from running ``_full`` and
+    ``select`` on one row that tags each band entry, so the columns, their
+    weights and what each holds (its band entry, that entry's conjugate,
+    or on a self-conjugate mode its real part) are those of the expanded
+    product.  Columns that are zero at every time are dropped, as
+    ``select`` drops unoccupied modes.  A product holding NaN, whose pairs
+    are then not exact, is expanded and selected whole.
+    """
+    n = u[2].shape[0]
+    if u[0].size == 0 or v[0].size == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros((n, 0), dtype=complex)
+    shape, rows, table = _product_layout(grid, *_band_extent(grid, u[0], v[0]))
+    pos = rows[:, None] * grid.ny + np.arange(table.shape[-1])
+    ha = _modes_at(u, grid, pos)
+    hb = ha if v is u else _modes_at(v, grid, pos)
+    w = _dx_product(ha, hb, shape, np.arange(shape[0]), table)
+    tags = (1.0 + 1.0j) * np.arange(1, w[0].size + 1).reshape(w.shape[1:])
+    tagged = _full(tags, rows, (grid.nx, grid.ny)).reshape(1, -1)
+    cols, colw = select(grid, (tagged,))
+    tag = tagged[0, cols]
+    values = w.reshape(n, -1)[:, tag.real.astype(np.intp) - 1]
+    np.conjugate(values, out=values, where=tag.imag < 0.0)
+    values.imag[:, tag.imag == 0.0] = 0.0
+    if np.isnan(values).any():
+        full = _full(w, rows, (grid.nx, grid.ny)).reshape(n, -1)
+        cols, colw = select(grid, (full,))
+        return cols, colw, full[:, cols]
+    live = np.any(values, axis=0)
+    return cols[live], colw[live], values[:, live]
 
 
 def nonlinearity(f: SpectralField) -> SpectralField:

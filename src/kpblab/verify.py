@@ -26,9 +26,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import _mode_pairs, _on_modes, _taper_transform, bourgain_norm, sobolev_norm
+from .norms import WindowedPower, _selected_columns, _taper_transform, sobolev_norm
 from .semigroup import _w_multiplier
-from .solver import Trajectory, _dx_product_full
+from .solver import Trajectory, _dx_product_modes, _modes_at
 from .spectral_core import Grid2D, SpectralField, dispersion_values, make_grid
 
 __all__ = [
@@ -100,44 +100,54 @@ def random_field(grid: Grid2D, rng: np.random.Generator,
     return SpectralField(grid=grid, coeffs=coeffs)
 
 
-def free_trajectory(phi: SpectralField, T: float, M: int,
-                    cutoff: bool = True) -> Trajectory:
-    """psi(t - T/2) W(t - T/2) phi sampled on [0, T] (cutoff optional).
+def _free_modes(phi: SpectralField, T: float, M: int,
+                cutoff: bool = True) -> tuple[np.ndarray, tuple]:
+    """(times, mode form) of psi(t - T/2) W(t - T/2) phi sampled on [0, T].
 
-    W acts mode by mode, so only the modes where phi is nonzero are
-    evaluated, all times at once; every other mode stays exactly zero.  P
-    is odd and xi^2 even, so where phi at -k is the conjugate of phi at k
-    bit for bit, the mode -k is written as the conjugate of mode k.
+    The columns and weights are those the norms' column rule gives phi
+    itself, as one time row.  W acts mode by mode, so only those modes are
+    evaluated, all times at once.  P is odd and xi^2 even, so the mirror of
+    an exact pair stays the conjugate of its first mode at every time, and
+    the evolution has phi's columns and weights.
     """
     grid = phi.grid
     times = np.linspace(0.0, T, M + 1)
     shifted = (times - 0.5 * T)[:, None]
     amp = psi_cutoff(shifted) if cutoff else 1.0
-    coeffs = phi.coeffs.reshape(-1)
-    first, mirror = _mode_pairs(grid.nx, grid.ny)
-    exact = (coeffs[first] != 0) & (coeffs[mirror] == np.conjugate(coeffs[first]))
-    first, mirror = first[exact], mirror[exact]
-    occupied = coeffs != 0
-    occupied[mirror] = False
-    cols = np.flatnonzero(occupied)
-    P = _on_modes(dispersion_values(grid).values, grid, cols)
-    xi = _on_modes(grid.xi[:, None], grid, cols)
-    out = np.zeros((M + 1, grid.nx * grid.ny), dtype=complex)
-    out[:, cols] = amp * _w_multiplier(P, xi, shifted) * coeffs[cols]
-    out[:, mirror] = np.conjugate(out[:, first])
-    return Trajectory(grid=grid, times=times, coeffs=out.reshape(M + 1, grid.nx, grid.ny))
+    coeffs = phi.coeffs.reshape(1, -1)
+    cols, colw = _selected_columns(grid, (coeffs,))
+    P = dispersion_values(grid).values.reshape(-1)[cols]
+    xi = grid.xi[cols // grid.ny]
+    values = amp * _w_multiplier(P, xi, shifted) * coeffs[0, cols]
+    return times, (cols, colw, values)
+
+
+def free_trajectory(phi: SpectralField, T: float, M: int,
+                    cutoff: bool = True) -> Trajectory:
+    """psi(t - T/2) W(t - T/2) phi sampled on [0, T] (cutoff optional).
+
+    The expansion of the free evolution's mode form: the modes where phi is
+    nonzero carry it, every other mode stays exactly zero, and where phi at
+    -k is the conjugate of phi at k bit for bit, the mode -k is written as
+    the conjugate of mode k.  The verify suites take the mode form itself.
+    """
+    times, modes = _free_modes(phi, T, M, cutoff)
+    coeffs = _modes_at(modes, phi.grid).reshape(M + 1, phi.grid.nx, phi.grid.ny)
+    return Trajectory(grid=phi.grid, times=times, coeffs=coeffs)
 
 
 def free_estimate_ratio(phi: SpectralField, b: float, s1: float, s2: float,
                         M: int = 48) -> float:
-    """||psi(t) W(t) phi||_{X^{b,s1,s2}} / ||phi||_{H^{s1+2b-1,s2}}."""
+    """||psi(t) W(t) phi||_{X^{b,s1,s2}} / ||phi||_{H^{s1+2b-1,s2}}, the
+    numerator on the free evolution's mode form."""
     if not 0.0 <= b <= 0.5:
         raise ValueError(f"b must be in [0, 1/2], got {b}")
     denom = sobolev_norm(phi, s1 + 2.0 * b - 1.0, s2)
     if denom == 0.0:
         return 0.0
-    traj = free_trajectory(phi, T=4.0, M=M)
-    return bourgain_norm(traj, b, s1, s2) / denom
+    times, modes = _free_modes(phi, T=4.0, M=M)
+    power = WindowedPower.of_modes(phi.grid, float(times[1] - times[0]), *modes)
+    return power.bourgain(b, s1, s2) / denom
 
 
 def _y_norm(samples: np.ndarray, dt: float, xi: float, b: float) -> float:
@@ -194,13 +204,16 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
     """||d/dx(uv)||_{X^{-1/2+delta, s1-2delta+eps, s2}} over the product of
     ||u||_{X^{1/2,s1,s2}} and ||v||_{X^{1/2,s1,s2}}.
 
-    d/dx(uv) is multiplied on the alias-free band grid of
-    ``solver._dx_product_full``: the smallest even grid that holds the
-    product's band, 34 x 34 for two fields in |k| <= 8.  There it is exact
-    up to rounding and zero outside |k| <= 16, so the numerator's norm
-    transforms 528 columns, the Hermitian half of 33 * 32 = 1056 modes.  On
-    the 32 x 32 suite grid (refine = 1) the band does not fit, and the
-    product is taken on the whole grid.
+    u and v are reduced to their mode forms by the norms' column rule, and
+    the ratio is taken on those as the bilinear suite takes it on its free
+    evolutions.  d/dx(uv) is multiplied on the alias-free band grid that
+    ``solver._band_extent`` gives, the smallest even grid that holds the
+    product's band, 34 x 34 for two fields in |k| <= 8, and its mode form
+    is gathered straight from there.  It is exact up to rounding and zero
+    outside |k| <= 16, so the numerator's norm transforms 528 columns, the
+    Hermitian half of 33 * 32 = 1056 modes.  On the 32 x 32 suite grid
+    (refine = 1) the band does not fit, and the product is taken on the
+    whole grid.
 
     Returns 0 when both sides vanish and inf on a violation (nonzero
     numerator over a zero denominator).
@@ -213,11 +226,23 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
         raise ValueError(f"eps must be in (0, delta/10], got {eps}")
     if u.grid is not v.grid or u.n_times != v.n_times:
         raise ValueError("u and v must share grid and time grid")
-    prod = Trajectory(grid=u.grid, times=u.times,
-                      coeffs=_dx_product_full(u.coeffs, v.coeffs, u.grid))
+    forms = []
+    for traj in (u, v):
+        flat = traj.coeffs.reshape(traj.n_times, -1)
+        cols, colw = _selected_columns(traj.grid, (flat,))
+        forms.append((cols, colw, flat[:, cols]))
+    return _bilinear_modes(u.grid, u.dt, *forms, s1, s2, delta, eps)
 
-    numer = bourgain_norm(prod, -0.5 + delta, s1 - 2.0 * delta + eps, s2)
-    denom = bourgain_norm(u, 0.5, s1, s2) * bourgain_norm(v, 0.5, s1, s2)
+
+def _bilinear_modes(grid: Grid2D, dt: float, u: tuple, v: tuple,
+                    s1: float, s2: float, delta: float, eps: float) -> float:
+    """``bilinear_ratio`` of the mode forms u and v sampled every ``dt``;
+    their values are tapered in place."""
+    prod = _dx_product_modes(u, v, grid, _selected_columns)
+    numer = WindowedPower.of_modes(grid, dt, *prod).bourgain(
+        -0.5 + delta, s1 - 2.0 * delta + eps, s2)
+    denom = (WindowedPower.of_modes(grid, dt, *u).bourgain(0.5, s1, s2)
+             * WindowedPower.of_modes(grid, dt, *v).bourgain(0.5, s1, s2))
     if denom == 0.0:
         return 0.0 if numer == 0.0 else math.inf
     return numer / denom
@@ -289,7 +314,8 @@ def smoothing_suite(suite_size: int, seed: int,
 
 def bilinear_suite(suite_size: int, seed: int, s2: float = 0.0,
                    refine: int = 1) -> tuple[RatioReport, list[dict]]:
-    """bilinear_ratio over random free-evolution pairs, cycling s1.
+    """bilinear_ratio over random free-evolution pairs, cycling s1, on
+    their mode forms.
 
     delta is capped per s1 so the precondition s1 >= -1/2 + 8 delta holds:
     delta = min(0.05, (s1 + 1/2)/8), eps = delta/10.
@@ -301,9 +327,9 @@ def bilinear_suite(suite_size: int, seed: int, s2: float = 0.0,
         s1 = _S1_SWEEP[k % len(_S1_SWEEP)]
         delta = min(0.05, (s1 + 0.5) / 8.0)
         eps = delta / 10.0
-        u = free_trajectory(random_field(grid, rng), T=4.0, M=48 * refine)
-        v = free_trajectory(random_field(grid, rng), T=4.0, M=48 * refine)
-        r = bilinear_ratio(u, v, s1, s2, delta, eps)
+        times, u = _free_modes(random_field(grid, rng), T=4.0, M=48 * refine)
+        _, v = _free_modes(random_field(grid, rng), T=4.0, M=48 * refine)
+        r = _bilinear_modes(grid, float(times[1] - times[0]), u, v, s1, s2, delta, eps)
         ratios.append(r)
         rows.append({"estimate_id": "bilinear", "seed": k,
                      "params": {"s1": s1, "s2": s2, "delta": delta, "eps": eps},

@@ -114,6 +114,41 @@ class TestConfigErrors:
         assert f"phi_spec modes entry {entry!r}: {hint}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, cfg, field", [
+        ("solve", solve_cfg(phi_spec={"type": "gaussian", "amplitude": "0.05",
+                                      "widths": [0.7, 0.7]}),
+         "phi_spec amplitude is not a finite number, got str"),
+        ("solve", solve_cfg(phi_spec={"type": "gaussian", "amplitude": 0.05,
+                                      "widths": [0.7, True]}),
+         "phi_spec widths[1] is not a finite number, got bool"),
+        ("solve", solve_cfg(phi_spec={"type": "gaussian", "amplitude": 0.05,
+                                      "widths": ["0.7", 0.7]}),
+         "phi_spec widths[0] is not a finite number, got str"),
+        ("solve", solve_cfg(phi_spec={"type": "modes", "modes": [[1, 0, "0.01", 0]]}),
+         "phi_spec modes entry [1, 0, '0.01', 0]: re is not a finite number, got str"),
+        ("solve", solve_cfg(phi_spec={"type": "modes", "modes": [[1, 0, 0.01, False]]}),
+         "phi_spec modes entry [1, 0, 0.01, False]: im is not a finite number, got bool"),
+        ("solve", solve_cfg(phi_spec={"type": "phi_N", "N": "8", "s": -0.7}),
+         "phi_spec N is not a finite number, got str"),
+        ("solve", solve_cfg(phi_spec={"type": "phi_N", "N": 8, "s": True}),
+         "phi_spec s is not a finite number, got bool"),
+        ("illposed", {"command": "illposed", "s": -0.7, "eps0": 0.01, "cells": 64,
+                      "samples": 10000, "N_list": [8, 10, "12", 14]},
+         "config field 'N_list' entry 2 is not a finite number, got str"),
+        ("illposed", {"command": "illposed", "s": -0.7, "eps0": 0.01, "cells": 64,
+                      "samples": 10000, "N_list": [8, 10, 12, True]},
+         "config field 'N_list' entry 3 is not a finite number, got bool"),
+    ], ids=["amplitude-string", "width-bool", "width-string", "re-string", "im-bool",
+            "N-string", "s-bool", "N_list-string", "N_list-bool"])
+    def test_number_given_as_string_or_bool_rejected(self, tmp_path, capsys,
+                                                     command, cfg, field):
+        # a JSON string or boolean is not read as the number it spells
+        path = write_cfg(tmp_path, "c.json", cfg)
+        out = tmp_path / "out"
+        assert main([command, "--config", path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {field}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("cfg", [
         {"command": "illposed", "s": -0.7, "eps0": 0.01, "cells": 64,
          "samples": 10000, "N_list": [8, 10, 12, 14], "seed": -1},
@@ -732,7 +767,8 @@ class TestManifestTolerances:
 
 class TestPublicPath:
     """The CLI reaches the library through public names only, and the
-    modules reach each other's private names only where listed."""
+    modules reach each other's private names only where listed, whether
+    imported by name or read as a module attribute."""
 
     # Every `from .module import _name` in the package, as
     # "importer: module._name".  A new coupling fails the test; removing one
@@ -741,11 +777,24 @@ class TestPublicPath:
         "illposedness: spectral_core._symbol",
         "solver: semigroup._w_multiplier",
         "states: solver._check_fits",
-        "verify: norms._mode_pairs",
-        "verify: norms._on_modes",
+        "verify: norms._selected_columns",
         "verify: norms._taper_transform",
         "verify: semigroup._w_multiplier",
-        "verify: solver._dx_product_full",
+        "verify: solver._dx_product_modes",
+        "verify: solver._modes_at",
+    ]
+
+    # Every read of a private name as an attribute of a sibling module bound
+    # by `from . import module`, in the same form; the same rule holds.
+    PRIVATE_ATTRIBUTES = [
+        "__init__: illposedness._MIN_CELLS",
+        "__init__: illposedness._MIN_CHI_SAMPLES",
+        "__init__: norms._MIN_STEPS",
+        "__init__: norms._TAPER_FRACTION",
+        "__init__: semigroup._ADMISSIBLE_TOL",
+        "__init__: solver._PHI_SERIES_CUTOFF",
+        "__init__: spectral_core._HERMITIAN_TOL",
+        "__init__: spectral_core._KP_ADMISSIBLE_TOL",
     ]
 
     def test_private_imports_across_modules(self):
@@ -762,6 +811,30 @@ class TestPublicPath:
                       for alias in node.names
                       if alias.name.startswith("_") and not alias.name.endswith("__")]
         assert sorted(found) == self.PRIVATE_IMPORTS
+
+    def test_private_attribute_reads_across_modules(self):
+        package = os.path.dirname(kpblab.__file__)
+        siblings = {name[:-3] for name in os.listdir(package) if name.endswith(".py")}
+        found = []
+        for name in sorted(os.listdir(package)):
+            if not name.endswith(".py"):
+                continue
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            # the names a module binds to sibling modules: `from . import x
+            # [as y]` and `from kpblab import x [as y]`
+            bound = {alias.asname or alias.name: alias.name
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     and ((node.level == 1 and node.module is None)
+                          or (node.level == 0 and node.module == "kpblab"))
+                     for alias in node.names if alias.name in siblings}
+            found += [f"{name[:-3]}: {bound[node.value.id]}.{node.attr}"
+                      for node in ast.walk(tree)
+                      if isinstance(node, ast.Attribute)
+                      and isinstance(node.value, ast.Name) and node.value.id in bound
+                      and node.attr.startswith("_") and not node.attr.endswith("__")]
+        assert sorted(found) == self.PRIVATE_ATTRIBUTES
 
     def test_stream_and_windowed_power_are_exported(self):
         for module, name in [(solver, "solve_states"), (norms, "WindowedPower")]:

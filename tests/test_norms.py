@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from kpblab.norms import (
     WindowedPower,
+    _selected_columns,
     _taper_transform,
     bourgain_norm,
     equivalence_gap,
@@ -23,7 +24,13 @@ from kpblab.norms import (
     time_window,
 )
 from kpblab.semigroup import free_table, semigroup_table
-from kpblab.solver import Trajectory, _dx_product_full, solve_picard
+from kpblab.solver import (
+    Trajectory,
+    _band_grid,
+    _dx_product_full,
+    _dx_product_modes,
+    solve_picard,
+)
 from kpblab.spectral_core import (
     SpectralField,
     dispersion_values,
@@ -32,7 +39,7 @@ from kpblab.spectral_core import (
     make_grid,
     project_zero_x_mean,
 )
-from kpblab.verify import bilinear_ratio, free_trajectory, random_field
+from kpblab.verify import _free_modes, bilinear_ratio, free_trajectory, random_field
 
 
 def idx(grid, kx, ky):
@@ -531,3 +538,83 @@ class TestHermitianHalf:
                 a, b = getattr(got, name), getattr(whole, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         assert len(set(fft_columns)) == 1 and len(fft_columns) == 4
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestModeForm:
+    """The free evolutions and the product on their mode forms give what the
+    expanded (n_t, nx, ny) trajectories give, bit for bit: the same
+    columns, weights and values, and so the same windowed power."""
+
+    @staticmethod
+    def datum(grid, rng, density, bands, edges, breaks):
+        """An exactly Hermitian datum in |kx| <= bands[0], |ky| <= bands[1]
+        (the kx = -nx/2 row and the Nyquist column too when ``edges``),
+        with one mode of some occupied pairs changed by an ulp, set to NaN
+        or zeroed."""
+        nx, ny = grid.nx, grid.ny
+        coeffs = rng.standard_normal((nx, ny)) + 1j * rng.standard_normal((nx, ny))
+        keep = rng.random((nx, ny)) < density
+        keep &= (np.abs(grid.kx_int)[:, None] <= bands[0]) & (np.abs(grid.ky_int) <= bands[1])
+        if edges:
+            keep[nx // 2, :] = True
+            keep[:, ny // 2] = True
+        coeffs = exactly_hermitian(np.where(keep, coeffs, 0.0)[None])[0]
+        pairs = TestHermitianHalf.occupied_pairs(coeffs[None])
+        for kind, i in zip(breaks, rng.permutation(len(pairs))):
+            mode = pairs[i][rng.integers(2)]
+            if kind == "ulp":
+                coeffs[mode] = np.nextafter(coeffs[mode].real, np.inf) + 1j * coeffs[mode].imag
+            else:
+                coeffs[mode] = np.nan if kind == "nan" else 0.0
+        return SpectralField(grid=grid, coeffs=coeffs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), nx=st.sampled_from([8, 10, 12, 14, 16]),
+           ny=st.sampled_from([8, 10, 12, 14, 16]), M=st.sampled_from([16, 20, 32]),
+           density=st.floats(0.0, 1.0), cutoff=st.booleans(),
+           breaks=st.lists(st.sampled_from(["ulp", "nan", "zero"]), max_size=3))
+    def test_free_power_equals_full_path(self, seed, nx, ny, M, density, cutoff, breaks):
+        grid = make_grid(nx, ny, np.pi, np.pi)
+        phi = self.datum(grid, np.random.default_rng(seed), density, (nx, ny), True, breaks)
+        times, modes = _free_modes(phi, 4.0, M, cutoff)
+        got = WindowedPower.of_modes(grid, float(times[1] - times[0]), *modes)
+        want = WindowedPower.of(free_trajectory(phi, 4.0, M, cutoff))
+        for name in ("tau", "power", "cols", "colw"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
+        assert got.n_times == want.n_times and got.dt == want.dt
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), nx=st.sampled_from([8, 10, 12, 14, 16]),
+           ny=st.sampled_from([8, 10, 12, 14, 16]), density=st.floats(0.0, 1.0),
+           wide=st.booleans(), same=st.booleans(), fraction=st.sampled_from([2 / 3, 1.0]),
+           breaks=st.lists(st.sampled_from(["ulp", "nan", "zero"]), max_size=2))
+    def test_product_equals_full_path(self, seed, nx, ny, density, wide, same, fraction,
+                                      breaks):
+        # without dealiasing, the self-conjugate modes on the kx = -nx/2 row
+        # of a wide product are occupied and keep only their real part
+        grid = make_grid(nx, ny, np.pi, np.pi, dealias_fraction=fraction)
+        rng = np.random.default_rng(seed)
+        # the two bands sum to at most (n - 2) / 2 on a band grid that fits
+        bands = [(nx // 2, ny // 2)] * 2 if wide else [
+            (int(rng.integers(0, nx // 4)), int(rng.integers(0, ny // 4))),
+            (nx // 2 - 1 - nx // 4, ny // 2 - 1 - ny // 4)]
+        phis = [self.datum(grid, rng, density, band, wide, breaks) for band in bands]
+        forms, full = [], []
+        for phi in phis[:1] if same else phis:
+            forms.append(_free_modes(phi, 4.0, 16)[1])
+            full.append(free_trajectory(phi, 4.0, 16).coeffs)
+        u, v = forms * 2 if same else forms
+        a, b = full * 2 if same else full
+        extent = _band_grid(a, b, grid)
+        if extent is not None:
+            assert (extent[0] > nx or extent[1] > ny) == wide
+        got = _dx_product_modes(u, v, grid, _selected_columns)
+        product = _dx_product_full(a, b, grid).reshape(17, -1)
+        cols, colw = _selected_columns(grid, (product,))
+        for x, y in zip(got, (cols, colw, product[:, cols])):
+            assert same_bits(x, y)
+

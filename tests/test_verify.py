@@ -317,6 +317,15 @@ class TestSuites:
         assert math.isfinite(report.max_ratio)
         assert all(math.isfinite(r["ratio"]) for r in rows)
 
+    def test_bilinear_suite_holds_no_full_trajectory(self, alloc_peak):
+        # the suite works on mode forms and band grids: its peak stays below
+        # one (97, 64, 64) complex trajectory of the refine = 2 grid.  A first
+        # call makes the one-time allocations (numpy.random's lazy import).
+        bilinear_suite(1, 0, refine=2)
+        (report, _), peak = alloc_peak(bilinear_suite, 2, 0, refine=2)
+        assert report.samples == 2
+        assert peak < 97 * 64 * 64 * 16
+
     def test_run_suite_dispatch_and_unknown_id(self):
         report, _ = run_suite("free", 3, seed=0)
         assert report.estimate_id == "free"
