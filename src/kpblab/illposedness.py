@@ -244,16 +244,6 @@ def resonance_chi(xi, xi1, eta, eta1):
     return chi
 
 
-def _direct_exp_ih(t, chi, phase, h) -> np.ndarray:
-    """Write e^{ih}, h = t chi / 2, into ``phase`` with one cosine and one sine
-    per node; ``h`` is a float buffer of the same shape, and may be ``chi``
-    itself.  Returns ``phase``."""
-    np.multiply(chi, 0.5 * t, out=h)
-    np.cos(h, out=phase.real)
-    np.sin(h, out=phase.imag)
-    return phase
-
-
 def _kernel_factors(t, xi, xi1):
     """(cross, g, e1) of :func:`_kernel`: cross = 2 xi1 (xi - xi1) and, with
     a = t cross, g = 2 e^{-t xi^2} e^a and e1 = e^{-t xi^2} expm1(a).
@@ -308,7 +298,10 @@ def kernel_K(t, xi, xi1, eta, eta1):
     chi = _chi_into(np.empty(shape), xi, xi1, eta, eta1)
     den = chi + 1j * cross
     # once den holds chi, chi's buffer serves as h and as the kernel's scratch
-    phase = _direct_exp_ih(t, chi, np.empty(shape, dtype=complex), chi)
+    h = np.multiply(chi, 0.5 * t, out=chi)
+    phase = np.empty(shape, dtype=complex)
+    np.cos(h, out=phase.real)
+    np.sin(h, out=phase.imag)
     out = _kernel(den, phase, chi, g, e1)[..., 0]
     if out.ndim == 0:
         return complex(out)
@@ -328,7 +321,6 @@ _MIN_CELLS = 64
 _MIN_N = 8  # smallest N of a norm evaluation
 _MIN_CHI_SAMPLES = 10_000
 _BLOCK_NODES = 32 * 1024  # inner nodes per kernel call in _window_density
-_PHASE_Q = 8  # eta1 nodes per B table of the separable phase in _window_density
 
 
 def _check_cells(cells: int) -> None:
@@ -371,38 +363,79 @@ def _full_columns(pair: RectanglePair, y_lo, y_hi) -> np.ndarray:
     return (y_lo == pair.D2.eta_min) & (y_hi == pair.D2.eta_max)
 
 
-def _powers(first, base, n: int) -> np.ndarray:
-    """first * base**k for k = 0 .. n-1, by repeated doubling.
+def _phase_grid(cells: int) -> tuple[int, int]:
+    """(P, Q) of :func:`_exp_ih_into`: Q = ceil(sqrt(cells)) and P =
+    ceil(cells / Q), so P Q >= cells and P <= Q."""
+    q = math.isqrt(cells - 1) + 1
+    return -(-cells // q), q
 
-    ``base`` has shape (..., m); the power index k is a new axis in front
-    of the last one, so each product runs over the m values of that axis.
+
+def _exp_ih_into(out, work, t, x, x_mid, eta, c0, dy) -> np.ndarray:
+    """Write e^{ih}, h = t chi / 2, at the nodes (eta1, eta, xi1) of one
+    block into ``out`` with no sine or cosine per node, and return ``out``.
+
+    ``eta``, ``c0`` and ``dy`` are (n, 1) columns: the eta1 nodes of outer
+    eta b are c0[b] + j dy[b].  ``x_mid`` holds the xi1 nodes of the outer
+    xi ``x``.  ``out`` is a complex (P, Q, n, cells) buffer, (P, Q) =
+    :func:`_phase_grid`, and holds node j = Q p + q at [p, q]; the nodes
+    past ``cells`` are padding.  ``work`` is a flat complex buffer of at
+    least 2 Q n cells entries that does not overlap ``out``.
+
+    With prod = xi xi1 (xi - xi1) and a = t / (2 prod), h is a quadratic
+    in j:
+
+        h_j = alpha + beta j + gamma j^2,  u = xi1 eta - xi c0,  v = xi dy,
+        alpha = 1.5 t prod + a u^2,  beta = -2 a u v,  gamma = a v^2.
+
+    So along the first row, e^{ih_q} for q < Q, the ratio of neighbours
+    e^{i(beta + gamma (2q + 1))} changes by the constant factor
+    e^{2 i gamma}.  The row ratio R_p(q) = e^{i(h_{j+Q} - h_j)} =
+    e^{i(beta Q + gamma Q^2 (2p + 1) + 2 gamma Q q)} is a geometric
+    sequence in q, and changes by the constant factor e^{2 i gamma Q^2}
+    from one row to the next.  The first row and R_0 come from six seed
+    phases per (eta, xi1) by repeated multiplication, side by side in
+    ``out``'s first two rows; every further row is then one complex
+    multiply per node on contiguous memory, row p+1 = row p R_p.  The
+    rounding of the seeds grows with the number of products, at most about
+    j^2 / 2 of them; measured against np.exp(1j * h), the largest error is
+    2.6e-14 (N in {16, 128, 1024}, cells in {64, 67, 96, 128}, h up to 26).
     """
-    out = np.empty(base.shape[:-1] + (n,) + base.shape[-1:], dtype=complex)
-    out[..., 0, :] = first
-    k, step = 1, base[..., None, :]
-    while k < n:
-        m = min(k, n - k)
-        np.multiply(out[..., :m, :], step, out=out[..., k:k + m, :])
-        step = step * step
-        k += m
+    n_p, n_q = out.shape[:2]
+    prod = x * x_mid * (x - x_mid)
+    half_a = 0.5 * t / prod
+    u = x_mid * eta - x * c0
+    v = x * dy
+    gamma = half_a * (v * v)
+    beta = (-2.0 * half_a) * u * v
+    # first values of row 0 and R_0, their ratios, the ratio of row 0's
+    # ratios, and the ratio of the row ratios
+    ph = np.empty((6,) + u.shape)
+    np.multiply(u, u, out=ph[0])
+    ph[0] *= half_a
+    ph[0] += 1.5 * t * prod
+    np.multiply(gamma, n_q, out=ph[1])
+    ph[1] += beta
+    ph[1] *= n_q
+    np.add(beta, gamma, out=ph[2])
+    np.multiply(gamma, np.array([2.0 * n_q, 2.0, 2.0 * n_q * n_q])[:, None, None],
+                out=ph[3:6])
+    seeds = np.empty(ph.shape, dtype=complex)
+    np.cos(ph, out=seeds.real)
+    np.sin(ph, out=seeds.imag)
+    pair, ratio = out[:2], seeds[2:4]  # row 0 and R_0, built side by side
+    pair[:, 0] = seeds[0:2]
+    for q in range(1, n_q):
+        np.multiply(pair[:, q - 1], ratio, out=pair[:, q])
+        ratio[0] *= seeds[4]
+    row_ratio, row_step = work[:2 * out[0].size].reshape((2,) + out.shape[1:])
+    row_step[...] = seeds[5]
+    np.multiply(out[1], row_step, out=row_ratio)  # R_1
+    out[1] *= out[0]
+    for p in range(2, n_p):
+        np.multiply(out[p - 1], row_ratio, out=out[p])
+        if p + 1 < n_p:
+            row_ratio *= row_step
     return out
-
-
-def _separable_exp_ih(x, x_mid, half_a, eta, c0, dy, e_tab, out) -> None:
-    """Write e^{ih} = A B E at the full-column nodes of one block into ``out``.
-
-    ``eta`` is a (rows, 1) column of outer eta, ``half_a`` is t / (2 prod)
-    at the xi1 nodes ``x_mid``, ``e_tab`` the row's (P, Q, cells) table E
-    and ``out`` a (rows, P, Q, cells) buffer, the nodes (eta, eta1, xi1)
-    with eta1 index j = Q p + q; see :func:`_window_density`.
-    """
-    a_eta = half_a * x_mid * eta
-    w = np.exp(-2j * x * dy * a_eta)
-    b_tab = _powers(1.0, w, _PHASE_Q)
-    a_tab = _powers(np.exp(1j * a_eta * (x_mid * eta - 2.0 * x * c0)),
-                    b_tab[:, -1] * w, e_tab.shape[0])
-    np.multiply(a_tab[:, :, None], b_tab[:, None], out=out)
-    out *= e_tab
 
 
 def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarray, float, float]:
@@ -411,46 +444,39 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     Returns (table, hx, hy): ``table[i, j]`` is xi^2 (1+xi^2)^s |I(xi_i, eta_j)|^2
     at window midpoints, with I the bare k-set integral (prefactor modulus
     xi folded into the weight).  Vectorized one outer-xi row at a time, in
-    blocks of outer eta: a block covers (rows, cells, cells) inner nodes
-    (eta, eta1, xi1), with rows = _BLOCK_NODES // cells^2 (8 at cells=64, 2
-    at cells=128, at least 1).  xi1 is the inner axis, so every node-sized
-    operation runs over ``cells`` values, and the factors of (t, xi, xi1)
-    alone (:func:`_kernel_factors`, the phase tables) are per-row vectors
-    along it.
+    blocks of outer eta: a block is a run of ``rows`` non-empty columns in
+    window order, rows = _BLOCK_NODES // cells^2 (8 at cells=64, 2 at
+    cells=128, at least 1), and covers (cells, rows, cells) inner nodes
+    (eta1, eta, xi1).  xi1 is the inner axis, so the factors of (t, xi,
+    xi1) alone (:func:`_kernel_factors`) are per-row vectors along it; eta1
+    is the outer axis, so the phase source's rows of eta1 nodes are
+    contiguous.
 
-    A block allocates no node-sized array.  The call allocates three block
-    buffers once: the complex phase e^{ih} (padded to P Q eta1 nodes, see
-    below), the complex denominator chi + i cross, whose imaginary part is
-    set once per row, and a float scratch.  chi goes to the scratch first,
-    where its four passes run on contiguous memory, and is copied into the
-    denominator; the scratch then holds h or g sin h.  The row's table E
-    (below) has its own buffer, rebuilt in place.  The buffers belong to
-    the call, so calls on concurrent threads share nothing.  The whole
-    call's allocations peak at 1.78 MiB at cells=64 and 2.12 MiB at
-    cells=128 (tracemalloc, N=16), about a 2 MiB L2; numpy's iterator
-    buffers, at most 8192 elements per operand, are the largest transient
-    allocations of a block.  Each eta's sum runs over its own (eta1, xi1)
-    slab, whatever the block size.
+    A block allocates no node-sized array.  The call allocates three flat
+    buffers once, each viewed in the shape of the block at hand: the
+    complex phase e^{ih} (padded to P Q eta1 nodes, see
+    :func:`_exp_ih_into`), the complex denominator chi + i cross, whose
+    imaginary part is set once per row, and a float scratch.  chi goes to
+    the scratch first, where its four passes run on contiguous memory, and
+    is copied into the denominator; the scratch then holds the phase
+    source's work tables, and last g sin h.  The buffers belong to the
+    call, so calls on concurrent threads share nothing.  The whole call's
+    allocations peak at 1.48 MiB at cells=64 and 1.67 MiB at cells=128
+    (tracemalloc, N=16), within a 2 MiB L2; numpy's iterator buffers, at
+    most 8192 elements per operand, are the largest transient allocations
+    of a block.  Each eta's sum runs over its own (eta1, xi1) slab,
+    whatever the block size.
 
-    Separable phase.  A full column is an outer eta whose k1 eta interval is
-    all of D_2 (:func:`_full_columns`; 54 of 64 columns at cells=64): the
-    set is the same in every row, and all full columns share the same eta1
-    nodes eta1_j = c0 + j dy, j = Q p + q (Q = _PHASE_Q, P = ceil(cells/Q),
-    padded and trimmed).  With prod = xi xi1 (xi - xi1) and a = t / (2 prod),
-
-        h = 1.5 t prod + a xi1^2 eta^2 - 2 a xi xi1 eta eta1 + a xi^2 eta1^2,
-
-    so e^{ih} = A(eta, xi1, p) B(eta, xi1, q) E(xi1, j) with
-    A = e^{i a xi1 eta (xi1 eta - 2 xi c0)} w^{Q p},  B = w^q,
-    w = e^{-2 i a xi xi1 eta dy}, and E = e^{i (1.5 t prod + a xi^2 eta1_j^2)}
-    built once per row; the phase buffer holds the product as (eta, p, q,
-    xi1).  A and B come from one exp each by repeated multiplication, so a
-    full-column node costs two complex multiplies where the clipped
-    columns (and kernel_K) pay one sine and one cosine.  Only the
-    source of e^{ih} differs: both kinds of column go through the same block
-    loop, chi and :func:`_kernel`.  Against the direct sine and cosine, each
-    table cell agrees to within 1e-13 relative (9.7e-14 at most over
-    N in {16, 128} and cells in {64, 67, 96}) and the norm to about 1e-16.
+    Separable phase.  Every column's eta1 nodes are an arithmetic
+    progression c0 + j dy with the column's own c0 and dy: D_2's eta side
+    in a full column (:func:`_full_columns`; 11 of the window's 13 N^2), a
+    shorter interval in a clipped one.  So h is a quadratic in j at every
+    (eta, xi1), and :func:`_exp_ih_into` builds e^{ih} from six sines and
+    six cosines per (eta, xi1) and about two complex multiplies per node.
+    No node of the quadrature pays a sine or a cosine; only the public
+    :func:`kernel_K` evaluates them directly.  Against that direct form,
+    each table cell agrees within 3e-14 relative (N in {16, 128}, cells
+    in {64, 67, 96}).
 
     The quadrature runs under its own errstate (it may run on a worker
     thread, which a caller's errstate does not reach): it stops at the first
@@ -463,29 +489,23 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     amp2 = float(N) ** (2.0 * (-1.5 - s))
     table = np.zeros((cells, cells))
 
-    pair = rectangle_pair(N)
-    x_lo, x_hi, y_lo, y_hi = _k1_bounds(pair, xi_nodes, eta_nodes)
+    x_lo, x_hi, y_lo, y_hi = _k1_bounds(rectangle_pair(N), xi_nodes, eta_nodes)
     y_mid, wy = _midpoints(y_lo, y_hi, cells)
 
     rows = max(1, _BLOCK_NODES // (cells * cells))
-    is_full = _full_columns(pair, y_lo, y_hi)
-    clipped = np.flatnonzero(~is_full & (y_lo < y_hi))  # empty columns stay 0
-    full = np.flatnonzero(is_full)  # never empty: 11 of the window's 13 N^2
-    eta1 = y_mid[full[0]]  # the same nodes in every full column
-    c0, dy = eta1[0], wy[full[0]]
-    n_p = -(-cells // _PHASE_Q)
-    eta1_sq = np.zeros(n_p * _PHASE_Q)
-    eta1_sq[:cells] = eta1 * eta1
-    eta1_sq = eta1_sq.reshape(n_p, _PHASE_Q, 1)
-    eta_col = eta_nodes[:, None, None]
-    y_mid = y_mid[:, :, None]
+    cols = np.flatnonzero(y_lo < y_hi)  # empty columns stay 0
+    n_p, n_q = _phase_grid(cells)
+    eta_col = eta_nodes[:, None]
+    c0, dy = y_mid[:, :1], wy[:, None]
+    y_mid = y_mid.T[:, :, None]  # (eta1, eta, 1)
 
-    # Per-call buffers: concurrent calls (scaling_study's threads) share none.
-    phase_buf = np.empty((rows, n_p, _PHASE_Q, cells), dtype=complex)
-    phase = phase_buf.reshape(rows, -1, cells)[:, :cells]
-    den = np.empty((rows, cells, cells), dtype=complex)
-    scratch = np.empty((rows, cells, cells))
-    e_tab = np.empty((n_p, _PHASE_Q, cells), dtype=complex)  # the row's E
+    # Per-call buffers, shaped per block: concurrent calls (scaling_study's
+    # threads) share none.
+    phase_buf = np.empty(n_p * n_q * rows * cells, dtype=complex)
+    den_buf = np.empty(cells * rows * cells, dtype=complex)
+    scratch_buf = np.empty(cells * rows * cells)
+    # the phase source's work buffer, in the scratch while chi is in den
+    work = scratch_buf[:4 * n_q * rows * cells].view(complex)
 
     sums = np.zeros(cells, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -493,27 +513,22 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
             if x_lo[i] >= x_hi[i]:
                 continue
             x_mid, wx = _midpoints(x_lo[i], x_hi[i], cells)
-            prod = x * x_mid * (x - x_mid)
-            half_a = 0.5 * t / prod
-            e_tab.real = 0.0
-            np.multiply(eta1_sq, half_a * x * x, out=e_tab.imag)
-            e_tab.imag += (1.5 * t) * prod
-            np.exp(e_tab, out=e_tab)
             cross, g, e1 = _kernel_factors(t, x, x_mid)
-            den.imag[...] = cross
-            for cols, separable in ((clipped, False), (full, True)):
-                for j in range(0, cols.size, rows):
-                    block = cols[j:j + rows]
-                    n = block.size
-                    chi = _chi_into(scratch[:n], x, x_mid, eta_col[block], y_mid[block])
-                    den.real[:n] = chi
-                    if separable:
-                        _separable_exp_ih(x, x_mid, half_a, eta_nodes[block, None],
-                                          c0, dy, e_tab, phase_buf[:n])
-                    else:
-                        _direct_exp_ih(t, chi, phase[:n], chi)
-                    K = _kernel(den[:n], phase[:n], scratch[:n], g, e1)
-                    sums[block] = K.sum(axis=(1, 2))
+            den_buf.imag.reshape(-1, cells)[...] = cross
+            for j in range(0, cols.size, rows):
+                block = cols[j:j + rows]
+                n = block.size
+                size = cells * n * cells
+                den = den_buf[:size].reshape(cells, n, cells)
+                scratch = scratch_buf[:size].reshape(cells, n, cells)
+                chi = _chi_into(scratch, x, x_mid, eta_col[block], y_mid[:, block])
+                den.real[...] = chi
+                phase = _exp_ih_into(
+                    phase_buf[:n_p * n_q * n * cells].reshape(n_p, n_q, n, cells),
+                    work, t, x, x_mid,
+                    eta_col[block], c0[block], dy[block])
+                K = _kernel(den, phase.reshape(-1, n, cells)[:cells], scratch, g, e1)
+                sums[block] = K.sum(axis=(0, 2))
             mod2 = sums.real * sums.real + sums.imag * sums.imag
             mod2 *= (2.0 * amp2 * wx * wy) ** 2
             table[i, :] = x * x * (1.0 + x * x) ** s * mod2
@@ -568,16 +583,21 @@ def scaling_study(N_list, s: float, eps0: float, cells: int,
                   threads: int | None = None) -> ScalingStudy:
     """Least-squares slope of log norm_u2 vs log N over an increasing N sweep.
 
-    The N values run on ``threads`` worker threads (None: ``os.cpu_count()``);
-    numpy releases the GIL in the kernel, and the results do not depend on it.
+    The N values run on ``threads`` worker threads (None: ``os.cpu_count()``;
+    fewer than 1 is a ValueError); numpy releases the GIL in the kernel,
+    and the results do not depend on it.
     """
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     Ns = [float(N) for N in N_list]
     if len(Ns) < 4:
         raise ValueError(f"need at least 4 values of N, got {len(Ns)}")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
         raise ValueError("N_list must be strictly increasing, without duplicates")
     _check_norm_args(Ns[0], cells)  # the smallest N: fail before any quadrature
-    with ThreadPoolExecutor(max_workers=threads or os.cpu_count() or 1) as pool:
+    if threads is None:
+        threads = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         results = tuple(pool.map(
             lambda N: second_iterate_norm(N, s, eps0, cells), Ns))
     logN = np.log([r.N for r in results])

@@ -196,24 +196,32 @@ def _dx_product(a: np.ndarray, b: np.ndarray, shape: tuple[int, int],
     Only the band's columns are transformed along x.  The inverse scatters
     a band into zeroed full columns, runs ``ifft`` along x and then
     ``irfft`` along y; the forward runs ``rfft`` along y, ``fft`` along x
-    on the band's columns, and gathers the band's rows.  Every line gets
-    the arithmetic ``irfft2``/``rfft2`` give it, so the band equals
-    theirs bit for bit.  The grid's sign table is left out on both sides:
-    it only shifts the samples by half a period, which commutes with the
-    pointwise product.
+    on the band's columns, and gathers the band's rows.  A band that has
+    every row (``rows`` is 0 .. nx-1, as on a band grid) is transformed as
+    it is, with no scatter and no gather.  Every line gets the arithmetic
+    ``irfft2``/``rfft2`` give it, so the band equals theirs bit for bit.
+    The grid's sign table is left out on both sides: it only shifts the
+    samples by half a period, which commutes with the pointwise product.
     """
     nx, ny = shape
     cols = table.shape[-1]
+    every_row = rows.size == nx  # rows are distinct and increasing
 
     def inverse(c: np.ndarray) -> np.ndarray:
-        columns = np.zeros(c.shape[:-2] + (nx, cols), dtype=complex)
-        columns[..., rows, :] = c
-        return np.fft.irfft(np.fft.ifft(columns, axis=-2), n=ny, axis=-1)
+        if not every_row:
+            columns = np.zeros(c.shape[:-2] + (nx, cols), dtype=complex)
+            columns[..., rows, :] = c
+            c = columns
+        return np.fft.irfft(np.fft.ifft(c, axis=-2), n=ny, axis=-1)
 
     u = inverse(a)
-    v = u if b is a else inverse(b)
-    w = np.fft.fft(np.fft.rfft(u * v, axis=-1)[..., :cols], axis=-2)
-    w = w[..., rows, :]
+    if b is a:
+        u *= u
+    else:
+        u *= inverse(b)
+    w = np.fft.fft(np.fft.rfft(u, axis=-1)[..., :cols], axis=-2)
+    if not every_row:
+        w = w[..., rows, :]
     w *= table
     return w
 

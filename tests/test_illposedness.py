@@ -15,9 +15,11 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+import kpblab.illposedness as illposedness
 from kpblab.illposedness import (
     _BLOCK_NODES,
     IllposedResult,
+    _exp_ih_into,
     _full_columns,
     _k1_bounds,
     PhiHat,
@@ -32,6 +34,7 @@ from kpblab.illposedness import (
     second_iterate_hat,
     second_iterate_norm,
     _midpoints,
+    _phase_grid,
     _window_density,
 )
 from kpblab.norms import sobolev_norm
@@ -347,8 +350,8 @@ class TestSecondIterate:
 
     def test_blocked_table_matches_pointwise_density(self):
         # The first and last column of every block must reproduce the
-        # one-point path.  Blocks are runs of ``rows`` entries of the clipped
-        # and of the full column lists, not runs of consecutive eta.
+        # one-point path.  Blocks are runs of ``rows`` non-empty columns, so
+        # one block holds clipped and full columns together.
         N, s, cells = 16, -0.7, 64
         t = 16.0 ** -3.01
         xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
@@ -358,11 +361,10 @@ class TestSecondIterate:
         _, _, y_lo, y_hi = _k1_bounds(pair, xi_nodes, eta_nodes)
         is_full = _full_columns(pair, y_lo, y_hi)
         rows = max(1, _BLOCK_NODES // cells ** 2)
-        edges = set()
-        for cols in (np.flatnonzero(~is_full & (y_lo < y_hi)), np.flatnonzero(is_full)):
-            assert cols.size > rows  # each kind has a block edge inside its list
-            for j in range(0, cols.size, rows):
-                edges.update((cols[j], cols[min(j + rows, cols.size) - 1]))
+        cols = np.flatnonzero(y_lo < y_hi)
+        blocks = [cols[j:j + rows] for j in range(0, cols.size, rows)]
+        assert any(is_full[b].any() and not is_full[b].all() for b in blocks)
+        edges = {int(c) for b in blocks for c in (b[0], b[-1])}
         table = _window_density(N, s, t, cells)[0]
         for i in (0, cells // 2, cells - 1):
             for j in sorted(edges):
@@ -442,6 +444,66 @@ class TestSeparablePhase:
         assert np.isnan(table).all()
 
 
+def block_setup(N, cells, kind):
+    """(t, xi nodes, x_lo, x_hi, eta nodes, eta1 nodes, eta1 widths, block):
+    the quadrature's nodes at (N, cells) and one block of ``rows`` clipped
+    columns whose k1 eta interval is cut at its bottom or at its top."""
+    t = float(N) ** -3.01
+    xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
+    xi_nodes, _ = _midpoints(np.float64(xi_lo), np.float64(xi_hi), cells)
+    eta_nodes, _ = _midpoints(np.float64(eta_lo), np.float64(eta_hi), cells)
+    pair = rectangle_pair(N)
+    x_lo, x_hi, y_lo, y_hi = _k1_bounds(pair, xi_nodes, eta_nodes)
+    y_mid, wy = _midpoints(y_lo, y_hi, cells)
+    if kind == "bottom":
+        cut = (y_lo > pair.D2.eta_min) & (y_hi == pair.D2.eta_max)
+    else:
+        cut = (y_lo == pair.D2.eta_min) & (y_hi < pair.D2.eta_max)
+    block = np.flatnonzero(cut & (y_lo < y_hi))[:max(1, _BLOCK_NODES // cells ** 2)]
+    assert block.size > 0 and not _full_columns(pair, y_lo, y_hi)[block].any()
+    return t, xi_nodes, x_lo, x_hi, eta_nodes, y_mid, wy, block
+
+
+class TestPhaseSource:
+    """The quadrature's e^{ih}: built by products, checked node by node."""
+
+    @pytest.mark.parametrize("kind", ["bottom", "top"])
+    @pytest.mark.parametrize("N", [16, 128])
+    @pytest.mark.parametrize("cells", [64, 67, 128])  # 128: the longest row recurrences
+    def test_clipped_block_matches_direct_exponential(self, cells, N, kind):
+        t, xi_nodes, x_lo, x_hi, eta_nodes, y_mid, wy, block = block_setup(N, cells, kind)
+        n_p, n_q = _phase_grid(cells)
+        out = np.empty((n_p, n_q, block.size, cells), dtype=complex)
+        work = np.empty(2 * n_q * block.size * cells, dtype=complex)
+        for i in (0, cells // 2, cells - 1):
+            x = xi_nodes[i]
+            x_mid, _ = _midpoints(x_lo[i], x_hi[i], cells)
+            got = _exp_ih_into(out, work, t, x, x_mid, eta_nodes[block, None],
+                               y_mid[block, :1], wy[block, None])
+            chi = resonance_chi(x, x_mid, eta_nodes[block, None], y_mid[block].T[:, :, None])
+            want = np.exp(0.5j * t * chi)
+            np.testing.assert_allclose(got.reshape(-1, block.size, cells)[:cells], want,
+                                       rtol=0.0, atol=1e-12)
+
+    def test_quadrature_takes_no_sine_or_cosine_per_node(self, monkeypatch):
+        # The phase source takes six sines and six cosines per (row, column,
+        # xi1): 0.19 per node at cells=64.  Either direct form, e^{ih} by
+        # one sine and one cosine per node or by a complex exp, on the
+        # clipped columns alone (10 of 64) would add 0.31 per node.
+        cells = 64
+        evaluated = []
+        for name in ("sin", "cos", "exp"):
+            ufunc = getattr(np, name)
+
+            def counted(x, *args, _ufunc=ufunc, **kwargs):
+                evaluated.append(np.size(x))
+                return _ufunc(x, *args, **kwargs)
+
+            monkeypatch.setattr(np, name, counted)
+        _window_density(16, -0.7, 16.0 ** -3.01, cells)
+        assert sum(evaluated) < cells ** 4 / 4
+
+
 class TestQuadratureBuffers:
     def test_concurrent_calls_match_serial(self):
         # Each call owns its block buffers: two calls at once on two threads
@@ -488,6 +550,29 @@ class TestScalingStudy:
     def test_critical_flatness_slope(self):
         study = scaling_study([16, 32, 64, 128], -0.5, 0.001, cells=64)
         assert abs(study.slope - (-0.001)) <= 0.08
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected_before_any_quadrature(self, monkeypatch, threads):
+        def started(*args, **kwargs):
+            raise AssertionError("a pool or a quadrature was started")
+
+        monkeypatch.setattr(illposedness, "ThreadPoolExecutor", started)
+        monkeypatch.setattr(illposedness, "second_iterate_norm", started)
+        with pytest.raises(ValueError, match=rf"^threads must be >= 1, got {threads}$"):
+            scaling_study([16, 32, 64, 128], -0.7, 0.01, cells=64, threads=threads)
+
+    def test_threads_none_means_every_cpu(self, monkeypatch):
+        class Stop(Exception):
+            pass
+
+        def pool(max_workers):
+            raise Stop(max_workers)
+
+        monkeypatch.setattr(illposedness, "ThreadPoolExecutor", pool)
+        monkeypatch.setattr(illposedness.os, "cpu_count", lambda: 3)
+        with pytest.raises(Stop) as stop:
+            scaling_study([16, 32, 64, 128], -0.7, 0.01, cells=64)
+        assert stop.value.args == (3,)
 
     def test_fit_reproduces_results(self):
         study = scaling_study([8, 10, 12, 14], -0.7, 0.01, cells=64)
