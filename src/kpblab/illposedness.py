@@ -321,6 +321,7 @@ _MIN_CELLS = 64
 _MIN_N = 8  # smallest N of a norm evaluation
 _MIN_CHI_SAMPLES = 10_000
 _BLOCK_NODES = 32 * 1024  # inner nodes per kernel call in _window_density
+_PHASE_ROWS = 4  # rows of Q eta1 nodes per kernel call in _window_density
 
 
 def _check_cells(cells: int) -> None:
@@ -363,23 +364,24 @@ def _full_columns(pair: RectanglePair, y_lo, y_hi) -> np.ndarray:
     return (y_lo == pair.D2.eta_min) & (y_hi == pair.D2.eta_max)
 
 
-def _phase_grid(cells: int) -> tuple[int, int]:
-    """(P, Q) of :func:`_exp_ih_into`: Q = ceil(sqrt(cells)) and P =
-    ceil(cells / Q), so P Q >= cells and P <= Q."""
-    q = math.isqrt(cells - 1) + 1
-    return -(-cells // q), q
+def _phase_side(cells: int) -> int:
+    """Q = ceil(sqrt(cells)), the eta1 nodes per row of :func:`_phase_rows`."""
+    return math.isqrt(cells - 1) + 1
 
 
-def _exp_ih_into(out, work, t, x, x_mid, eta, c0, dy) -> np.ndarray:
-    """Write e^{ih}, h = t chi / 2, at the nodes (eta1, eta, xi1) of one
-    block into ``out`` with no sine or cosine per node, and return ``out``.
+def _phase_rows(out, ratio_buf, carry, t, x, x_mid, eta, c0, dy):
+    """Yield e^{ih}, h = t chi / 2, at the nodes (eta1, eta, xi1) of a group
+    of outer-eta columns, K rows of eta1 nodes at a time, with no sine or
+    cosine per node.
 
-    ``eta``, ``c0`` and ``dy`` are (n, 1) columns: the eta1 nodes of outer
-    eta b are c0[b] + j dy[b].  ``x_mid`` holds the xi1 nodes of the outer
-    xi ``x``.  ``out`` is a complex (P, Q, n, cells) buffer, (P, Q) =
-    :func:`_phase_grid`, and holds node j = Q p + q at [p, q]; the nodes
-    past ``cells`` are padding.  ``work`` is a flat complex buffer of at
-    least 2 Q n cells entries that does not overlap ``out``.
+    ``eta``, ``c0`` and ``dy`` are (g, 1) columns: the eta1 nodes of
+    column b are c0[b] + j dy[b], j = Q p + q, q < Q, p < P = ceil(cells /
+    Q).  ``x_mid`` holds the xi1 nodes of the outer xi ``x``.  ``out`` is a
+    complex (K, Q, g, cells) buffer, K >= 2, and the k-th yield (k from 0)
+    leaves rows p = K k .. K k + K - 1 in it; rows past P - 1 are padding.
+    The caller may overwrite ``out`` between yields.  ``ratio_buf`` and
+    ``carry`` are complex (Q, g, cells) buffers for the row ratio and the
+    last row of a yield.
 
     With prod = xi xi1 (xi - xi1) and a = t / (2 prod), h is a quadratic
     in j:
@@ -387,55 +389,59 @@ def _exp_ih_into(out, work, t, x, x_mid, eta, c0, dy) -> np.ndarray:
         h_j = alpha + beta j + gamma j^2,  u = xi1 eta - xi c0,  v = xi dy,
         alpha = 1.5 t prod + a u^2,  beta = -2 a u v,  gamma = a v^2.
 
-    So along the first row, e^{ih_q} for q < Q, the ratio of neighbours
+    So along row 0, e^{ih_q} for q < Q, the ratio of neighbours
     e^{i(beta + gamma (2q + 1))} changes by the constant factor
     e^{2 i gamma}.  The row ratio R_p(q) = e^{i(h_{j+Q} - h_j)} =
     e^{i(beta Q + gamma Q^2 (2p + 1) + 2 gamma Q q)} is a geometric
     sequence in q, and changes by the constant factor e^{2 i gamma Q^2}
-    from one row to the next.  The first row and R_0 come from six seed
-    phases per (eta, xi1) by repeated multiplication, side by side in
-    ``out``'s first two rows; every further row is then one complex
-    multiply per node on contiguous memory, row p+1 = row p R_p.  The
-    rounding of the seeds grows with the number of products, at most about
-    j^2 / 2 of them; measured against np.exp(1j * h), the largest error is
-    2.6e-14 (N in {16, 128, 1024}, cells in {64, 67, 96, 128}, h up to 26).
+    from one row to the next.  Row 0 and R_0 come from six seed phases per
+    (eta, xi1) by repeated multiplication, side by side in ``out``; every
+    further row is then one complex multiply per node on contiguous memory,
+    row p+1 = row p R_p.  The rounding of the seeds grows with the number
+    of products, at most about j^2 / 2 of them; measured against
+    np.exp(1j * h), the largest error is 2.7e-14 (N in {16, 128, 1024},
+    cells in {64, 67, 96, 128}, h up to 26).
     """
-    n_p, n_q = out.shape[:2]
+    n_k, n_q = out.shape[:2]
+    n_p = -(-x_mid.size // n_q)
     prod = x * x_mid * (x - x_mid)
     half_a = 0.5 * t / prod
-    u = x_mid * eta - x * c0
+    u = x_mid * eta
+    u -= x * c0
     v = x * dy
-    gamma = half_a * (v * v)
-    beta = (-2.0 * half_a) * u * v
-    # first values of row 0 and R_0, their ratios, the ratio of row 0's
-    # ratios, and the ratio of the row ratios
+    w = half_a * u  # beta = -2 w v, gamma = half_a v^2
+    # the first values of row 0 and R_0 (alpha, beta Q + gamma Q^2), their
+    # first ratios (beta + gamma, 2 gamma Q), the ratio of row 0's ratios
+    # (2 gamma) and the ratio of the row ratios (2 gamma Q^2)
     ph = np.empty((6,) + u.shape)
-    np.multiply(u, u, out=ph[0])
-    ph[0] *= half_a
+    np.multiply(w, u, out=ph[0])
     ph[0] += 1.5 * t * prod
-    np.multiply(gamma, n_q, out=ph[1])
-    ph[1] += beta
-    ph[1] *= n_q
-    np.add(beta, gamma, out=ph[2])
-    np.multiply(gamma, np.array([2.0 * n_q, 2.0, 2.0 * n_q * n_q])[:, None, None],
-                out=ph[3:6])
+    np.multiply(v * np.array([-2.0 * n_q, -2.0, 0.0, 0.0, 0.0])[:, None, None], w,
+                out=ph[1:])
+    ph[1:] += (v * v * np.array([n_q * n_q, 1.0, 2.0 * n_q, 2.0, 2.0 * n_q * n_q])
+               [:, None, None]) * half_a
     seeds = np.empty(ph.shape, dtype=complex)
     np.cos(ph, out=seeds.real)
     np.sin(ph, out=seeds.imag)
-    pair, ratio = out[:2], seeds[2:4]  # row 0 and R_0, built side by side
-    pair[:, 0] = seeds[0:2]
+    ratio, step = seeds[2:4], seeds[5]
+    out[:2, 0] = seeds[0:2]
     for q in range(1, n_q):
-        np.multiply(pair[:, q - 1], ratio, out=pair[:, q])
+        np.multiply(out[:2, q - 1], ratio, out=out[:2, q])
         ratio[0] *= seeds[4]
-    row_ratio, row_step = work[:2 * out[0].size].reshape((2,) + out.shape[1:])
-    row_step[...] = seeds[5]
-    np.multiply(out[1], row_step, out=row_ratio)  # R_1
+    row_ratio = np.multiply(out[1], step, out=ratio_buf)  # R_1
     out[1] *= out[0]
-    for p in range(2, n_p):
-        np.multiply(out[p - 1], row_ratio, out=out[p])
-        if p + 1 < n_p:
-            row_ratio *= row_step
-    return out
+    first = 2  # rows 0 and 1 are built
+    for start in range(0, n_p, n_k):
+        if start:
+            np.multiply(carry, row_ratio, out=out[0])
+            row_ratio *= step
+            first = 1
+        for p in range(first, n_k):
+            np.multiply(out[p - 1], row_ratio, out=out[p])
+            row_ratio *= step
+        if start + n_k < n_p:
+            np.copyto(carry, out[-1])
+        yield out
 
 
 def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarray, float, float]:
@@ -443,40 +449,43 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
 
     Returns (table, hx, hy): ``table[i, j]`` is xi^2 (1+xi^2)^s |I(xi_i, eta_j)|^2
     at window midpoints, with I the bare k-set integral (prefactor modulus
-    xi folded into the weight).  Vectorized one outer-xi row at a time, in
-    blocks of outer eta: a block is a run of ``rows`` non-empty columns in
-    window order, rows = _BLOCK_NODES // cells^2 (8 at cells=64, 2 at
-    cells=128, at least 1), and covers (cells, rows, cells) inner nodes
+    xi folded into the weight).  Vectorized one outer-xi row at a time.
+    The row's non-empty columns (outer eta) are taken in groups of
+    ``group`` = _BLOCK_NODES // (K Q cells) in window order, K =
+    _PHASE_ROWS and Q = :func:`_phase_side` (16 columns at cells=64, 5 at
+    cells=128, at least 1), and a group's eta1 nodes in spans of K rows of
+    Q; a block is one span of one group, (K Q, group, cells) inner nodes
     (eta1, eta, xi1).  xi1 is the inner axis, so the factors of (t, xi,
     xi1) alone (:func:`_kernel_factors`) are per-row vectors along it; eta1
-    is the outer axis, so the phase source's rows of eta1 nodes are
-    contiguous.
+    is the outer axis, so each row of the phase is contiguous.
 
-    A block allocates no node-sized array.  The call allocates three flat
-    buffers once, each viewed in the shape of the block at hand: the
-    complex phase e^{ih} (padded to P Q eta1 nodes, see
-    :func:`_exp_ih_into`), the complex denominator chi + i cross, whose
-    imaginary part is set once per row, and a float scratch.  chi goes to
-    the scratch first, where its four passes run on contiguous memory, and
-    is copied into the denominator; the scratch then holds the phase
-    source's work tables, and last g sin h.  The buffers belong to the
-    call, so calls on concurrent threads share nothing.  The whole call's
-    allocations peak at 1.48 MiB at cells=64 and 1.67 MiB at cells=128
-    (tracemalloc, N=16), within a 2 MiB L2; numpy's iterator buffers, at
-    most 8192 elements per operand, are the largest transient allocations
-    of a block.  Each eta's sum runs over its own (eta1, xi1) slab,
-    whatever the block size.
+    A block allocates no node-sized array.  The call allocates its buffers
+    once, each viewed in the shape of the block at hand: the complex phase
+    e^{ih}, the phase source's complex row ratio and carried row (Q eta1
+    nodes each), the complex denominator chi + i cross, whose imaginary
+    part is set once per row, and a float scratch.  chi goes to the
+    scratch first, where its four passes run on contiguous memory, and is
+    copied into the denominator; the scratch then holds g sin h.  The
+    buffers belong to the call, so calls on concurrent threads share
+    nothing.  The whole call's allocations peak at 1.88 MiB at cells=64
+    and 1.91 MiB at cells=128 (tracemalloc, N=16), within a 2 MiB L2;
+    numpy's iterator buffers, at most 8192 elements per operand, are the
+    largest transient allocations of a block.
 
     Separable phase.  Every column's eta1 nodes are an arithmetic
     progression c0 + j dy with the column's own c0 and dy: D_2's eta side
     in a full column (:func:`_full_columns`; 11 of the window's 13 N^2), a
     shorter interval in a clipped one.  So h is a quadratic in j at every
-    (eta, xi1), and :func:`_exp_ih_into` builds e^{ih} from six sines and
+    (eta, xi1), and :func:`_phase_rows` builds e^{ih} from six sines and
     six cosines per (eta, xi1) and about two complex multiplies per node.
     No node of the quadrature pays a sine or a cosine; only the public
     :func:`kernel_K` evaluates them directly.  Against that direct form,
     each table cell agrees within 3e-14 relative (N in {16, 128}, cells
-    in {64, 67, 96}).
+    in {64, 67, 96}).  A group's phase source runs once for all of its
+    spans, so a row makes few numpy calls.  Each call lets scaling_study's
+    other thread take the interpreter lock: on two threads of a 2-vCPU
+    Xeon, halving _BLOCK_NODES raised the CPU time of a four-N sweep at
+    cells=64 by about a quarter.
 
     The quadrature runs under its own errstate (it may run on a worker
     thread, which a caller's errstate does not reach): it stops at the first
@@ -492,20 +501,20 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     x_lo, x_hi, y_lo, y_hi = _k1_bounds(rectangle_pair(N), xi_nodes, eta_nodes)
     y_mid, wy = _midpoints(y_lo, y_hi, cells)
 
-    rows = max(1, _BLOCK_NODES // (cells * cells))
     cols = np.flatnonzero(y_lo < y_hi)  # empty columns stay 0
-    n_p, n_q = _phase_grid(cells)
+    n_q = _phase_side(cells)
+    span = _PHASE_ROWS * n_q  # eta1 nodes per block
+    group = max(1, _BLOCK_NODES // (span * cells))
     eta_col = eta_nodes[:, None]
     c0, dy = y_mid[:, :1], wy[:, None]
     y_mid = y_mid.T[:, :, None]  # (eta1, eta, 1)
 
     # Per-call buffers, shaped per block: concurrent calls (scaling_study's
     # threads) share none.
-    phase_buf = np.empty(n_p * n_q * rows * cells, dtype=complex)
-    den_buf = np.empty(cells * rows * cells, dtype=complex)
-    scratch_buf = np.empty(cells * rows * cells)
-    # the phase source's work buffer, in the scratch while chi is in den
-    work = scratch_buf[:4 * n_q * rows * cells].view(complex)
+    phase_buf = np.empty(span * group * cells, dtype=complex)
+    den_buf = np.empty(span * group * cells, dtype=complex)
+    scratch_buf = np.empty(span * group * cells)
+    ratio_buf, carry_buf = np.empty((2, n_q * group * cells), dtype=complex)
 
     sums = np.zeros(cells, dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -515,20 +524,26 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
             x_mid, wx = _midpoints(x_lo[i], x_hi[i], cells)
             cross, g, e1 = _kernel_factors(t, x, x_mid)
             den_buf.imag.reshape(-1, cells)[...] = cross
-            for j in range(0, cols.size, rows):
-                block = cols[j:j + rows]
+            for j in range(0, cols.size, group):
+                block = cols[j:j + group]
                 n = block.size
-                size = cells * n * cells
-                den = den_buf[:size].reshape(cells, n, cells)
-                scratch = scratch_buf[:size].reshape(cells, n, cells)
-                chi = _chi_into(scratch, x, x_mid, eta_col[block], y_mid[:, block])
-                den.real[...] = chi
-                phase = _exp_ih_into(
-                    phase_buf[:n_p * n_q * n * cells].reshape(n_p, n_q, n, cells),
-                    work, t, x, x_mid,
-                    eta_col[block], c0[block], dy[block])
-                K = _kernel(den, phase.reshape(-1, n, cells)[:cells], scratch, g, e1)
-                sums[block] = K.sum(axis=(0, 2))
+                size = span * n * cells
+                den = den_buf[:size].reshape(span, n, cells)
+                scratch = scratch_buf[:size].reshape(span, n, cells)
+                row_shape = (n_q, n, cells)
+                rows = _phase_rows(phase_buf[:size].reshape((_PHASE_ROWS,) + row_shape),
+                                   ratio_buf[:size // _PHASE_ROWS].reshape(row_shape),
+                                   carry_buf[:size // _PHASE_ROWS].reshape(row_shape),
+                                   t, x, x_mid, eta_col[block], c0[block], dy[block])
+                sums[block] = 0.0
+                for j0, phase in zip(range(0, cells, span), rows):
+                    nj = min(span, cells - j0)
+                    chi = _chi_into(scratch[:nj], x, x_mid, eta_col[block],
+                                    y_mid[j0:j0 + nj, block])
+                    den.real[:nj] = chi
+                    K = _kernel(den[:nj], phase.reshape(span, n, cells)[:nj],
+                                scratch[:nj], g, e1)
+                    sums[block] += K.sum(axis=(0, 2))
             mod2 = sums.real * sums.real + sums.imag * sums.imag
             mod2 *= (2.0 * amp2 * wx * wy) ** 2
             table[i, :] = x * x * (1.0 + x * x) ** s * mod2

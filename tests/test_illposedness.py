@@ -19,7 +19,6 @@ import kpblab.illposedness as illposedness
 from kpblab.illposedness import (
     _BLOCK_NODES,
     IllposedResult,
-    _exp_ih_into,
     _full_columns,
     _k1_bounds,
     PhiHat,
@@ -34,7 +33,9 @@ from kpblab.illposedness import (
     second_iterate_hat,
     second_iterate_norm,
     _midpoints,
-    _phase_grid,
+    _PHASE_ROWS,
+    _phase_rows,
+    _phase_side,
     _window_density,
 )
 from kpblab.norms import sobolev_norm
@@ -45,6 +46,11 @@ SQ3 = math.sqrt(3.0)
 
 def P(xi, eta):
     return xi ** 3 - eta ** 2 / xi
+
+
+def column_group(cells):
+    """The columns _window_density takes through one run of its phase source."""
+    return max(1, _BLOCK_NODES // (_PHASE_ROWS * _phase_side(cells) * cells))
 
 
 class TestGeometry:
@@ -349,9 +355,9 @@ class TestSecondIterate:
             second_iterate_hat(16, -0.7, 1e-3, 36.0, 400.0, cells=32)
 
     def test_blocked_table_matches_pointwise_density(self):
-        # The first and last column of every block must reproduce the
-        # one-point path.  Blocks are runs of ``rows`` non-empty columns, so
-        # one block holds clipped and full columns together.
+        # The first and last column of every group must reproduce the
+        # one-point path.  Groups are runs of non-empty columns, so one
+        # group holds clipped and full columns together.
         N, s, cells = 16, -0.7, 64
         t = 16.0 ** -3.01
         xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
@@ -360,9 +366,9 @@ class TestSecondIterate:
         pair = rectangle_pair(N)
         _, _, y_lo, y_hi = _k1_bounds(pair, xi_nodes, eta_nodes)
         is_full = _full_columns(pair, y_lo, y_hi)
-        rows = max(1, _BLOCK_NODES // cells ** 2)
+        group = column_group(cells)
         cols = np.flatnonzero(y_lo < y_hi)
-        blocks = [cols[j:j + rows] for j in range(0, cols.size, rows)]
+        blocks = [cols[j:j + group] for j in range(0, cols.size, group)]
         assert any(is_full[b].any() and not is_full[b].all() for b in blocks)
         edges = {int(c) for b in blocks for c in (b[0], b[-1])}
         table = _window_density(N, s, t, cells)[0]
@@ -446,8 +452,8 @@ class TestSeparablePhase:
 
 def block_setup(N, cells, kind):
     """(t, xi nodes, x_lo, x_hi, eta nodes, eta1 nodes, eta1 widths, block):
-    the quadrature's nodes at (N, cells) and one block of ``rows`` clipped
-    columns whose k1 eta interval is cut at its bottom or at its top."""
+    the quadrature's nodes at (N, cells) and a group of clipped columns
+    whose k1 eta interval is cut at its bottom or at its top."""
     t = float(N) ** -3.01
     xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
     xi_nodes, _ = _midpoints(np.float64(xi_lo), np.float64(xi_hi), cells)
@@ -459,7 +465,7 @@ def block_setup(N, cells, kind):
         cut = (y_lo > pair.D2.eta_min) & (y_hi == pair.D2.eta_max)
     else:
         cut = (y_lo == pair.D2.eta_min) & (y_hi < pair.D2.eta_max)
-    block = np.flatnonzero(cut & (y_lo < y_hi))[:max(1, _BLOCK_NODES // cells ** 2)]
+    block = np.flatnonzero(cut & (y_lo < y_hi))[:column_group(cells)]
     assert block.size > 0 and not _full_columns(pair, y_lo, y_hi)[block].any()
     return t, xi_nodes, x_lo, x_hi, eta_nodes, y_mid, wy, block
 
@@ -472,18 +478,19 @@ class TestPhaseSource:
     @pytest.mark.parametrize("cells", [64, 67, 128])  # 128: the longest row recurrences
     def test_clipped_block_matches_direct_exponential(self, cells, N, kind):
         t, xi_nodes, x_lo, x_hi, eta_nodes, y_mid, wy, block = block_setup(N, cells, kind)
-        n_p, n_q = _phase_grid(cells)
-        out = np.empty((n_p, n_q, block.size, cells), dtype=complex)
-        work = np.empty(2 * n_q * block.size * cells, dtype=complex)
+        n_q = _phase_side(cells)
+        shape = (n_q, block.size, cells)
+        out = np.empty((_PHASE_ROWS,) + shape, dtype=complex)
+        ratio_buf, carry = np.empty((2,) + shape, dtype=complex)
         for i in (0, cells // 2, cells - 1):
             x = xi_nodes[i]
             x_mid, _ = _midpoints(x_lo[i], x_hi[i], cells)
-            got = _exp_ih_into(out, work, t, x, x_mid, eta_nodes[block, None],
+            rows = _phase_rows(out, ratio_buf, carry, t, x, x_mid, eta_nodes[block, None],
                                y_mid[block, :1], wy[block, None])
+            got = np.concatenate([r.reshape(-1, block.size, cells).copy() for r in rows])
             chi = resonance_chi(x, x_mid, eta_nodes[block, None], y_mid[block].T[:, :, None])
             want = np.exp(0.5j * t * chi)
-            np.testing.assert_allclose(got.reshape(-1, block.size, cells)[:cells], want,
-                                       rtol=0.0, atol=1e-12)
+            np.testing.assert_allclose(got[:cells], want, rtol=0.0, atol=1e-12)
 
     def test_quadrature_takes_no_sine_or_cosine_per_node(self, monkeypatch):
         # The phase source takes six sines and six cosines per (row, column,
