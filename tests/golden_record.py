@@ -11,11 +11,12 @@ regenerates the record with this script in the same commit, and lists each
 moved value and its largest relative move.
 
 The set covers the three criterion-10 configs, a Picard and an ETD solve
-that save their states, ``kpblab norms`` on both saved states, and the
+that save their states, ``kpblab norms`` on both saved states, the
 bilinear verify suite at refine 1 (the whole-grid product) and refine 2
-(the band-grid product).  Every command runs with the working directory
-at the run's root and relative paths, so the norms manifests, which record
-``input_path``, do not depend on where the run happens.
+(the band-grid product), and the smoothing verify suite.  Every command
+runs with the working directory at the run's root and relative paths, so
+the norms manifests, which record ``input_path``, do not depend on where
+the run happens.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ CASES = [
     ("norms_etd", {**_NORMS, "input_path": "solve_etd_states/states.npz"}),
     ("verify_bilinear_refine1", {**_BILINEAR, "params": {"refine": 1}}),
     ("verify_bilinear_refine2", {**_BILINEAR, "params": {"refine": 2}}),
+    ("verify_smoothing", {"command": "verify", "estimate_id": "smoothing",
+                          "suite_size": 4, "seed": 7}),
 ]
 
 
