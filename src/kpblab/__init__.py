@@ -6,6 +6,7 @@ form on a periodic box under the zero-x-mean constraint.  Modules:
 - ``spectral_core``: grid, transforms, dealiasing, KP projection, symbol
 - ``semigroup``: free group U(t) and dissipative semigroup W(t) multipliers
 - ``solver``: Picard iteration on the Duhamel formula; ETD2RK cross-check
+- ``modes``: the mode form of a trajectory, the columns the norms transform
 - ``norms``: anisotropic Sobolev, space-time, and Bourgain norms
 - ``illposedness``: second-Picard-iterate norm-growth counterexample
 - ``verify``: randomized ratio checks of the linear/bilinear estimates
@@ -80,14 +81,14 @@ from . import illposedness, norms, semigroup, solver, spectral_core
 
 # Every tolerance and window parameter in play, as each manifest names it.
 TOLERANCES = {
-    "hermitian_tol": spectral_core._HERMITIAN_TOL,
-    "kp_admissibility_tol": spectral_core._KP_ADMISSIBLE_TOL,
-    "semigroup_admissibility_tol": semigroup._ADMISSIBLE_TOL,
-    "taper_alpha": norms._TAPER_FRACTION,
-    "min_time_steps_for_norms": norms._MIN_STEPS,
-    "min_quadrature_cells": illposedness._MIN_CELLS,
-    "min_chi_samples": illposedness._MIN_CHI_SAMPLES,
-    "etd_phi_series_cutoff": solver._PHI_SERIES_CUTOFF,
+    "hermitian_tol": spectral_core.HERMITIAN_TOL,
+    "kp_admissibility_tol": spectral_core.KP_ADMISSIBLE_TOL,
+    "semigroup_admissibility_tol": semigroup.ADMISSIBLE_TOL,
+    "taper_alpha": norms.TAPER_FRACTION,
+    "min_time_steps_for_norms": norms.MIN_STEPS,
+    "min_quadrature_cells": illposedness.MIN_CELLS,
+    "min_chi_samples": illposedness.MIN_CHI_SAMPLES,
+    "etd_phi_series_cutoff": solver.PHI_SERIES_CUTOFF,
 }
 
 __all__ = [

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral_core import Grid2D, SpectralField, _symbol
+from .spectral_core import Grid2D, SpectralField, symbol
 
 __all__ = [
     "Rectangle",
@@ -317,16 +317,16 @@ def _midpoints(lo, hi, cells: int):
     return lo[..., None] + offsets * h[..., None], h
 
 
-_MIN_CELLS = 64
+MIN_CELLS = 64
 _MIN_N = 8  # smallest N of a norm evaluation
-_MIN_CHI_SAMPLES = 10_000
+MIN_CHI_SAMPLES = 10_000
 _BLOCK_NODES = 32 * 1024  # inner nodes per kernel call in _window_density
 _PHASE_ROWS = 4  # rows of Q eta1 nodes per kernel call in _window_density
 
 
 def _check_cells(cells: int) -> None:
-    if cells < _MIN_CELLS:
-        raise ValueError(f"cells must be >= {_MIN_CELLS}, got {cells}")
+    if cells < MIN_CELLS:
+        raise ValueError(f"cells must be >= {MIN_CELLS}, got {cells}")
 
 
 def _check_norm_args(N: float, cells: int) -> None:
@@ -355,13 +355,8 @@ def second_iterate_hat(N: float, s: float, t: float, xi: float, eta: float,
     y_nodes, hy = _midpoints(np.float64(rect.eta_min), np.float64(rect.eta_max), cells)
     K = kernel_K(t, xi, x_nodes[:, None], eta, y_nodes[None, :])
     integral = 2.0 * amp * amp * np.sum(K) * hx * hy
-    prefactor = 1j * xi * np.exp(1j * t * _symbol(xi, eta))
+    prefactor = 1j * xi * np.exp(1j * t * symbol(xi, eta))
     return complex(prefactor * integral)
-
-
-def _full_columns(pair: RectanglePair, y_lo, y_hi) -> np.ndarray:
-    """Outer-eta columns whose k1 eta interval is all of D_2's, [eta_min, eta_max)."""
-    return (y_lo == pair.D2.eta_min) & (y_hi == pair.D2.eta_max)
 
 
 def _phase_side(cells: int) -> int:
@@ -474,10 +469,11 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
 
     Separable phase.  Every column's eta1 nodes are an arithmetic
     progression c0 + j dy with the column's own c0 and dy: D_2's eta side
-    in a full column (:func:`_full_columns`; 11 of the window's 13 N^2), a
-    shorter interval in a clipped one.  So h is a quadratic in j at every
-    (eta, xi1), and :func:`_phase_rows` builds e^{ih} from six sines and
-    six cosines per (eta, xi1) and about two complex multiplies per node.
+    in a full column, whose k1 eta interval is all of D_2's (11 of the
+    window's 13 N^2), a shorter interval in a clipped one.  So h is a
+    quadratic in j at every (eta, xi1), and :func:`_phase_rows` builds
+    e^{ih} from six sines and six cosines per (eta, xi1) and about two
+    complex multiplies per node.
     No node of the quadrature pays a sine or a cosine; only the public
     :func:`kernel_K` evaluates them directly.  Against that direct form,
     each table cell agrees within 3e-14 relative (N in {16, 128}, cells
@@ -632,8 +628,8 @@ def chi_bound_check(N: float, samples: int, seed: int = 0) -> float:
     The sampled ratio distribution is exactly N-independent because chi scales
     as N^3 under (xi, eta) -> (N xi', N^2 eta').
     """
-    if samples < _MIN_CHI_SAMPLES:
-        raise ValueError(f"samples must be >= {_MIN_CHI_SAMPLES}, got {samples}")
+    if samples < MIN_CHI_SAMPLES:
+        raise ValueError(f"samples must be >= {MIN_CHI_SAMPLES}, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng([int(seed), int(N)])

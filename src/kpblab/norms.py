@@ -18,38 +18,21 @@ sigma is reduced modulo the tau-grid period into [-pi/dt, pi/dt) so the
 modulation weight is evaluated on the same aliased bins the transform
 actually populates.
 
-The time-dependent norms transform and weight only the modes that are
-nonzero at some time.  Skipping the others is exact: a mode that is zero at
-every time has a zero time transform, so with the (finite) weights above it
-adds 0 to every weighted sum.  Band-limited fields occupy a few percent of
-the grid and dealiased solver states under half of it.
+The time-dependent norms transform a trajectory's mode form (``modes``):
+only the modes that are nonzero at some time, and an exact conjugate pair
+once, on its first mode, counted twice.  Both are exact.  A mode that is
+zero at every time has a zero time transform, so with the (finite) weights
+above it adds 0 to every weighted sum.  A Hermitian trajectory,
+u(t, -k) = conj(u(t, k)), has uhat(tau, -k) = conj(uhat(-tau, k)), and the
+weights agree at (tau, -k) and (-tau, k): they are even in xi, eta and
+tau, and sigma changes sign because P is odd.  The solver's and the free
+trajectories are exactly Hermitian, so they are transformed on their
+Hermitian half.
 
-Trajectories of real fields are Hermitian, u(t, -k) = conj(u(t, k)), and
-then their transform satisfies uhat(tau, -k) = conj(uhat(-tau, k)).  The
-weights agree at (tau, -k) and (-tau, k): they are even in xi, eta and tau,
-and sigma changes sign because P is odd.  So a conjugate pair whose mirror
-equals the conjugate of its first mode bit for bit at every time is
-transformed once, on the first mode, and counted twice (Parseval weight 2).
-Every other occupied mode is transformed once with weight 1: the
-self-conjugate modes, pairs that are not exact (one holding NaN included)
-and modes whose mirror is unoccupied.  The kx = -nx/2 row is never paired:
-the mirror of (-nx/2, ky) is (-nx/2, -ky) on the grid, with the same xi, so
-P is even along that row and sigma = tau - P does not mirror.  The solver's
-and the free trajectories are exactly Hermitian, so they are transformed on
-their Hermitian half.
-
-A trajectory's mode form is those columns: the flat mode indices ``cols``,
-their Parseval weights ``colw`` (2 on the first mode of an exact pair, 1
-elsewhere) and the (n_times, cols.size) values on them.  A
-``WindowedPower`` is the windowed transform's power of a mode form, made by
-``WindowedPower.of_modes``, and its ``spacetime``, ``bourgain`` and ``gap``
-methods are the three time-dependent norms, so one transform serves all
-three.  ``WindowedPower.of`` takes a trajectory's mode form in two passes
-over consecutive blocks of time rows: the first selects the columns, the
-second gathers them.  An in-memory trajectory is a single block.  ``kpblab
-norms`` streams the blocks from ``states.npz``, so it never holds the whole
-trajectory.  The free evolutions and products of ``verify`` are built on
-their mode forms directly and never expanded to the whole grid.
+A ``WindowedPower`` is the windowed transform's power of a mode form
+(``WindowedPower.of_modes``, or ``of`` for a trajectory), and its
+``spacetime``, ``bourgain`` and ``gap`` methods are the three
+time-dependent norms, so one transform serves all three.
 ``spacetime_norm``, ``bourgain_norm`` and ``equivalence_gap`` are the
 methods on the power of one in-memory trajectory.
 """
@@ -61,6 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .modes import ModeForm
 from .spectral_core import Grid2D, SpectralField, dispersion_values
 from .solver import Trajectory
 
@@ -72,20 +56,20 @@ __all__ = [
     "equivalence_gap",
 ]
 
-_MIN_STEPS = 16
-_TAPER_FRACTION = 0.2  # total cosine fraction; 10% at each end
+MIN_STEPS = 16
+TAPER_FRACTION = 0.2  # total cosine fraction; 10% at each end
 
 
 def time_window(n: int) -> np.ndarray:
     """The fixed taper applied before every time transform.
 
     The symmetric Tukey window of ``scipy.signal.windows.tukey(n,
-    alpha=_TAPER_FRACTION)``, evaluated with the same three-segment formula
+    alpha=TAPER_FRACTION)``, evaluated with the same three-segment formula
     so the values are bit-identical (a cosine rise, ones, a cosine fall).
     """
     if n < 2:
         return np.ones(n)
-    alpha = _TAPER_FRACTION
+    alpha = TAPER_FRACTION
     k = np.arange(n, dtype=float)
     width = int(math.floor(alpha * (n - 1) / 2.0))
     w = np.ones(n)
@@ -110,8 +94,7 @@ def sobolev_norm(f: SpectralField, s1: float, s2: float) -> float:
     return float(np.sqrt(total))
 
 
-def _taper_transform(columns: np.ndarray,
-                     dt: float) -> tuple[np.ndarray, np.ndarray]:
+def taper_transform(columns: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(tau, uhat) for time samples ``columns`` of shape (n_t, n_cols), which
     are tapered in place: tau the FFT bin frequencies and uhat =
     dt * FFT_t(window * columns)."""
@@ -127,63 +110,6 @@ def _on_modes(table: np.ndarray, grid, cols: np.ndarray) -> np.ndarray:
     """A per-mode table (anything that broadcasts to (nx, ny)) at the flat
     mode indices ``cols``."""
     return np.broadcast_to(table, (grid.nx, grid.ny)).reshape(-1)[cols]
-
-
-def _mode_pairs(nx: int, ny: int) -> tuple[np.ndarray, np.ndarray]:
-    """Flat mode indices (first, mirror) of the conjugate pairs of an nx x ny grid.
-
-    first[i] and mirror[i], the flat index of -first[i], are a conjugate
-    pair whose weights agree at tau and -tau.  The modes that are never
-    paired are the self-conjugate ones and the whole kx = -nx/2 row.
-    """
-    mirror = (((-np.arange(nx)) % nx)[:, None] * ny
-              + ((-np.arange(ny)) % ny)[None, :]).reshape(-1)
-    index = np.arange(nx * ny)
-    first = index < mirror
-    first[(nx // 2) * ny:(nx // 2 + 1) * ny] = False
-    return np.flatnonzero(first), mirror[first]
-
-
-_PAIR_BLOCK = 2 ** 14  # complex values per gathered block of the pair check
-
-
-def _selected_columns(grid, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, colw): the flat modes of a trajectory's mode form, and how
-    many times each counts in a weighted sum, for a trajectory given as
-    consecutive blocks of time rows (n, nx * ny).
-
-    An exact pair, an occupied first mode whose mirror equals its conjugate
-    bit for bit at every time, counts twice on its first mode; every other
-    occupied mode once.  cols lists the exact first modes, then the other
-    occupied modes in flat order.  Within a block only the pairs with an
-    occupied mode are compared (two zero columns agree), over runs of rows
-    of at most ``_PAIR_BLOCK`` gathered values, so no full-size copy of the
-    mirrors is made.
-    """
-    first, mirror = _mode_pairs(grid.nx, grid.ny)
-    occupied = np.zeros(grid.nx * grid.ny, dtype=bool)
-    exact = np.ones(first.size, dtype=bool)
-    for block in blocks:
-        live = np.any(block, axis=0)
-        occupied |= live
-        pairs = np.flatnonzero(live[first] | live[mirror])
-        ahead, behind = first[pairs], mirror[pairs]
-        agree = np.ones(pairs.size, dtype=bool)
-        step = max(1, _PAIR_BLOCK // max(pairs.size, 1))
-        for t in range(0, len(block), step):
-            rows = block[t:t + step]
-            mirrored = np.take(rows, behind, axis=1)
-            agree &= np.all(np.take(rows, ahead, axis=1)
-                            == np.conjugate(mirrored, out=mirrored), axis=0)
-        exact[pairs] &= agree
-    exact &= occupied[first]
-    rest = occupied  # the occupied modes outside the exact pairs
-    rest[first[exact]] = False
-    rest[mirror[exact]] = False
-    cols = np.concatenate((first[exact], np.flatnonzero(rest)))
-    colw = np.ones(cols.size)
-    colw[:np.count_nonzero(exact)] = 2.0
-    return cols, colw
 
 
 @dataclass(eq=False)
@@ -206,40 +132,31 @@ class WindowedPower:
 
     @classmethod
     def of(cls, traj: Trajectory, blocks=None) -> WindowedPower:
-        """The windowed power of ``traj``'s mode form.  ``blocks()`` returns
-        its time rows as consecutive blocks (n, nx * ny), and is called
-        twice: to select the columns with ``_selected_columns`` and to
-        gather them.  By default ``traj.coeffs`` is the one block.
-        """
+        """The windowed power of ``traj``'s mode form, gathered from the
+        blocks ``blocks()`` returns (``ModeForm.gather``); by default
+        ``traj.coeffs`` is the one block."""
         if blocks is None:
             flat = traj.coeffs.reshape(traj.n_times, -1)
             blocks = lambda: (flat,)
-        cols, colw = _selected_columns(traj.grid, blocks())
-        columns = np.empty((traj.n_times, cols.size), dtype=traj.coeffs.dtype)
-        t = 0
-        for block in blocks():
-            # mode="clip" (cols are in range) lets take write into columns unbuffered
-            np.take(block, cols, axis=1, out=columns[t:t + len(block)], mode="clip")
-            t += len(block)
-        return cls.of_modes(traj.grid, traj.dt, cols, colw, columns)
+        form = ModeForm.gather(traj.grid, traj.n_times, blocks, traj.coeffs.dtype)
+        return cls.of_modes(form, traj.dt)
 
     @classmethod
-    def of_modes(cls, grid: Grid2D, dt: float, cols: np.ndarray, colw: np.ndarray,
-                 values: np.ndarray) -> WindowedPower:
-        """The windowed power of the mode form (``cols``, ``colw``,
-        ``values``) sampled every ``dt``, whose time steps are counted
-        first.  ``values`` (n_times, cols.size) is tapered in place, and
-        the complex transform is released once its squared modulus is
-        formed.
+    def of_modes(cls, form: ModeForm, dt: float) -> WindowedPower:
+        """The windowed power of the mode form ``form`` sampled every
+        ``dt``, whose time steps are counted first.  ``form.values`` is
+        tapered in place, and the complex transform is released once its
+        squared modulus is formed.
         """
-        if len(values) - 1 < _MIN_STEPS:
+        values = form.values
+        if len(values) - 1 < MIN_STEPS:
             raise ValueError(
-                f"time-dependent norms need at least {_MIN_STEPS} time steps, "
+                f"time-dependent norms need at least {MIN_STEPS} time steps, "
                 f"got {len(values) - 1}")
-        tau, uhat = _taper_transform(values, dt)
+        tau, uhat = taper_transform(values, dt)
         power = np.abs(uhat)
         power **= 2
-        return cls(grid, dt, len(values), tau, power, cols, colw)
+        return cls(form.grid, dt, len(values), tau, power, form.cols, form.colw)
 
     def _sobolev(self, s1: float, s2: float) -> np.ndarray:
         """The H^{s1,s2} weight on the modes ``cols``, times ``colw``."""

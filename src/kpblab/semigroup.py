@@ -23,7 +23,7 @@ __all__ = [
     "apply_heat",
 ]
 
-_ADMISSIBLE_TOL = 1e-10
+ADMISSIBLE_TOL = 1e-10
 
 
 class PropagatorTable:
@@ -37,7 +37,7 @@ class PropagatorTable:
         self.factors = factors
 
 
-def _w_multiplier(P: np.ndarray, xi: np.ndarray, t: float | np.ndarray) -> np.ndarray:
+def w_multiplier(P: np.ndarray, xi: np.ndarray, t: float | np.ndarray) -> np.ndarray:
     """exp(i t P - xi^2 |t|), with ``xi`` and ``t`` broadcast against ``P``.
 
     ``semigroup_table`` passes the full grid (xi as a column), the solver its
@@ -57,7 +57,7 @@ def semigroup_table(grid: Grid2D, t: float) -> PropagatorTable:
     """Multiplier table for W(t): exp(i t P - xi^2 |t|)."""
     t = float(t)
     P = dispersion_values(grid).values
-    return PropagatorTable(t, _w_multiplier(P, grid.xi[:, None], t))
+    return PropagatorTable(t, w_multiplier(P, grid.xi[:, None], t))
 
 
 def heat_table(grid: Grid2D, t: float) -> PropagatorTable:
@@ -68,7 +68,7 @@ def heat_table(grid: Grid2D, t: float) -> PropagatorTable:
 
 
 def _require_admissible(f: SpectralField, op: str) -> None:
-    if not is_kp_admissible(f, tol=_ADMISSIBLE_TOL):
+    if not is_kp_admissible(f, tol=ADMISSIBLE_TOL):
         raise ValueError(
             f"{op} requires a KP-admissible field (zero xi=0 line); "
             "apply project_zero_x_mean first")

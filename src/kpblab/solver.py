@@ -26,10 +26,11 @@ there), bit for bit as ``irfft2``/``rfft2`` of its half spectrum.
 ``_full`` expands a band by conjugate mirroring at the ``Trajectory``
 boundary only, and writes +0.0 off it.  ``Trajectory``, ``picard_step``,
 ``nonlinearity`` and ``l2_history`` take and return full spectra.
-``picard_step`` and the band-grid product behind ``nonlinearity`` take
-fields that need not be band-limited, so they pass a whole half spectrum
-as their band.  ``_dx_product_modes`` takes and returns the norms' mode
-forms, which ``verify`` keeps instead of full trajectories.  The solvers' trajectories are exactly Hermitian.
+``picard_step`` takes a trajectory that need not be band-limited, so it
+passes a whole half spectrum as its band.  The solvers' trajectories are
+exactly Hermitian.  ``dx_product`` is the one product of two fields kept
+as mode forms (``modes.ModeForm``), as ``verify`` keeps them;
+``nonlinearity`` is the product of a field's mode form with itself.
 
 ``solve_states`` is the one path from a datum to the states of either
 integrator, one full state at a time with its L^2 norm; ``solve_picard``
@@ -50,12 +51,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .semigroup import _w_multiplier
+from .modes import ModeForm, select_columns
+from .semigroup import w_multiplier
 from .spectral_core import Grid2D, SpectralField, dispersion_values
 
 __all__ = [
     "Trajectory",
     "PicardReport",
+    "dx_product",
     "nonlinearity",
     "picard_step",
     "solve_states",
@@ -65,7 +68,7 @@ __all__ = [
 ]
 
 _MIN_SOLVE_STEPS = 8  # smallest M (time steps) of a solve
-_PHI_SERIES_CUTOFF = 1e-2  # |z| below which phi1, phi2 use their Taylor series
+PHI_SERIES_CUTOFF = 1e-2  # |z| below which phi1, phi2 use their Taylor series
 
 
 @dataclass(eq=False)
@@ -248,19 +251,6 @@ def _band_extent(grid: Grid2D, *occupied: np.ndarray) -> tuple[int, int]:
     return mx, my
 
 
-def _band_grid(a: np.ndarray, b: np.ndarray,
-               grid: Grid2D) -> tuple[int, int] | None:
-    """``_band_extent`` of the fields behind the full spectra ``a`` and
-    ``b`` (leading axes batch), or None when either is zero."""
-    occupied = []
-    for c in (a, b):
-        modes = np.flatnonzero(np.any(c, axis=tuple(range(c.ndim - 2))))
-        if modes.size == 0:
-            return None
-        occupied.append(modes)
-    return _band_extent(grid, *occupied)
-
-
 def _product_layout(grid: Grid2D, mx: int,
                     my: int) -> tuple[tuple[int, int], np.ndarray, np.ndarray]:
     """(shape, rows, table) of the product on the mx x my band grid: its
@@ -283,84 +273,51 @@ def _product_layout(grid: Grid2D, mx: int,
     return (mx, my), rows, table
 
 
-def _dx_product_full(a: np.ndarray, b: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """``_dx_product`` for full spectra in and out (leading axes batch).
+def dx_product(u: ModeForm, v: ModeForm) -> ModeForm:
+    """The mode form of d/dx(u v), dealiased and KP-projected, for mode
+    forms u and v on one grid and time grid; passing one form twice
+    squares it.  No full (n, nx, ny) array is built.
 
-    The product runs on the band grid of ``_band_grid`` laid out by
-    ``_product_layout``: the fields are gathered onto it, multiplied, and
-    expanded back with ``_full``.  On a band grid that fits, the product is
-    exact up to rounding and zero outside its band.
+    u and v are placed straight into the half spectra of the band grid of
+    ``_band_extent``, laid out by ``_product_layout``, and multiplied
+    there: exactly up to rounding, and zero outside the product's band,
+    on a band grid that fits.  The gather map comes from ``_full`` and
+    ``select_columns`` run on one row that tags each band entry, so the
+    columns, weights and values are those ``select_columns`` gives the
+    expanded product.  A product holding NaN, whose pairs are then not
+    exact, is expanded and selected whole.
     """
-    band = _band_grid(a, b, grid)
-    if band is None:
-        return np.zeros(a.shape, dtype=complex)
-    shape, rows, table = _product_layout(grid, *band)
-    cols = table.shape[-1]
-    ha = a[..., rows, :cols]
-    hb = ha if b is a else b[..., rows, :cols]
-    w = _dx_product(ha, hb, shape, np.arange(shape[0]), table)
-    return _full(w, rows, (grid.nx, grid.ny))
-
-
-def _modes_at(modes, grid: Grid2D, pos: np.ndarray | None = None) -> np.ndarray:
-    """The field of the mode form ``modes`` = (cols, colw, values) at the
-    flat modes ``pos`` (default: every mode), of shape values.shape[:-1] +
-    pos.shape: ``values`` on ``cols``, their conjugates on the mirrors of
-    the modes of weight 2, and +0.0 elsewhere."""
-    cols, colw, values = modes
-    k = cols.size
-    source = np.full(grid.nx * grid.ny, 2 * k)  # a column of [values, conj, 0]
-    source[cols] = np.arange(k)
-    pairs = np.flatnonzero(colw == 2.0)
-    kx, ky = np.divmod(cols[pairs], grid.ny)
-    source[(-kx % grid.nx) * grid.ny + (-ky % grid.ny)] = k + pairs
-    stacked = np.concatenate(
-        (values, np.conjugate(values), np.zeros(values.shape[:-1] + (1,), complex)),
-        axis=-1)
-    return np.take(stacked, source if pos is None else source[pos], axis=-1)
-
-
-def _dx_product_modes(u, v, grid: Grid2D, select):
-    """``_dx_product_full`` of mode forms: u and v are given as (cols, colw,
-    values (n, cols.size)), and the result is the mode form that
-    ``select(grid, blocks)``, the norms' column rule, gives the expanded
-    product, built without any full (n, nx, ny) array.
-
-    u and v are placed straight into the half spectra of their band grid
-    and multiplied there.  The gather map comes from running ``_full`` and
-    ``select`` on one row that tags each band entry, so the columns, their
-    weights and what each holds (its band entry, that entry's conjugate,
-    or on a self-conjugate mode its real part) are those of the expanded
-    product.  Columns that are zero at every time are dropped, as
-    ``select`` drops unoccupied modes.  A product holding NaN, whose pairs
-    are then not exact, is expanded and selected whole.
-    """
-    n = u[2].shape[0]
-    if u[0].size == 0 or v[0].size == 0:
-        return np.zeros(0, dtype=np.intp), np.zeros(0), np.zeros((n, 0), dtype=complex)
-    shape, rows, table = _product_layout(grid, *_band_extent(grid, u[0], v[0]))
+    grid = u.grid
+    n = len(u.values)
+    if u.cols.size == 0 or v.cols.size == 0:
+        return ModeForm(grid, np.zeros(0, dtype=np.intp), np.zeros(0),
+                        np.zeros((n, 0), dtype=complex))
+    shape, rows, table = _product_layout(grid, *_band_extent(grid, u.cols, v.cols))
     pos = rows[:, None] * grid.ny + np.arange(table.shape[-1])
-    ha = _modes_at(u, grid, pos)
-    hb = ha if v is u else _modes_at(v, grid, pos)
+    ha = u.expand(pos)
+    hb = ha if v is u else v.expand(pos)
     w = _dx_product(ha, hb, shape, np.arange(shape[0]), table)
     tags = (1.0 + 1.0j) * np.arange(1, w[0].size + 1).reshape(w.shape[1:])
     tagged = _full(tags, rows, (grid.nx, grid.ny)).reshape(1, -1)
-    cols, colw = select(grid, (tagged,))
+    cols, colw = select_columns(grid, (tagged,))
     tag = tagged[0, cols]
     values = w.reshape(n, -1)[:, tag.real.astype(np.intp) - 1]
     np.conjugate(values, out=values, where=tag.imag < 0.0)
     values.imag[:, tag.imag == 0.0] = 0.0
     if np.isnan(values).any():
         full = _full(w, rows, (grid.nx, grid.ny)).reshape(n, -1)
-        cols, colw = select(grid, (full,))
-        return cols, colw, full[:, cols]
+        cols, colw = select_columns(grid, (full,))
+        return ModeForm(grid, cols, colw, full[:, cols])
     live = np.any(values, axis=0)
-    return cols[live], colw[live], values[:, live]
+    return ModeForm(grid, cols[live], colw[live], values[:, live])
 
 
 def nonlinearity(f: SpectralField) -> SpectralField:
-    """Return the spectral field of d/dx(u^2) for the real field behind ``f``."""
-    return SpectralField(grid=f.grid, coeffs=_dx_product_full(f.coeffs, f.coeffs, f.grid))
+    """Return the spectral field of d/dx(u^2) for the real field behind ``f``:
+    ``dx_product`` of its mode form with itself, expanded to the grid."""
+    form = ModeForm.gather(f.grid, 1, lambda: (f.coeffs.reshape(1, -1),), f.coeffs.dtype)
+    coeffs = dx_product(form, form).expand().reshape(f.coeffs.shape)
+    return SpectralField(grid=f.grid, coeffs=coeffs)
 
 
 def _picard_tables(phi: SpectralField, times: np.ndarray, rows: np.ndarray,
@@ -374,8 +331,8 @@ def _picard_tables(phi: SpectralField, times: np.ndarray, rows: np.ndarray,
     w_phi = np.empty((times.size,) + phi_c.shape, dtype=complex)
     w_phi[0] = phi_c
     for k in range(1, times.size):
-        np.multiply(_w_multiplier(P, xi, times[k]), phi_c, out=w_phi[k])
-    w_dt = _w_multiplier(P, xi, float(times[1] - times[0]))
+        np.multiply(w_multiplier(P, xi, times[k]), phi_c, out=w_phi[k])
+    w_dt = w_multiplier(P, xi, float(times[1] - times[0]))
     return w_phi, w_dt, _dx_table(grid, rows, cols)
 
 
@@ -473,8 +430,8 @@ def _physical_memory() -> int | None:
         return None
 
 
-def _check_fits(solver: str, grid: Grid2D, M: int, band_tables: int,
-                full_tables: int) -> None:
+def check_memory(solver: str, grid: Grid2D, M: int, band_tables: int,
+                 full_tables: int) -> None:
     """Raise ``ValueError`` if the trajectories a solve keeps, ``band_tables``
     (M+1, rows, cols) arrays on the solver band and ``full_tables`` full
     (M+1, nx, ny) complex arrays, exceed physical memory.  Called before
@@ -556,7 +513,7 @@ def solve_states(phi: SpectralField, T: float, M: int, integrator: str = "picard
     """
     grid = phi.grid
     if integrator == "picard":
-        _check_fits(integrator, grid, M, band_tables=3, full_tables=0)
+        check_memory(integrator, grid, M, band_tables=3, full_tables=0)
     elif integrator != "etd":
         raise ValueError(f"integrator must be picard or etd, got {integrator!r}")
     times = _time_grid(T, M)
@@ -582,7 +539,7 @@ def _collect(phi: SpectralField, T: float, M: int, integrator: str,
     ETD stop; its report).  What the solve keeps is checked to fit first."""
     grid = phi.grid
     band_tables = 3 if integrator == "picard" else 0
-    _check_fits(f"solve_{integrator}", grid, M, band_tables, full_tables=1)
+    check_memory(f"solve_{integrator}", grid, M, band_tables, full_tables=1)
     times, report, states = solve_states(phi, T, M, integrator, **options)
     out = np.empty((times.size, grid.nx, grid.ny), dtype=complex)
     for k, state, _ in states:
@@ -607,7 +564,7 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
 
 def _phi1(z: np.ndarray) -> np.ndarray:
     """(e^z - 1)/z with a series branch near 0 to avoid cancellation."""
-    small = np.abs(z) < _PHI_SERIES_CUTOFF
+    small = np.abs(z) < PHI_SERIES_CUTOFF
     zs = np.where(small, z, 0.0)
     series = 1.0 + zs / 2 + zs ** 2 / 6 + zs ** 3 / 24 + zs ** 4 / 120 + zs ** 5 / 720
     zb = np.where(small, 1.0, z)
@@ -617,7 +574,7 @@ def _phi1(z: np.ndarray) -> np.ndarray:
 
 def _phi2(z: np.ndarray) -> np.ndarray:
     """(e^z - 1 - z)/z^2 with a series branch near 0."""
-    small = np.abs(z) < _PHI_SERIES_CUTOFF
+    small = np.abs(z) < PHI_SERIES_CUTOFF
     zs = np.where(small, z, 0.0)
     series = 0.5 + zs / 6 + zs ** 2 / 24 + zs ** 3 / 120 + zs ** 4 / 720 + zs ** 5 / 5040
     zb = np.where(small, 1.0, z)
@@ -638,7 +595,7 @@ def _etd_states(phi: SpectralField, times: np.ndarray):
     P = dispersion_values(grid).values[rows, :cols]
     xi = grid.xi[rows, None]
     L = 1j * P - xi ** 2
-    E = _w_multiplier(P, xi, dt)
+    E = w_multiplier(P, xi, dt)
     f1 = dt * _phi1(dt * L)
     f2 = dt * _phi2(dt * L)
     table = _dx_table(grid, rows, cols)

@@ -44,8 +44,8 @@ __all__ = [
     "reflected_coeffs",
 ]
 
-_HERMITIAN_TOL = 1e-10
-_KP_ADMISSIBLE_TOL = 1e-13
+HERMITIAN_TOL = 1e-10
+KP_ADMISSIBLE_TOL = 1e-13
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +185,7 @@ def inverse_transform(f: SpectralField) -> np.ndarray:
     """
     defect = hermitian_defect(f)
     scale = float(np.max(np.abs(f.coeffs))) or 1.0
-    if defect > _HERMITIAN_TOL * scale:
+    if defect > HERMITIAN_TOL * scale:
         raise ValueError(
             f"spectrum is not Hermitian-symmetric (defect {defect:.3e}, "
             f"scale {scale:.3e}); field would not be real")
@@ -203,7 +203,7 @@ def hermitian_defect(f: SpectralField) -> float:
     return float(np.max(np.abs(reflected_coeffs(f.coeffs) - np.conj(f.coeffs))))
 
 
-def is_kp_admissible(f: SpectralField, tol: float = _KP_ADMISSIBLE_TOL) -> bool:
+def is_kp_admissible(f: SpectralField, tol: float = KP_ADMISSIBLE_TOL) -> bool:
     """True when the xi = 0 coefficient line vanishes (zero x-mean per y line)."""
     line = np.max(np.abs(f.coeffs[0, :]))
     scale = float(np.max(np.abs(f.coeffs))) or 1.0
@@ -222,7 +222,7 @@ def project_zero_x_mean(f: SpectralField) -> SpectralField:
     return SpectralField(grid=f.grid, coeffs=coeffs)
 
 
-def _symbol(xi, eta):
+def symbol(xi, eta):
     """P(xi, eta) = xi^3 - eta^2/xi pointwise; xi must be nonzero."""
     return xi ** 3 - eta ** 2 / xi
 
@@ -235,7 +235,7 @@ def dispersion_values(grid: Grid2D) -> DispersionSymbol:
     """
     xi = grid.xi[:, None]
     nonzero = xi != 0.0
-    values = np.where(nonzero, _symbol(np.where(nonzero, xi, 1.0), grid.eta[None, :]), 0.0)
+    values = np.where(nonzero, symbol(np.where(nonzero, xi, 1.0), grid.eta[None, :]), 0.0)
     values.setflags(write=False)
     return DispersionSymbol(grid=grid, values=values)
 

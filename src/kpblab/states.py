@@ -19,7 +19,7 @@ import zipfile
 
 import numpy as np
 
-from .solver import _check_fits
+from .solver import check_memory
 
 _READ_BLOCK = 2 ** 18  # bytes of coeffs.npy read at a time (whole rows)
 
@@ -27,7 +27,7 @@ _READ_BLOCK = 2 ** 18  # bytes of coeffs.npy read at a time (whole rows)
 def check_fits(grid, M: int) -> None:
     """Raise ``ValueError`` if the coeffs of M+1 states on ``grid``, which
     ``kpblab norms`` may gather whole, exceed physical memory."""
-    _check_fits("states.npz", grid, M, band_tables=0, full_tables=1)
+    check_memory("states.npz", grid, M, band_tables=0, full_tables=1)
 
 
 def write(path: str, members: dict) -> None:

@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .norms import WindowedPower, _selected_columns, _taper_transform, sobolev_norm
-from .semigroup import _w_multiplier
-from .solver import Trajectory, _dx_product_modes, _modes_at
+from .modes import ModeForm, select_columns
+from .norms import WindowedPower, sobolev_norm, taper_transform
+from .semigroup import w_multiplier
+from .solver import Trajectory, dx_product
 from .spectral_core import Grid2D, SpectralField, dispersion_values, make_grid
 
 __all__ = [
@@ -101,11 +102,11 @@ def random_field(grid: Grid2D, rng: np.random.Generator,
 
 
 def _free_modes(phi: SpectralField, T: float, M: int,
-                cutoff: bool = True) -> tuple[np.ndarray, tuple]:
+                cutoff: bool = True) -> tuple[np.ndarray, ModeForm]:
     """(times, mode form) of psi(t - T/2) W(t - T/2) phi sampled on [0, T].
 
-    The columns and weights are those the norms' column rule gives phi
-    itself, as one time row.  W acts mode by mode, so only those modes are
+    The columns and weights are those ``select_columns`` gives phi itself,
+    as one time row.  W acts mode by mode, so only those modes are
     evaluated, all times at once.  P is odd and xi^2 even, so the mirror of
     an exact pair stays the conjugate of its first mode at every time, and
     the evolution has phi's columns and weights.
@@ -115,11 +116,11 @@ def _free_modes(phi: SpectralField, T: float, M: int,
     shifted = (times - 0.5 * T)[:, None]
     amp = psi_cutoff(shifted) if cutoff else 1.0
     coeffs = phi.coeffs.reshape(1, -1)
-    cols, colw = _selected_columns(grid, (coeffs,))
+    cols, colw = select_columns(grid, (coeffs,))
     P = dispersion_values(grid).values.reshape(-1)[cols]
     xi = grid.xi[cols // grid.ny]
-    values = amp * _w_multiplier(P, xi, shifted) * coeffs[0, cols]
-    return times, (cols, colw, values)
+    values = amp * w_multiplier(P, xi, shifted) * coeffs[0, cols]
+    return times, ModeForm(grid, cols, colw, values)
 
 
 def free_trajectory(phi: SpectralField, T: float, M: int,
@@ -132,7 +133,7 @@ def free_trajectory(phi: SpectralField, T: float, M: int,
     the conjugate of mode k.  The verify suites take the mode form itself.
     """
     times, modes = _free_modes(phi, T, M, cutoff)
-    coeffs = _modes_at(modes, phi.grid).reshape(M + 1, phi.grid.nx, phi.grid.ny)
+    coeffs = modes.expand().reshape(M + 1, phi.grid.nx, phi.grid.ny)
     return Trajectory(grid=phi.grid, times=times, coeffs=coeffs)
 
 
@@ -146,14 +147,14 @@ def free_estimate_ratio(phi: SpectralField, b: float, s1: float, s2: float,
     if denom == 0.0:
         return 0.0
     times, modes = _free_modes(phi, T=4.0, M=M)
-    power = WindowedPower.of_modes(phi.grid, float(times[1] - times[0]), *modes)
+    power = WindowedPower.of_modes(modes, float(times[1] - times[0]))
     return power.bourgain(b, s1, s2) / denom
 
 
 def _y_norm(samples: np.ndarray, dt: float, xi: float, b: float) -> float:
     """Y^b_xi norm of a windowed time signal: weight (1 + tau^2 + xi^4)^b."""
     n = samples.size
-    tau, ghat = _taper_transform(samples[:, None].copy(), dt)
+    tau, ghat = taper_transform(samples[:, None].copy(), dt)
     w = (1.0 + tau ** 2 + xi ** 4) ** b
     return math.sqrt(float(np.sum(w[:, None] * np.abs(ghat) ** 2)) / (n * dt))
 
@@ -204,16 +205,15 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
     """||d/dx(uv)||_{X^{-1/2+delta, s1-2delta+eps, s2}} over the product of
     ||u||_{X^{1/2,s1,s2}} and ||v||_{X^{1/2,s1,s2}}.
 
-    u and v are reduced to their mode forms by the norms' column rule, and
-    the ratio is taken on those as the bilinear suite takes it on its free
-    evolutions.  d/dx(uv) is multiplied on the alias-free band grid that
-    ``solver._band_extent`` gives, the smallest even grid that holds the
-    product's band, 34 x 34 for two fields in |k| <= 8, and its mode form
-    is gathered straight from there.  It is exact up to rounding and zero
-    outside |k| <= 16, so the numerator's norm transforms 528 columns, the
-    Hermitian half of 33 * 32 = 1056 modes.  On the 32 x 32 suite grid
-    (refine = 1) the band does not fit, and the product is taken on the
-    whole grid.
+    u and v are reduced to their mode forms (``ModeForm.gather``), and the
+    ratio is taken on those as the bilinear suite takes it on its free
+    evolutions.  ``solver.dx_product`` multiplies d/dx(uv) on the smallest
+    even grid that holds the product's band without aliasing, 34 x 34 for
+    two fields in |k| <= 8, and gathers its mode form straight from there.
+    It is exact up to rounding and zero outside |k| <= 16, so the
+    numerator's norm transforms 528 columns, the Hermitian half of
+    33 * 32 = 1056 modes.  On the 32 x 32 suite grid (refine = 1) the band
+    does not fit, and the product is taken on the whole grid.
 
     Returns 0 when both sides vanish and inf on a violation (nonzero
     numerator over a zero denominator).
@@ -229,20 +229,19 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
     forms = []
     for traj in (u, v):
         flat = traj.coeffs.reshape(traj.n_times, -1)
-        cols, colw = _selected_columns(traj.grid, (flat,))
-        forms.append((cols, colw, flat[:, cols]))
-    return _bilinear_modes(u.grid, u.dt, *forms, s1, s2, delta, eps)
+        forms.append(ModeForm.gather(traj.grid, traj.n_times, lambda: (flat,), flat.dtype))
+    return _bilinear_modes(u.dt, *forms, s1, s2, delta, eps)
 
 
-def _bilinear_modes(grid: Grid2D, dt: float, u: tuple, v: tuple,
+def _bilinear_modes(dt: float, u: ModeForm, v: ModeForm,
                     s1: float, s2: float, delta: float, eps: float) -> float:
     """``bilinear_ratio`` of the mode forms u and v sampled every ``dt``;
     their values are tapered in place."""
-    prod = _dx_product_modes(u, v, grid, _selected_columns)
-    numer = WindowedPower.of_modes(grid, dt, *prod).bourgain(
+    prod = dx_product(u, v)
+    numer = WindowedPower.of_modes(prod, dt).bourgain(
         -0.5 + delta, s1 - 2.0 * delta + eps, s2)
-    denom = (WindowedPower.of_modes(grid, dt, *u).bourgain(0.5, s1, s2)
-             * WindowedPower.of_modes(grid, dt, *v).bourgain(0.5, s1, s2))
+    denom = (WindowedPower.of_modes(u, dt).bourgain(0.5, s1, s2)
+             * WindowedPower.of_modes(v, dt).bourgain(0.5, s1, s2))
     if denom == 0.0:
         return 0.0 if numer == 0.0 else math.inf
     return numer / denom
@@ -329,7 +328,7 @@ def bilinear_suite(suite_size: int, seed: int, s2: float = 0.0,
         eps = delta / 10.0
         times, u = _free_modes(random_field(grid, rng), T=4.0, M=48 * refine)
         _, v = _free_modes(random_field(grid, rng), T=4.0, M=48 * refine)
-        r = _bilinear_modes(grid, float(times[1] - times[0]), u, v, s1, s2, delta, eps)
+        r = _bilinear_modes(float(times[1] - times[0]), u, v, s1, s2, delta, eps)
         ratios.append(r)
         rows.append({"estimate_id": "bilinear", "seed": k,
                      "params": {"s1": s1, "s2": s2, "delta": delta, "eps": eps},

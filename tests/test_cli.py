@@ -749,20 +749,20 @@ class TestVerify:
 class TestManifestTolerances:
     def test_entries_are_the_library_constants(self):
         expected = {
-            "hermitian_tol": spectral_core._HERMITIAN_TOL,
-            "kp_admissibility_tol": spectral_core._KP_ADMISSIBLE_TOL,
-            "semigroup_admissibility_tol": semigroup._ADMISSIBLE_TOL,
-            "taper_alpha": norms._TAPER_FRACTION,
-            "min_time_steps_for_norms": norms._MIN_STEPS,
-            "min_quadrature_cells": illposedness._MIN_CELLS,
-            "min_chi_samples": illposedness._MIN_CHI_SAMPLES,
-            "etd_phi_series_cutoff": solver._PHI_SERIES_CUTOFF,
+            "hermitian_tol": spectral_core.HERMITIAN_TOL,
+            "kp_admissibility_tol": spectral_core.KP_ADMISSIBLE_TOL,
+            "semigroup_admissibility_tol": semigroup.ADMISSIBLE_TOL,
+            "taper_alpha": norms.TAPER_FRACTION,
+            "min_time_steps_for_norms": norms.MIN_STEPS,
+            "min_quadrature_cells": illposedness.MIN_CELLS,
+            "min_chi_samples": illposedness.MIN_CHI_SAMPLES,
+            "etd_phi_series_cutoff": solver.PHI_SERIES_CUTOFF,
         }
         assert kpblab.TOLERANCES.keys() == expected.keys()
         for name, value in expected.items():
             assert kpblab.TOLERANCES[name] is value, name
         default = inspect.signature(spectral_core.is_kp_admissible).parameters["tol"].default
-        assert default is spectral_core._KP_ADMISSIBLE_TOL
+        assert default is spectral_core.KP_ADMISSIBLE_TOL
 
 
 class TestPublicPath:
@@ -772,40 +772,63 @@ class TestPublicPath:
 
     # Every `from .module import _name` in the package, as
     # "importer: module._name".  A new coupling fails the test; removing one
-    # means shrinking the list.  The CLI has none.
-    PRIVATE_IMPORTS = [
-        "illposedness: spectral_core._symbol",
-        "solver: semigroup._w_multiplier",
-        "states: solver._check_fits",
-        "verify: norms._selected_columns",
-        "verify: norms._taper_transform",
-        "verify: semigroup._w_multiplier",
-        "verify: solver._dx_product_modes",
-        "verify: solver._modes_at",
-    ]
+    # means shrinking the list.  The list is empty: every name that one
+    # module takes from another is public in its one home.
+    PRIVATE_IMPORTS = []
 
     # Every read of a private name as an attribute of a sibling module bound
     # by `from . import module`, in the same form; the same rule holds.
-    PRIVATE_ATTRIBUTES = [
-        "__init__: illposedness._MIN_CELLS",
-        "__init__: illposedness._MIN_CHI_SAMPLES",
-        "__init__: norms._MIN_STEPS",
-        "__init__: norms._TAPER_FRACTION",
-        "__init__: semigroup._ADMISSIBLE_TOL",
-        "__init__: solver._PHI_SERIES_CUTOFF",
-        "__init__: spectral_core._HERMITIAN_TOL",
-        "__init__: spectral_core._KP_ADMISSIBLE_TOL",
+    PRIVATE_ATTRIBUTES = []
+
+    # Every import of one module of the package by another, as
+    # "importer -> module"; `from . import name` imports the module ``name``
+    # where there is one and the package (``__init__``) otherwise.  modes
+    # imports spectral_core only, so that solver and norms can import it
+    # without a cycle.
+    IMPORT_EDGES = [
+        "__init__ -> illposedness",
+        "__init__ -> norms",
+        "__init__ -> semigroup",
+        "__init__ -> solver",
+        "__init__ -> spectral_core",
+        "__init__ -> verify",
+        "cli -> __init__",
+        "cli -> illposedness",
+        "cli -> norms",
+        "cli -> solver",
+        "cli -> spectral_core",
+        "cli -> states",
+        "cli -> verify",
+        "illposedness -> spectral_core",
+        "modes -> spectral_core",
+        "norms -> modes",
+        "norms -> solver",
+        "norms -> spectral_core",
+        "semigroup -> spectral_core",
+        "solver -> modes",
+        "solver -> semigroup",
+        "solver -> spectral_core",
+        "states -> solver",
+        "verify -> modes",
+        "verify -> norms",
+        "verify -> semigroup",
+        "verify -> solver",
+        "verify -> spectral_core",
     ]
 
-    def test_private_imports_across_modules(self):
+    @staticmethod
+    def package_trees():
+        """(module name, AST) of every module of the package."""
         package = os.path.dirname(kpblab.__file__)
-        found = []
         for name in sorted(os.listdir(package)):
-            if not name.endswith(".py"):
-                continue
-            with open(os.path.join(package, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read())
-            found += [f"{name[:-3]}: {node.module or ''}.{alias.name}"
+            if name.endswith(".py"):
+                with open(os.path.join(package, name), encoding="utf-8") as fh:
+                    yield name[:-3], ast.parse(fh.read())
+
+    def test_private_imports_across_modules(self):
+        found = []
+        for name, tree in self.package_trees():
+            found += [f"{name}: {node.module or ''}.{alias.name}"
                       for node in ast.walk(tree)
                       if isinstance(node, ast.ImportFrom) and node.level > 0
                       for alias in node.names
@@ -813,14 +836,10 @@ class TestPublicPath:
         assert sorted(found) == self.PRIVATE_IMPORTS
 
     def test_private_attribute_reads_across_modules(self):
-        package = os.path.dirname(kpblab.__file__)
-        siblings = {name[:-3] for name in os.listdir(package) if name.endswith(".py")}
+        trees = list(self.package_trees())
+        siblings = {name for name, _ in trees}
         found = []
-        for name in sorted(os.listdir(package)):
-            if not name.endswith(".py"):
-                continue
-            with open(os.path.join(package, name), encoding="utf-8") as fh:
-                tree = ast.parse(fh.read())
+        for name, tree in trees:
             # the names a module binds to sibling modules: `from . import x
             # [as y]` and `from kpblab import x [as y]`
             bound = {alias.asname or alias.name: alias.name
@@ -829,12 +848,33 @@ class TestPublicPath:
                      and ((node.level == 1 and node.module is None)
                           or (node.level == 0 and node.module == "kpblab"))
                      for alias in node.names if alias.name in siblings}
-            found += [f"{name[:-3]}: {bound[node.value.id]}.{node.attr}"
+            found += [f"{name}: {bound[node.value.id]}.{node.attr}"
                       for node in ast.walk(tree)
                       if isinstance(node, ast.Attribute)
                       and isinstance(node.value, ast.Name) and node.value.id in bound
                       and node.attr.startswith("_") and not node.attr.endswith("__")]
         assert sorted(found) == self.PRIVATE_ATTRIBUTES
+
+    def test_import_graph(self):
+        trees = list(self.package_trees())
+        siblings = {name for name, _ in trees}
+        found = set()
+        for name, tree in trees:
+            for node in ast.walk(tree):
+                if not isinstance(node, ast.ImportFrom):
+                    continue
+                if node.level == 0:  # `from kpblab[.x] import ...`
+                    if (node.module or "").partition(".")[0] != "kpblab":
+                        continue
+                    module = node.module.partition(".")[2] or None
+                else:
+                    module = node.module
+                if module is not None:
+                    found.add(f"{name} -> {module}")
+                else:
+                    found |= {f"{name} -> {alias.name if alias.name in siblings else '__init__'}"
+                              for alias in node.names}
+        assert sorted(found) == self.IMPORT_EDGES
 
     def test_stream_and_windowed_power_are_exported(self):
         for module, name in [(solver, "solve_states"), (norms, "WindowedPower")]:

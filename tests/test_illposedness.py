@@ -19,7 +19,6 @@ import kpblab.illposedness as illposedness
 from kpblab.illposedness import (
     _BLOCK_NODES,
     IllposedResult,
-    _full_columns,
     _k1_bounds,
     PhiHat,
     build_phi_N,
@@ -51,6 +50,11 @@ def P(xi, eta):
 def column_group(cells):
     """The columns _window_density takes through one run of its phase source."""
     return max(1, _BLOCK_NODES // (_PHASE_ROWS * _phase_side(cells) * cells))
+
+
+def full_columns(pair, y_lo, y_hi):
+    """Outer-eta columns whose k1 eta interval is all of D_2's, [eta_min, eta_max)."""
+    return (y_lo == pair.D2.eta_min) & (y_hi == pair.D2.eta_max)
 
 
 class TestGeometry:
@@ -365,7 +369,7 @@ class TestSecondIterate:
         eta_nodes, _ = _midpoints(np.float64(eta_lo), np.float64(eta_hi), cells)
         pair = rectangle_pair(N)
         _, _, y_lo, y_hi = _k1_bounds(pair, xi_nodes, eta_nodes)
-        is_full = _full_columns(pair, y_lo, y_hi)
+        is_full = full_columns(pair, y_lo, y_hi)
         group = column_group(cells)
         cols = np.flatnonzero(y_lo < y_hi)
         blocks = [cols[j:j + group] for j in range(0, cols.size, group)]
@@ -438,7 +442,7 @@ class TestSeparablePhase:
             expect.append(rect.eta_min == pair.D2.eta_min
                           and rect.eta_max == pair.D2.eta_max)
         _, _, y_lo, y_hi = _k1_bounds(pair, 0.0, eta_nodes)
-        full = _full_columns(pair, y_lo, y_hi)
+        full = full_columns(pair, y_lo, y_hi)
         assert full.tolist() == expect
         assert 0.8 < full.mean() < 0.9  # 11 of the window's 13 N^2
 
@@ -466,7 +470,7 @@ def block_setup(N, cells, kind):
     else:
         cut = (y_lo == pair.D2.eta_min) & (y_hi < pair.D2.eta_max)
     block = np.flatnonzero(cut & (y_lo < y_hi))[:column_group(cells)]
-    assert block.size > 0 and not _full_columns(pair, y_lo, y_hi)[block].any()
+    assert block.size > 0 and not full_columns(pair, y_lo, y_hi)[block].any()
     return t, xi_nodes, x_lo, x_hi, eta_nodes, y_mid, wy, block
 
 

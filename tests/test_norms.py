@@ -12,25 +12,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from kpblab.modes import select_columns
 from kpblab.norms import (
     WindowedPower,
-    _selected_columns,
-    _taper_transform,
     bourgain_norm,
     equivalence_gap,
     sobolev_norm,
     sobolev_weight,
     spacetime_norm,
+    taper_transform,
     time_window,
 )
 from kpblab.semigroup import free_table, semigroup_table
-from kpblab.solver import (
-    Trajectory,
-    _band_grid,
-    _dx_product_full,
-    _dx_product_modes,
-    solve_picard,
-)
+from kpblab.solver import Trajectory, dx_product, solve_picard
 from kpblab.spectral_core import (
     SpectralField,
     dispersion_values,
@@ -40,6 +34,7 @@ from kpblab.spectral_core import (
     project_zero_x_mean,
 )
 from kpblab.verify import _free_modes, bilinear_ratio, free_trajectory, random_field
+from test_solver import band_grid, dx_product_full
 
 
 def idx(grid, kx, ky):
@@ -52,7 +47,7 @@ def windowed_time_transform(traj):
     taper transform on every mode, where the norms take only the columns
     ``WindowedPower`` picks.  Normalised so that sum_j |uhat_j|^2 / (n_t dt)
     is the quadrature of the windowed squared time signal."""
-    tau, uhat = _taper_transform(traj.coeffs.reshape(traj.n_times, -1).copy(), traj.dt)
+    tau, uhat = taper_transform(traj.coeffs.reshape(traj.n_times, -1).copy(), traj.dt)
     return tau, uhat.reshape(traj.coeffs.shape)
 
 
@@ -484,7 +479,7 @@ class TestHermitianHalf:
         # the bilinear ratio transforms the product, then u and v
         u, v = self.free_pair(make_grid(64, 64, np.pi, np.pi), 12)
         prod = Trajectory(grid=u.grid, times=u.times,
-                          coeffs=_dx_product_full(u.coeffs, v.coeffs, u.grid))
+                          coeffs=dx_product_full(u.coeffs, v.coeffs, u.grid))
         fft_columns.clear()
         bilinear_ratio(u, v, -0.2, 0.0, 0.0375, 0.00375)
         assert fft_columns == [half_columns(prod), half_columns(u), half_columns(v)]
@@ -581,7 +576,7 @@ class TestModeForm:
         grid = make_grid(nx, ny, np.pi, np.pi)
         phi = self.datum(grid, np.random.default_rng(seed), density, (nx, ny), True, breaks)
         times, modes = _free_modes(phi, 4.0, M, cutoff)
-        got = WindowedPower.of_modes(grid, float(times[1] - times[0]), *modes)
+        got = WindowedPower.of_modes(modes, float(times[1] - times[0]))
         want = WindowedPower.of(free_trajectory(phi, 4.0, M, cutoff))
         for name in ("tau", "power", "cols", "colw"):
             assert same_bits(getattr(got, name), getattr(want, name)), name
@@ -609,12 +604,12 @@ class TestModeForm:
             full.append(free_trajectory(phi, 4.0, 16).coeffs)
         u, v = forms * 2 if same else forms
         a, b = full * 2 if same else full
-        extent = _band_grid(a, b, grid)
+        extent = band_grid(a, b, grid)
         if extent is not None:
             assert (extent[0] > nx or extent[1] > ny) == wide
-        got = _dx_product_modes(u, v, grid, _selected_columns)
-        product = _dx_product_full(a, b, grid).reshape(17, -1)
-        cols, colw = _selected_columns(grid, (product,))
-        for x, y in zip(got, (cols, colw, product[:, cols])):
+        got = dx_product(u, v)
+        product = dx_product_full(a, b, grid).reshape(17, -1)
+        cols, colw = select_columns(grid, (product,))
+        for x, y in zip((got.cols, got.colw, got.values), (cols, colw, product[:, cols])):
             assert same_bits(x, y)
 

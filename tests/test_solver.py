@@ -14,17 +14,19 @@ import pytest
 import kpblab.solver as solver_module
 from kpblab import cli
 from kpblab.semigroup import apply_W, semigroup_table
+from kpblab.modes import ModeForm
 from kpblab.solver import (
     PicardReport,
     Trajectory,
-    _band_grid,
+    _band_extent,
     _dx_product,
-    _dx_product_full,
     _dx_table,
     _full,
     _band,
     _nonlin,
+    _product_layout,
     _whole,
+    dx_product,
     l2_history,
     nonlinearity,
     picard_step,
@@ -608,8 +610,47 @@ def full_grid_product(a, b, grid):
                              _dx_table(grid, rows, h)), rows, shape)
 
 
+def band_grid(a, b, grid):
+    """``_band_extent`` of the fields behind the full spectra ``a`` and
+    ``b`` (leading axes batch), or None when either is zero."""
+    occupied = []
+    for c in (a, b):
+        modes = np.flatnonzero(np.any(c, axis=tuple(range(c.ndim - 2))))
+        if modes.size == 0:
+            return None
+        occupied.append(modes)
+    return _band_extent(grid, *occupied)
+
+
+def dx_product_full(a, b, grid):
+    """d/dx(uv) from full spectra (leading axes batch), multiplied on the
+    band grid of ``band_grid`` laid out by ``_product_layout``: the fields'
+    half spectra are gathered onto it, multiplied, and expanded back with
+    ``_full``.  The oracle of ``dx_product`` on mode forms."""
+    band = band_grid(a, b, grid)
+    if band is None:
+        return np.zeros(a.shape, dtype=complex)
+    shape, rows, table = _product_layout(grid, *band)
+    cols = table.shape[-1]
+    ha = a[..., rows, :cols]
+    hb = ha if b is a else b[..., rows, :cols]
+    w = _dx_product(ha, hb, shape, np.arange(shape[0]), table)
+    return _full(w, rows, (grid.nx, grid.ny))
+
+
+def mode_product(a, b, grid):
+    """``dx_product`` of the mode forms of the full spectra ``a`` and ``b``
+    (leading axes batch), expanded to full spectra."""
+    forms = []
+    for c in (a,) if b is a else (a, b):
+        flat = c.reshape(-1, grid.nx * grid.ny)
+        forms.append(ModeForm.gather(grid, len(flat), lambda: (flat,)))
+    u, v = forms * 2 if b is a else forms
+    return dx_product(u, v).expand().reshape(a.shape)
+
+
 class TestBandProduct:
-    """_dx_product_full multiplies on the smallest even grid that holds the
+    """dx_product multiplies on the smallest even grid that holds the
     product's band without aliasing, and on the whole grid otherwise."""
 
     @pytest.fixture(scope="class")
@@ -621,8 +662,8 @@ class TestBandProduct:
 
     def test_matches_full_grid_on_band_and_zero_off_it(self, pair):
         a, b, grid = pair
-        assert _band_grid(a, b, grid) == (34, 34)
-        got = _dx_product_full(a, b, grid)
+        assert band_grid(a, b, grid) == (34, 34)
+        got = mode_product(a, b, grid)
         want = full_grid_product(a, b, grid)
         band = (np.abs(grid.kx_int)[:, None] <= 16) & (np.abs(grid.ky_int)[None, :] <= 16)
         assert np.max(np.abs(got - want)[:, band]) <= 1e-15 * np.max(np.abs(want))
@@ -634,14 +675,14 @@ class TestBandProduct:
         a, _, grid = pair
         zero = np.zeros_like(a)
         for x, y in ((zero, a), (a, zero), (zero, zero)):
-            out = _dx_product_full(x, y, grid)
+            out = mode_product(x, y, grid)
             assert out.shape == a.shape and not np.any(out)
 
     def test_wide_band_takes_full_grid_bit_for_bit(self, grid):
         # a gaussian occupies every mode, so no smaller grid holds the band
         a = gaussian_datum(grid, amplitude=1.0).coeffs
         b = random_real_field(grid, 6).coeffs
-        assert np.array_equal(_dx_product_full(a, b, grid), full_grid_product(a, b, grid))
+        assert np.array_equal(mode_product(a, b, grid), full_grid_product(a, b, grid))
         assert np.array_equal(nonlinearity(SpectralField(grid=grid, coeffs=a)).coeffs,
                               full_grid_product(a, a, grid))
 
@@ -649,14 +690,14 @@ class TestBandProduct:
         # band 2 * 1 + 2 = 4 in x, but the y band does not fit
         u = np.cos(grid.x)[:, None] * np.exp(np.sin(grid.y))[None, :]
         a = forward_transform(u, grid).coeffs
-        assert np.array_equal(_dx_product_full(a, a, grid), full_grid_product(a, a, grid))
+        assert np.array_equal(mode_product(a, a, grid), full_grid_product(a, a, grid))
 
     def test_nonlinearity_of_band_limited_field(self):
         grid = make_grid(64, 48, np.pi, 2.0)
         f = random_field(grid, np.random.default_rng(8))
         got = nonlinearity(f).coeffs
         want = old_full_fft_nonlin(f.coeffs, grid)
-        assert _band_grid(f.coeffs, f.coeffs, grid) == (34, 34)
+        assert band_grid(f.coeffs, f.coeffs, grid) == (34, 34)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         band = (np.abs(grid.kx_int)[:, None] <= 16) & (np.abs(grid.ky_int)[None, :] <= 16)
         assert not np.any(got[~band])
