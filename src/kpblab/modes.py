@@ -87,7 +87,7 @@ class ModeForm:
     values: np.ndarray
 
     @classmethod
-    def gather(cls, grid: Grid2D, n_times: int, blocks, dtype=complex) -> ModeForm:
+    def gather(cls, grid: Grid2D, n_times: int, blocks, dtype) -> ModeForm:
         """The mode form of the trajectory of ``n_times`` rows that
         ``blocks()`` returns as consecutive blocks (n, nx * ny).
         ``blocks`` is called twice: to select the columns with

@@ -644,7 +644,7 @@ def mode_product(a, b, grid):
     forms = []
     for c in (a,) if b is a else (a, b):
         flat = c.reshape(-1, grid.nx * grid.ny)
-        forms.append(ModeForm.gather(grid, len(flat), lambda: (flat,)))
+        forms.append(ModeForm.gather(grid, len(flat), lambda: (flat,), flat.dtype))
     u, v = forms * 2 if b is a else forms
     return dx_product(u, v).expand().reshape(a.shape)
 
