@@ -13,8 +13,8 @@ import pytest
 
 import kpblab.solver as solver_module
 from kpblab import cli
-from kpblab.semigroup import apply_W, semigroup_table
 from kpblab.modes import ModeForm
+from kpblab.semigroup import apply_W, semigroup_table
 from kpblab.solver import (
     PicardReport,
     Trajectory,
