@@ -5,12 +5,14 @@ Subcommands ``solve``, ``illposed``, ``verify``, ``norms``, each taking
 ``illposed`` sweep fans out over that many threads).  Config files are flat
 JSON with a top-level ``command`` field that must match the subcommand; a
 key the subcommand does not read, at the top level or inside verify's
-``params``, is rejected.  Exit codes: 0 success, 2 config error (parse
-errors reported with line numbers, precondition violations named by field;
-the library checks its own preconditions, and ``run`` reports the
-``ValueError`` it raises as a config error), 3 numerical failure
-(non-convergence where convergence was required, or a result that is not
-finite).
+``params``, is rejected.  ``_COMMANDS`` is the one table of the
+subcommands: each one's help text, its runner, and its config fields in
+check order, with their kinds and the defaults of the optional ones.
+Exit codes: 0 success, 2 config error (parse errors reported with line
+numbers, precondition violations named by field; the library checks its
+own preconditions, and ``run`` reports the ``ValueError`` it raises as a
+config error), 3 numerical failure (non-convergence where convergence was
+required, or a result that is not finite).
 
 Outputs are deterministic for a fixed config: rows are computed from sorted
 sweep points, gathered from worker threads, and written in sorted order;
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import copy
 import hashlib
 import json
 import math
@@ -95,14 +98,6 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _field(cfg: dict, name: str, kind, required: bool = True, default=None):
-    if name not in cfg:
-        if required:
-            raise ConfigError(f"config field '{name}' is required")
-        return default
-    return _typed(f"config field '{name}'", cfg[name], kind)
-
-
 def _typed(what: str, value, kind):
     """``value`` as a ``kind`` (an int as a float, a bool only as a bool)."""
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
@@ -112,21 +107,6 @@ def _typed(what: str, value, kind):
             f"{what} must be {getattr(kind, '__name__', kind)}, "
             f"got {type(value).__name__}")
     return value
-
-
-def _positive(cfg: dict, name: str, kind=float):
-    value = _field(cfg, name, kind)
-    if value <= 0:
-        raise ConfigError(f"config field '{name}' must be positive, got {value}")
-    return value
-
-
-def _check_command(cfg: dict, expected: str) -> None:
-    command = _field(cfg, "command", str)
-    if command != expected:
-        raise ConfigError(
-            f"config field 'command' is '{command}' but the "
-            f"'{expected}' subcommand was invoked")
 
 
 def _check_keys(cfg: dict, allowed: frozenset, prefix: str = "") -> None:
@@ -148,9 +128,7 @@ def _as_float(what: str, value) -> float:
                           f"{type(value).__name__}") from None
 
 
-def _build_phi(spec, grid: Grid2D) -> SpectralField:
-    if not isinstance(spec, dict):
-        raise ConfigError("config field 'phi_spec' must be an object")
+def _build_phi(spec: dict, grid: Grid2D) -> SpectralField:
     kind = spec.get("type")
     if kind == "phi_N":
         try:
@@ -271,27 +249,17 @@ def _write_outputs(out_dir: str, command: str, header: list[str], rows: list[lis
 
 # ---------------------------------------------------------------- solve
 
-def _run_solve(cfg: dict, states_path: str):
-    nx = _field(cfg, "nx", int)
-    ny = _field(cfg, "ny", int)
-    Lx = _field(cfg, "Lx", float)
-    Ly = _field(cfg, "Ly", float)
-    T = _field(cfg, "T", float)
-    M = _field(cfg, "M", int)
-    tol = _field(cfg, "tol", float)
-    max_iter = _field(cfg, "max_iter", int)
-    integrator = _field(cfg, "integrator", str, required=False, default="picard")
-    save_states = _field(cfg, "save_states", bool, required=False, default=False)
-    if "phi_spec" not in cfg:
-        raise ConfigError("config field 'phi_spec' is required")
-    grid = make_grid(nx, ny, Lx, Ly)
-    phi = _build_phi(cfg["phi_spec"], grid)
-    if save_states:
+def _run_solve(p: dict, threads, states_path: str):
+    nx, ny, M, integrator = p["nx"], p["ny"], p["M"], p["integrator"]
+    tol, max_iter = p["tol"], p["max_iter"]
+    grid = make_grid(nx, ny, p["Lx"], p["Ly"])
+    phi = _build_phi(p["phi_spec"], grid)
+    if p["save_states"]:
         from . import states
         states.check_fits(grid, M)
 
     results: dict = {"integrator": integrator}
-    times, report, full_states = solve_states(phi, T, M, integrator, tol, max_iter)
+    times, report, full_states = solve_states(phi, p["T"], M, integrator, tol, max_iter)
     if report is not None:
         results["iterations"] = report.iterations
         results["converged"] = report.converged
@@ -314,63 +282,48 @@ def _run_solve(cfg: dict, states_path: str):
             history.append(l2)
             yield state
 
-    if save_states:
+    if p["save_states"]:
         states.write(states_path, {
             "times": times, "coeffs": ((times.size, nx, ny), finite_states()),
-            "nx": nx, "ny": ny, "Lx": Lx, "Ly": Ly,
+            "nx": nx, "ny": ny, "Lx": p["Lx"], "Ly": p["Ly"],
             "dealias_fraction": grid.dealias_fraction})
     else:
         for _ in finite_states():
             pass
     results["final_l2"] = history[-1]
     rows = [[k, float(times[k]), history[k]] for k in range(times.size)]
-    parameters = {"nx": nx, "ny": ny, "Lx": Lx, "Ly": Ly, "T": T, "M": M,
-                  "tol": tol, "max_iter": max_iter, "integrator": integrator,
-                  "phi_spec": cfg["phi_spec"], "save_states": save_states,
-                  "dealias_fraction": grid.dealias_fraction}
-    return ["k", "t", "l2"], rows, parameters, results
+    p["dealias_fraction"] = grid.dealias_fraction
+    return ["k", "t", "l2"], rows, results
 
 
 # ---------------------------------------------------------------- illposed
 
-def _run_illposed(cfg: dict, threads: int | None):
-    s = _field(cfg, "s", float)
-    eps0 = _field(cfg, "eps0", float)
-    cells = _field(cfg, "cells", int)
-    samples = _field(cfg, "samples", int)
-    seed = _field(cfg, "seed", int, required=False, default=0)
-    N_list = _field(cfg, "N_list", list)
-    Ns = sorted(_as_float(f"config field 'N_list' entry {i}", N)
-                for i, N in enumerate(N_list))
+def _run_illposed(p: dict, threads: int | None, states_path: str):
+    eps0 = p["eps0"]
+    Ns = p["N_list"] = sorted(_as_float(f"config field 'N_list' entry {i}", N)
+                              for i, N in enumerate(p["N_list"]))
 
     # chi_bound_check is cheap: a bad `samples` fails before any quadrature
-    ratios = [chi_bound_check(N, samples, seed=seed) for N in Ns]
-    study = scaling_study(Ns, s, eps0, cells, threads)
+    ratios = [chi_bound_check(N, p["samples"], seed=p["seed"]) for N in Ns]
+    study = scaling_study(Ns, p["s"], eps0, p["cells"], threads)
 
     rows = [[r.N, r.s, r.eps0, r.t_N, r.norm_phi, r.norm_u2,
              r.quadrature_cells, ratio] for r, ratio in zip(study.results, ratios)]
-    parameters = {"s": s, "eps0": eps0, "N_list": Ns, "cells": cells,
-                  "samples": samples, "seed": seed}
     results = {"slope": study.slope, "intercept": study.intercept,
-               "predicted_slope": (-1.0 - 2.0 * eps0 - 2.0 * s) / 2.0}
+               "predicted_slope": (-1.0 - 2.0 * eps0 - 2.0 * p["s"]) / 2.0}
     header = ["N", "s", "eps0", "t_N", "norm_phi", "norm_u2", "cells",
               "max_chi_ratio"]
-    return header, rows, parameters, results
+    return header, rows, results
 
 
 # ---------------------------------------------------------------- verify
 
-def _run_verify(cfg: dict):
-    estimate_id = _field(cfg, "estimate_id", str)
-    suite_size = _positive(cfg, "suite_size", int)
-    seed = _field(cfg, "seed", int)
-    params = _field(cfg, "params", dict, required=False, default={})
-    _check_keys(params, frozenset({"refine"}), "params.")
-    refine = params.get("refine", 1)
-    if isinstance(refine, bool) or not isinstance(refine, int) or refine < 1:
-        raise ConfigError(f"params.refine must be a positive integer, got {refine}")
+def _run_verify(p: dict, threads, states_path: str):
+    _check_keys(p["params"], frozenset({"refine"}), "params.")
+    refine = _typed("config field 'params.refine'", p["params"].get("refine", 1), int)
 
-    report, samples = run_suite(estimate_id, suite_size, seed, refine=refine)
+    report, samples = run_suite(p["estimate_id"], p["suite_size"], p["seed"],
+                                refine=refine)
     violations = sum(1 for row in samples if not math.isfinite(row["ratio"]))
     if violations:
         raise NumericalFailure(
@@ -380,13 +333,11 @@ def _run_verify(cfg: dict):
     rows = [[row["estimate_id"], row["seed"],
              json.dumps(row["params"], sort_keys=True), row["ratio"]]
             for row in sorted(samples, key=lambda r: r["seed"])]
-    parameters = {"estimate_id": estimate_id, "suite_size": suite_size,
-                  "seed": seed, "params": params}
     results = {"max_ratio": report.max_ratio,
                "median_ratio": report.median_ratio,
                "violations": violations,
                "suite_params": report.params}
-    return ["estimate_id", "seed", "params", "ratio"], rows, parameters, results
+    return ["estimate_id", "seed", "params", "ratio"], rows, results
 
 
 # ---------------------------------------------------------------- norms
@@ -402,11 +353,8 @@ def _reading(input_path: str):
         raise ConfigError(f"input_path {input_path!r}: {exc}") from exc
 
 
-def _run_norms(cfg: dict):
-    input_path = _field(cfg, "input_path", str)
-    b = _field(cfg, "b", float)
-    s1 = _field(cfg, "s1", float)
-    s2 = _field(cfg, "s2", float)
+def _run_norms(p: dict, threads, states_path: str):
+    input_path, b, s1, s2 = p["input_path"], p["b"], p["s1"], p["s2"]
     from . import states
     with _reading(input_path):
         arrays, shape = states.read_header(
@@ -425,27 +373,56 @@ def _run_norms(cfg: dict):
     row = [b, s1, s2,
            sobolev_norm(SpectralField(grid=grid, coeffs=last), s1, s2),
            power.spacetime(b, s1, s2), power.bourgain(b, s1, s2), power.gap(b, s1, s2)]
-    parameters = {"input_path": input_path, "b": b, "s1": s1, "s2": s2,
-                  "n_times": traj.n_times, "dt": traj.dt}
+    p["n_times"], p["dt"] = traj.n_times, traj.dt
     results = {"sobolev_final": row[3], "spacetime": row[4],
                "bourgain": row[5], "equivalence_gap": row[6]}
     header = ["b", "s1", "s2", "sobolev_final", "spacetime", "bourgain",
               "equivalence_gap"]
-    return header, [row], parameters, results
+    return header, [row], results
 
 
-# runner -> (CSV header, rows, manifest parameters, results), and the
-# top-level config fields it reads
-_RUNNERS = {
-    "solve": (_run_solve, frozenset({
-        "command", "nx", "ny", "Lx", "Ly", "T", "M", "tol", "max_iter",
-        "integrator", "save_states", "phi_spec"})),
-    "illposed": (_run_illposed, frozenset({
-        "command", "s", "eps0", "cells", "samples", "seed", "N_list"})),
-    "verify": (_run_verify, frozenset({
-        "command", "estimate_id", "suite_size", "seed", "params"})),
-    "norms": (_run_norms, frozenset({"command", "input_path", "b", "s1", "s2"})),
+# subcommand -> (help text, runner, config fields in check order).  A field
+# is (name, kind) when required and (name, kind, default) when optional.
+# runner(parameters, threads, states_path) returns the CSV header, the rows
+# and the results; the parameters are the fields ``_read`` returns, to which
+# it adds only derived entries, and they become the manifest's parameters.
+_COMMANDS = {
+    "solve": ("Picard/ETD time integration of the Duhamel problem", _run_solve, (
+        ("nx", int), ("ny", int), ("Lx", float), ("Ly", float), ("T", float),
+        ("M", int), ("tol", float), ("max_iter", int), ("integrator", str, "picard"),
+        ("save_states", bool, False), ("phi_spec", dict))),
+    "illposed": ("second-iterate norm growth sweep", _run_illposed, (
+        ("s", float), ("eps0", float), ("cells", int), ("samples", int),
+        ("seed", int, 0), ("N_list", list))),
+    "verify": ("randomized estimate ratio suites", _run_verify, (
+        ("estimate_id", str), ("suite_size", int), ("seed", int), ("params", dict, {}))),
+    "norms": ("norms of a saved trajectory", _run_norms, (
+        ("input_path", str), ("b", float), ("s1", float), ("s2", float))),
 }
+
+
+def _read(cfg: dict, command: str) -> dict:
+    """The fields of ``command`` in ``cfg``, typed, with the defaults filled
+    in.  ``command`` is checked first, then the unknown keys, then each
+    field in table order."""
+    if "command" not in cfg:
+        raise ConfigError("config field 'command' is required")
+    given = _typed("config field 'command'", cfg["command"], str)
+    if given != command:
+        raise ConfigError(
+            f"config field 'command' is '{given}' but the "
+            f"'{command}' subcommand was invoked")
+    fields = _COMMANDS[command][2]
+    _check_keys(cfg, frozenset(["command", *(field[0] for field in fields)]))
+    read = {}
+    for name, kind, *default in fields:
+        if name in cfg:
+            read[name] = _typed(f"config field '{name}'", cfg[name], kind)
+        elif default:
+            read[name] = copy.copy(default[0])  # verify's params: a fresh {}
+        else:
+            raise ConfigError(f"config field '{name}' is required")
+    return read
 
 
 def run(command: str, config_path: str, out_dir: str,
@@ -455,14 +432,12 @@ def run(command: str, config_path: str, out_dir: str,
     ``threads`` is the illposed sweep's worker count (None: every CPU).
     """
     cfg = _load_config(config_path)
-    _check_command(cfg, command)
-    runner, keys = _RUNNERS[command]
-    _check_keys(cfg, keys)
+    parameters = _read(cfg, command)
+    runner = _COMMANDS[command][1]
     states_path = _staging_path(out_dir)  # solve --save_states writes here
-    args = {"illposed": (cfg, threads), "solve": (cfg, states_path)}.get(command, (cfg,))
     try:
         try:
-            header, rows, parameters, results = runner(*args)
+            header, rows, results = runner(parameters, threads, states_path)
         except ValueError as exc:  # a library precondition the config broke
             raise ConfigError(str(exc)) from exc
         manifest = _manifest(cfg, command, parameters, results)
@@ -475,13 +450,9 @@ def run(command: str, config_path: str, out_dir: str,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="kpblab",
-        description="KPB-II spectral laboratory: solve, illposed, verify, norms")
+        description=f"KPB-II spectral laboratory: {', '.join(_COMMANDS)}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in [
-            ("solve", "Picard/ETD time integration of the Duhamel problem"),
-            ("illposed", "second-iterate norm growth sweep"),
-            ("verify", "randomized estimate ratio suites"),
-            ("norms", "norms of a saved trajectory")]:
+    for name, (helptext, _, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", required=True, help="output directory")

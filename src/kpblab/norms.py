@@ -144,16 +144,22 @@ class WindowedPower:
     @classmethod
     def of_modes(cls, form: ModeForm, dt: float) -> WindowedPower:
         """The windowed power of the mode form ``form`` sampled every
-        ``dt``, whose time steps are counted first.  ``form.values`` is
-        tapered in place, and the complex transform is released once its
-        squared modulus is formed.
+        ``dt``, whose time steps are counted first.  The transform consumes
+        the form: ``form.values`` is tapered in place and then made
+        read-only, so a second transform of the same form is a ValueError.
+        The complex transform is released once its squared modulus is
+        formed.
         """
         values = form.values
         if len(values) - 1 < MIN_STEPS:
             raise ValueError(
                 f"time-dependent norms need at least {MIN_STEPS} time steps, "
                 f"got {len(values) - 1}")
+        if not values.flags.writeable:
+            raise ValueError("the mode form's values are read-only: a mode form "
+                             "serves one transform, which tapers them in place")
         tau, uhat = taper_transform(values, dt)
+        values.flags.writeable = False
         power = np.abs(uhat)
         power **= 2
         return cls(form.grid, dt, len(values), tau, power, form.cols, form.colw)

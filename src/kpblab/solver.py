@@ -285,10 +285,15 @@ def dx_product(u: ModeForm, v: ModeForm) -> ModeForm:
     ``select_columns`` run on one row that tags each band entry, so the
     columns, weights and values are those ``select_columns`` gives the
     expanded product.  A product holding NaN, whose pairs are then not
-    exact, is expanded and selected whole.
+    exact, is expanded and selected whole.  Forms on two grids, or with
+    different numbers of time rows, are a ValueError.
     """
     grid = u.grid
     n = len(u.values)
+    if v.grid is not grid:
+        raise ValueError("u and v must be mode forms on one grid")
+    if len(v.values) != n:
+        raise ValueError(f"u and v must have as many time rows, got {n} and {len(v.values)}")
     if u.cols.size == 0 or v.cols.size == 0:
         return ModeForm(grid, np.zeros(0, dtype=np.intp), np.zeros(0),
                         np.zeros((n, 0), dtype=complex))

@@ -21,6 +21,7 @@ the identical physical field on any refinement of the grid.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -40,9 +41,6 @@ __all__ = [
     "free_estimate_ratio",
     "smoothing_ratio",
     "bilinear_ratio",
-    "free_suite",
-    "smoothing_suite",
-    "bilinear_suite",
     "run_suite",
 ]
 
@@ -51,6 +49,7 @@ _XI_SWEEP = (0.0, 1.0, 4.0, 16.0)
 _DELTA_SWEEP = (0.1, 0.25, 0.5)
 _B_SWEEP = (0.0, 0.25, 0.5)
 _S1_SWEEP = (-0.4, -0.2, 0.0)
+_XI_DELTA_SWEEP = tuple((xi, delta) for xi in _XI_SWEEP for delta in _DELTA_SWEEP)
 
 
 @dataclass(frozen=True)
@@ -247,111 +246,81 @@ def _bilinear_modes(dt: float, u: ModeForm, v: ModeForm,
     return numer / denom
 
 
-def _report(estimate_id: str, ratios: list[float], params: dict) -> RatioReport:
-    arr = np.asarray(ratios, dtype=float)
-    return RatioReport(
-        estimate_id=estimate_id,
-        samples=int(arr.size),
-        max_ratio=float(np.max(arr)) if arr.size else 0.0,
-        median_ratio=float(np.median(arr)) if arr.size else 0.0,
-        params=params,
-    )
+def _free_case(grid: Grid2D, rng: np.random.Generator, k: int, refine: int):
+    """free_estimate_ratio of a random field, cycling b in {0, 1/4, 1/2}."""
+    phi = random_field(grid, rng)
+    b = _B_SWEEP[k % len(_B_SWEEP)]
+    return ({"b": b, "s1": 0.0, "s2": 0.0},
+            free_estimate_ratio(phi, b, 0.0, 0.0, M=48 * refine))
 
 
-def _suite_grid(refine: int) -> Grid2D:
-    return make_grid(32 * refine, 32 * refine, np.pi, np.pi)
+def _smoothing_case(grid: Grid2D, rng: np.random.Generator, k: int, refine: int):
+    """smoothing_ratio of a random signal, sweeping (xi, delta) pairs."""
+    decay = int(rng.integers(0, 3))
+    m = np.arange(-_BAND, _BAND + 1)
+    amp = (rng.standard_normal(m.size) + 1j * rng.standard_normal(m.size))
+    amp *= (1.0 + np.abs(m)) ** (-float(decay))
+    t = np.linspace(-2.0, 2.0, 256 * refine + 1)
+    f = (amp[None, :] * np.exp(0.5j * np.pi * m[None, :] * t[:, None])).sum(axis=1)
+    xi, delta = _XI_DELTA_SWEEP[k % len(_XI_DELTA_SWEEP)]
+    return {"xi": xi, "delta": delta}, smoothing_ratio(f, xi, delta)
 
 
-def _draws(suite_size: int, seed: int):
-    """(k, the generator of sample k) for each sample of a suite."""
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return ((k, np.random.default_rng([int(seed), k])) for k in range(suite_size))
-
-
-def free_suite(suite_size: int, seed: int, s1: float = 0.0, s2: float = 0.0,
-               refine: int = 1) -> tuple[RatioReport, list[dict]]:
-    """free_estimate_ratio over random fields, cycling b in {0, 1/4, 1/2}."""
-    grid = _suite_grid(refine)
-    rows = []
-    ratios = []
-    for k, rng in _draws(suite_size, seed):
-        phi = random_field(grid, rng)
-        b = _B_SWEEP[k % len(_B_SWEEP)]
-        r = free_estimate_ratio(phi, b, s1, s2, M=48 * refine)
-        ratios.append(r)
-        rows.append({"estimate_id": "free", "seed": k,
-                     "params": {"b": b, "s1": s1, "s2": s2}, "ratio": r})
-    report = _report("free", ratios,
-                     {"b": list(_B_SWEEP), "s1": s1, "s2": s2})
-    return report, rows
-
-
-def smoothing_suite(suite_size: int, seed: int,
-                    refine: int = 1) -> tuple[RatioReport, list[dict]]:
-    """smoothing_ratio over random signals, sweeping (xi, delta) pairs."""
-    n = 256 * refine + 1
-    pairs = [(x, d) for x in _XI_SWEEP for d in _DELTA_SWEEP]
-    rows = []
-    ratios = []
-    for k, rng in _draws(suite_size, seed):
-        decay = int(rng.integers(0, 3))
-        m = np.arange(-_BAND, _BAND + 1)
-        amp = (rng.standard_normal(m.size) + 1j * rng.standard_normal(m.size))
-        amp *= (1.0 + np.abs(m)) ** (-float(decay))
-        t = np.linspace(-2.0, 2.0, n)
-        f = (amp[None, :] * np.exp(0.5j * np.pi * m[None, :] * t[:, None])).sum(axis=1)
-        xi, delta = pairs[k % len(pairs)]
-        r = smoothing_ratio(f, xi, delta)
-        ratios.append(r)
-        rows.append({"estimate_id": "smoothing", "seed": k,
-                     "params": {"xi": xi, "delta": delta}, "ratio": r})
-    report = _report("smoothing", ratios,
-                     {"xi": list(_XI_SWEEP), "delta": list(_DELTA_SWEEP)})
-    return report, rows
-
-
-def bilinear_suite(suite_size: int, seed: int, s2: float = 0.0,
-                   refine: int = 1) -> tuple[RatioReport, list[dict]]:
-    """bilinear_ratio over random free-evolution pairs, cycling s1, on
-    their mode forms.
+def _bilinear_case(grid: Grid2D, rng: np.random.Generator, k: int, refine: int):
+    """bilinear_ratio of a random free-evolution pair, cycling s1, on their
+    mode forms.
 
     delta is capped per s1 so the precondition s1 >= -1/2 + 8 delta holds:
     delta = min(0.05, (s1 + 1/2)/8), eps = delta/10.
     """
-    grid = _suite_grid(refine)
-    rows = []
-    ratios = []
-    for k, rng in _draws(suite_size, seed):
-        s1 = _S1_SWEEP[k % len(_S1_SWEEP)]
-        delta = min(0.05, (s1 + 0.5) / 8.0)
-        eps = delta / 10.0
-        times, u = _free_modes(random_field(grid, rng), T=4.0, M=48 * refine)
-        _, v = _free_modes(random_field(grid, rng), T=4.0, M=48 * refine)
-        r = _bilinear_modes(float(times[1] - times[0]), u, v, s1, s2, delta, eps)
-        ratios.append(r)
-        rows.append({"estimate_id": "bilinear", "seed": k,
-                     "params": {"s1": s1, "s2": s2, "delta": delta, "eps": eps},
-                     "ratio": r})
-    report = _report("bilinear", ratios,
-                     {"s1": list(_S1_SWEEP), "s2": s2, "delta": 0.05, "eps": 0.005})
-    return report, rows
+    s1 = _S1_SWEEP[k % len(_S1_SWEEP)]
+    delta = min(0.05, (s1 + 0.5) / 8.0)
+    eps = delta / 10.0
+    times, u = _free_modes(random_field(grid, rng), T=4.0, M=48 * refine)
+    _, v = _free_modes(random_field(grid, rng), T=4.0, M=48 * refine)
+    return ({"s1": s1, "s2": 0.0, "delta": delta, "eps": eps},
+            _bilinear_modes(float(times[1] - times[0]), u, v, s1, 0.0, delta, eps))
 
 
+# estimate_id -> (case function (grid, rng, k, refine) -> (params, ratio),
+# the report's params)
 _SUITES = {
-    "free": free_suite,
-    "smoothing": smoothing_suite,
-    "bilinear": bilinear_suite,
+    "free": (_free_case, {"b": list(_B_SWEEP), "s1": 0.0, "s2": 0.0}),
+    "smoothing": (_smoothing_case,
+                  {"xi": list(_XI_SWEEP), "delta": list(_DELTA_SWEEP)}),
+    "bilinear": (_bilinear_case,
+                 {"s1": list(_S1_SWEEP), "s2": 0.0, "delta": 0.05, "eps": 0.005}),
 }
 
 
 def run_suite(estimate_id: str, suite_size: int, seed: int,
               refine: int = 1) -> tuple[RatioReport, list[dict]]:
-    """Dispatch a named suite ("free", "smoothing", or "bilinear")."""
+    """The named suite ("free", "smoothing" or "bilinear"): its report and
+    one row per case.  Case k draws from the generator seeded [seed, k], so
+    the first cases of a larger suite are those of a smaller one.  The free
+    and bilinear cases draw on the 32 refine x 32 refine grid on the box
+    [-pi, pi)^2, built once per suite; the smoothing cases take
+    256 refine + 1 time samples.
+    """
     try:
-        runner = _SUITES[estimate_id]
+        case, params = _SUITES[estimate_id]
     except KeyError:
         raise ValueError(
             f"unknown estimate_id {estimate_id!r}; "
             f"expected one of {sorted(_SUITES)}") from None
-    return runner(suite_size, seed, refine=refine)
+    for name, value, least in (("seed", seed, 0), ("suite_size", suite_size, 1),
+                               ("refine", refine, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be >= {least}, got {value}")
+    grid = make_grid(32 * refine, 32 * refine, np.pi, np.pi)
+    rows = []
+    for k in range(suite_size):
+        case_params, ratio = case(grid, np.random.default_rng([int(seed), k]), k, refine)
+        rows.append({"estimate_id": estimate_id, "seed": k, "params": case_params,
+                     "ratio": ratio})
+    ratios = [row["ratio"] for row in rows]
+    report = RatioReport(estimate_id=estimate_id, samples=suite_size,
+                         max_ratio=float(np.max(ratios)),
+                         median_ratio=float(np.median(ratios)),
+                         params=copy.deepcopy(params))
+    return report, rows

@@ -737,6 +737,19 @@ class TestVerify:
         assert rc == 2
         assert "params.refine" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("over, message", [
+        ({"suite_size": 0}, "suite_size must be >= 1, got 0"),
+        ({"params": {"refine": 0}}, "refine must be >= 1, got 0")],
+        ids=["suite_size", "refine"])
+    def test_zero_size_or_refine_is_named(self, tmp_path, capsys, over, message):
+        cfg = write_cfg(tmp_path, "c.json", {
+            "command": "verify", "estimate_id": "free", "suite_size": 4, "seed": 0,
+            **over})
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
+
     def test_unknown_estimate_id(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", {
             "command": "verify", "estimate_id": "sharp",
@@ -744,6 +757,42 @@ class TestVerify:
         rc = main(["verify", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "estimate_id" in capsys.readouterr().err
+
+
+class TestManifestParameters:
+    # the entries a runner adds to its config fields; illposed's N_list is
+    # replaced by its sorted floats
+    DERIVED = {"solve": {"dealias_fraction"}, "illposed": set(), "verify": set(),
+               "norms": {"n_times", "dt"}}
+
+    def test_parameters_are_the_fields_and_derived_entries(self, tmp_path):
+        # every optional field is omitted, and appears with its default
+        solve = solve_cfg()
+        del solve["integrator"]
+        configs = {
+            "solve": solve,
+            "illposed": {"command": "illposed", "s": -0.7, "eps0": 0.01, "cells": 64,
+                         "samples": 10000, "N_list": [14, 8, 12, 10]},
+            "verify": {"command": "verify", "estimate_id": "free", "suite_size": 1,
+                       "seed": 0},
+            "norms": {"command": "norms", "input_path": str(tmp_path / "states.npz"),
+                      "b": 0.0, "s1": 0.0, "s2": 0.0},
+        }
+        states = write_cfg(tmp_path, "states.json", solve_cfg(save_states=True))
+        assert main(["solve", "--config", states, "--out", str(tmp_path)]) == 0
+        parameters = {}
+        for command, cfg in configs.items():
+            path = write_cfg(tmp_path, f"{command}.json", cfg)
+            out = tmp_path / command
+            assert main([command, "--config", path, "--out", str(out)]) == 0
+            parameters[command] = json.loads((out / "manifest.json").read_text())["parameters"]
+            fields = {field[0] for field in cli._COMMANDS[command][2]}
+            assert set(parameters[command]) == fields | self.DERIVED[command], command
+        assert parameters["solve"]["integrator"] == "picard"
+        assert parameters["solve"]["save_states"] is False
+        assert parameters["illposed"]["seed"] == 0
+        assert parameters["illposed"]["N_list"] == [8.0, 10.0, 12.0, 14.0]
+        assert parameters["verify"]["params"] == {}
 
 
 class TestManifestTolerances:

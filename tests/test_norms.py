@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from kpblab.modes import select_columns
+from kpblab.modes import ModeForm, select_columns
 from kpblab.norms import (
     WindowedPower,
     bourgain_norm,
@@ -613,3 +613,27 @@ class TestModeForm:
         for x, y in zip((got.cols, got.colw, got.values), (cols, colw, product[:, cols])):
             assert same_bits(x, y)
 
+
+    def test_second_transform_of_a_form_rejected(self, grid):
+        # the transform tapers the values in place, so a form serves one:
+        # a second would read the tapered values
+        times, form = _free_modes(random_field(grid, np.random.default_rng(0)), 4.0, 48)
+        dt = float(times[1] - times[0])
+        WindowedPower.of_modes(form, dt)
+        assert not form.values.flags.writeable
+        with pytest.raises(ValueError, match="serves one transform"):
+            WindowedPower.of_modes(form, dt)
+
+    def test_product_of_forms_with_different_rows_rejected(self, grid):
+        # a 1-row form would broadcast against the 49 rows of a free evolution
+        u = _free_modes(random_field(grid, np.random.default_rng(0)), 4.0, 48)[1]
+        v = ModeForm(grid, u.cols, u.colw, u.values[:1].copy())
+        with pytest.raises(ValueError, match="as many time rows, got 49 and 1"):
+            dx_product(u, v)
+
+    def test_product_of_forms_on_two_grids_rejected(self, grid):
+        rng = np.random.default_rng(0)
+        u = _free_modes(random_field(grid, rng), 4.0, 48)[1]
+        v = _free_modes(random_field(make_grid(32, 32, 2.0, np.pi), rng), 4.0, 48)[1]
+        with pytest.raises(ValueError, match="mode forms on one grid"):
+            dx_product(u, v)

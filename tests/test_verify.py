@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from kpblab import verify
 from kpblab.norms import bourgain_norm, sobolev_norm
 from kpblab.spectral_core import (
     SpectralField,
@@ -23,15 +24,12 @@ from kpblab.verify import (
     RatioReport,
     _y_norm,
     bilinear_ratio,
-    bilinear_suite,
     free_estimate_ratio,
-    free_suite,
     free_trajectory,
     psi_cutoff,
     random_field,
     run_suite,
     smoothing_ratio,
-    smoothing_suite,
 )
 
 
@@ -289,7 +287,7 @@ class TestBilinearRatio:
 
 class TestSuites:
     def test_free_suite_rows_and_report(self):
-        report, rows = free_suite(6, seed=0, s1=-0.2, s2=0.0)
+        report, rows = run_suite("free", 6, seed=0)
         assert isinstance(report, RatioReport)
         assert report.samples == len(rows)
         assert report.max_ratio >= report.median_ratio >= 0.0
@@ -301,19 +299,19 @@ class TestSuites:
 
     def test_suite_seeds_are_substreams(self):
         # per-case seeds: the first cases of a size-6 and size-3 suite agree
-        _, rows6 = free_suite(6, seed=42)
-        _, rows3 = free_suite(3, seed=42)
+        _, rows6 = run_suite("free", 6, seed=42)
+        _, rows3 = run_suite("free", 3, seed=42)
         for a, b in zip(rows3, rows6):
             assert a["seed"] == b["seed"]
             assert a["ratio"] == b["ratio"]
 
     def test_smoothing_suite_no_violations(self):
-        report, rows = smoothing_suite(8, seed=1)
+        report, rows = run_suite("smoothing", 8, seed=1)
         assert math.isfinite(report.max_ratio)
         assert all(math.isfinite(r["ratio"]) for r in rows)
 
     def test_bilinear_suite_no_violations(self):
-        report, rows = bilinear_suite(6, seed=2)
+        report, rows = run_suite("bilinear", 6, seed=2)
         assert math.isfinite(report.max_ratio)
         assert all(math.isfinite(r["ratio"]) for r in rows)
 
@@ -321,8 +319,8 @@ class TestSuites:
         # the suite works on mode forms and band grids: its peak stays below
         # one (97, 64, 64) complex trajectory of the refine = 2 grid.  A first
         # call makes the one-time allocations (numpy.random's lazy import).
-        bilinear_suite(1, 0, refine=2)
-        (report, _), peak = alloc_peak(bilinear_suite, 2, 0, refine=2)
+        run_suite("bilinear", 1, 0, refine=2)
+        (report, _), peak = alloc_peak(run_suite, "bilinear", 2, 0, refine=2)
         assert report.samples == 2
         assert peak < 97 * 64 * 64 * 16
 
@@ -332,16 +330,42 @@ class TestSuites:
         with pytest.raises(ValueError):
             run_suite("nonsense", 3, seed=0)
 
-    @pytest.mark.parametrize("suite", [free_suite, smoothing_suite, bilinear_suite])
+    @pytest.mark.parametrize("suite", ["free", "smoothing", "bilinear"],
+                             ids=["free_suite", "smoothing_suite", "bilinear_suite"])
     def test_negative_seed_rejected_by_name(self, suite):
-        # suite_size 0 draws nothing, so the check comes before any draw
+        # the seed is checked first: before suite_size, and before any draw
         for size in (0, 2):
             with pytest.raises(ValueError, match=r"^seed must be >= 0, got -3$"):
-                suite(size, seed=-3)
-        with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
-            run_suite("free", 2, seed=-3)
+                run_suite(suite, size, seed=-3)
+
+    @pytest.mark.parametrize("suite", ["free", "smoothing", "bilinear"])
+    @pytest.mark.parametrize("field", ["suite_size", "refine"])
+    def test_bad_size_or_refine_rejected_by_name(self, suite, field):
+        args = {"suite_size": 2, "refine": 1, field: 0}
+        with pytest.raises(ValueError, match=rf"^{field} must be >= 1, got 0$"):
+            run_suite(suite, args["suite_size"], 0, refine=args["refine"])
+
+    @pytest.mark.parametrize("suite, fn, calls", [
+        ("free", "free_estimate_ratio", 1), ("smoothing", "smoothing_ratio", 1),
+        ("bilinear", "_bilinear_modes", 1), ("bilinear", "_free_modes", 2)])
+    def test_one_grid_per_suite_and_fixed_calls_per_case(self, monkeypatch, suite,
+                                                          fn, calls):
+        counts = {"make_grid": 0, fn: 0}
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(verify, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(verify, name, counted)
+        run_suite(suite, 4, seed=0)
+        assert counts == {"make_grid": 1, fn: 4 * calls}
+
+    def test_reports_do_not_share_params(self):
+        first, _ = run_suite("bilinear", 1, seed=0)
+        first.params["s1"].append(1.0)
+        second, _ = run_suite("bilinear", 1, seed=0)
+        assert second.params["s1"] == [-0.4, -0.2, 0.0]
 
     def test_refinement_stability_free(self):
-        r1, _ = free_suite(4, seed=3, refine=1)
-        r2, _ = free_suite(4, seed=3, refine=2)
+        r1, _ = run_suite("free", 4, seed=3, refine=1)
+        r2, _ = run_suite("free", 4, seed=3, refine=2)
         assert 0.5 <= r2.max_ratio / r1.max_ratio <= 2.0
