@@ -220,17 +220,18 @@ def _require_nonzero(*arrays) -> None:
             raise ValueError("xi, xi1 and xi - xi1 must all be nonzero")
 
 
-def _chi_into(out: np.ndarray, xi, xi1, eta, eta1) -> np.ndarray:
-    """Write chi at the broadcast nodes into ``out`` and return it.
+def _chi_into(out: np.ndarray, xi, xi1, eta, eta1, scale=1.0) -> np.ndarray:
+    """Write chi / scale at the broadcast nodes into ``out`` and return it.
 
     The factor xi xi1 (xi - xi1) keeps the broadcast shape of (xi, xi1), so
-    a caller that puts xi1 on its own axis pays for it once per xi1.
+    a caller that puts xi1 on its own axis pays for it once per xi1, and so
+    does a ``scale`` of that shape.  A scale of 1 leaves every bit of chi.
     """
     prod = xi * xi1 * (xi - xi1)
     np.subtract(xi1 * eta, xi * eta1, out=out)
     out *= out
-    out /= prod
-    out += 3.0 * prod
+    out /= prod * scale
+    out += 3.0 * prod / scale
     return out
 
 
@@ -245,19 +246,24 @@ def resonance_chi(xi, xi1, eta, eta1):
 
 
 def _kernel_factors(t, xi, xi1):
-    """(cross, g, e1) of :func:`_kernel`: cross = 2 xi1 (xi - xi1) and, with
-    a = t cross, g = 2 e^{-t xi^2} e^a and e1 = e^{-t xi^2} expm1(a).
+    """(g, c, r) of :func:`_kernel`: with cross = 2 xi1 (xi - xi1),
+    a = t cross and e1 = e^{-t xi^2} expm1(a),
 
-    All three depend on (t, xi, xi1) alone and keep that broadcast shape,
-    so a caller that puts xi1 on its own axis pays for them once per xi1.
+        g = 2 e^{-t xi^2} e^a = 2 e^{-t (xi1^2 + xi2^2)},
+        c = cross / g,   r = e1 / g = -expm1(-a) / 2.
+
+    g is one exponential and r holds no e^{-t xi^2}, so all three are
+    finite wherever 1 / g is: t (xi1^2 + xi2^2) below about 709.  All three
+    depend on (t, xi, xi1) alone and keep that broadcast shape, so a caller
+    that puts xi1 on its own axis pays for them once per xi1.
     """
     cross = 2.0 * xi1 * (xi - xi1)
-    decay = np.exp(-t * xi * xi)
-    return cross, 2.0 * decay * np.exp(t * cross), decay * np.expm1(t * cross)
+    g = 2.0 * np.exp(-t * (xi1 * xi1 + (xi - xi1) ** 2))
+    return g, cross / g, -0.5 * np.expm1(-t * cross)
 
 
-def _kernel(den, phase, scratch, g, e1) -> np.ndarray:
-    """K at the nodes, in place of phase = e^{ih}, h = t chi / 2.
+def _kernel(den, phase, out, r) -> np.ndarray:
+    """K at the nodes, into ``out``, from phase = e^{ih}, h = t chi / 2.
 
     K = e^{-t xi^2} (e^z - 1) / (i chi - cross) with cross = 2 xi1 xi2 and
     z = a + 2 i h, a = t cross.  The half-angle form
@@ -265,21 +271,19 @@ def _kernel(den, phase, scratch, g, e1) -> np.ndarray:
         e^z - 1 = expm1(a) + 2 i e^a sin h e^{ih},   sin h = Im e^{ih},
 
     has no cancellation near z = 0.  Multiplying numerator and denominator
-    by -i gives
+    by -i / g, with g, c and r from :func:`_kernel_factors`, gives
 
-        K = (g sin h e^{ih} - i e1) / (chi + i cross)
+        K = (sin h e^{ih} - i r) / (chi / g + i c),
 
-    with g and e1 from :func:`_kernel_factors`, so the numerator is two
-    real scalings of e^{ih} and one real subtraction, and no complex
-    temporary is made.  ``den`` holds chi + i cross, ``scratch`` is a float
-    buffer of the node shape.  K overwrites ``phase``, which is returned.
+    so the numerator is two real products of e^{ih}'s parts and one real
+    subtraction, and no complex temporary is made.  ``den`` holds
+    chi / g + i c.  ``out`` may be ``phase`` itself; it is returned.
     """
-    np.multiply(phase.imag, g, out=scratch)
-    phase.real *= scratch
-    phase.imag *= scratch
-    phase.imag -= e1
-    phase /= den
-    return phase
+    np.multiply(phase.real, phase.imag, out=out.real)
+    np.multiply(phase.imag, phase.imag, out=out.imag)
+    out.imag -= r
+    out /= den
+    return out
 
 
 def kernel_K(t, xi, xi1, eta, eta1):
@@ -287,22 +291,25 @@ def kernel_K(t, xi, xi1, eta, eta1):
 
     Evaluated as e^{-t xi^2} expm1(t (2 xi1 xi2 + i chi)) / (-2 xi1 xi2 + i chi),
     which is exact (xi^2 = xi1^2 + xi2^2 + 2 xi1 xi2) and avoids cancellation
-    of the two exponentials for small t; see :func:`_kernel`.
+    of the two exponentials for small t; see :func:`_kernel`.  K is NaN
+    where 1 / g overflows (:func:`_kernel_factors`): t (xi1^2 + xi2^2) past
+    about 709.
     """
     # a trailing unit axis keeps scalar arguments inside array arithmetic
     t, xi, xi1, eta, eta1 = (np.asarray(a, dtype=float)[..., None]
                              for a in (t, xi, xi1, eta, eta1))
     _require_nonzero(xi, xi1, xi - xi1)
     shape = np.broadcast_shapes(*(a.shape for a in (t, xi, xi1, eta, eta1)))
-    cross, g, e1 = _kernel_factors(t, xi, xi1)
+    g, c, r = _kernel_factors(t, xi, xi1)
     chi = _chi_into(np.empty(shape), xi, xi1, eta, eta1)
-    den = chi + 1j * cross
-    # once den holds chi, chi's buffer serves as h and as the kernel's scratch
+    den = np.empty(shape, dtype=complex)
+    np.divide(chi, g, out=den.real)
+    den.imag[...] = c
     h = np.multiply(chi, 0.5 * t, out=chi)
     phase = np.empty(shape, dtype=complex)
     np.cos(h, out=phase.real)
     np.sin(h, out=phase.imag)
-    out = _kernel(den, phase, chi, g, e1)[..., 0]
+    out = _kernel(den, phase, phase, r)[..., 0]
     if out.ndim == 0:
         return complex(out)
     return out
@@ -320,8 +327,7 @@ def _midpoints(lo, hi, cells: int):
 MIN_CELLS = 64
 _MIN_N = 8  # smallest N of a norm evaluation
 MIN_CHI_SAMPLES = 10_000
-_BLOCK_NODES = 32 * 1024  # inner nodes per kernel call in _window_density
-_PHASE_ROWS = 4  # rows of Q eta1 nodes per kernel call in _window_density
+_ROW_NODES = 16 * 1024  # inner nodes per row, and per kernel call, of _window_density
 
 
 def _check_cells(cells: int) -> None:
@@ -359,24 +365,31 @@ def second_iterate_hat(N: float, s: float, t: float, xi: float, eta: float,
     return complex(prefactor * integral)
 
 
-def _phase_side(cells: int) -> int:
-    """Q = ceil(sqrt(cells)), the eta1 nodes per row of :func:`_phase_rows`."""
-    return math.isqrt(cells - 1) + 1
+def _row_shape(cells: int) -> tuple[int, int]:
+    """(Q, group) of :func:`_window_density`: a row holds Q eta1 nodes of
+    ``group`` outer-eta columns, about _ROW_NODES nodes in all.
+
+    Q = _ROW_NODES / MIN_CELLS^2 = 4 lets a row at the smallest ``cells``
+    hold every column: 64 columns at cells=64, 61 at 67, 32 at 128.
+    """
+    n_q = _ROW_NODES // (MIN_CELLS * MIN_CELLS)
+    return n_q, max(1, _ROW_NODES // (n_q * cells))
 
 
-def _phase_rows(out, ratio_buf, carry, t, x, x_mid, eta, c0, dy):
-    """Yield e^{ih}, h = t chi / 2, at the nodes (eta1, eta, xi1) of a group
-    of outer-eta columns, K rows of eta1 nodes at a time, with no sine or
-    cosine per node.
+def _phase_seeds(pair, scratch, step, t, x, x_mid, eta, c0, dy) -> None:
+    """Write row 0 of e^{ih}, h = t chi / 2, into pair[0], its row ratio
+    R_0 into pair[1] and the step S into ``step``, at the nodes (eta1, eta,
+    xi1) of a group of outer-eta columns, with no sine or cosine per node.
 
     ``eta``, ``c0`` and ``dy`` are (g, 1) columns: the eta1 nodes of
-    column b are c0[b] + j dy[b], j = Q p + q, q < Q, p < P = ceil(cells /
-    Q).  ``x_mid`` holds the xi1 nodes of the outer xi ``x``.  ``out`` is a
-    complex (K, Q, g, cells) buffer, K >= 2, and the k-th yield (k from 0)
-    leaves rows p = K k .. K k + K - 1 in it; rows past P - 1 are padding.
-    The caller may overwrite ``out`` between yields.  ``ratio_buf`` and
-    ``carry`` are complex (Q, g, cells) buffers for the row ratio and the
-    last row of a yield.
+    column b are c0[b] + j dy[b], j = Q p + q, q < Q, and row p holds
+    q = 0 .. Q - 1.  ``x_mid`` holds the xi1 nodes of the outer xi ``x``.
+    ``pair`` is a complex (2, Q, g, cells) buffer, Q >= 3, ``step`` a
+    complex (g, cells) one, and ``scratch`` a complex buffer of at least
+    6 g cells values, which the call overwrites; the six seed phases are
+    made in ``pair`` and their exponentials in ``scratch``.  Row p+1 is then
+    row p times R_p, and R_{p+1} = R_p S: one complex multiply per node
+    each.
 
     With prod = xi xi1 (xi - xi1) and a = t / (2 prod), h is a quadratic
     in j:
@@ -388,17 +401,15 @@ def _phase_rows(out, ratio_buf, carry, t, x, x_mid, eta, c0, dy):
     e^{i(beta + gamma (2q + 1))} changes by the constant factor
     e^{2 i gamma}.  The row ratio R_p(q) = e^{i(h_{j+Q} - h_j)} =
     e^{i(beta Q + gamma Q^2 (2p + 1) + 2 gamma Q q)} is a geometric
-    sequence in q, and changes by the constant factor e^{2 i gamma Q^2}
+    sequence in q, and changes by the constant factor S = e^{2 i gamma Q^2}
     from one row to the next.  Row 0 and R_0 come from six seed phases per
-    (eta, xi1) by repeated multiplication, side by side in ``out``; every
-    further row is then one complex multiply per node on contiguous memory,
-    row p+1 = row p R_p.  The rounding of the seeds grows with the number
-    of products, at most about j^2 / 2 of them; measured against
-    np.exp(1j * h), the largest error is 2.7e-14 (N in {16, 128, 1024},
-    cells in {64, 67, 96, 128}, h up to 26).
+    (eta, xi1) by repeated multiplication, side by side in ``pair``.  The
+    rounding of the seeds grows with the number of products, at most
+    about j^2 / 2 of them; measured against np.exp(1j * h), the largest
+    error is 5.0e-14 (N in {16, 128, 1024}, cells in {64, 67, 96, 128},
+    every third xi row, h up to 38).
     """
-    n_k, n_q = out.shape[:2]
-    n_p = -(-x_mid.size // n_q)
+    n_q = pair.shape[1]
     prod = x * x_mid * (x - x_mid)
     half_a = 0.5 * t / prod
     u = x_mid * eta
@@ -407,36 +418,56 @@ def _phase_rows(out, ratio_buf, carry, t, x, x_mid, eta, c0, dy):
     w = half_a * u  # beta = -2 w v, gamma = half_a v^2
     # the first values of row 0 and R_0 (alpha, beta Q + gamma Q^2), their
     # first ratios (beta + gamma, 2 gamma Q), the ratio of row 0's ratios
-    # (2 gamma) and the ratio of the row ratios (2 gamma Q^2)
-    ph = np.empty((6,) + u.shape)
+    # (2 gamma) and the step (2 gamma Q^2), in the memory of pair
+    shape = (6,) + u.shape
+    ph = pair.reshape(-1).view(float)[:u.size * 6].reshape(shape)
+    seeds = scratch.reshape(-1)[:u.size * 6].reshape(shape)
     np.multiply(w, u, out=ph[0])
     ph[0] += 1.5 * t * prod
     np.multiply(v * np.array([-2.0 * n_q, -2.0, 0.0, 0.0, 0.0])[:, None, None], w,
                 out=ph[1:])
-    ph[1:] += (v * v * np.array([n_q * n_q, 1.0, 2.0 * n_q, 2.0, 2.0 * n_q * n_q])
-               [:, None, None]) * half_a
-    seeds = np.empty(ph.shape, dtype=complex)
+    gamma = seeds.real[1:]  # the seeds' real parts hold the gamma terms meanwhile
+    np.multiply(v * v * np.array([n_q * n_q, 1.0, 2.0 * n_q, 2.0, 2.0 * n_q * n_q])
+                [:, None, None], half_a, out=gamma)
+    ph[1:] += gamma
     np.cos(ph, out=seeds.real)
     np.sin(ph, out=seeds.imag)
-    ratio, step = seeds[2:4], seeds[5]
-    out[:2, 0] = seeds[0:2]
+    ratio = seeds[2:4]
+    pair[:, 0] = seeds[0:2]
     for q in range(1, n_q):
-        np.multiply(out[:2, q - 1], ratio, out=out[:2, q])
+        np.multiply(pair[:, q - 1], ratio, out=pair[:, q])
         ratio[0] *= seeds[4]
-    row_ratio = np.multiply(out[1], step, out=ratio_buf)  # R_1
-    out[1] *= out[0]
-    first = 2  # rows 0 and 1 are built
-    for start in range(0, n_p, n_k):
-        if start:
-            np.multiply(carry, row_ratio, out=out[0])
-            row_ratio *= step
-            first = 1
-        for p in range(first, n_k):
-            np.multiply(out[p - 1], row_ratio, out=out[p])
-            row_ratio *= step
-        if start + n_k < n_p:
-            np.copyto(carry, out[-1])
-        yield out
+    step[...] = seeds[5]
+
+
+def _chi_rows(den, delta, x, x_mid, eta, eta1, dy, g) -> np.ndarray:
+    """Write chi / g at row 0 into den.real and the difference of rows 1
+    and 0 into ``delta``, and return the constant by which that difference
+    grows from one row to the next: the additive twin of
+    :func:`_phase_seeds`, whose nodes it shares.
+
+    ``eta1`` holds row 0's eta1 nodes, (Q, g, 1), c0 = eta1[0]; ``den``
+    and ``delta`` are complex and float (Q, g, cells).  With w_j = u - v j,
+    u = xi1 eta - xi c0 and v = xi dy, chi_j = 3 prod + w_j^2 / prod is a
+    quadratic in j, so the difference of row p + 1 and row p,
+
+        D_p(q) = (chi_{j+Q} - chi_j) / g = v Q (2 v j + v Q - 2 u) / (prod g),
+
+    is linear in j = Q p + q and grows by 2 (v Q)^2 / (prod g) per row.
+    Row p + 1 is then den.real += D_p, D_{p+1} = D_p + constant: two
+    passes per node in place of chi's four and its division.
+    """
+    n_q = delta.shape[0]
+    _chi_into(den.real, x, x_mid, eta, eta1, g)
+    vq = (x * n_q) * dy
+    per_row = vq / (x * x_mid * (x - x_mid) * g)  # v Q / (prod g)
+    u = x_mid * eta
+    u -= x * eta1[0]
+    u *= 2.0
+    np.subtract(vq + (2.0 * x * np.arange(n_q))[:, None, None] * dy, u, out=delta)
+    delta *= per_row
+    per_row *= 2.0 * vq
+    return per_row
 
 
 def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarray, float, float]:
@@ -446,42 +477,46 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     at window midpoints, with I the bare k-set integral (prefactor modulus
     xi folded into the weight).  Vectorized one outer-xi row at a time.
     The row's non-empty columns (outer eta) are taken in groups of
-    ``group`` = _BLOCK_NODES // (K Q cells) in window order, K =
-    _PHASE_ROWS and Q = :func:`_phase_side` (16 columns at cells=64, 5 at
-    cells=128, at least 1), and a group's eta1 nodes in spans of K rows of
-    Q; a block is one span of one group, (K Q, group, cells) inner nodes
-    (eta1, eta, xi1).  xi1 is the inner axis, so the factors of (t, xi,
-    xi1) alone (:func:`_kernel_factors`) are per-row vectors along it; eta1
-    is the outer axis, so each row of the phase is contiguous.
+    ``group`` in window order, and a group's eta1 nodes in rows of Q
+    (:func:`_row_shape`: Q = 4, and every column in one group at cells=64,
+    32 columns at cells=128).  A row of a group is (Q, group, cells) inner
+    nodes (eta1, eta, xi1), about 16K, and is one call of :func:`_kernel`.
+    xi1 is the inner axis, so the factors of (t, xi, xi1) alone
+    (:func:`_kernel_factors`) are per-row vectors along it; eta1 is the
+    outer axis, so each row is contiguous.
 
-    A block allocates no node-sized array.  The call allocates its buffers
-    once, each viewed in the shape of the block at hand: the complex phase
-    e^{ih}, the phase source's complex row ratio and carried row (Q eta1
-    nodes each), the complex denominator chi + i cross, whose imaginary
-    part is set once per row, and a float scratch.  chi goes to the
-    scratch first, where its four passes run on contiguous memory, and is
-    copied into the denominator; the scratch then holds g sin h.  The
-    buffers belong to the call, so calls on concurrent threads share
-    nothing.  The whole call's allocations peak at 1.88 MiB at cells=64
-    and 1.91 MiB at cells=128 (tracemalloc, N=16), within a 2 MiB L2;
-    numpy's iterator buffers, at most 8192 elements per operand, are the
-    largest transient allocations of a block.
+    Each row makes nine large numpy calls and no others: the next phase
+    row and row ratio (:func:`_phase_seeds`), the next chi / g and its row
+    difference (:func:`_chi_rows`), the kernel's three real passes into a
+    second buffer, so that the phase row survives, its complex division,
+    and one sum over (eta1, xi1) into a row of per-call column sums.  The
+    denominator's imaginary part is set once per group.  Every call
+    releases the interpreter lock and lets scaling_study's other thread
+    take it, so the calls are few and large.  On two threads of a 2-vCPU
+    Xeon a four-N sweep at cells=64 made about 6K-10K voluntary context
+    switches and cost 1.5-1.8 s of CPU (about 1.4-1.5 s on one thread).
+    The earlier 32K-node blocks of a quarter of the columns made about
+    20K and cost 2.5 s, and rows of 10K nodes (two groups per row at
+    cells=64) made 47K and cost 2.3 s, for the same one-thread CPU.
+
+    A row allocates nothing.  The call allocates its buffers once, each
+    viewed in the shape of the group at hand: the phase row and row ratio
+    side by side, the denominator and numerator side by side, chi's row
+    difference, and the step.  The group's seeds are made in the first
+    two, so no seed array is allocated.  The buffers belong to the call,
+    so calls on concurrent threads share nothing.  The whole call's
+    allocations peak at 1.51 MiB at cells=64 and 1.75 MiB at cells=128
+    (tracemalloc, N=16).
 
     Separable phase.  Every column's eta1 nodes are an arithmetic
     progression c0 + j dy with the column's own c0 and dy: D_2's eta side
     in a full column, whose k1 eta interval is all of D_2's (11 of the
-    window's 13 N^2), a shorter interval in a clipped one.  So h is a
-    quadratic in j at every (eta, xi1), and :func:`_phase_rows` builds
-    e^{ih} from six sines and six cosines per (eta, xi1) and about two
-    complex multiplies per node.
-    No node of the quadrature pays a sine or a cosine; only the public
+    window's 13 N^2), a shorter interval in a clipped one.  So h and chi
+    are quadratics in j at every (eta, xi1), and no node of the quadrature
+    pays a sine, a cosine or chi's division; only the public
     :func:`kernel_K` evaluates them directly.  Against that direct form,
-    each table cell agrees within 3e-14 relative (N in {16, 128}, cells
-    in {64, 67, 96}).  A group's phase source runs once for all of its
-    spans, so a row makes few numpy calls.  Each call lets scaling_study's
-    other thread take the interpreter lock: on two threads of a 2-vCPU
-    Xeon, halving _BLOCK_NODES raised the CPU time of a four-N sweep at
-    cells=64 by about a quarter.
+    each table cell agrees within 6.2e-14 relative (N in {16, 128}, cells
+    in {64, 67, 96}).
 
     The quadrature runs under its own errstate (it may run on a worker
     thread, which a caller's errstate does not reach): it stops at the first
@@ -498,51 +533,52 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     y_mid, wy = _midpoints(y_lo, y_hi, cells)
 
     cols = np.flatnonzero(y_lo < y_hi)  # empty columns stay 0
-    n_q = _phase_side(cells)
-    span = _PHASE_ROWS * n_q  # eta1 nodes per block
-    group = max(1, _BLOCK_NODES // (span * cells))
-    eta_col = eta_nodes[:, None]
-    c0, dy = y_mid[:, :1], wy[:, None]
-    y_mid = y_mid.T[:, :, None]  # (eta1, eta, 1)
+    n_q, group = _row_shape(cells)
+    n_p = -(-cells // n_q)  # rows; the last is padded past eta1 node cells - 1
+    eta_col, c0, dy = eta_nodes[:, None], y_mid[:, :1], wy[:, None]
+    eta1_row0 = y_mid[:, :n_q].T[:, :, None]  # (Q, eta, 1)
 
-    # Per-call buffers, shaped per block: concurrent calls (scaling_study's
-    # threads) share none.
-    phase_buf = np.empty(span * group * cells, dtype=complex)
-    den_buf = np.empty(span * group * cells, dtype=complex)
-    scratch_buf = np.empty(span * group * cells)
-    ratio_buf, carry_buf = np.empty((2, n_q * group * cells), dtype=complex)
+    # Per-call buffers, shaped per group: the phase row and its row ratio,
+    # the kernel's denominator and numerator, chi's row difference and the
+    # phase step.  Concurrent calls (scaling_study's threads) share none.
+    size = n_q * min(group, cols.size) * cells
+    pair_buf = np.empty(2 * size, dtype=complex)
+    quot_buf = np.empty(2 * size, dtype=complex)
+    delta_buf = np.empty(size)
+    step_buf = np.empty(size // n_q, dtype=complex)
+    sums = np.empty((n_p, cols.size), dtype=complex)  # per row and column
 
-    sums = np.zeros(cells, dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, x in enumerate(xi_nodes):
             if x_lo[i] >= x_hi[i]:
                 continue
             x_mid, wx = _midpoints(x_lo[i], x_hi[i], cells)
-            cross, g, e1 = _kernel_factors(t, x, x_mid)
-            den_buf.imag.reshape(-1, cells)[...] = cross
+            g, c, r = _kernel_factors(t, x, x_mid)
             for j in range(0, cols.size, group):
                 block = cols[j:j + group]
                 n = block.size
-                size = span * n * cells
-                den = den_buf[:size].reshape(span, n, cells)
-                scratch = scratch_buf[:size].reshape(span, n, cells)
-                row_shape = (n_q, n, cells)
-                rows = _phase_rows(phase_buf[:size].reshape((_PHASE_ROWS,) + row_shape),
-                                   ratio_buf[:size // _PHASE_ROWS].reshape(row_shape),
-                                   carry_buf[:size // _PHASE_ROWS].reshape(row_shape),
-                                   t, x, x_mid, eta_col[block], c0[block], dy[block])
-                sums[block] = 0.0
-                for j0, phase in zip(range(0, cells, span), rows):
-                    nj = min(span, cells - j0)
-                    chi = _chi_into(scratch[:nj], x, x_mid, eta_col[block],
-                                    y_mid[j0:j0 + nj, block])
-                    den.real[:nj] = chi
-                    K = _kernel(den[:nj], phase.reshape(span, n, cells)[:nj],
-                                scratch[:nj], g, e1)
-                    sums[block] += K.sum(axis=(0, 2))
-            mod2 = sums.real * sums.real + sums.imag * sums.imag
-            mod2 *= (2.0 * amp2 * wx * wy) ** 2
-            table[i, :] = x * x * (1.0 + x * x) ** s * mod2
+                shape = (n_q, n, cells)
+                nodes = n_q * n * cells
+                phase, ratio = pair = pair_buf[:2 * nodes].reshape((2,) + shape)
+                den, num = quot = quot_buf[:2 * nodes].reshape((2,) + shape)
+                delta = delta_buf[:nodes].reshape(shape)
+                step = step_buf[:n * cells].reshape(n, cells)
+                eta = eta_col[block]
+                _phase_seeds(pair, quot, step, t, x, x_mid, eta, c0[block], dy[block])
+                grow = _chi_rows(den, delta, x, x_mid, eta, eta1_row0[:, block], dy[block], g)
+                den.imag[...] = c
+                for p in range(n_p):
+                    if p:
+                        phase *= ratio
+                        ratio *= step
+                        den.real += delta
+                        delta += grow
+                    K = _kernel(den, phase, num, r)
+                    np.add.reduce(K[:cells - n_q * p], axis=(0, 2), out=sums[p, j:j + n])
+            col_sums = np.add.reduce(sums, axis=0)
+            mod2 = col_sums.real * col_sums.real + col_sums.imag * col_sums.imag
+            mod2 *= (2.0 * amp2 * wx * wy[cols]) ** 2
+            table[i, cols] = x * x * (1.0 + x * x) ** s * mod2
             if not np.isfinite(table[i]).all():
                 table[i:] = np.nan
                 break
@@ -597,8 +633,9 @@ def scaling_study(N_list, s: float, eps0: float, cells: int,
     The N values run on ``threads`` worker threads (None: ``os.cpu_count()``;
     fewer than 1 is a ValueError), and the results do not depend on it.
     The threads queue on the interpreter lock between numpy calls: on 2
-    CPUs the four-N sweep at cells=64 cost 18% more CPU on two threads than
-    on one (1.98 -> 2.34 s user+sys).
+    CPUs the four-N sweep at cells=64 costs 19% more CPU on two threads
+    than on one (1.51 -> 1.79 s user+sys, medians of 10 runs each), with
+    about 6K voluntary context switches (:func:`_window_density`).
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

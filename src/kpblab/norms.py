@@ -155,9 +155,7 @@ class WindowedPower:
             raise ValueError(
                 f"time-dependent norms need at least {MIN_STEPS} time steps, "
                 f"got {len(values) - 1}")
-        if not values.flags.writeable:
-            raise ValueError("the mode form's values are read-only: a mode form "
-                             "serves one transform, which tapers them in place")
+        form.check_unconsumed()
         tau, uhat = taper_transform(values, dt)
         values.flags.writeable = False
         power = np.abs(uhat)

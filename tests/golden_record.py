@@ -3,7 +3,11 @@ CLI writes for it.
 
 Run from the root of a checkout to (re)write the record::
 
-    PYTHONPATH=src python tests/golden_record.py
+    PYTHONPATH=src python tests/golden_record.py [--keep DIR]
+
+With ``--keep DIR`` the run also leaves every output (and each case's
+config) under DIR, one directory per case, so two trees' outputs can be
+compared value by value; without it only the hashes are kept.
 
 ``tests/test_golden.py`` runs the same configs and compares the hashes with
 ``tests/golden_outputs.json``.  A change that moves output bytes on purpose
@@ -21,6 +25,7 @@ the run happens.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import math
@@ -90,9 +95,17 @@ def run_cases(root: str) -> dict:
         os.chdir(here)
 
 
-def main() -> int:
-    with tempfile.TemporaryDirectory() as root:
-        record = {**environment(), "outputs": run_cases(root)}
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description="Rewrite the golden record.")
+    parser.add_argument("--keep", metavar="DIR",
+                        help="also write the outputs to DIR (made if missing)")
+    args = parser.parse_args(argv)
+    if args.keep is not None:
+        os.makedirs(args.keep, exist_ok=True)
+        if os.listdir(args.keep):
+            parser.error(f"--keep {args.keep}: the directory is not empty")
+    with tempfile.TemporaryDirectory() as scratch:
+        record = {**environment(), "outputs": run_cases(args.keep or scratch)}
     with open(RECORD, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -17,7 +17,6 @@ import pytest
 
 import kpblab.illposedness as illposedness
 from kpblab.illposedness import (
-    _BLOCK_NODES,
     IllposedResult,
     _k1_bounds,
     PhiHat,
@@ -31,10 +30,11 @@ from kpblab.illposedness import (
     scaling_study,
     second_iterate_hat,
     second_iterate_norm,
+    _chi_rows,
+    _kernel_factors,
     _midpoints,
-    _PHASE_ROWS,
-    _phase_rows,
-    _phase_side,
+    _phase_seeds,
+    _row_shape,
     _window_density,
 )
 from kpblab.norms import sobolev_norm
@@ -49,7 +49,7 @@ def P(xi, eta):
 
 def column_group(cells):
     """The columns _window_density takes through one run of its phase source."""
-    return max(1, _BLOCK_NODES // (_PHASE_ROWS * _phase_side(cells) * cells))
+    return _row_shape(cells)[1]
 
 
 def full_columns(pair, y_lo, y_hi):
@@ -474,6 +474,17 @@ def block_setup(N, cells, kind):
     return t, xi_nodes, x_lo, x_hi, eta_nodes, y_mid, wy, block
 
 
+def phase_rows(pair, step, cells):
+    """Copies of the rows of e^{ih} that _window_density makes from the seeds
+    in ``pair`` and ``step``: row p+1 = row p R_p, R_{p+1} = R_p S."""
+    phase, ratio = pair
+    for p in range(-(-cells // phase.shape[0])):
+        if p:
+            phase *= ratio
+            ratio *= step
+        yield phase.copy()
+
+
 class TestPhaseSource:
     """The quadrature's e^{ih}: built by products, checked node by node."""
 
@@ -482,16 +493,16 @@ class TestPhaseSource:
     @pytest.mark.parametrize("cells", [64, 67, 128])  # 128: the longest row recurrences
     def test_clipped_block_matches_direct_exponential(self, cells, N, kind):
         t, xi_nodes, x_lo, x_hi, eta_nodes, y_mid, wy, block = block_setup(N, cells, kind)
-        n_q = _phase_side(cells)
+        n_q = _row_shape(cells)[0]
         shape = (n_q, block.size, cells)
-        out = np.empty((_PHASE_ROWS,) + shape, dtype=complex)
-        ratio_buf, carry = np.empty((2,) + shape, dtype=complex)
+        pair, scratch = np.empty((2, 2) + shape, dtype=complex)
+        step = np.empty(shape[1:], dtype=complex)
         for i in (0, cells // 2, cells - 1):
             x = xi_nodes[i]
             x_mid, _ = _midpoints(x_lo[i], x_hi[i], cells)
-            rows = _phase_rows(out, ratio_buf, carry, t, x, x_mid, eta_nodes[block, None],
-                               y_mid[block, :1], wy[block, None])
-            got = np.concatenate([r.reshape(-1, block.size, cells).copy() for r in rows])
+            _phase_seeds(pair, scratch, step, t, x, x_mid, eta_nodes[block, None],
+                         y_mid[block, :1], wy[block, None])
+            got = np.concatenate(list(phase_rows(pair, step, cells)))
             chi = resonance_chi(x, x_mid, eta_nodes[block, None], y_mid[block].T[:, :, None])
             want = np.exp(0.5j * t * chi)
             np.testing.assert_allclose(got[:cells], want, rtol=0.0, atol=1e-12)
@@ -515,7 +526,65 @@ class TestPhaseSource:
         assert sum(evaluated) < cells ** 4 / 4
 
 
+class TestChiRows:
+    """The quadrature's chi / g: row 0 direct, then by row differences."""
+
+    @pytest.mark.parametrize("N", [16, 128])
+    @pytest.mark.parametrize("cells", [64, 67, 128])
+    def test_rows_match_resonance_chi(self, cells, N):
+        # Worst relative error over every xi row and column group: 2.8e-15
+        # (cells=64), 3.0e-15 (67) and 5.7e-15 (128), at N=16 and N=128.
+        t = float(N) ** -3.01
+        xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
+        xi_nodes, _ = _midpoints(np.float64(xi_lo), np.float64(xi_hi), cells)
+        eta_nodes, _ = _midpoints(np.float64(eta_lo), np.float64(eta_hi), cells)
+        x_lo, x_hi, y_lo, y_hi = _k1_bounds(rectangle_pair(N), xi_nodes, eta_nodes)
+        y_mid, wy = _midpoints(y_lo, y_hi, cells)
+        n_q, group = _row_shape(cells)
+        block = np.flatnonzero(y_lo < y_hi)[:group]
+        den = np.empty((n_q, block.size, cells), dtype=complex)
+        delta = np.empty(den.shape)
+        for i in (0, cells // 2, cells - 1):
+            x = xi_nodes[i]
+            x_mid, _ = _midpoints(x_lo[i], x_hi[i], cells)
+            g = _kernel_factors(t, x, x_mid)[0]
+            grow = _chi_rows(den, delta, x, x_mid, eta_nodes[block, None],
+                             y_mid[block, :n_q].T[:, :, None], wy[block, None], g)
+            rows = []
+            for p in range(-(-cells // n_q)):
+                if p:
+                    den.real += delta
+                    delta += grow
+                rows.append(den.real.copy())
+            want = resonance_chi(x, x_mid, eta_nodes[block, None],
+                                 y_mid[block].T[:, :, None]) / g
+            np.testing.assert_allclose(np.concatenate(rows)[:cells], want,
+                                       rtol=6e-15, atol=0.0)
+
+
 class TestQuadratureBuffers:
+    def test_each_row_is_one_kernel_call_over_every_column(self, monkeypatch):
+        # A row of eta1 nodes is one large call: every numpy call releases
+        # the interpreter lock to scaling_study's other thread.
+        cells = 64
+        shapes = []
+        kernel = illposedness._kernel
+
+        def spy(den, phase, out, r):
+            shapes.append(phase.shape)
+            return kernel(den, phase, out, r)
+
+        monkeypatch.setattr(illposedness, "_kernel", spy)
+        N = 16
+        _window_density(N, -0.7, float(N) ** -3.01, cells)
+        xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
+        xi_nodes, _ = _midpoints(np.float64(xi_lo), np.float64(xi_hi), cells)
+        eta_nodes, _ = _midpoints(np.float64(eta_lo), np.float64(eta_hi), cells)
+        x_lo, x_hi, y_lo, y_hi = _k1_bounds(rectangle_pair(N), xi_nodes, eta_nodes)
+        n_q = _row_shape(cells)[0]
+        rows = np.count_nonzero(x_lo < x_hi) * (cells // n_q)
+        assert shapes == [(n_q, np.count_nonzero(y_lo < y_hi), cells)] * rows
+
     def test_concurrent_calls_match_serial(self):
         # Each call owns its block buffers: two calls at once on two threads
         # (as scaling_study runs them) give the serial tables bit for bit.
@@ -534,11 +603,12 @@ class TestQuadratureBuffers:
 
     @pytest.mark.parametrize("cells, pin_mib", [(64, 1.78), (128, 2.12)])
     def test_peak_allocation_per_call(self, alloc_peak, cells, pin_mib):
-        # tracemalloc peak of one call at N=16, in MiB: 1.78 (cells=64) and
-        # 2.12 (cells=128) when every block allocated fresh temporaries;
-        # 1.78 and 2.27 with the per-call phase, denominator and scratch
-        # buffers and a fresh table E per row; 1.78 and 2.12 with E in a
-        # per-call buffer too.  The pin allows 10% over the last pair.
+        # tracemalloc peak of one call at N=16, in MiB: the pin allows 10%
+        # over 1.78 (cells=64) and 2.12 (cells=128), the peaks of the
+        # blocked kernel with per-call buffers.  The 32K-node blocks of
+        # the multiplicative phase source peaked at 1.88 and 1.91; the
+        # rows of 4 eta1 nodes, whose seeds are made in the row buffers,
+        # peak at 1.51 and 1.75.
         _, peak = alloc_peak(_window_density, 16, -0.7, 16.0 ** -3.01, cells)
         assert peak <= 1.1 * pin_mib * 2 ** 20
 

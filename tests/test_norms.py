@@ -624,6 +624,24 @@ class TestModeForm:
         with pytest.raises(ValueError, match="serves one transform"):
             WindowedPower.of_modes(form, dt)
 
+    def test_product_of_a_consumed_form_rejected(self, grid):
+        # the product would read u's tapered values: its norm moved by
+        # +5.6e-8 relative on two refine-1 free evolutions, with no error
+        rng = np.random.default_rng(0)
+        times, u = _free_modes(random_field(grid, rng), 4.0, 48)
+        v = _free_modes(random_field(grid, rng), 4.0, 48)[1]
+        WindowedPower.of_modes(u, float(times[1] - times[0]))
+        with pytest.raises(ValueError, match="serves one transform"):
+            dx_product(u, v)
+        with pytest.raises(ValueError, match="serves one transform"):
+            dx_product(v, u)
+
+    def test_expansion_of_a_consumed_form_rejected(self, grid):
+        times, form = _free_modes(random_field(grid, np.random.default_rng(0)), 4.0, 48)
+        WindowedPower.of_modes(form, float(times[1] - times[0]))
+        with pytest.raises(ValueError, match="serves one transform"):
+            form.expand()
+
     def test_product_of_forms_with_different_rows_rejected(self, grid):
         # a 1-row form would broadcast against the 49 rows of a free evolution
         u = _free_modes(random_field(grid, np.random.default_rng(0)), 4.0, 48)[1]
