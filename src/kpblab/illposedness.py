@@ -381,12 +381,12 @@ def _phase_seeds(pair, scratch, step, t, x, x_mid, eta, c0, dy) -> None:
     R_0 into pair[1] and the step S into ``step``, at the nodes (eta1, eta,
     xi1) of a group of outer-eta columns, with no sine or cosine per node.
 
-    ``eta``, ``c0`` and ``dy`` are (g, 1) columns: the eta1 nodes of
+    ``eta``, ``c0`` and ``dy`` are (n, 1) columns: the eta1 nodes of
     column b are c0[b] + j dy[b], j = Q p + q, q < Q, and row p holds
     q = 0 .. Q - 1.  ``x_mid`` holds the xi1 nodes of the outer xi ``x``.
-    ``pair`` is a complex (2, Q, g, cells) buffer, Q >= 3, ``step`` a
-    complex (g, cells) one, and ``scratch`` a complex buffer of at least
-    6 g cells values, which the call overwrites; the six seed phases are
+    ``pair`` is a complex (2, Q, n, cells) buffer, Q >= 3, ``step`` a
+    complex (n, cells) one, and ``scratch`` a complex buffer of at least
+    6 n cells values, which the call overwrites; the six seed phases are
     made in ``pair`` and their exponentials in ``scratch``.  Row p+1 is then
     row p times R_p, and R_{p+1} = R_p S: one complex multiply per node
     each.
@@ -446,8 +446,9 @@ def _chi_rows(den, delta, x, x_mid, eta, eta1, dy, g) -> np.ndarray:
     grows from one row to the next: the additive twin of
     :func:`_phase_seeds`, whose nodes it shares.
 
-    ``eta1`` holds row 0's eta1 nodes, (Q, g, 1), c0 = eta1[0]; ``den``
-    and ``delta`` are complex and float (Q, g, cells).  With w_j = u - v j,
+    ``eta1`` holds row 0's eta1 nodes, (Q, n, 1), c0 = eta1[0]; ``den``
+    and ``delta`` are complex and float (Q, n, cells), and ``g`` is the
+    kernel factor of :func:`_kernel_factors` at the xi1 nodes.  With w_j = u - v j,
     u = xi1 eta - xi c0 and v = xi dy, chi_j = 3 prod + w_j^2 / prod is a
     quadratic in j, so the difference of row p + 1 and row p,
 
@@ -493,11 +494,10 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     denominator's imaginary part is set once per group.  Every call
     releases the interpreter lock and lets scaling_study's other thread
     take it, so the calls are few and large.  On two threads of a 2-vCPU
-    Xeon a four-N sweep at cells=64 made about 6K-10K voluntary context
-    switches and cost 1.5-1.8 s of CPU (about 1.4-1.5 s on one thread).
-    The earlier 32K-node blocks of a quarter of the columns made about
-    20K and cost 2.5 s, and rows of 10K nodes (two groups per row at
-    cells=64) made 47K and cost 2.3 s, for the same one-thread CPU.
+    Xeon a four-N sweep at cells=64 made 4K-10K voluntary context
+    switches and cost 1.5-1.8 s of CPU (1.4-1.5 s on one thread); with
+    rows of 10K nodes (two groups per row at cells=64) it made 47K and
+    cost 2.3 s, for the same one-thread CPU.
 
     A row allocates nothing.  The call allocates its buffers once, each
     viewed in the shape of the group at hand: the phase row and row ratio

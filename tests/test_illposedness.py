@@ -603,12 +603,10 @@ class TestQuadratureBuffers:
 
     @pytest.mark.parametrize("cells, pin_mib", [(64, 1.78), (128, 2.12)])
     def test_peak_allocation_per_call(self, alloc_peak, cells, pin_mib):
-        # tracemalloc peak of one call at N=16, in MiB: the pin allows 10%
-        # over 1.78 (cells=64) and 2.12 (cells=128), the peaks of the
-        # blocked kernel with per-call buffers.  The 32K-node blocks of
-        # the multiplicative phase source peaked at 1.88 and 1.91; the
-        # rows of 4 eta1 nodes, whose seeds are made in the row buffers,
-        # peak at 1.51 and 1.75.
+        # tracemalloc peak of one call at N=16, in MiB: 1.51 (cells=64)
+        # and 1.75 (cells=128) with rows of 4 eta1 nodes, whose seeds are
+        # made in the row buffers.  The pin allows 10% over 1.78 and 2.12,
+        # the peaks when the per-call buffers were first pinned.
         _, peak = alloc_peak(_window_density, 16, -0.7, 16.0 ** -3.01, cells)
         assert peak <= 1.1 * pin_mib * 2 ** 20
 
