@@ -4,15 +4,17 @@ Subcommands ``solve``, ``illposed``, ``verify``, ``norms``, each taking
 ``--config <path>`` and ``--out <dir>`` (``--threads <n>`` optional; the
 ``illposed`` sweep fans out over that many threads).  Config files are flat
 JSON with a top-level ``command`` field that must match the subcommand; a
-key the subcommand does not read, at the top level or inside verify's
-``params``, is rejected.  ``_COMMANDS`` is the one table of the
-subcommands: each one's help text, its runner, and its config fields in
-check order, with their kinds and the defaults of the optional ones.
-Exit codes: 0 success, 2 config error (parse errors reported with line
-numbers, precondition violations named by field; the library checks its
-own preconditions, and ``run`` reports the ``ValueError`` it raises as a
-config error), 3 numerical failure (non-convergence where convergence was
-required, or a result that is not finite).
+key the subcommand does not read, at the top level, inside verify's
+``params`` or inside solve's ``phi_spec``, is rejected.  ``_COMMANDS`` is
+the one table of the subcommands: each one's help text, its runner, and
+its config fields in check order, with their kinds and the defaults of
+the optional ones.  Exit codes: 0 success, 2 config error (parse errors
+reported with line numbers, precondition violations named by field; the
+library checks its own preconditions, and ``run`` reports the
+``ValueError`` it raises as a config error, and a ``MemoryError`` as a run
+that needs more memory than the machine has), 3 numerical failure
+(non-convergence where convergence was required, or a result that is not
+finite).
 
 Outputs are deterministic for a fixed config: rows are computed from sorted
 sweep points, gathered from worker threads, and written in sorted order;
@@ -131,6 +133,7 @@ def _as_float(what: str, value) -> float:
 def _build_phi(spec: dict, grid: Grid2D) -> SpectralField:
     kind = spec.get("type")
     if kind == "phi_N":
+        _check_keys(spec, frozenset({"type", "N", "s"}), "phi_spec.")
         try:
             return build_phi_N(_as_float("phi_spec N", spec["N"]),
                                _as_float("phi_spec s", spec["s"]), grid)
@@ -139,6 +142,7 @@ def _build_phi(spec: dict, grid: Grid2D) -> SpectralField:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"phi_spec: {exc}") from exc
     if kind == "gaussian":
+        _check_keys(spec, frozenset({"type", "amplitude", "widths"}), "phi_spec.")
         try:
             amp = _as_float("phi_spec amplitude", spec["amplitude"])
             wx, wy = (_as_float(f"phi_spec widths[{i}]", w)
@@ -153,6 +157,7 @@ def _build_phi(spec: dict, grid: Grid2D) -> SpectralField:
                          - (grid.y[None, :] ** 2) / (2 * wy ** 2))
         return forward_transform(u, grid)
     if kind == "modes":
+        _check_keys(spec, frozenset({"type", "modes"}), "phi_spec.")
         entries = spec.get("modes")
         if not isinstance(entries, list) or not entries:
             raise ConfigError(
@@ -177,6 +182,7 @@ def _build_phi(spec: dict, grid: Grid2D) -> SpectralField:
             coeffs[-kx % grid.nx, -ky % grid.ny] = np.conj(value)
         return SpectralField(grid=grid, coeffs=coeffs)
     if kind == "zero":
+        _check_keys(spec, frozenset({"type"}), "phi_spec.")
         return SpectralField(grid=grid,
                              coeffs=np.zeros((grid.nx, grid.ny), dtype=complex))
     raise ConfigError(
@@ -440,6 +446,9 @@ def run(command: str, config_path: str, out_dir: str,
             header, rows, results = runner(parameters, threads, states_path)
         except ValueError as exc:  # a library precondition the config broke
             raise ConfigError(str(exc)) from exc
+        except MemoryError as exc:
+            raise ConfigError(
+                f"the run needs more memory than this machine has: {exc}") from exc
         manifest = _manifest(cfg, command, parameters, results)
         _write_outputs(out_dir, command, header, rows, manifest, states_path)
     finally:  # a failed run leaves no states file behind

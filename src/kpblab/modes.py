@@ -102,20 +102,11 @@ class ModeForm:
             t += len(block)
         return cls(grid, cols, colw, values)
 
-    def check_unconsumed(self) -> None:
-        """Raise ValueError if a transform has consumed the form:
-        ``WindowedPower.of_modes`` tapers the values in place and then
-        makes them read-only, so any later reading of them is refused."""
-        if not self.values.flags.writeable:
-            raise ValueError("the mode form's values are read-only: a mode form "
-                             "serves one transform, which tapers them in place")
-
     def expand(self, pos: np.ndarray | None = None) -> np.ndarray:
         """The field at the flat modes ``pos`` (default: every mode), of
         shape values.shape[:-1] + pos.shape: the values on ``cols``, their
         conjugates on the mirrors of the modes of weight 2, and +0.0
-        elsewhere.  A consumed form is a ValueError (``check_unconsumed``)."""
-        self.check_unconsumed()
+        elsewhere."""
         grid, cols, values = self.grid, self.cols, self.values
         k = cols.size
         source = np.full(grid.nx * grid.ny, 2 * k)  # a column of [values, conj, 0]

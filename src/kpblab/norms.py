@@ -96,11 +96,12 @@ def sobolev_norm(f: SpectralField, s1: float, s2: float) -> float:
 
 def taper_transform(columns: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(tau, uhat) for time samples ``columns`` of shape (n_t, n_cols), which
-    are tapered in place: tau the FFT bin frequencies and uhat =
-    dt * FFT_t(window * columns)."""
+    are left unchanged: tau the FFT bin frequencies and uhat =
+    dt * FFT_t(window * columns), transformed in place in a tapered copy of
+    the samples."""
     n_t = columns.shape[0]
-    columns *= time_window(n_t)[:, None]
-    uhat = np.fft.fft(columns, axis=0)
+    uhat = np.multiply(columns, time_window(n_t)[:, None], dtype=complex)
+    np.fft.fft(uhat, axis=0, out=uhat)
     uhat *= dt
     tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
     return tau, uhat
@@ -144,20 +145,16 @@ class WindowedPower:
     @classmethod
     def of_modes(cls, form: ModeForm, dt: float) -> WindowedPower:
         """The windowed power of the mode form ``form`` sampled every
-        ``dt``, whose time steps are counted first.  The transform consumes
-        the form: ``form.values`` is tapered in place and then made
-        read-only, so a second transform of the same form is a ValueError.
-        The complex transform is released once its squared modulus is
-        formed.
+        ``dt``, whose time steps are counted first.  The form is left
+        unchanged.  The complex transform is released once its squared
+        modulus is formed.
         """
         values = form.values
         if len(values) - 1 < MIN_STEPS:
             raise ValueError(
                 f"time-dependent norms need at least {MIN_STEPS} time steps, "
                 f"got {len(values) - 1}")
-        form.check_unconsumed()
         tau, uhat = taper_transform(values, dt)
-        values.flags.writeable = False
         power = np.abs(uhat)
         power **= 2
         return cls(form.grid, dt, len(values), tau, power, form.cols, form.colw)

@@ -50,7 +50,7 @@ def w_multiplier(P: np.ndarray, xi: np.ndarray, t: float | np.ndarray) -> np.nda
 def free_table(grid: Grid2D, t: float) -> PropagatorTable:
     """Multiplier table for the free group U(t): exp(i t P)."""
     t = float(t)
-    return PropagatorTable(t, np.exp(1j * t * dispersion_values(grid).values))
+    return PropagatorTable(t, w_multiplier(dispersion_values(grid).values, 0.0, t))
 
 
 def semigroup_table(grid: Grid2D, t: float) -> PropagatorTable:

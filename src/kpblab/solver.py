@@ -286,13 +286,10 @@ def dx_product(u: ModeForm, v: ModeForm) -> ModeForm:
     columns, weights and values are those ``select_columns`` gives the
     expanded product.  A product holding NaN, whose pairs are then not
     exact, is expanded and selected whole.  Forms on two grids, or with
-    different numbers of time rows, are a ValueError, and so is a form
-    that a transform has consumed (``ModeForm.check_unconsumed``).
+    different numbers of time rows, are a ValueError.
     """
     grid = u.grid
     n = len(u.values)
-    u.check_unconsumed()
-    v.check_unconsumed()
     if v.grid is not grid:
         raise ValueError("u and v must be mode forms on one grid")
     if len(v.values) != n:

@@ -153,7 +153,7 @@ def free_estimate_ratio(phi: SpectralField, b: float, s1: float, s2: float,
 def _y_norm(samples: np.ndarray, dt: float, xi: float, b: float) -> float:
     """Y^b_xi norm of a windowed time signal: weight (1 + tau^2 + xi^4)^b."""
     n = samples.size
-    tau, ghat = taper_transform(samples[:, None].copy(), dt)
+    tau, ghat = taper_transform(samples[:, None], dt)
     w = (1.0 + tau ** 2 + xi ** 4) ** b
     return math.sqrt(float(np.sum(w[:, None] * np.abs(ghat) ** 2)) / (n * dt))
 
@@ -234,8 +234,7 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
 
 def _bilinear_modes(dt: float, u: ModeForm, v: ModeForm,
                     s1: float, s2: float, delta: float, eps: float) -> float:
-    """``bilinear_ratio`` of the mode forms u and v sampled every ``dt``;
-    their values are tapered in place."""
+    """``bilinear_ratio`` of the mode forms u and v sampled every ``dt``."""
     prod = dx_product(u, v)
     numer = WindowedPower.of_modes(prod, dt).bourgain(
         -0.5 + delta, s1 - 2.0 * delta + eps, s2)

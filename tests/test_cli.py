@@ -231,6 +231,31 @@ class TestConfigErrors:
         assert "'params.refien'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("phi_spec, key", [
+        ({"type": "phi_N", "N": 8, "s": -0.7, "widths": [0.7, 0.7]}, "widths"),
+        ({"type": "gaussian", "amplitude": 0.05, "widths": [0.7, 0.7], "s": 0.0}, "s"),
+        ({"type": "modes", "modes": [[1, 1, 0.1, 0.0]], "amplitude": 1.0}, "amplitude"),
+        ({"type": "zero", "N": 5, "typo": 1}, "typo")],
+        ids=["phi_N", "gaussian", "modes", "zero"])
+    def test_unknown_phi_spec_key(self, tmp_path, capsys, phi_spec, key):
+        path = write_cfg(tmp_path, "c.json", solve_cfg(phi_spec=phi_spec))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", path, "--out", str(out)]) == 2
+        assert f"'phi_spec.{key}'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_run_past_the_address_space_is_config_error(self, tmp_path, capsys):
+        # 2**50 draws are 8 PiB, past any 47-bit address space, so the
+        # allocation fails at once whatever the overcommit setting
+        path = write_cfg(tmp_path, "c.json", {
+            "command": "illposed", "s": -0.7, "eps0": 0.01, "cells": 64,
+            "samples": 2 ** 50, "N_list": [8, 10, 12, 14]})
+        out = tmp_path / "out"
+        assert main(["illposed", "--config", path, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: the run needs more memory than this machine has")
+        assert not out.exists()
+
     @pytest.mark.parametrize("literal", [
         "NaN", "Infinity", "-Infinity", "1e400", "-1e400", "1e999",
         # past the float range, and past int()'s 4300-digit limit
