@@ -617,8 +617,7 @@ class TestModeForm:
     def test_transform_leaves_the_form_unchanged(self, grid):
         # a form may be transformed, expanded and multiplied in any order
         def form(seed):
-            rng = np.random.default_rng(seed)
-            return _free_modes(random_field(grid, rng), 4.0, 48)
+            return _free_modes(random_field(grid, np.random.default_rng(seed)), 4.0, 48)
 
         times, u = form(0)
         v = form(1)[1]
