@@ -25,8 +25,10 @@ has succeeded, so a failed run leaves no partial outputs.  The one
 exception is ``solve``'s ``states.npz`` (see ``kpblab.states``): it is
 streamed, one state at a time, into a temporary file, which is renamed
 into the output directory after the CSV and the manifest and removed if
-the run fails.  ``norms`` reads it back in blocks of time rows, so
-neither side holds a full trajectory.
+the run fails.  ``norms`` reads it back with ``states.read``, gathers its
+mode form (``ModeForm.gather``) from blocks of time rows, takes the three
+time-dependent norms from ``WindowedPower.of_modes`` and the Sobolev norm
+from the form's last row, so neither side holds a full trajectory.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ import numpy as np
 
 from . import TOLERANCES, __version__
 from .illposedness import build_phi_N, chi_bound_check, scaling_study
+from .modes import ModeForm
 from .norms import WindowedPower, sobolev_norm
-from .solver import Trajectory, solve_states
+from .solver import solve_states
 from .spectral_core import Grid2D, SpectralField, forward_transform, make_grid
 from .verify import run_suite
 
@@ -348,38 +351,23 @@ def _run_verify(p: dict, threads, states_path: str):
 
 # ---------------------------------------------------------------- norms
 
-@contextlib.contextmanager
-def _reading(input_path: str):
-    """Report a failure to read the norms input as a ConfigError naming it."""
+def _run_norms(p: dict, threads, states_path: str):
+    input_path, b, s1, s2 = p["input_path"], p["b"], p["s1"], p["s2"]
+    from . import states
     try:
-        yield
+        grid, times, dt, blocks = states.read(input_path)
+        form = ModeForm.gather(grid, times.size, blocks, complex)
+        power = WindowedPower.of_modes(form, dt)
     except OSError as exc:
         raise ConfigError(f"cannot read input_path {input_path!r}: {exc}") from exc
     except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"input_path {input_path!r}: {exc}") from exc
-
-
-def _run_norms(p: dict, threads, states_path: str):
-    input_path, b, s1, s2 = p["input_path"], p["b"], p["s1"], p["s2"]
-    from . import states
-    with _reading(input_path):
-        arrays, shape = states.read_header(
-            input_path, ("times", "nx", "ny", "Lx", "Ly", "dealias_fraction"))
-        grid = make_grid(int(arrays["nx"]), int(arrays["ny"]), float(arrays["Lx"]),
-                         float(arrays["Ly"]), float(arrays["dealias_fraction"]))
-        # A zero-stride stand-in of the stored shape: Trajectory checks the
-        # time grid and the shape, and WindowedPower.of reads the blocks.
-        traj = Trajectory(grid=grid, times=arrays["times"],
-                          coeffs=np.broadcast_to(np.complex128(0), shape))
-    last = np.empty((grid.nx, grid.ny), dtype=complex)
-    with _reading(input_path):
-        power = WindowedPower.of(
-            traj, lambda: states.coeff_blocks(input_path, shape, last))
+    last = ModeForm(grid, form.cols, form.colw, form.values[-1:]).expand()
 
     row = [b, s1, s2,
-           sobolev_norm(SpectralField(grid=grid, coeffs=last), s1, s2),
+           sobolev_norm(SpectralField(grid, last.reshape(grid.nx, grid.ny)), s1, s2),
            power.spacetime(b, s1, s2), power.bourgain(b, s1, s2), power.gap(b, s1, s2)]
-    p["n_times"], p["dt"] = traj.n_times, traj.dt
+    p["n_times"], p["dt"] = times.size, dt
     results = {"sobolev_final": row[3], "spacetime": row[4],
                "bourgain": row[5], "equivalence_gap": row[6]}
     header = ["b", "s1", "s2", "sobolev_final", "spacetime", "bourgain",

@@ -14,8 +14,10 @@ then the other occupied modes in flat order.
 
 ``ModeForm.gather`` selects (``select_columns``) and gathers in two passes
 over consecutive blocks of time rows: an in-memory trajectory is one
-block, and ``kpblab norms`` streams the blocks from ``states.npz``.
-``ModeForm.expand`` writes the field back at any flat modes.  The verify
+block, and ``kpblab norms`` streams the blocks that ``states.read``
+returns for ``states.npz``.  ``ModeForm.expand`` writes the field back at
+any flat modes; ``kpblab norms`` expands the last row of its form to take
+the final state's Sobolev norm.  The verify
 suites build their free evolutions and products as mode forms and never
 expand them to the whole grid.
 """

@@ -30,9 +30,11 @@ trajectories are exactly Hermitian, so they are transformed on their
 Hermitian half.
 
 A ``WindowedPower`` is the windowed transform's power of a mode form
-(``WindowedPower.of_modes``, or ``of`` for a trajectory), and its
-``spacetime``, ``bourgain`` and ``gap`` methods are the three
-time-dependent norms, so one transform serves all three.
+(``WindowedPower.of_modes``, or ``of`` for an in-memory trajectory), and
+its ``spacetime``, ``bourgain`` and ``gap`` methods are the three
+time-dependent norms, so one transform serves all three.  ``kpblab norms``
+gathers the form of a saved trajectory from ``states.npz`` and calls
+``of_modes``.
 ``spacetime_norm``, ``bourgain_norm`` and ``equivalence_gap`` are the
 methods on the power of one in-memory trajectory.
 """
@@ -132,14 +134,11 @@ class WindowedPower:
     colw: np.ndarray
 
     @classmethod
-    def of(cls, traj: Trajectory, blocks=None) -> WindowedPower:
-        """The windowed power of ``traj``'s mode form, gathered from the
-        blocks ``blocks()`` returns (``ModeForm.gather``); by default
-        ``traj.coeffs`` is the one block."""
-        if blocks is None:
-            flat = traj.coeffs.reshape(traj.n_times, -1)
-            blocks = lambda: (flat,)
-        form = ModeForm.gather(traj.grid, traj.n_times, blocks, traj.coeffs.dtype)
+    def of(cls, traj: Trajectory) -> WindowedPower:
+        """The windowed power of ``traj``'s mode form, gathered from
+        ``traj.coeffs`` as one block (``ModeForm.gather``)."""
+        flat = traj.coeffs.reshape(traj.n_times, -1)
+        form = ModeForm.gather(traj.grid, traj.n_times, lambda: (flat,), flat.dtype)
         return cls.of_modes(form, traj.dt)
 
     @classmethod

@@ -71,6 +71,21 @@ _MIN_SOLVE_STEPS = 8  # smallest M (time steps) of a solve
 PHI_SERIES_CUTOFF = 1e-2  # |z| below which phi1, phi2 use their Taylor series
 
 
+def time_step(times: np.ndarray) -> float:
+    """The step dt of the uniform time grid t_0 = 0 < ... < t_M in
+    ``times``; raises ``ValueError`` if ``times`` is not one."""
+    if times.ndim != 1 or times.size < 2:
+        raise ValueError("need at least two time samples")
+    if times[0] != 0.0:
+        raise ValueError("time grid must start at 0")
+    steps = np.diff(times)
+    if np.any(steps <= 0):
+        raise ValueError("times must be strictly increasing")
+    if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
+        raise ValueError("time grid must be uniform")
+    return float(times[1] - times[0])
+
+
 @dataclass(eq=False)
 class Trajectory:
     """States on a uniform time grid t_0 = 0 < ... < t_M = T.
@@ -84,15 +99,7 @@ class Trajectory:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.times.ndim != 1 or self.times.size < 2:
-            raise ValueError("need at least two time samples")
-        if self.times[0] != 0.0:
-            raise ValueError("time grid must start at 0")
-        steps = np.diff(self.times)
-        if np.any(steps <= 0):
-            raise ValueError("times must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-12, atol=0.0):
-            raise ValueError("time grid must be uniform")
+        time_step(self.times)
         expected = (self.times.size, self.grid.nx, self.grid.ny)
         if self.coeffs.shape != expected:
             raise ValueError(f"state array shape {self.coeffs.shape} != {expected}")

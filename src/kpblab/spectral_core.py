@@ -24,6 +24,7 @@ along every y line), which is what :func:`project_zero_x_mean` enforces.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +109,8 @@ def make_grid(nx: int, ny: int, Lx: float, Ly: float,
     Raises
     ------
     ValueError
-        If a mode count is odd or < 8, a box size is not positive, or the
-        dealias fraction is outside (0, 1].
+        If a mode count is odd or < 8, a box size is not positive and
+        finite, or the dealias fraction is outside (0, 1].
     """
     for name, n in (("nx", nx), ("ny", ny)):
         if n < 8:
@@ -117,8 +118,8 @@ def make_grid(nx: int, ny: int, Lx: float, Ly: float,
         if n % 2 != 0:
             raise ValueError(f"{name} must be even, got {n}")
     for name, L in (("Lx", Lx), ("Ly", Ly)):
-        if L <= 0:
-            raise ValueError(f"{name} must be positive, got {L}")
+        if not 0 < L < math.inf:  # written so that NaN fails too
+            raise ValueError(f"{name} must be positive and finite, got {L}")
     if not 0.0 < dealias_fraction <= 1.0:
         raise ValueError(f"dealias_fraction must be in (0, 1], got {dealias_fraction}")
 

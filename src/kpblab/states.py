@@ -5,7 +5,13 @@ The file is the one ``np.savez`` writes for the members ``times``,
 ``coeffs``, ``nx``, ``ny``, ``Lx``, ``Ly`` and ``dealias_fraction``, byte
 for byte.  ``coeffs`` is a C-order '<c16' array of shape
 (len(times), nx, ny); it is written one time row at a time, as the solver
-produces the states, and read back in blocks of whole time rows.  A
+produces the states, and read back in blocks of whole time rows.
+``read`` checks the rest before any row is read: ``nx`` and ``ny`` are
+integer scalars, ``times`` is a uniform grid from 0
+(``solver.time_step``), coeffs has shape (len(times), nx, ny), and the
+box and the dealias fraction make a grid (``make_grid``).  It returns the
+grid, the times, their step and the source of the blocks, which
+``kpblab norms`` gathers into a mode form (``ModeForm.gather``).  A
 ``coeffs`` of another dtype, order or format version, or one whose data
 is shorter or longer than its shape, raises ``ValueError``; zipfile
 raises ``BadZipFile`` on a CRC mismatch, which every read pass checks.
@@ -19,7 +25,8 @@ import zipfile
 
 import numpy as np
 
-from .solver import check_memory
+from .solver import check_memory, time_step
+from .spectral_core import make_grid
 
 _READ_BLOCK = 2 ** 18  # bytes of coeffs.npy read at a time (whole rows)
 
@@ -63,22 +70,35 @@ def _coeffs_shape(fid) -> tuple:
     return shape
 
 
-def read_header(path: str, names) -> tuple[dict, tuple]:
-    """({name: array} of the small members ``names``, the shape of coeffs)."""
+def read(path: str):
+    """(grid, times, dt, blocks) of the file at ``path``, checked as the
+    module docstring says; each call of ``blocks()`` reads the time rows of
+    coeffs anew (``_coeff_blocks``)."""
     with zipfile.ZipFile(path) as archive:
-        arrays = {}
-        for name in names:
+        def member(name):
             with archive.open(name + ".npy") as fid:
-                arrays[name] = np.lib.format.read_array(fid, allow_pickle=False)
+                return np.lib.format.read_array(fid, allow_pickle=False)
+        times, nx, ny, Lx, Ly, fraction = map(
+            member, ("times", "nx", "ny", "Lx", "Ly", "dealias_fraction"))
         with archive.open("coeffs.npy") as fid:
-            return arrays, _coeffs_shape(fid)
+            shape = _coeffs_shape(fid)
+    for name, n in (("nx", nx), ("ny", ny)):
+        if n.ndim != 0 or n.dtype.kind not in "iu":
+            raise ValueError(
+                f"{name} must be an integer scalar, got a {n.dtype.str!r} "
+                f"array of shape {n.shape}")
+    dt = time_step(times)
+    if shape != (times.size, int(nx), int(ny)):
+        raise ValueError(f"coeffs has shape {shape}, not (len(times), nx, ny) = "
+                         f"{(times.size, int(nx), int(ny))}")
+    grid = make_grid(int(nx), int(ny), float(Lx), float(Ly), float(fraction))
+    return grid, times, dt, lambda: _coeff_blocks(path, shape)
 
 
-def coeff_blocks(path: str, shape: tuple, last: np.ndarray):
-    """Yield the time rows of coeffs, of ``shape``, as blocks (n, nx * ny)
-    of whole rows and at most ``_READ_BLOCK`` bytes, and copy the last row
-    into ``last``.  The member is read to its end, so zipfile checks its
-    CRC."""
+def _coeff_blocks(path: str, shape: tuple):
+    """The time rows of coeffs, of ``shape``, as blocks (n, nx * ny) of
+    whole rows and at most ``_READ_BLOCK`` bytes.  The member is read to
+    its end, so zipfile checks its CRC."""
     n_t, nx, ny = shape
     row = nx * ny * 16
     step = max(1, _READ_BLOCK // row)
@@ -91,8 +111,6 @@ def coeff_blocks(path: str, shape: tuple, last: np.ndarray):
             if len(data) != size:
                 raise ValueError(
                     f"coeffs.npy ends inside time row {t + len(data) // row} of {n_t}")
-            block = np.frombuffer(data, dtype="<c16").reshape(-1, nx * ny)
-            yield block
+            yield np.frombuffer(data, dtype="<c16").reshape(-1, nx * ny)
         if fid.read(1):
             raise ValueError(f"coeffs.npy holds more data than its shape {shape}")
-    last[...] = block[-1].reshape(nx, ny)

@@ -521,10 +521,13 @@ class TestSolveNormsRoundTrip:
 
     @pytest.mark.parametrize("case", [
         "complex64", "float64", "big_endian", "fortran", "shape", "times",
-        "truncated", "trailing", "corrupt", "no_coeffs"])
+        "truncated", "trailing", "corrupt", "no_coeffs", "nan_box", "nx_float",
+        "nx_string", "ny_vector", "nonuniform", "late_start"])
     def test_norms_input_contract(self, tmp_path, capsys, case):
         # norms streams C-order '<c16' coeffs of shape (len(times), nx, ny),
-        # exactly what solve writes; anything else is a config error
+        # on a uniform time grid from 0 and a grid of integer scalars nx, ny
+        # and a finite box, exactly what solve writes; anything else is a
+        # config error
         times = np.linspace(0.0, 1.0, 17)
         coeffs = np.zeros((17, 8, 8), complex)
         coeffs[:, 1, 2] = coeffs[:, -1, -2] = 1.0
@@ -546,6 +549,17 @@ class TestSolveNormsRoundTrip:
             arrays["times"] = np.linspace(0.0, 1.0, 18)
         elif case == "no_coeffs":
             del arrays["coeffs"]
+        elif case == "nan_box":
+            arrays["Lx"] = math.nan
+        elif case in ("nx_float", "nx_string", "ny_vector"):
+            arrays.update({"nx_float": {"nx": 8.7}, "nx_string": {"nx": "8"},
+                           "ny_vector": {"ny": np.array([8])}}[case])
+        elif case in ("nonuniform", "late_start"):
+            arrays["times"] = times.copy()
+            if case == "nonuniform":
+                arrays["times"][5] += 1e-3
+            else:
+                arrays["times"] += 0.5
         if case in ("truncated", "trailing"):
             data = io.BytesIO()
             np.lib.format.write_array(data, coeffs)
@@ -621,15 +635,26 @@ class TestStreamedStates:
         l2 = np.array([float(row[2]) for row in read_csv(out / "solve.csv")[1:]])
         assert l2.tobytes() == solver.l2_history(traj).tobytes()
 
-    @pytest.mark.parametrize("case", ["solver", "inexact_pair"])
+    @pytest.mark.parametrize("case", ["solver", "inexact_pair", "signed_zeros"])
     def test_norms_equal_library_bitwise(self, tmp_path, fft_columns, case):
+        # sobolev_final comes from the last row of the mode form, expanded
         traj = self.library_solve("picard")
+        coeffs = traj.coeffs.copy()
         if case == "inexact_pair":  # one ulp off the conjugate of its mirror
-            coeffs = traj.coeffs.copy()
             at = (7, 3, -2 % traj.grid.ny)
             assert coeffs[at] != 0
             coeffs[at] = np.nextafter(coeffs[at].real, np.inf) + 1j * coeffs[at].imag
-            traj = solver.Trajectory(grid=traj.grid, times=traj.times, coeffs=coeffs)
+        elif case == "signed_zeros":
+            # -0.0 on every mode the form leaves out (expand writes +0.0
+            # there), and one occupied pair exactly 0 in the last row only
+            unoccupied = ~np.any(coeffs, axis=0)
+            assert unoccupied.any()
+            coeffs[:, unoccupied] = complex(-0.0, -0.0)
+            nx, ny = traj.grid.nx, traj.grid.ny
+            for kx, ky in ((3, ny - 2), (nx - 3, 2)):  # a conjugate pair
+                assert np.all(coeffs[:-1, kx, ky] != 0)
+                coeffs[-1, kx, ky] = 0.0
+        traj = solver.Trajectory(grid=traj.grid, times=traj.times, coeffs=coeffs)
         self.savez(tmp_path / "states.npz", traj)
         out = tmp_path / "out"
         fft_columns.clear()
@@ -868,6 +893,7 @@ class TestPublicPath:
         "__init__ -> verify",
         "cli -> __init__",
         "cli -> illposedness",
+        "cli -> modes",
         "cli -> norms",
         "cli -> solver",
         "cli -> spectral_core",
@@ -883,6 +909,7 @@ class TestPublicPath:
         "solver -> semigroup",
         "solver -> spectral_core",
         "states -> solver",
+        "states -> spectral_core",
         "verify -> modes",
         "verify -> norms",
         "verify -> semigroup",

@@ -508,9 +508,9 @@ class TestHermitianHalf:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_row_blocks_match_one_block(self, fft_columns, seed):
-        # the windowed power of a trajectory read in blocks of time rows, as
-        # `kpblab norms` reads states.npz, equals the one-block power bit for
-        # bit: the same columns, weights and values
+        # the windowed power of a mode form gathered from blocks of time rows,
+        # as `kpblab norms` gathers states.npz, equals the one-block power bit
+        # for bit: the same columns, weights and values
         rng = np.random.default_rng(seed)
         traj = self.free_pair(make_grid(16, 12, np.pi, np.pi), seed)[0]
         coeffs = traj.coeffs.copy()
@@ -528,7 +528,8 @@ class TestHermitianHalf:
         for step in (1, 5, traj.n_times - 1):
             def blocks():
                 return (flat[t:t + step] for t in range(0, traj.n_times, step))
-            got = WindowedPower.of(traj, blocks)
+            form = ModeForm.gather(traj.grid, traj.n_times, blocks, flat.dtype)
+            got = WindowedPower.of_modes(form, traj.dt)
             for name in ("tau", "power", "cols", "colw"):
                 a, b = getattr(got, name), getattr(whole, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -70,7 +70,8 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(bad[0], bad[1], np.pi, np.pi)
 
-    @pytest.mark.parametrize("Lx,Ly", [(0.0, 1.0), (1.0, -2.0)])
+    @pytest.mark.parametrize("Lx,Ly", [(0.0, 1.0), (1.0, -2.0), (np.nan, 1.0),
+                                       (1.0, np.inf)])
     def test_nonpositive_box_rejected(self, Lx, Ly):
         with pytest.raises(ValueError):
             make_grid(8, 8, Lx, Ly)
