@@ -20,7 +20,6 @@ __version__ = "0.1.0"
 from .spectral_core import (
     Grid2D,
     SpectralField,
-    DispersionSymbol,
     make_grid,
     forward_transform,
     inverse_transform,
@@ -31,7 +30,6 @@ from .spectral_core import (
     l2_norm,
 )
 from .semigroup import (
-    PropagatorTable,
     free_table,
     semigroup_table,
     heat_table,
@@ -93,10 +91,10 @@ TOLERANCES = {
 
 __all__ = [
     "__version__", "TOLERANCES",
-    "Grid2D", "SpectralField", "DispersionSymbol", "make_grid",
+    "Grid2D", "SpectralField", "make_grid",
     "forward_transform", "inverse_transform", "dealias",
     "project_zero_x_mean", "dispersion_values", "is_kp_admissible", "l2_norm",
-    "PropagatorTable", "free_table", "semigroup_table", "heat_table",
+    "free_table", "semigroup_table", "heat_table",
     "apply_U", "apply_W", "apply_heat",
     "Trajectory", "PicardReport", "nonlinearity", "picard_step",
     "solve_states", "solve_picard", "solve_etd", "l2_history",

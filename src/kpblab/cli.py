@@ -25,8 +25,9 @@ has succeeded, so a failed run leaves no partial outputs.  The one
 exception is ``solve``'s ``states.npz`` (see ``kpblab.states``): it is
 streamed, one state at a time, into a temporary file, which is renamed
 into the output directory after the CSV and the manifest and removed if
-the run fails.  ``norms`` reads it back with ``states.read``, gathers its
-mode form (``ModeForm.gather``) from blocks of time rows, takes the three
+the run fails.  ``norms`` reads it back with ``states.read``, refuses
+too few time steps (``check_steps``) before it reads any coeffs, gathers
+its mode form (``ModeForm.gather``) from blocks of time rows, takes the three
 time-dependent norms from ``WindowedPower.of_modes`` and the Sobolev norm
 from the form's last row, so neither side holds a full trajectory.
 """
@@ -48,7 +49,7 @@ import numpy as np
 from . import TOLERANCES, __version__
 from .illposedness import build_phi_N, chi_bound_check, scaling_study
 from .modes import ModeForm
-from .norms import WindowedPower, sobolev_norm
+from .norms import WindowedPower, check_steps, sobolev_norm
 from .solver import solve_states
 from .spectral_core import Grid2D, SpectralField, forward_transform, make_grid
 from .verify import run_suite
@@ -356,6 +357,7 @@ def _run_norms(p: dict, threads, states_path: str):
     from . import states
     try:
         grid, times, dt, blocks = states.read(input_path)
+        check_steps(times.size)
         form = ModeForm.gather(grid, times.size, blocks, complex)
         power = WindowedPower.of_modes(form, dt)
     except OSError as exc:

@@ -83,6 +83,15 @@ def time_window(n: int) -> np.ndarray:
     return w
 
 
+def check_steps(n_times: int) -> None:
+    """Raise ``ValueError`` unless ``n_times`` samples make the ``MIN_STEPS``
+    time steps that every time-dependent norm needs."""
+    if n_times - 1 < MIN_STEPS:
+        raise ValueError(
+            f"time-dependent norms need at least {MIN_STEPS} time steps, "
+            f"got {n_times - 1}")
+
+
 def sobolev_weight(grid, s1: float, s2: float) -> np.ndarray:
     wx = (1.0 + grid.xi ** 2) ** s1
     wy = (1.0 + grid.eta ** 2) ** s2
@@ -144,15 +153,12 @@ class WindowedPower:
     @classmethod
     def of_modes(cls, form: ModeForm, dt: float) -> WindowedPower:
         """The windowed power of the mode form ``form`` sampled every
-        ``dt``, whose time steps are counted first.  The form is left
+        ``dt``, whose time steps are counted first (``check_steps``).  The form is left
         unchanged.  The complex transform is released once its squared
         modulus is formed.
         """
         values = form.values
-        if len(values) - 1 < MIN_STEPS:
-            raise ValueError(
-                f"time-dependent norms need at least {MIN_STEPS} time steps, "
-                f"got {len(values) - 1}")
+        check_steps(len(values))
         tau, uhat = taper_transform(values, dt)
         power = np.abs(uhat)
         power **= 2
@@ -172,7 +178,7 @@ class WindowedPower:
     def _wrapped_sigma(self) -> np.ndarray:
         """sigma = tau - P(nu) on the modes ``cols``, reduced into the
         principal tau band [-pi/dt, pi/dt)."""
-        P = _on_modes(dispersion_values(self.grid).values, self.grid, self.cols)
+        P = _on_modes(dispersion_values(self.grid), self.grid, self.cols)
         sigma = self.tau[:, None] - P[None, :]
         half_band = np.pi / self.dt
         sigma += half_band

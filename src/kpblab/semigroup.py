@@ -4,7 +4,7 @@ U(t) multiplies each mode by exp(i t P(xi, eta)) and is unitary on L^2.
 W(t) multiplies by exp(i t P(xi, eta) - xi^2 |t|); the |t| in the damping
 extends the semigroup to negative times as a contraction in both directions.
 
-Each table is computed on request and is read-only.
+Each table is a read-only (nx, ny) array, computed on request.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import numpy as np
 from .spectral_core import Grid2D, SpectralField, dispersion_values, is_kp_admissible
 
 __all__ = [
-    "PropagatorTable",
     "free_table",
     "semigroup_table",
     "heat_table",
@@ -24,17 +23,6 @@ __all__ = [
 ]
 
 ADMISSIBLE_TOL = 1e-10
-
-
-class PropagatorTable:
-    """Per-mode multiplier table for one propagator at one time (read-only)."""
-
-    __slots__ = ("t", "factors")
-
-    def __init__(self, t: float, factors: np.ndarray):
-        factors.setflags(write=False)
-        self.t = t
-        self.factors = factors
 
 
 def w_multiplier(P: np.ndarray, xi: np.ndarray, t: float | np.ndarray) -> np.ndarray:
@@ -47,24 +35,24 @@ def w_multiplier(P: np.ndarray, xi: np.ndarray, t: float | np.ndarray) -> np.nda
     return np.exp(1j * t * P - xi ** 2 * abs(t))
 
 
-def free_table(grid: Grid2D, t: float) -> PropagatorTable:
+def free_table(grid: Grid2D, t: float) -> np.ndarray:
     """Multiplier table for the free group U(t): exp(i t P)."""
-    t = float(t)
-    return PropagatorTable(t, w_multiplier(dispersion_values(grid).values, 0.0, t))
+    table = w_multiplier(dispersion_values(grid), 0.0, float(t))
+    table.setflags(write=False)
+    return table
 
 
-def semigroup_table(grid: Grid2D, t: float) -> PropagatorTable:
+def semigroup_table(grid: Grid2D, t: float) -> np.ndarray:
     """Multiplier table for W(t): exp(i t P - xi^2 |t|)."""
-    t = float(t)
-    P = dispersion_values(grid).values
-    return PropagatorTable(t, w_multiplier(P, grid.xi[:, None], t))
+    table = w_multiplier(dispersion_values(grid), grid.xi[:, None], float(t))
+    table.setflags(write=False)
+    return table
 
 
-def heat_table(grid: Grid2D, t: float) -> PropagatorTable:
+def heat_table(grid: Grid2D, t: float) -> np.ndarray:
     """Multiplier table for the damping factor exp(-xi^2 |t|)."""
-    t = float(t)
-    column = np.exp(-(grid.xi ** 2)[:, None] * abs(t))
-    return PropagatorTable(t, np.broadcast_to(column, (grid.nx, grid.ny)))
+    column = np.exp(-(grid.xi ** 2)[:, None] * abs(float(t)))
+    return np.broadcast_to(column, (grid.nx, grid.ny))
 
 
 def _require_admissible(f: SpectralField, op: str) -> None:
@@ -77,16 +65,16 @@ def _require_admissible(f: SpectralField, op: str) -> None:
 def apply_U(f: SpectralField, t: float) -> SpectralField:
     """Apply the free group U(t).  Preserves the L^2 norm."""
     _require_admissible(f, "apply_U")
-    return SpectralField(grid=f.grid, coeffs=f.coeffs * free_table(f.grid, t).factors)
+    return SpectralField(grid=f.grid, coeffs=f.coeffs * free_table(f.grid, t))
 
 
 def apply_W(f: SpectralField, t: float) -> SpectralField:
     """Apply the dissipative semigroup W(t) (|t| damping for t < 0)."""
     _require_admissible(f, "apply_W")
-    return SpectralField(grid=f.grid, coeffs=f.coeffs * semigroup_table(f.grid, t).factors)
+    return SpectralField(grid=f.grid, coeffs=f.coeffs * semigroup_table(f.grid, t))
 
 
 def apply_heat(f: SpectralField, t: float) -> SpectralField:
     """Apply only the damping factor exp(-xi^2 |t|)."""
     _require_admissible(f, "apply_heat")
-    return SpectralField(grid=f.grid, coeffs=f.coeffs * heat_table(f.grid, t).factors)
+    return SpectralField(grid=f.grid, coeffs=f.coeffs * heat_table(f.grid, t))

@@ -337,7 +337,7 @@ def _picard_tables(phi: SpectralField, times: np.ndarray, rows: np.ndarray,
     """The per-solve invariants of a Picard update, on a band: W(t_k) phi
     for every k, the one-step factor W(dt), and ``_dx_table``."""
     grid = phi.grid
-    P = dispersion_values(grid).values[rows, :cols]
+    P = dispersion_values(grid)[rows, :cols]
     xi = grid.xi[rows, None]
     phi_c = _prepared_data(phi, rows, cols)
     w_phi = np.empty((times.size,) + phi_c.shape, dtype=complex)
@@ -574,24 +574,18 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
     return _collect(phi, T, M, "picard", tol=tol, max_iter=max_iter)
 
 
-def _phi1(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1)/z with a series branch near 0 to avoid cancellation."""
+def _phis(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(phi1(z), phi2(z)) = ((e^z - 1)/z, (e^z - 1 - z)/z^2), each with a
+    Taylor series branch near 0 to avoid cancellation."""
     small = np.abs(z) < PHI_SERIES_CUTOFF
     zs = np.where(small, z, 0.0)
-    series = 1.0 + zs / 2 + zs ** 2 / 6 + zs ** 3 / 24 + zs ** 4 / 120 + zs ** 5 / 720
     zb = np.where(small, 1.0, z)
-    direct = (np.exp(zb) - 1.0) / zb
-    return np.where(small, series, direct)
-
-
-def _phi2(z: np.ndarray) -> np.ndarray:
-    """(e^z - 1 - z)/z^2 with a series branch near 0."""
-    small = np.abs(z) < PHI_SERIES_CUTOFF
-    zs = np.where(small, z, 0.0)
-    series = 0.5 + zs / 6 + zs ** 2 / 24 + zs ** 3 / 120 + zs ** 4 / 720 + zs ** 5 / 5040
-    zb = np.where(small, 1.0, z)
-    direct = (np.exp(zb) - 1.0 - zb) / zb ** 2
-    return np.where(small, series, direct)
+    e1 = np.exp(zb) - 1.0
+    phi1 = np.where(small, 1.0 + zs / 2 + zs ** 2 / 6 + zs ** 3 / 24 + zs ** 4 / 120
+                    + zs ** 5 / 720, e1 / zb)
+    phi2 = np.where(small, 0.5 + zs / 6 + zs ** 2 / 24 + zs ** 3 / 120 + zs ** 4 / 720
+                    + zs ** 5 / 5040, (e1 - zb) / zb ** 2)
+    return phi1, phi2
 
 
 def _etd_states(phi: SpectralField, times: np.ndarray):
@@ -604,12 +598,12 @@ def _etd_states(phi: SpectralField, times: np.ndarray):
     grid = phi.grid
     dt = float(times[1])
     rows, cols = _band(grid)
-    P = dispersion_values(grid).values[rows, :cols]
+    P = dispersion_values(grid)[rows, :cols]
     xi = grid.xi[rows, None]
     L = 1j * P - xi ** 2
     E = w_multiplier(P, xi, dt)
-    f1 = dt * _phi1(dt * L)
-    f2 = dt * _phi2(dt * L)
+    phi1, phi2 = _phis(dt * L)
+    f1, f2 = dt * phi1, dt * phi2
     table = _dx_table(grid, rows, cols)
 
     def rhs(c: np.ndarray) -> np.ndarray:

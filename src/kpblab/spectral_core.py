@@ -20,6 +20,8 @@ the plain Riemann sum for the continuum Fourier integral at that mode, i.e.
 The KP symbol P(xi, eta) = xi^3 - eta^2/xi is singular on the line xi = 0;
 fields evolved by it must have that line projected to zero (zero mean in x
 along every y line), which is what :func:`project_zero_x_mean` enforces.
+:func:`dispersion_values` tabulates P as a read-only (nx, ny) array with 0
+on that line.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ import numpy as np
 __all__ = [
     "Grid2D",
     "SpectralField",
-    "DispersionSymbol",
     "make_grid",
     "forward_transform",
     "inverse_transform",
@@ -158,14 +159,6 @@ class SpectralField:
                 f"coefficient shape {self.coeffs.shape} does not match grid {expected}")
 
 
-@dataclass(frozen=True, eq=False)
-class DispersionSymbol:
-    """Per-mode table of P(xi, eta) = xi^3 - eta^2/xi, with 0 on the xi=0 line."""
-
-    grid: Grid2D
-    values: np.ndarray
-
-
 def forward_transform(u_phys: np.ndarray, grid: Grid2D) -> SpectralField:
     """Transform a real sample array to spectral coefficients."""
     if u_phys.shape != (grid.nx, grid.ny):
@@ -228,8 +221,9 @@ def symbol(xi, eta):
     return xi ** 3 - eta ** 2 / xi
 
 
-def dispersion_values(grid: Grid2D) -> DispersionSymbol:
-    """Tabulate P(xi, eta) = xi^3 - eta^2/xi per mode, storing 0 at xi = 0.
+def dispersion_values(grid: Grid2D) -> np.ndarray:
+    """The read-only (nx, ny) table of P(xi, eta) = xi^3 - eta^2/xi per
+    mode, with 0 at xi = 0.
 
     Modes on the xi = 0 line are projected out before any use of the symbol,
     so the stored placeholder never influences an admissible field.
@@ -238,7 +232,7 @@ def dispersion_values(grid: Grid2D) -> DispersionSymbol:
     nonzero = xi != 0.0
     values = np.where(nonzero, symbol(np.where(nonzero, xi, 1.0), grid.eta[None, :]), 0.0)
     values.setflags(write=False)
-    return DispersionSymbol(grid=grid, values=values)
+    return values
 
 
 def l2_norm(f: SpectralField) -> float:

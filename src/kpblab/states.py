@@ -7,9 +7,10 @@ for byte.  ``coeffs`` is a C-order '<c16' array of shape
 (len(times), nx, ny); it is written one time row at a time, as the solver
 produces the states, and read back in blocks of whole time rows.
 ``read`` checks the rest before any row is read: ``nx`` and ``ny`` are
-integer scalars, ``times`` is a uniform grid from 0
-(``solver.time_step``), coeffs has shape (len(times), nx, ny), and the
-box and the dealias fraction make a grid (``make_grid``).  It returns the
+integer scalars, ``Lx``, ``Ly`` and ``dealias_fraction`` real ones,
+``times`` is a uniform grid from 0 (``solver.time_step``), coeffs has
+shape (len(times), nx, ny), and the box and the dealias fraction make a
+grid (``make_grid``).  It returns the
 grid, the times, their step and the source of the blocks, which
 ``kpblab norms`` gathers into a mode form (``ModeForm.gather``).  A
 ``coeffs`` of another dtype, order or format version, or one whose data
@@ -82,11 +83,12 @@ def read(path: str):
             member, ("times", "nx", "ny", "Lx", "Ly", "dealias_fraction"))
         with archive.open("coeffs.npy") as fid:
             shape = _coeffs_shape(fid)
-    for name, n in (("nx", nx), ("ny", ny)):
-        if n.ndim != 0 or n.dtype.kind not in "iu":
+    for name, value, kinds in (("nx", nx, "iu"), ("ny", ny, "iu"), ("Lx", Lx, "iuf"),
+                               ("Ly", Ly, "iuf"), ("dealias_fraction", fraction, "iuf")):
+        if value.ndim != 0 or value.dtype.kind not in kinds:
             raise ValueError(
-                f"{name} must be an integer scalar, got a {n.dtype.str!r} "
-                f"array of shape {n.shape}")
+                f"{name} must be {'an integer' if kinds == 'iu' else 'a real'} scalar, "
+                f"got a {value.dtype.str!r} array of shape {value.shape}")
     dt = time_step(times)
     if shape != (times.size, int(nx), int(ny)):
         raise ValueError(f"coeffs has shape {shape}, not (len(times), nx, ny) = "

@@ -116,7 +116,7 @@ def _free_modes(phi: SpectralField, T: float, M: int,
     amp = psi_cutoff(shifted) if cutoff else 1.0
     coeffs = phi.coeffs.reshape(1, -1)
     cols, colw = select_columns(grid, (coeffs,))
-    P = dispersion_values(grid).values.reshape(-1)[cols]
+    P = dispersion_values(grid).reshape(-1)[cols]
     xi = grid.xi[cols // grid.ny]
     values = amp * w_multiplier(P, xi, shifted) * coeffs[0, cols]
     return times, ModeForm(grid, cols, colw, values)
@@ -223,7 +223,7 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
         raise ValueError(f"s2 must be >= 0, got {s2}")
     if not 0.0 < eps <= delta / 10.0:
         raise ValueError(f"eps must be in (0, delta/10], got {eps}")
-    if u.grid is not v.grid or u.n_times != v.n_times:
+    if u.grid is not v.grid or not np.array_equal(u.times, v.times):
         raise ValueError("u and v must share grid and time grid")
     forms = []
     for traj in (u, v):

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 import kpblab
-from kpblab import cli, illposedness, norms, semigroup, solver, spectral_core
+from kpblab import cli, illposedness, modes, norms, semigroup, solver, spectral_core, verify
 from kpblab.cli import main
 
 
@@ -522,12 +522,13 @@ class TestSolveNormsRoundTrip:
     @pytest.mark.parametrize("case", [
         "complex64", "float64", "big_endian", "fortran", "shape", "times",
         "truncated", "trailing", "corrupt", "no_coeffs", "nan_box", "nx_float",
-        "nx_string", "ny_vector", "nonuniform", "late_start"])
+        "nx_string", "ny_vector", "nonuniform", "late_start", "lx_string",
+        "fraction_string", "ly_vector", "lx_bool"])
     def test_norms_input_contract(self, tmp_path, capsys, case):
         # norms streams C-order '<c16' coeffs of shape (len(times), nx, ny),
-        # on a uniform time grid from 0 and a grid of integer scalars nx, ny
-        # and a finite box, exactly what solve writes; anything else is a
-        # config error
+        # on a uniform time grid from 0, a grid of integer scalars nx, ny,
+        # a finite box and real scalars Lx, Ly and dealias_fraction, exactly
+        # what solve writes; anything else is a config error
         times = np.linspace(0.0, 1.0, 17)
         coeffs = np.zeros((17, 8, 8), complex)
         coeffs[:, 1, 2] = coeffs[:, -1, -2] = 1.0
@@ -551,9 +552,14 @@ class TestSolveNormsRoundTrip:
             del arrays["coeffs"]
         elif case == "nan_box":
             arrays["Lx"] = math.nan
-        elif case in ("nx_float", "nx_string", "ny_vector"):
+        elif case in ("nx_float", "nx_string", "ny_vector", "lx_string",
+                      "fraction_string", "ly_vector", "lx_bool"):
             arrays.update({"nx_float": {"nx": 8.7}, "nx_string": {"nx": "8"},
-                           "ny_vector": {"ny": np.array([8])}}[case])
+                           "ny_vector": {"ny": np.array([8])},
+                           "lx_string": {"Lx": "1.0"},
+                           "fraction_string": {"dealias_fraction": "0.5"},
+                           "ly_vector": {"Ly": np.array([1.0])},
+                           "lx_bool": {"Lx": True}}[case])
         elif case in ("nonuniform", "late_start"):
             arrays["times"] = times.copy()
             if case == "nonuniform":
@@ -599,6 +605,27 @@ class TestSolveNormsRoundTrip:
         rc = main(["norms", "--config", ncfg, "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "16" in capsys.readouterr().err
+
+    def test_short_trajectory_rejected_before_coeffs_are_read(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # 11 samples are 10 time steps: refused from len(times) alone
+        from kpblab import states
+        times = np.linspace(0.0, 1.0, 11)
+        coeffs = np.zeros((11, 8, 8), complex)
+        coeffs[:, 1, 2] = coeffs[:, -1, -2] = 1.0
+        path = tmp_path / "input.npz"
+        np.savez(path, times=times, coeffs=coeffs, nx=8, ny=8, Lx=1.0, Ly=1.0,
+                 dealias_fraction=2.0 / 3.0)
+        passes = []
+        blocks = states._coeff_blocks
+        monkeypatch.setattr(states, "_coeff_blocks",
+                            lambda *args: passes.append(args) or blocks(*args))
+        rc = main(["norms", "--config", norms_cfg(tmp_path, path),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2 and passes == []
+        err = capsys.readouterr().err
+        assert "input_path" in err
+        assert "time-dependent norms need at least 16 time steps, got 10" in err
 
 
 class TestStreamedStates:
@@ -981,7 +1008,8 @@ class TestPublicPath:
         for module, name in [(solver, "solve_states"), (norms, "WindowedPower")]:
             assert name in module.__all__ and name in kpblab.__all__
             assert getattr(kpblab, name) is getattr(module, name)
-        for module in (kpblab, spectral_core, semigroup, solver, norms, illposedness):
+        for module in (kpblab, spectral_core, semigroup, solver, norms, illposedness,
+                       modes, verify, cli):
             missing = [name for name in module.__all__ if not hasattr(module, name)]
             assert missing == [], module.__name__
 

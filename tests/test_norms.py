@@ -60,7 +60,7 @@ def single_mode(grid, kx, ky, value=1.0):
 
 def free_W_trajectory(phi, T, M):
     times = np.linspace(0.0, T, M + 1)
-    coeffs = np.array([semigroup_table(phi.grid, float(t)).factors * phi.coeffs
+    coeffs = np.array([semigroup_table(phi.grid, float(t)) * phi.coeffs
                        for t in times])
     return Trajectory(grid=phi.grid, times=times, coeffs=coeffs)
 
@@ -199,7 +199,7 @@ class TestBourgainNorm:
         phi = random_field(grid, np.random.default_rng(9), decay=2)
         times = np.linspace(0.0, 2.0, 33)
         free = Trajectory(grid=grid, times=times,
-                          coeffs=np.array([free_table(grid, float(t)).factors * phi.coeffs
+                          coeffs=np.array([free_table(grid, float(t)) * phi.coeffs
                                            for t in times]))
         static = Trajectory(grid=grid, times=times,
                             coeffs=np.repeat(phi.coeffs[None], 33, axis=0))
@@ -214,7 +214,7 @@ class TestBourgainNorm:
         mask = np.abs(grid.kx_int) <= 2
         phi_low = SpectralField(grid=grid, coeffs=np.where(mask[:, None], phi.coeffs, 0))
         free_low = Trajectory(grid=grid, times=times,
-                              coeffs=np.array([free_table(grid, float(t)).factors * phi_low.coeffs
+                              coeffs=np.array([free_table(grid, float(t)) * phi_low.coeffs
                                                for t in times]))
         static_low = Trajectory(grid=grid, times=times,
                                 coeffs=np.repeat(phi_low.coeffs[None], 33, axis=0))
@@ -257,7 +257,7 @@ class TestEquivalenceGap:
         phi = random_field(grid, np.random.default_rng(5), decay=2)
         times = np.linspace(0.0, 2.0, 33)
         traj = Trajectory(grid=grid, times=times,
-                          coeffs=np.array([free_table(grid, float(t)).factors * phi.coeffs
+                          coeffs=np.array([free_table(grid, float(t)) * phi.coeffs
                                            for t in times]))
         bn = bourgain_norm(traj, 0.5, -0.3, 0.0)
         sn = spacetime_norm(traj, 0.0, -0.3 + 1.0, 0.0)
@@ -271,7 +271,7 @@ def dense_norms(traj, b, s1, s2):
     uhat = dt * np.fft.fft(time_window(n_t)[:, None, None] * traj.coeffs, axis=0)
     tau = (2.0 * np.pi * np.fft.fftfreq(n_t, d=dt))[:, None, None]
     half_band = np.pi / dt
-    sigma = np.mod(tau - dispersion_values(grid).values[None] + half_band,
+    sigma = np.mod(tau - dispersion_values(grid)[None] + half_band,
                    2.0 * half_band) - half_band
     xi2 = (grid.xi ** 2)[None, :, None]
     ws = sobolev_weight(grid, s1, s2)[None]

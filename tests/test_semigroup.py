@@ -86,12 +86,12 @@ class TestFreeGroup:
 
     def test_table_factors_unimodular(self, grid):
         tab = free_table(grid, 5.0)
-        assert np.max(np.abs(np.abs(tab.factors) - 1.0)) < 1e-13
+        assert np.max(np.abs(np.abs(tab) - 1.0)) < 1e-13
 
     def test_table_matches_symbol(self, grid):
-        P = dispersion_values(grid).values
+        P = dispersion_values(grid)
         tab = free_table(grid, 0.9)
-        assert np.max(np.abs(tab.factors - np.exp(1j * 0.9 * P))) < 1e-13
+        assert np.max(np.abs(tab - np.exp(1j * 0.9 * P))) < 1e-13
 
 
 class TestDissipativeSemigroup:
@@ -140,7 +140,7 @@ class TestDissipativeSemigroup:
     def test_heat_table_is_gaussian_in_xi(self, grid):
         tab = heat_table(grid, 0.4)
         expect = np.exp(-0.4 * grid.xi[:, None] ** 2) * np.ones(grid.ny)[None, :]
-        assert np.max(np.abs(tab.factors - expect)) < 1e-13
+        assert np.max(np.abs(tab - expect)) < 1e-13
 
     def test_smoothing_norm_bounded_under_refinement(self):
         # band-limited datum embedded identically on two grids; the gained
@@ -176,6 +176,7 @@ class TestGuards:
 
 class TestCaching:
     def test_factors_read_only(self, grid):
-        tab = semigroup_table(grid, 0.1)
-        with pytest.raises(ValueError):
-            tab.factors[0, 0] = 0.0
+        tables = [table(grid, 0.1) for table in (free_table, semigroup_table, heat_table)]
+        for tab in tables + [dispersion_values(grid)]:
+            with pytest.raises(ValueError):
+                tab[0, 0] = 0.0

@@ -233,7 +233,7 @@ class TestProjection:
 class TestDispersionSymbol:
     def test_point_values(self):
         g = make_grid(16, 16, np.pi, np.pi)
-        P = dispersion_values(g).values
+        P = dispersion_values(g)
         assert P[idx(g, 1, 0)] == pytest.approx(1.0)          # 1 - 0
         assert P[idx(g, 1, 1)] == pytest.approx(0.0, abs=0)   # 1 - 1
         assert P[idx(g, 2, 3)] == pytest.approx(3.5)          # 8 - 9/2
@@ -241,19 +241,19 @@ class TestDispersionSymbol:
 
     def test_zero_on_xi_zero_line(self):
         g = make_grid(16, 16, np.pi, np.pi)
-        P = dispersion_values(g).values
+        P = dispersion_values(g)
         assert np.all(P[0, :] == 0.0)
 
     def test_odd_under_full_reflection(self):
         g = make_grid(16, 16, 1.3, 0.7)
-        P = dispersion_values(g).values
+        P = dispersion_values(g)
         for kx in range(-7, 8):
             for ky in range(-7, 8):
                 assert P[idx(g, -kx, -ky)] == pytest.approx(-P[idx(g, kx, ky)], abs=1e-12)
 
     def test_values_match_formula(self):
         g = make_grid(16, 32, 2.0, 5.0)
-        P = dispersion_values(g).values
+        P = dispersion_values(g)
         for kx in (1, 3, -5):
             for ky in (0, 2, -9):
                 xi = np.pi / 2.0 * kx

@@ -125,7 +125,7 @@ class TestFreeTrajectory:
         traj = free_trajectory(phi, T=4.0, M=40, cutoff=True)
         for k, t in enumerate(traj.times):
             shifted = float(t) - 2.0
-            expect = psi_cutoff(shifted) * semigroup_table(grid, shifted).factors * phi.coeffs
+            expect = psi_cutoff(shifted) * semigroup_table(grid, shifted) * phi.coeffs
             np.testing.assert_array_equal(traj.coeffs[k], expect)
 
     def test_zero_modes_stay_zero(self, grid):
@@ -138,7 +138,7 @@ class TestFreeTrajectory:
         phi = random_field(grid, np.random.default_rng(2), decay=1)
         traj = free_trajectory(phi, T=2.0, M=16, cutoff=False)
         for k, t in enumerate(traj.times):
-            expect = semigroup_table(grid, float(t) - 1.0).factors * phi.coeffs
+            expect = semigroup_table(grid, float(t) - 1.0) * phi.coeffs
             assert np.max(np.abs(traj.coeffs[k] - expect)) < 1e-13
 
 
@@ -264,6 +264,15 @@ class TestBilinearRatio:
             bilinear_ratio(u, u, 0.0, 0.0, 0.3, 0.005)     # delta too large
         with pytest.raises(ValueError):
             bilinear_ratio(u, u, 0.0, 0.0, 0.05, 0.2)      # eps >= delta
+
+    def test_time_grids_must_match(self, grid):
+        # same grid and sample count, but dt 1/12 against 10/12
+        rng = np.random.default_rng(7)
+        u = free_trajectory(random_field(grid, rng), 4.0, 48)
+        v = free_trajectory(random_field(grid, rng), 40.0, 48)
+        assert u.n_times == v.n_times
+        with pytest.raises(ValueError, match="time grid"):
+            bilinear_ratio(u, v, 0.0, 0.0, 0.05, 0.005)
 
     def test_frozen_regression_single_mode(self, grid):
         coeffs = np.zeros((32, 32), complex)
