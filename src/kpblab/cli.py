@@ -27,9 +27,10 @@ streamed, one state at a time, into a temporary file, which is renamed
 into the output directory after the CSV and the manifest and removed if
 the run fails.  ``norms`` reads it back with ``states.read``, refuses
 too few time steps (``check_steps``) before it reads any coeffs, gathers
-its mode form (``ModeForm.gather``) from blocks of time rows, takes the three
-time-dependent norms from ``WindowedPower.of_modes`` and the Sobolev norm
-from the form's last row, so neither side holds a full trajectory.
+its mode form (``ModeForm.gather``) from blocks of time rows, takes the
+three time-dependent norms from ``WindowedPower.of_modes`` and the
+Sobolev norm from the form's last row, so neither side holds a full
+trajectory.
 """
 
 from __future__ import annotations

@@ -153,9 +153,9 @@ class WindowedPower:
     @classmethod
     def of_modes(cls, form: ModeForm, dt: float) -> WindowedPower:
         """The windowed power of the mode form ``form`` sampled every
-        ``dt``, whose time steps are counted first (``check_steps``).  The form is left
-        unchanged.  The complex transform is released once its squared
-        modulus is formed.
+        ``dt``, whose time steps are counted first (``check_steps``).  The
+        form is left unchanged.  The complex transform is released once
+        its squared modulus is formed.
         """
         values = form.values
         check_steps(len(values))

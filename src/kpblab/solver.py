@@ -602,8 +602,7 @@ def _etd_states(phi: SpectralField, times: np.ndarray):
     xi = grid.xi[rows, None]
     L = 1j * P - xi ** 2
     E = w_multiplier(P, xi, dt)
-    phi1, phi2 = _phis(dt * L)
-    f1, f2 = dt * phi1, dt * phi2
+    f1, f2 = (dt * phi for phi in _phis(dt * L))
     table = _dx_table(grid, rows, cols)
 
     def rhs(c: np.ndarray) -> np.ndarray:

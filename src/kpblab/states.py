@@ -10,9 +10,9 @@ produces the states, and read back in blocks of whole time rows.
 integer scalars, ``Lx``, ``Ly`` and ``dealias_fraction`` real ones,
 ``times`` is a uniform grid from 0 (``solver.time_step``), coeffs has
 shape (len(times), nx, ny), and the box and the dealias fraction make a
-grid (``make_grid``).  It returns the
-grid, the times, their step and the source of the blocks, which
-``kpblab norms`` gathers into a mode form (``ModeForm.gather``).  A
+grid (``make_grid``).  It returns the grid, the times, their step and the
+source of the blocks, which ``kpblab norms`` gathers into a mode form
+(``ModeForm.gather``).  A
 ``coeffs`` of another dtype, order or format version, or one whose data
 is shorter or longer than its shape, raises ``ValueError``; zipfile
 raises ``BadZipFile`` on a CRC mismatch, which every read pass checks.
