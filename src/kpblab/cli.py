@@ -28,9 +28,9 @@ into the output directory after the CSV and the manifest and removed if
 the run fails.  ``norms`` reads it back with ``states.read``, refuses
 too few time steps (``check_steps``) before it reads any coeffs, gathers
 its mode form (``ModeForm.gather``) from blocks of time rows, takes the
-three time-dependent norms from ``WindowedPower.of_modes`` and the
-Sobolev norm from the form's last row, so neither side holds a full
-trajectory.
+Sobolev norm from the form's last row and then the three time-dependent
+norms from ``WindowedPower.of_modes``, which keeps only the form's
+power, so neither side holds a full trajectory.
 """
 
 from __future__ import annotations
@@ -360,15 +360,19 @@ def _run_norms(p: dict, threads, states_path: str):
         grid, times, dt, blocks = states.read(input_path)
         check_steps(times.size)
         form = ModeForm.gather(grid, times.size, blocks, complex)
-        power = WindowedPower.of_modes(form, dt)
     except OSError as exc:
         raise ConfigError(f"cannot read input_path {input_path!r}: {exc}") from exc
     except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
         raise ConfigError(f"input_path {input_path!r}: {exc}") from exc
+    # the final state's norm first, so that the form can go once it is
+    # transformed: the three time-dependent norms read only its power
     last = ModeForm(grid, form.cols, form.colw, form.values[-1:]).expand()
+    sobolev_final = sobolev_norm(SpectralField(grid, last.reshape(grid.nx, grid.ny)),
+                                 s1, s2)
+    power = WindowedPower.of_modes(form, dt)
+    del form, last
 
-    row = [b, s1, s2,
-           sobolev_norm(SpectralField(grid, last.reshape(grid.nx, grid.ny)), s1, s2),
+    row = [b, s1, s2, sobolev_final,
            power.spacetime(b, s1, s2), power.bourgain(b, s1, s2), power.gap(b, s1, s2)]
     p["n_times"], p["dt"] = times.size, dt
     results = {"sobolev_final": row[3], "spacetime": row[4],

@@ -60,6 +60,7 @@ __all__ = [
 
 MIN_STEPS = 16
 TAPER_FRACTION = 0.2  # total cosine fraction; 10% at each end
+_TRANSFORM_BLOCK = 2 ** 20  # bytes of tapered samples transformed at a time
 
 
 def time_window(n: int) -> np.ndarray:
@@ -105,17 +106,22 @@ def sobolev_norm(f: SpectralField, s1: float, s2: float) -> float:
     return float(np.sqrt(total))
 
 
+def _bin_frequencies(n_t: int, dt: float) -> np.ndarray:
+    """tau, the FFT bin frequencies of ``n_t`` samples ``dt`` apart."""
+    return 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
+
+
 def taper_transform(columns: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(tau, uhat) for time samples ``columns`` of shape (n_t, n_cols), which
     are left unchanged: tau the FFT bin frequencies and uhat =
     dt * FFT_t(window * columns), transformed in place in a tapered copy of
-    the samples."""
+    the samples.  Each column gets its own 1-D transform, so a block of
+    columns transforms bit for bit as it does among all of them."""
     n_t = columns.shape[0]
     uhat = np.multiply(columns, time_window(n_t)[:, None], dtype=complex)
     np.fft.fft(uhat, axis=0, out=uhat)
     uhat *= dt
-    tau = 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
-    return tau, uhat
+    return _bin_frequencies(n_t, dt), uhat
 
 
 def _on_modes(table: np.ndarray, grid, cols: np.ndarray) -> np.ndarray:
@@ -154,15 +160,23 @@ class WindowedPower:
     def of_modes(cls, form: ModeForm, dt: float) -> WindowedPower:
         """The windowed power of the mode form ``form`` sampled every
         ``dt``, whose time steps are counted first (``check_steps``).  The
-        form is left unchanged.  The complex transform is released once
-        its squared modulus is formed.
+        form is left unchanged.  ``power`` is allocated once, and blocks of
+        about ``_TRANSFORM_BLOCK`` bytes of columns are tapered and
+        transformed (``taper_transform``) one at a time, each squared
+        modulus written straight into ``power``; so no complex copy of the
+        whole form is made, and the bits are those of one block.
         """
         values = form.values
-        check_steps(len(values))
-        tau, uhat = taper_transform(values, dt)
-        power = np.abs(uhat)
-        power **= 2
-        return cls(form.grid, dt, len(values), tau, power, form.cols, form.colw)
+        n_t = len(values)
+        check_steps(n_t)
+        power = np.empty(values.shape)
+        step = max(1, _TRANSFORM_BLOCK // (16 * n_t))
+        for start in range(0, values.shape[1], step):
+            block = power[:, start:start + step]
+            np.abs(taper_transform(values[:, start:start + step], dt)[1], out=block)
+            block **= 2
+        return cls(form.grid, dt, n_t, _bin_frequencies(n_t, dt), power,
+                   form.cols, form.colw)
 
     def _sobolev(self, s1: float, s2: float) -> np.ndarray:
         """The H^{s1,s2} weight on the modes ``cols``, times ``colw``."""

@@ -35,11 +35,12 @@ as mode forms (``modes.ModeForm``), as ``verify`` keeps them;
 ``solve_states`` is the one path from a datum to the states of either
 integrator, one full state at a time with its L^2 norm; ``solve_picard``
 and ``solve_etd`` collect them into a ``Trajectory``.  A Picard solve
-holds three band trajectories while it iterates (the W(t_k) phi table
-and two iterates) and one after; an ETD stream holds one band state; a
-collector adds one full (M+1, nx, ny) trajectory.  Whatever keeps a
-trajectory estimates its bytes before allocating anything and raises
-``ValueError`` when they exceed the machine's physical memory.
+holds two band trajectories while it iterates (the W(t_k) phi table and
+the one iterate, updated in place) and one after; an ETD stream holds
+one band state; a collector adds one full (M+1, nx, ny) trajectory.
+Whatever keeps a trajectory estimates its bytes before allocating
+anything and raises ``ValueError`` when they exceed the machine's
+physical memory.
 """
 
 from __future__ import annotations
@@ -348,26 +349,34 @@ def _picard_tables(phi: SpectralField, times: np.ndarray, rows: np.ndarray,
     return w_phi, w_dt, _dx_table(grid, rows, cols)
 
 
-def _picard_update(prev: np.ndarray, out: np.ndarray, grid: Grid2D, dt: float,
-                   w_phi: np.ndarray, w_dt: np.ndarray, rows: np.ndarray,
-                   table: np.ndarray, g_0: np.ndarray) -> None:
-    """Write into ``out`` the Picard update of the iterate ``prev`` on the
-    band ``rows``, given g_0 = d/dx(prev[0]^2), which is left unchanged."""
-    out[0] = w_phi[0]
+def _picard_update(it: np.ndarray, grid: Grid2D, dt: float, w_phi: np.ndarray,
+                   w_dt: np.ndarray, rows: np.ndarray, table: np.ndarray,
+                   g_0: np.ndarray, change: _BandEnergy | None = None) -> None:
+    """Replace the iterate ``it`` on the band ``rows`` by its Picard update,
+    one row at a time, given g_0 = d/dx(it[0]^2).  Row k's g_k is formed
+    from its old value before the new one is written.  ``change``, if
+    given, is fed each row's change, old minus new."""
     g_prev = g_0
     acc = np.zeros_like(w_phi[0])
     tmp = np.empty_like(acc)
-    for k in range(1, len(prev)):
-        g_k = _nonlin(prev[k], grid, rows, table)
-        # acc = W(dt) acc + (dt/2) (W(dt) g_{k-1} + g_k), in place
-        acc *= w_dt
-        np.multiply(g_prev, w_dt, out=tmp)
-        tmp += g_k
-        tmp *= 0.5 * dt
-        acc += tmp
-        np.multiply(acc, 0.5, out=tmp)
-        np.subtract(w_phi[k], tmp, out=out[k])
-        g_prev = g_k
+    for k in range(len(it)):
+        if k == 0:
+            np.copyto(tmp, w_phi[0])
+        else:
+            g_k = _nonlin(it[k], grid, rows, table)
+            # acc = W(dt) acc + (dt/2) (W(dt) g_{k-1} + g_k), in place
+            acc *= w_dt
+            np.multiply(g_prev, w_dt, out=tmp)
+            tmp += g_k
+            tmp *= 0.5 * dt
+            acc += tmp
+            np.multiply(acc, 0.5, out=tmp)
+            np.subtract(w_phi[k], tmp, out=tmp)  # the new row
+            g_prev = g_k
+        if change is not None:
+            it[k] -= tmp
+            change.add(k, it[k])
+        it[k] = tmp
 
 
 def picard_step(prev: Trajectory, phi: SpectralField) -> Trajectory:
@@ -382,17 +391,17 @@ def picard_step(prev: Trajectory, phi: SpectralField) -> Trajectory:
     grid = prev.grid
     rows, cols = _whole(grid)  # prev need not be band-limited
     w_phi, w_dt, table = _picard_tables(phi, prev.times, rows, cols)
-    half = prev.coeffs[..., :cols]
-    out = np.empty_like(w_phi)
-    _picard_update(half, out, grid, prev.dt, w_phi, w_dt, rows, table,
-                   _nonlin(half[0], grid, rows, table))
+    out = np.array(prev.coeffs[..., :cols], dtype=complex)
+    _picard_update(out, grid, prev.dt, w_phi, w_dt, rows, table,
+                   _nonlin(out[0], grid, rows, table))
     return Trajectory(grid=grid, times=prev.times,
                       coeffs=_full(out, rows, (grid.nx, grid.ny)))
 
 
-def _band_energy(states: np.ndarray, rows: np.ndarray, grid: Grid2D) -> np.ndarray:
-    """Per-state sum of |c|^2 over the full spectra behind band states
-    (K, len(rows), C), bit for bit as of all K in one batch.
+class _BandEnergy:
+    """Per-state sums of |c|^2 over the full spectra behind n band states
+    (len(rows), C), given in order to ``add``; ``energy`` holds them, bit
+    for bit as of all n in one batch.
 
     The states go two at a time into a two-row half-spectrum batch that is
     zero off the band, weighted 1 in the ky = 0 and Nyquist columns and 2
@@ -401,17 +410,21 @@ def _band_energy(states: np.ndarray, rows: np.ndarray, grid: Grid2D) -> np.ndarr
     ``solve_states``).  After an odd count the second row holds a stale
     state whose energy is dropped.
     """
-    half = np.zeros((2, grid.nx, grid.ny // 2 + 1), dtype=complex)
-    v = half.view(np.float64)
-    weights = np.full(v.shape[-1], 2.0)
-    weights[:2] = weights[-2:] = 1.0
-    cols = states.shape[-1]
-    energy = np.empty(len(states))
-    for k in range(0, len(states), 2):
-        pair = states[k:k + 2]
-        half[:len(pair), rows, :cols] = pair
-        energy[k:k + 2] = np.einsum("kij,kij,j->k", v, v, weights)[:len(pair)]
-    return energy
+
+    def __init__(self, grid: Grid2D, rows: np.ndarray, n: int) -> None:
+        self.rows = rows
+        self.half = np.zeros((2, grid.nx, grid.ny // 2 + 1), dtype=complex)
+        self.weights = np.full(2 * self.half.shape[-1], 2.0)
+        self.weights[:2] = self.weights[-2:] = 1.0
+        self.energy = np.empty(n)
+
+    def add(self, k: int, state: np.ndarray) -> None:
+        """Take state k, after states 0 .. k-1."""
+        self.half[k % 2, self.rows, :state.shape[-1]] = state
+        if k % 2 or k == len(self.energy) - 1:
+            v = self.half.view(np.float64)
+            sums = np.einsum("kij,kij,j->k", v, v, self.weights)
+            self.energy[k - k % 2:k + 1] = sums[:k % 2 + 1]
 
 
 def _l2_rows(coeffs: np.ndarray, cell_measure: float) -> np.ndarray:
@@ -462,8 +475,12 @@ def check_memory(solver: str, grid: Grid2D, M: int, band_tables: int,
 def _picard_band(phi: SpectralField, times: np.ndarray, tol: float,
                  max_iter: int) -> tuple[np.ndarray, PicardReport]:
     """(last iterate on the solver band, report) of the Picard solve of
-    ``solve_picard`` on the time grid ``times``.  The W(t_k) phi table and
-    the other iterate are released on return."""
+    ``solve_picard`` on the time grid ``times``.
+
+    The solve holds two band trajectories: the W(t_k) phi table, which is
+    released on return, and the one iterate, which each update overwrites
+    row by row (``_picard_update``).  The residual is the largest L^2 norm
+    of a state's change, summed as each row is replaced."""
     if not tol > 0:  # written so that NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
     if max_iter < 1:
@@ -472,8 +489,6 @@ def _picard_band(phi: SpectralField, times: np.ndarray, tol: float,
     dt = float(times[1] - times[0])
     rows, cols = _band(grid)
     w_phi, w_dt, table = _picard_tables(phi, times, rows, cols)
-    prev = np.zeros_like(w_phi)
-    nxt = np.empty_like(w_phi)
     report = PicardReport(iterations=0)
     history = report.residual_history
     with np.errstate(over="ignore", invalid="ignore"):
@@ -481,14 +496,16 @@ def _picard_band(phi: SpectralField, times: np.ndarray, tol: float,
         # g_0 = d/dx(phi^2).
         g_0 = _nonlin(w_phi[0], grid, rows, table)
         for _ in range(max_iter):
+            change = _BandEnergy(grid, rows, len(times))
             if report.iterations == 0:
-                nxt[...] = w_phi  # d/dx(0^2) = 0: the update of the zero start
+                # d/dx(0^2) = 0: the update of the zero start is W(t_k) phi,
+                # and its change 0 - W(t_k) phi squares like W(t_k) phi
+                it = w_phi.copy()
+                for k, row in enumerate(it):
+                    change.add(k, row)
             else:
-                _picard_update(prev, nxt, grid, dt, w_phi, w_dt, rows, table, g_0)
-            prev -= nxt  # prev is free now: it holds the difference
-            energy = _band_energy(prev, rows, grid)
-            res = float(np.sqrt(np.max(energy * grid.cell_measure)))
-            prev, nxt = nxt, prev
+                _picard_update(it, grid, dt, w_phi, w_dt, rows, table, g_0, change)
+            res = float(np.sqrt(np.max(change.energy * grid.cell_measure)))
             report.iterations += 1
             history.append(res)
             if not math.isfinite(res):
@@ -500,7 +517,7 @@ def _picard_band(phi: SpectralField, times: np.ndarray, tol: float,
             else:
                 continue
             break
-    return prev, report
+    return it, report
 
 
 def solve_states(phi: SpectralField, T: float, M: int, integrator: str = "picard",
@@ -516,16 +533,16 @@ def solve_states(phi: SpectralField, T: float, M: int, integrator: str = "picard
     longer one in chunks, and only the batch keeps ``l2_history``'s
     summation order, so the norms equal it bit for bit.
 
-    ``"picard"`` iterates before this returns and keeps only the last band
-    iterate; ``report`` is its ``PicardReport``.  ``"etd"`` steps as the
-    states are drawn and stops after the first one that is not finite;
-    ``report`` is None, and ``tol`` and ``max_iter`` are unread.  The
-    arguments and a Picard solve's memory estimate are checked before
-    anything is allocated.
+    ``"picard"`` iterates before this returns, on two band tables (see
+    ``_picard_band``), and keeps only the last band iterate; ``report`` is
+    its ``PicardReport``.  ``"etd"`` steps as the states are drawn and
+    stops after the first one that is not finite; ``report`` is None, and
+    ``tol`` and ``max_iter`` are unread.  The arguments and a Picard
+    solve's memory estimate are checked before anything is allocated.
     """
     grid = phi.grid
     if integrator == "picard":
-        check_memory(integrator, grid, M, band_tables=3, full_tables=0)
+        check_memory(integrator, grid, M, band_tables=2, full_tables=0)
     elif integrator != "etd":
         raise ValueError(f"integrator must be picard or etd, got {integrator!r}")
     times = _time_grid(T, M)
@@ -550,7 +567,7 @@ def _collect(phi: SpectralField, T: float, M: int, integrator: str,
     """(``solve_states`` collected into a ``Trajectory``, NaN after an early
     ETD stop; its report).  What the solve keeps is checked to fit first."""
     grid = phi.grid
-    band_tables = 3 if integrator == "picard" else 0
+    band_tables = 2 if integrator == "picard" else 0
     check_memory(f"solve_{integrator}", grid, M, band_tables, full_tables=1)
     times, report, states = solve_states(phi, T, M, integrator, **options)
     out = np.empty((times.size, grid.nx, grid.ny), dtype=complex)
@@ -566,10 +583,10 @@ def solve_picard(phi: SpectralField, T: float, M: int, tol: float = 1e-10,
     L^2 difference of successive iterates drops below ``tol``.
 
     The output collects ``solve_states``: it is allocated after the
-    W(t_k) phi table and the spare iterate are released.  Non-convergence
-    is reported, not raised: the iteration also ends, unconverged, at the
-    first residual that is not finite or that is larger than the one
-    before it (``PicardReport.stop_reason``).
+    W(t_k) phi table is released.  Non-convergence is reported, not
+    raised: the iteration also ends, unconverged, at the first residual
+    that is not finite or that is larger than the one before it
+    (``PicardReport.stop_reason``).
     """
     return _collect(phi, T, M, "picard", tol=tol, max_iter=max_iter)
 

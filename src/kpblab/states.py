@@ -29,7 +29,7 @@ import numpy as np
 from .solver import check_memory, time_step
 from .spectral_core import make_grid
 
-_READ_BLOCK = 2 ** 18  # bytes of coeffs.npy read at a time (whole rows)
+_READ_BLOCK = 2 ** 18  # bytes of coeffs.npy read at a time: whole rows, one if larger
 
 
 def check_fits(grid, M: int) -> None:
@@ -99,8 +99,9 @@ def read(path: str):
 
 def _coeff_blocks(path: str, shape: tuple):
     """The time rows of coeffs, of ``shape``, as blocks (n, nx * ny) of
-    whole rows and at most ``_READ_BLOCK`` bytes.  The member is read to
-    its end, so zipfile checks its CRC."""
+    whole rows: as many as fit in ``_READ_BLOCK`` bytes, or one row where
+    a row is larger (at 256^2 a row is 1 MiB, so each block is one row).
+    The member is read to its end, so zipfile checks its CRC."""
     n_t, nx, ny = shape
     row = nx * ny * 16
     step = max(1, _READ_BLOCK // row)

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import kpblab.norms as norms_module
 from kpblab.modes import ModeForm, select_columns
 from kpblab.norms import (
     WindowedPower,
@@ -648,3 +649,55 @@ class TestModeForm:
         v = _free_modes(random_field(make_grid(32, 32, 2.0, np.pi), rng), 4.0, 48)[1]
         with pytest.raises(ValueError, match="mode forms on one grid"):
             dx_product(u, v)
+
+
+class TestColumnBlocks:
+    """``WindowedPower.of_modes`` tapers and transforms blocks of about
+    ``_TRANSFORM_BLOCK`` bytes of columns and writes each squared modulus
+    straight into ``power``.  Every column gets its own 1-D transform, so
+    the blocks change no bit."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_blocks_match_one_block(self, monkeypatch, fft_columns, seed):
+        grid = make_grid(32, 32, np.pi, np.pi)
+        times, form = _free_modes(random_field(grid, np.random.default_rng(seed)), 4.0, 48)
+        dt = float(times[1] - times[0])
+        n_t, k = form.values.shape
+        fft_columns.clear()
+        whole = WindowedPower.of_modes(form, dt)
+        assert fft_columns == [k]
+        # at least three blocks, the last one shorter
+        step = next(s for s in range(k // 3, 0, -1) if k % s)
+        monkeypatch.setattr(norms_module, "_TRANSFORM_BLOCK", 16 * n_t * step)
+        fft_columns.clear()
+        got = WindowedPower.of_modes(form, dt)
+        assert len(fft_columns) >= 3 and sum(fft_columns) == k
+        assert fft_columns[:-1] == [step] * (len(fft_columns) - 1)
+        assert 0 < fft_columns[-1] < step
+        for name in ("tau", "power", "cols", "colw"):
+            assert same_bits(getattr(got, name), getattr(whole, name)), name
+        for norm in ("spacetime", "bourgain", "gap"):
+            want = getattr(whole, norm)(0.5, -0.3, 0.2)
+            assert getattr(got, norm)(0.5, -0.3, 0.2).hex() == want.hex()
+
+    def test_zero_columns_keep_tau(self, grid):
+        n_t, dt = 17, 0.0625
+        form = ModeForm(grid, np.zeros(0, dtype=np.intp), np.zeros(0),
+                        np.zeros((n_t, 0), dtype=complex))
+        power = WindowedPower.of_modes(form, dt)
+        assert same_bits(power.tau, taper_transform(np.zeros((n_t, 1)), dt)[0])
+        assert power.power.shape == (n_t, 0)
+        assert power.spacetime(0.5, 0.1, 0.2) == 0.0
+
+    def test_holds_power_and_one_block(self, alloc_peak):
+        # The whole complex transform would add twice the power (4.03 MiB
+        # above it measured); the blocks add one block of tapered samples
+        # and numpy's ufunc buffers, 1.25 MiB measured.  The slack is
+        # three 128 KiB buffers.
+        grid = make_grid(128, 128, np.pi, np.pi)
+        rng = np.random.default_rng(0)
+        n_t, k = 33, 8000  # 5 blocks of at most 1985 columns
+        values = rng.standard_normal((n_t, k)) + 1j * rng.standard_normal((n_t, k))
+        form = ModeForm(grid, np.arange(k), np.ones(k), values)
+        power, peak = alloc_peak(WindowedPower.of_modes, form, 0.01)
+        assert peak <= power.power.nbytes + 2 ** 20 + 3 * 2 ** 17
