@@ -495,8 +495,8 @@ def _picard_band(phi: SpectralField, times: np.ndarray, tol: float,
         # Row 0 of every iterate is the datum, so every update shares
         # g_0 = d/dx(phi^2).
         g_0 = _nonlin(w_phi[0], grid, rows, table)
+        change = _BandEnergy(grid, rows, len(times))  # every iteration refills it
         for _ in range(max_iter):
-            change = _BandEnergy(grid, rows, len(times))
             if report.iterations == 0:
                 # d/dx(0^2) = 0: the update of the zero start is W(t_k) phi,
                 # and its change 0 - W(t_k) phi squares like W(t_k) phi
