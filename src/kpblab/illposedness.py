@@ -262,7 +262,7 @@ def _kernel_factors(t, xi, xi1):
     return g, cross / g, -0.5 * np.expm1(-t * cross)
 
 
-def _kernel(den, phase, out, r) -> np.ndarray:
+def _kernel(den, phase, out, out_imag, r) -> np.ndarray:
     """K at the nodes, into ``out``, from phase = e^{ih}, h = t chi / 2.
 
     K = e^{-t xi^2} (e^z - 1) / (i chi - cross) with cross = 2 xi1 xi2 and
@@ -275,13 +275,16 @@ def _kernel(den, phase, out, r) -> np.ndarray:
 
         K = (sin h e^{ih} - i r) / (chi / g + i c),
 
-    so the numerator is two real products of e^{ih}'s parts and one real
-    subtraction, and no complex temporary is made.  ``den`` holds
-    chi / g + i c.  ``out`` may be ``phase`` itself; it is returned.
+    so the numerator is one product of e^{ih} by the real sin h and one
+    real subtraction, and no complex temporary is made.  The product's
+    cross terms are cos h * 0 and sin h * 0, which add +-0 and leave the
+    bits of the two real products.  ``den`` holds chi / g + i c
+    and ``out_imag`` is ``out.imag``, passed in so that a caller that
+    evaluates K into the same buffers many times builds the view once.
+    ``out`` may be ``phase`` itself; it is returned.
     """
-    np.multiply(phase.real, phase.imag, out=out.real)
-    np.multiply(phase.imag, phase.imag, out=out.imag)
-    out.imag -= r
+    np.multiply(phase, phase.imag, out=out)
+    out_imag -= r
     out /= den
     return out
 
@@ -309,7 +312,7 @@ def kernel_K(t, xi, xi1, eta, eta1):
     phase = np.empty(shape, dtype=complex)
     np.cos(h, out=phase.real)
     np.sin(h, out=phase.imag)
-    out = _kernel(den, phase, phase, r)[..., 0]
+    out = _kernel(den, phase, phase, phase.imag, r)[..., 0]
     if out.ndim == 0:
         return complex(out)
     return out
@@ -376,20 +379,21 @@ def _row_shape(cells: int) -> tuple[int, int]:
     return n_q, max(1, _ROW_NODES // (n_q * cells))
 
 
-def _phase_seeds(pair, scratch, step, t, x, x_mid, eta, c0, dy) -> None:
+def _phase_seeds(pair, scratch, step, t, x, x_mid, eta, c0, dy, col) -> None:
     """Write row 0 of e^{ih}, h = t chi / 2, into pair[0], its row ratio
     R_0 into pair[1] and the step S into ``step``, at the nodes (eta1, eta,
     xi1) of a group of outer-eta columns, with no sine or cosine per node.
 
-    ``eta``, ``c0`` and ``dy`` are (n, 1) columns: the eta1 nodes of
-    column b are c0[b] + j dy[b], j = Q p + q, q < Q, and row p holds
-    q = 0 .. Q - 1.  ``x_mid`` holds the xi1 nodes of the outer xi ``x``.
-    ``pair`` is a complex (2, Q, n, cells) buffer, Q >= 3, ``step`` a
-    complex (n, cells) one, and ``scratch`` a complex buffer of at least
-    6 n cells values, which the call overwrites; the six seed phases are
-    made in ``pair`` and their exponentials in ``scratch``.  Row p+1 is then
-    row p times R_p, and R_{p+1} = R_p S: one complex multiply per node
-    each.
+    ``eta`` and ``c0`` are (n, 1) columns and ``dy`` an (m, 1) column of
+    the group's distinct eta1 steps, column b's being dy[col[b]]: the eta1
+    nodes of column b are c0[b] + j dy[col[b]], j = Q p + q, q < Q, and
+    row p holds q = 0 .. Q - 1.  ``x_mid`` holds the xi1 nodes of the outer
+    xi ``x``.  ``pair`` is a complex (2, Q, n, cells) buffer, Q >= 3,
+    ``step`` a complex (n, cells) or (Q, n, cells) one, and ``scratch`` a
+    complex buffer of at least 6 n cells values, which the call overwrites;
+    the seed phases are made in ``pair`` and their exponentials in
+    ``scratch``.  Row p+1 is then row p times R_p, and R_{p+1} = R_p S: one
+    complex multiply per node each.
 
     With prod = xi xi1 (xi - xi1) and a = t / (2 prod), h is a quadratic
     in j:
@@ -403,7 +407,13 @@ def _phase_seeds(pair, scratch, step, t, x, x_mid, eta, c0, dy) -> None:
     e^{i(beta Q + gamma Q^2 (2p + 1) + 2 gamma Q q)} is a geometric
     sequence in q, and changes by the constant factor S = e^{2 i gamma Q^2}
     from one row to the next.  Row 0 and R_0 come from six seed phases per
-    (eta, xi1) by repeated multiplication, side by side in ``pair``.  The
+    (eta, xi1) by repeated multiplication, side by side in ``pair``.  Three
+    of them, 2 gamma Q, 2 gamma and 2 gamma Q^2, depend on (dy, xi1) alone,
+    so they take their sine and cosine once per distinct step: every full
+    column has D_2's step.  At cells=64, N=16 that is 0.110 sines and as
+    many cosines per node, against 0.1875 with all six per column; over
+    the four-N sweep at cells=64 this function's own time fell from 0.131
+    to 0.106 s (cProfile, one thread, medians of 3).  The
     rounding of the seeds grows with the number of products, at most
     about j^2 / 2 of them; measured against np.exp(1j * h), the largest
     error is 5.0e-14 (N in {16, 128, 1024}, cells in {64, 67, 96, 128},
@@ -415,23 +425,32 @@ def _phase_seeds(pair, scratch, step, t, x, x_mid, eta, c0, dy) -> None:
     u = x_mid * eta
     u -= x * c0
     v = x * dy
+    vb = v[col]  # v of each column
     w = half_a * u  # beta = -2 w v, gamma = half_a v^2
-    # the first values of row 0 and R_0 (alpha, beta Q + gamma Q^2), their
-    # first ratios (beta + gamma, 2 gamma Q), the ratio of row 0's ratios
-    # (2 gamma) and the step (2 gamma Q^2), in the memory of pair
-    shape = (6,) + u.shape
-    ph = pair.reshape(-1).view(float)[:u.size * 6].reshape(shape)
-    seeds = scratch.reshape(-1)[:u.size * 6].reshape(shape)
+    # the first values of row 0 and R_0 (alpha, beta Q + gamma Q^2) and
+    # their first ratios (beta + gamma, 2 gamma Q) in the memory of pair;
+    # the ratio of row 0's ratios (2 gamma) and the step (2 gamma Q^2) are
+    # the gamma-only seeds, taken per distinct step
+    size, shared = u.size, v.size * u.shape[1]
+    flat = pair.reshape(-1)
+    ph = flat.view(float)[:3 * size].reshape((3,) + u.shape)
+    seeds = scratch.reshape(-1)[:6 * size].reshape((6,) + u.shape)
     np.multiply(w, u, out=ph[0])
     ph[0] += 1.5 * t * prod
-    np.multiply(v * np.array([-2.0 * n_q, -2.0, 0.0, 0.0, 0.0])[:, None, None], w,
-                out=ph[1:])
-    gamma = seeds.real[1:]  # the seeds' real parts hold the gamma terms meanwhile
-    np.multiply(v * v * np.array([n_q * n_q, 1.0, 2.0 * n_q, 2.0, 2.0 * n_q * n_q])
-                [:, None, None], half_a, out=gamma)
+    np.multiply(vb * np.array([-2.0 * n_q, -2.0])[:, None, None], w, out=ph[1:])
+    gamma = seeds.real[1:3]  # the seeds' real parts hold the gamma terms meanwhile
+    np.multiply(vb * vb * np.array([n_q * n_q, 1.0])[:, None, None], half_a, out=gamma)
     ph[1:] += gamma
-    np.cos(ph, out=seeds.real)
-    np.sin(ph, out=seeds.imag)
+    np.cos(ph, out=seeds.real[:3])
+    np.sin(ph, out=seeds.imag[:3])
+    # the gamma-only phases at the distinct steps, in seeds[3:] until the take fills it
+    gamma = seeds[3:].reshape(-1).view(float)[:3 * shared].reshape((3, v.size, -1))
+    np.multiply(v * v * np.array([2.0 * n_q, 2.0, 2.0 * n_q * n_q])[:, None, None],
+                half_a, out=gamma)
+    each = flat[2 * size:2 * size + 3 * shared].reshape(gamma.shape)
+    np.cos(gamma, out=each.real)
+    np.sin(gamma, out=each.imag)
+    np.take(each, col, axis=1, out=seeds[3:], mode="clip")  # "raise" would buffer
     ratio = seeds[2:4]
     pair[:, 0] = seeds[0:2]
     for q in range(1, n_q):
@@ -486,27 +505,31 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     (:func:`_kernel_factors`) are per-row vectors along it; eta1 is the
     outer axis, so each row is contiguous.
 
-    Each row makes nine large numpy calls and no others: the next phase
+    Each row makes eight large numpy calls and no others: the next phase
     row and row ratio (:func:`_phase_seeds`), the next chi / g and its row
-    difference (:func:`_chi_rows`), the kernel's three real passes into a
-    second buffer, so that the phase row survives, its complex division,
-    and one sum over (eta1, xi1) into a row of per-call column sums.  The
-    denominator's imaginary part is set once per group.  Every call
-    releases the interpreter lock and lets scaling_study's other thread
-    take it, so the calls are few and large.  On two threads of a 2-vCPU
-    Xeon a four-N sweep at cells=64 made 4K-10K voluntary context
-    switches and cost 1.5-1.8 s of CPU (1.4-1.5 s on one thread); with
-    rows of 10K nodes (two groups per row at cells=64) it made 47K and
-    cost 2.3 s, for the same one-thread CPU.
+    difference (:func:`_chi_rows`), the kernel's numerator as one product
+    into a second buffer, so that the phase row survives, and one real
+    subtraction, its complex division, and one sum over (eta1, xi1) into a
+    row of per-call column sums.  The views a row uses are made once per
+    group; the row factors (the phase step, chi's growth and the kernel's
+    r) are written once per group in the row's shape, so that no row call
+    broadcasts, and the denominator's imaginary part is set once per
+    group.  Every call releases the interpreter lock and lets
+    scaling_study's other thread take it, so the calls are few and large.
+    On a 2-vCPU Xeon a four-N sweep at cells=64 cost 0.96 s of CPU on one
+    thread, and 1.11 s of CPU and 0.63 s of wall time on two, with about
+    7.5K voluntary context switches (1.10, 1.24 and 0.72 s with nine calls
+    per row; medians of 10 alternating runs).  Rows of 10K nodes (two
+    groups per row at cells=64) once made 47K switches.
 
     A row allocates nothing.  The call allocates its buffers once, each
     viewed in the shape of the group at hand: the phase row and row ratio
     side by side, the denominator and numerator side by side, chi's row
-    difference, and the step.  The group's seeds are made in the first
-    two, so no seed array is allocated.  The buffers belong to the call,
-    so calls on concurrent threads share nothing.  The whole call's
-    allocations peak at 1.51 MiB at cells=64 and 1.75 MiB at cells=128
-    (tracemalloc, N=16).
+    difference and its growth, r and the step.  The group's seeds are made
+    in the first two, so no seed array is allocated.  The buffers belong
+    to the call, so calls on concurrent threads share nothing.  The whole
+    call's allocations peak at 1.92 MiB at cells=64 and 2.15 MiB at
+    cells=128 (tracemalloc, N=16).
 
     Separable phase.  Every column's eta1 nodes are an arithmetic
     progression c0 + j dy with the column's own c0 and dy: D_2's eta side
@@ -539,14 +562,22 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     eta1_row0 = y_mid[:, :n_q].T[:, :, None]  # (Q, eta, 1)
 
     # Per-call buffers, shaped per group: the phase row and its row ratio,
-    # the kernel's denominator and numerator, chi's row difference and the
-    # phase step.  Concurrent calls (scaling_study's threads) share none.
+    # the kernel's denominator and numerator, chi's row difference, its
+    # growth and the phase step, the last two in the row's shape so that
+    # the row updates broadcast nothing.  Concurrent calls (scaling_study's
+    # threads) share none.
     size = n_q * min(group, cols.size) * cells
     pair_buf = np.empty(2 * size, dtype=complex)
     quot_buf = np.empty(2 * size, dtype=complex)
     delta_buf = np.empty(size)
-    step_buf = np.empty(size // n_q, dtype=complex)
+    grow_buf = np.empty(size)
+    r_buf = np.empty(size)
+    step_buf = np.empty(size, dtype=complex)
     sums = np.empty((n_p, cols.size), dtype=complex)  # per row and column
+    groups = []  # (start, columns, their distinct eta1 steps, column -> step)
+    for j in range(0, cols.size, group):
+        dy_u, col = np.unique(wy[cols[j:j + group]], return_inverse=True)
+        groups.append((j, cols[j:j + group], dy_u[:, None], col))
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for i, x in enumerate(xi_nodes):
@@ -554,27 +585,33 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
                 continue
             x_mid, wx = _midpoints(x_lo[i], x_hi[i], cells)
             g, c, r = _kernel_factors(t, x, x_mid)
-            for j in range(0, cols.size, group):
-                block = cols[j:j + group]
+            for j, block, dy_u, col in groups:
                 n = block.size
                 shape = (n_q, n, cells)
                 nodes = n_q * n * cells
                 phase, ratio = pair = pair_buf[:2 * nodes].reshape((2,) + shape)
                 den, num = quot = quot_buf[:2 * nodes].reshape((2,) + shape)
+                den_real, num_imag = den.real, num.imag
                 delta = delta_buf[:nodes].reshape(shape)
-                step = step_buf[:n * cells].reshape(n, cells)
+                grow = grow_buf[:nodes].reshape(shape)
+                step = step_buf[:nodes].reshape(shape)
+                r_row = r_buf[:nodes].reshape(shape)
+                r_row[...] = r
                 eta = eta_col[block]
-                _phase_seeds(pair, quot, step, t, x, x_mid, eta, c0[block], dy[block])
-                grow = _chi_rows(den, delta, x, x_mid, eta, eta1_row0[:, block], dy[block], g)
+                _phase_seeds(pair, quot, step, t, x, x_mid, eta, c0[block], dy_u, col)
+                grow[...] = _chi_rows(den, delta, x, x_mid, eta, eta1_row0[:, block],
+                                      dy[block], g)
                 den.imag[...] = c
-                for p in range(n_p):
+                # the last row's nodes past eta1 node cells - 1 are padding
+                heads = [num] * (n_p - 1) + [num[:cells - n_q * (n_p - 1)]]
+                for p, (K, total) in enumerate(zip(heads, sums[:, j:j + n])):
                     if p:
                         phase *= ratio
                         ratio *= step
-                        den.real += delta
+                        den_real += delta
                         delta += grow
-                    K = _kernel(den, phase, num, r)
-                    np.add.reduce(K[:cells - n_q * p], axis=(0, 2), out=sums[p, j:j + n])
+                    _kernel(den, phase, num, num_imag, r_row)
+                    np.add.reduce(K, axis=(0, 2), out=total)
             col_sums = np.add.reduce(sums, axis=0)
             mod2 = col_sums.real * col_sums.real + col_sums.imag * col_sums.imag
             mod2 *= (2.0 * amp2 * wx * wy[cols]) ** 2
@@ -633,9 +670,9 @@ def scaling_study(N_list, s: float, eps0: float, cells: int,
     The N values run on ``threads`` worker threads (None: ``os.cpu_count()``;
     fewer than 1 is a ValueError), and the results do not depend on it.
     The threads queue on the interpreter lock between numpy calls: on 2
-    CPUs the four-N sweep at cells=64 costs 19% more CPU on two threads
-    than on one (1.51 -> 1.79 s user+sys, medians of 10 runs each), with
-    about 6K voluntary context switches (:func:`_window_density`).
+    CPUs the four-N sweep at cells=64 costs 17% more CPU on two threads
+    than on one (0.96 -> 1.11 s user+sys, medians of 10 alternating runs),
+    with about 7.5K voluntary context switches (:func:`_window_density`).
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

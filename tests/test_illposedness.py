@@ -500,30 +500,83 @@ class TestPhaseSource:
         for i in (0, cells // 2, cells - 1):
             x = xi_nodes[i]
             x_mid, _ = _midpoints(x_lo[i], x_hi[i], cells)
+            dy, col = np.unique(wy[block], return_inverse=True)
             _phase_seeds(pair, scratch, step, t, x, x_mid, eta_nodes[block, None],
-                         y_mid[block, :1], wy[block, None])
+                         y_mid[block, :1], dy[:, None], col)
             got = np.concatenate(list(phase_rows(pair, step, cells)))
             chi = resonance_chi(x, x_mid, eta_nodes[block, None], y_mid[block].T[:, :, None])
             want = np.exp(0.5j * t * chi)
             np.testing.assert_allclose(got[:cells], want, rtol=0.0, atol=1e-12)
 
-    def test_quadrature_takes_no_sine_or_cosine_per_node(self, monkeypatch):
-        # The phase source takes six sines and six cosines per (row, column,
-        # xi1): 0.19 per node at cells=64.  Either direct form, e^{ih} by
-        # one sine and one cosine per node or by a complex exp, on the
-        # clipped columns alone (10 of 64) would add 0.31 per node.
-        cells = 64
-        evaluated = []
-        for name in ("sin", "cos", "exp"):
+    @pytest.mark.parametrize("N", [16, 128])
+    @pytest.mark.parametrize("cells", [64, 67, 128])
+    def test_shared_steps_match_each_column_alone(self, cells, N):
+        # A group that holds full and clipped columns seeds the gamma terms
+        # once per distinct eta1 step; every column's seeds keep the bits
+        # they have when the column is seeded alone.
+        t = float(N) ** -3.01
+        xi_lo, xi_hi, eta_lo, eta_hi = output_window(N)
+        xi_nodes, _ = _midpoints(np.float64(xi_lo), np.float64(xi_hi), cells)
+        eta_nodes, _ = _midpoints(np.float64(eta_lo), np.float64(eta_hi), cells)
+        pair_N = rectangle_pair(N)
+        x_lo, x_hi, y_lo, y_hi = _k1_bounds(pair_N, xi_nodes, eta_nodes)
+        y_mid, wy = _midpoints(y_lo, y_hi, cells)
+        block = np.flatnonzero(y_lo < y_hi)[:column_group(cells)]
+        full = full_columns(pair_N, y_lo, y_hi)[block]
+        assert full.any() and not full.all()
+        dy, col = np.unique(wy[block], return_inverse=True)
+        assert dy.size < block.size
+        n_q = _row_shape(cells)[0]
+        shape = (n_q, block.size, cells)
+        pair, scratch = np.empty((2, 2) + shape, dtype=complex)
+        step = np.empty(shape, dtype=complex)
+        one_pair, one_scratch = np.empty((2, 2, n_q, 1, cells), dtype=complex)
+        one_step = np.empty((n_q, 1, cells), dtype=complex)
+        for i in (0, cells // 2, cells - 1):
+            x = xi_nodes[i]
+            x_mid, _ = _midpoints(x_lo[i], x_hi[i], cells)
+            _phase_seeds(pair, scratch, step, t, x, x_mid, eta_nodes[block, None],
+                         y_mid[block, :1], dy[:, None], col)
+            for k, b in enumerate(block):
+                _phase_seeds(one_pair, one_scratch, one_step, t, x, x_mid,
+                             eta_nodes[[b], None], y_mid[[b], :1], wy[[b], None],
+                             np.zeros(1, dtype=int))
+                assert pair[:, :, k].tobytes() == one_pair[:, :, 0].tobytes()
+                assert step[:, k].tobytes() == one_step[:, 0].tobytes()
+
+    @staticmethod
+    def count_values(monkeypatch, names):
+        """{name: values evaluated} of the numpy ufuncs ``names``, while it runs."""
+        evaluated = dict.fromkeys(names, 0)
+        for name in names:
             ufunc = getattr(np, name)
 
-            def counted(x, *args, _ufunc=ufunc, **kwargs):
-                evaluated.append(np.size(x))
+            def counted(x, *args, _ufunc=ufunc, _name=name, **kwargs):
+                evaluated[_name] += np.size(x)
                 return _ufunc(x, *args, **kwargs)
 
             monkeypatch.setattr(np, name, counted)
+        return evaluated
+
+    def test_quadrature_takes_no_sine_or_cosine_per_node(self, monkeypatch):
+        # The phase source takes 0.110 sines and as many cosines per node at
+        # cells=64, N=16.  Either direct form, e^{ih} by one sine and one
+        # cosine per node or by a complex exp, on the clipped columns alone
+        # (10 of 64) would add 0.31 per node.
+        cells = 64
+        evaluated = self.count_values(monkeypatch, ("sin", "cos", "exp"))
         _window_density(16, -0.7, 16.0 ** -3.01, cells)
-        assert sum(evaluated) < cells ** 4 / 4
+        assert sum(evaluated.values()) < cells ** 4 / 4
+
+    def test_gamma_seeds_take_one_sine_per_distinct_step(self, monkeypatch):
+        # Three seeds per (column, xi1) and three per (distinct eta1 step,
+        # xi1): the 64 columns of N=16, cells=64 have 11 distinct steps, so
+        # 64 xi rows x 64 xi1 x (3 x 64 + 3 x 11) = 921,600 values each.
+        # All six seeds per column would take 1,572,864.
+        evaluated = self.count_values(monkeypatch, ("sin", "cos"))
+        _window_density(16, -0.7, 16.0 ** -3.01, 64)
+        assert 0 < evaluated["sin"] <= 921_600
+        assert 0 < evaluated["cos"] <= 921_600
 
 
 class TestChiRows:
@@ -570,9 +623,9 @@ class TestQuadratureBuffers:
         shapes = []
         kernel = illposedness._kernel
 
-        def spy(den, phase, out, r):
+        def spy(den, phase, out, out_imag, r):
             shapes.append(phase.shape)
-            return kernel(den, phase, out, r)
+            return kernel(den, phase, out, out_imag, r)
 
         monkeypatch.setattr(illposedness, "_kernel", spy)
         N = 16
@@ -603,10 +656,11 @@ class TestQuadratureBuffers:
 
     @pytest.mark.parametrize("cells, pin_mib", [(64, 1.78), (128, 2.12)])
     def test_peak_allocation_per_call(self, alloc_peak, cells, pin_mib):
-        # tracemalloc peak of one call at N=16, in MiB: 1.51 (cells=64)
-        # and 1.75 (cells=128) with rows of 4 eta1 nodes, whose seeds are
-        # made in the row buffers.  The pin allows 10% over 1.78 and 2.12,
-        # the peaks when the per-call buffers were first pinned.
+        # tracemalloc peak of one call at N=16, in MiB: 1.92 (cells=64)
+        # and 2.15 (cells=128) with rows of 4 eta1 nodes, whose seeds are
+        # made in the row buffers, and the phase step, chi's growth and the
+        # kernel's r held in the row's shape.  The pin allows 10% over 1.78 and 2.12, the
+        # peaks when the per-call buffers were first pinned.
         _, peak = alloc_peak(_window_density, 16, -0.7, 16.0 ** -3.01, cells)
         assert peak <= 1.1 * pin_mib * 2 ** 20
 
