@@ -510,11 +510,11 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     difference (:func:`_chi_rows`), the kernel's numerator as one product
     into a second buffer, so that the phase row survives, and one real
     subtraction, its complex division, and one sum over (eta1, xi1) into a
-    row of per-call column sums.  The views a row uses are made once per
-    group; the row factors (the phase step, chi's growth and the kernel's
-    r) are written once per group in the row's shape, so that no row call
-    broadcasts, and the denominator's imaginary part is set once per
-    group.  Every call releases the interpreter lock and lets
+    row of per-call column sums.  The views a row uses are made before a
+    group's rows; the row factors (the phase step, chi's growth and the
+    kernel's r) are written once per group in the row's shape, so that no
+    row call broadcasts, and the denominator's imaginary part is set once
+    per group.  Every call releases the interpreter lock and lets
     scaling_study's other thread take it, so the calls are few and large.
     On a 2-vCPU Xeon a four-N sweep at cells=64 cost 0.96 s of CPU on one
     thread, and 1.11 s of CPU and 0.63 s of wall time on two, with about
@@ -562,10 +562,10 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     eta1_row0 = y_mid[:, :n_q].T[:, :, None]  # (Q, eta, 1)
 
     # Per-call buffers, shaped per group: the phase row and its row ratio,
-    # the kernel's denominator and numerator, chi's row difference, its
-    # growth and the phase step, the last two in the row's shape so that
-    # the row updates broadcast nothing.  Concurrent calls (scaling_study's
-    # threads) share none.
+    # the kernel's denominator and numerator, chi's row difference and its
+    # growth, the kernel's r and the phase step, the last three in the
+    # row's shape so that no row call broadcasts.  Concurrent calls
+    # (scaling_study's threads) share none.
     size = n_q * min(group, cols.size) * cells
     pair_buf = np.empty(2 * size, dtype=complex)
     quot_buf = np.empty(2 * size, dtype=complex)

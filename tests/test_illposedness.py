@@ -659,8 +659,8 @@ class TestQuadratureBuffers:
         # tracemalloc peak of one call at N=16, in MiB: 1.92 (cells=64)
         # and 2.15 (cells=128) with rows of 4 eta1 nodes, whose seeds are
         # made in the row buffers, and the phase step, chi's growth and the
-        # kernel's r held in the row's shape.  The pin allows 10% over 1.78 and 2.12, the
-        # peaks when the per-call buffers were first pinned.
+        # kernel's r held in the row's shape.  The pin allows 10% over 1.78
+        # and 2.12, the peaks when the per-call buffers were first pinned.
         _, peak = alloc_peak(_window_density, 16, -0.7, 16.0 ** -3.01, cells)
         assert peak <= 1.1 * pin_mib * 2 ** 20
 
