@@ -27,8 +27,8 @@ streamed, one state at a time, into a temporary file, which is renamed
 into the output directory after the CSV and the manifest and removed if
 the run fails.  ``norms`` reads it back with ``states.read``, refuses
 too few time steps (``check_steps``) before it reads any coeffs, gathers
-its mode form (``ModeForm.gather``) from blocks of time rows, takes the
-Sobolev norm from the form's last row and then the three time-dependent
+its mode form from the blocks of time rows alone (``ModeForm.gather``
+counts the rows), takes the Sobolev norm from the form's last row and then the three time-dependent
 norms from ``WindowedPower.of_modes``, which keeps only the form's
 power, so neither side holds a full trajectory.
 """
@@ -359,7 +359,7 @@ def _run_norms(p: dict, threads, states_path: str):
     try:
         grid, times, dt, blocks = states.read(input_path)
         check_steps(times.size)
-        form = ModeForm.gather(grid, times.size, blocks, complex)
+        form = ModeForm.gather(grid, blocks)
     except OSError as exc:
         raise ConfigError(f"cannot read input_path {input_path!r}: {exc}") from exc
     except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:

@@ -411,13 +411,10 @@ def _phase_seeds(pair, scratch, step, t, x, x_mid, eta, c0, dy, col) -> None:
     of them, 2 gamma Q, 2 gamma and 2 gamma Q^2, depend on (dy, xi1) alone,
     so they take their sine and cosine once per distinct step: every full
     column has D_2's step.  At cells=64, N=16 that is 0.110 sines and as
-    many cosines per node, against 0.1875 with all six per column; over
-    the four-N sweep at cells=64 this function's own time fell from 0.131
-    to 0.106 s (cProfile, one thread, medians of 3).  The
-    rounding of the seeds grows with the number of products, at most
-    about j^2 / 2 of them; measured against np.exp(1j * h), the largest
-    error is 5.0e-14 (N in {16, 128, 1024}, cells in {64, 67, 96, 128},
-    every third xi row, h up to 38).
+    many cosines per node.  The rounding of the seeds grows with the
+    number of products, at most about j^2 / 2 of them; measured against
+    np.exp(1j * h), the largest error is 5.0e-14 (N in {16, 128, 1024},
+    cells in {64, 67, 96, 128}, every third xi row, h up to 38).
     """
     n_q = pair.shape[1]
     prod = x * x_mid * (x - x_mid)
@@ -518,9 +515,9 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     scaling_study's other thread take it, so the calls are few and large.
     On a 2-vCPU Xeon a four-N sweep at cells=64 cost 0.96 s of CPU on one
     thread, and 1.11 s of CPU and 0.63 s of wall time on two, with about
-    7.5K voluntary context switches (1.10, 1.24 and 0.72 s with nine calls
-    per row; medians of 10 alternating runs).  Rows of 10K nodes (two
-    groups per row at cells=64) once made 47K switches.
+    7.5K voluntary context switches (medians of 10 alternating runs).
+    Rows of 10K nodes (two groups per row at cells=64) once made 47K
+    switches.
 
     A row allocates nothing.  The call allocates its buffers once, each
     viewed in the shape of the group at hand: the phase row and row ratio

@@ -12,14 +12,15 @@ on the grid, with the same xi, so P is even along that row and the norms'
 sigma = tau - P does not mirror.  ``cols`` lists the exact first modes,
 then the other occupied modes in flat order.
 
-``ModeForm.gather`` selects (``select_columns``) and gathers in two passes
-over consecutive blocks of time rows: an in-memory trajectory is one
-block, and ``kpblab norms`` streams the blocks that ``states.read``
-returns for ``states.npz``.  ``ModeForm.expand`` writes the field back at
-any flat modes; ``kpblab norms`` expands the last row of its form to take
-the final state's Sobolev norm.  The verify
-suites build their free evolutions and products as mode forms and never
-expand them to the whole grid.
+``ModeForm.gather(grid, blocks)`` is the one way from arrays to a mode
+form.  It selects the columns and counts the rows in one pass over
+consecutive blocks of time rows and gathers the complex values in a
+second: an in-memory trajectory is one block, and ``kpblab norms``
+streams the blocks that ``states.read`` returns for ``states.npz``.
+``ModeForm.expand`` writes the field back at any flat modes; ``kpblab
+norms`` expands the last row of its form to take the final state's
+Sobolev norm.  The verify suites build their free evolutions and products
+as mode forms and never expand them to the whole grid.
 """
 
 from __future__ import annotations
@@ -30,15 +31,16 @@ import numpy as np
 
 from .spectral_core import Grid2D
 
-__all__ = ["ModeForm", "select_columns"]
+__all__ = ["ModeForm"]
 
 _PAIR_BLOCK = 2 ** 14  # complex values per gathered block of the pair check
 
 
-def select_columns(grid: Grid2D, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, colw): the flat modes of a trajectory's mode form, and how
-    many times each counts in a weighted sum, for a trajectory given as
-    consecutive blocks of time rows (n, nx * ny).
+def _select_columns(grid: Grid2D, blocks) -> tuple[np.ndarray, np.ndarray, int]:
+    """(cols, colw, n_rows): the flat modes of a trajectory's mode form,
+    how many times each counts in a weighted sum, and the trajectory's
+    number of time rows, for a trajectory given as consecutive blocks of
+    time rows (n, nx * ny).
 
     Within a block only the pairs with an occupied mode are compared (two
     zero columns agree), over runs of rows of at most ``_PAIR_BLOCK``
@@ -54,7 +56,9 @@ def select_columns(grid: Grid2D, blocks) -> tuple[np.ndarray, np.ndarray]:
     first, mirror = np.flatnonzero(first), mirror[first]
     occupied = np.zeros(nx * ny, dtype=bool)
     exact = np.ones(first.size, dtype=bool)
+    n_rows = 0
     for block in blocks:
+        n_rows += len(block)
         live = np.any(block, axis=0)
         occupied |= live
         pairs = np.flatnonzero(live[first] | live[mirror])
@@ -74,7 +78,7 @@ def select_columns(grid: Grid2D, blocks) -> tuple[np.ndarray, np.ndarray]:
     cols = np.concatenate((first[exact], np.flatnonzero(rest)))
     colw = np.ones(cols.size)
     colw[:np.count_nonzero(exact)] = 2.0
-    return cols, colw
+    return cols, colw, n_rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,18 +93,19 @@ class ModeForm:
     values: np.ndarray
 
     @classmethod
-    def gather(cls, grid: Grid2D, n_times: int, blocks, dtype) -> ModeForm:
-        """The mode form of the trajectory of ``n_times`` rows that
-        ``blocks()`` returns as consecutive blocks (n, nx * ny).
-        ``blocks`` is called twice: to select the columns with
-        ``select_columns`` and to gather them into values of ``dtype``.
+    def gather(cls, grid: Grid2D, blocks) -> ModeForm:
+        """The mode form of the trajectory that ``blocks()`` returns as
+        consecutive blocks (n, nx * ny) of time rows.  ``blocks`` is
+        called twice: to select the columns and count the rows, and to
+        gather the columns into complex128 values.
         """
-        cols, colw = select_columns(grid, blocks())
-        values = np.empty((n_times, cols.size), dtype=dtype)
+        cols, colw, n_rows = _select_columns(grid, blocks())
+        values = np.empty((n_rows, cols.size), dtype=complex)
         t = 0
         for block in blocks():
             # mode="clip" (cols are in range) lets take write into values unbuffered
-            np.take(block, cols, axis=1, out=values[t:t + len(block)], mode="clip")
+            np.take(np.asarray(block, complex), cols, axis=1,
+                    out=values[t:t + len(block)], mode="clip")
             t += len(block)
         return cls(grid, cols, colw, values)
 

@@ -152,8 +152,7 @@ class WindowedPower:
     def of(cls, traj: Trajectory) -> WindowedPower:
         """The windowed power of ``traj``'s mode form, gathered from
         ``traj.coeffs`` as one block (``ModeForm.gather``)."""
-        flat = traj.coeffs.reshape(traj.n_times, -1)
-        form = ModeForm.gather(traj.grid, traj.n_times, lambda: (flat,), flat.dtype)
+        form = ModeForm.gather(traj.grid, lambda: (traj.coeffs.reshape(traj.n_times, -1),))
         return cls.of_modes(form, traj.dt)
 
     @classmethod

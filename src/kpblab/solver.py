@@ -52,7 +52,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modes import ModeForm, select_columns
+from .modes import ModeForm
 from .semigroup import w_multiplier
 from .spectral_core import Grid2D, SpectralField, dispersion_values
 
@@ -119,7 +119,8 @@ class Trajectory:
 
 @dataclass
 class PicardReport:
-    """Convergence record for one Picard solve.
+    """Convergence record for one Picard solve: one residual per update in
+    ``residual_history``, whose length is ``iterations``.
 
     ``stop_reason`` says why the iteration ended: ``converged`` (the
     residual reached tol), ``max_iter`` (the iteration budget ran out),
@@ -127,9 +128,12 @@ class PicardReport:
     or larger than the one before it).
     """
 
-    iterations: int
     residual_history: list[float] = field(default_factory=list)
     stop_reason: str = "max_iter"
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residual_history)
 
     @property
     def converged(self) -> bool:
@@ -289,12 +293,12 @@ def dx_product(u: ModeForm, v: ModeForm) -> ModeForm:
     u and v are placed straight into the half spectra of the band grid of
     ``_band_extent``, laid out by ``_product_layout``, and multiplied
     there: exactly up to rounding, and zero outside the product's band,
-    on a band grid that fits.  The gather map comes from ``_full`` and
-    ``select_columns`` run on one row that tags each band entry, so the
-    columns, weights and values are those ``select_columns`` gives the
-    expanded product.  A product holding NaN, whose pairs are then not
-    exact, is expanded and selected whole.  Forms on two grids, or with
-    different numbers of time rows, are a ValueError.
+    on a band grid that fits.  The gather map is the gathered form
+    (``ModeForm.gather``) of one row that ``_full`` expands from a tag of
+    each band entry, so the columns, weights and values are those of the
+    gathered form of the expanded product.  A product holding NaN, whose
+    pairs are then not exact, is expanded and gathered whole.  Forms on
+    two grids, or with different numbers of time rows, are a ValueError.
     """
     grid = u.grid
     n = len(u.values)
@@ -312,15 +316,14 @@ def dx_product(u: ModeForm, v: ModeForm) -> ModeForm:
     w = _dx_product(ha, hb, shape, np.arange(shape[0]), table)
     tags = (1.0 + 1.0j) * np.arange(1, w[0].size + 1).reshape(w.shape[1:])
     tagged = _full(tags, rows, (grid.nx, grid.ny)).reshape(1, -1)
-    cols, colw = select_columns(grid, (tagged,))
-    tag = tagged[0, cols]
+    tag_form = ModeForm.gather(grid, lambda: (tagged,))
+    tag, cols, colw = tag_form.values[0], tag_form.cols, tag_form.colw
     values = w.reshape(n, -1)[:, tag.real.astype(np.intp) - 1]
     np.conjugate(values, out=values, where=tag.imag < 0.0)
     values.imag[:, tag.imag == 0.0] = 0.0
     if np.isnan(values).any():
         full = _full(w, rows, (grid.nx, grid.ny)).reshape(n, -1)
-        cols, colw = select_columns(grid, (full,))
-        return ModeForm(grid, cols, colw, full[:, cols])
+        return ModeForm.gather(grid, lambda: (full,))
     live = np.any(values, axis=0)
     return ModeForm(grid, cols[live], colw[live], values[:, live])
 
@@ -328,7 +331,7 @@ def dx_product(u: ModeForm, v: ModeForm) -> ModeForm:
 def nonlinearity(f: SpectralField) -> SpectralField:
     """Return the spectral field of d/dx(u^2) for the real field behind ``f``:
     ``dx_product`` of its mode form with itself, expanded to the grid."""
-    form = ModeForm.gather(f.grid, 1, lambda: (f.coeffs.reshape(1, -1),), f.coeffs.dtype)
+    form = ModeForm.gather(f.grid, lambda: (f.coeffs.reshape(1, -1),))
     coeffs = dx_product(form, form).expand().reshape(f.coeffs.shape)
     return SpectralField(grid=f.grid, coeffs=coeffs)
 
@@ -489,7 +492,7 @@ def _picard_band(phi: SpectralField, times: np.ndarray, tol: float,
     dt = float(times[1] - times[0])
     rows, cols = _band(grid)
     w_phi, w_dt, table = _picard_tables(phi, times, rows, cols)
-    report = PicardReport(iterations=0)
+    report = PicardReport()
     history = report.residual_history
     with np.errstate(over="ignore", invalid="ignore"):
         # Row 0 of every iterate is the datum, so every update shares
@@ -497,7 +500,7 @@ def _picard_band(phi: SpectralField, times: np.ndarray, tol: float,
         g_0 = _nonlin(w_phi[0], grid, rows, table)
         change = _BandEnergy(grid, rows, len(times))  # every iteration refills it
         for _ in range(max_iter):
-            if report.iterations == 0:
+            if not history:
                 # d/dx(0^2) = 0: the update of the zero start is W(t_k) phi,
                 # and its change 0 - W(t_k) phi squares like W(t_k) phi
                 it = w_phi.copy()
@@ -506,7 +509,6 @@ def _picard_band(phi: SpectralField, times: np.ndarray, tol: float,
             else:
                 _picard_update(it, grid, dt, w_phi, w_dt, rows, table, g_0, change)
             res = float(np.sqrt(np.max(change.energy * grid.cell_measure)))
-            report.iterations += 1
             history.append(res)
             if not math.isfinite(res):
                 report.stop_reason = "non_finite"

@@ -11,11 +11,11 @@ integer scalars, ``Lx``, ``Ly`` and ``dealias_fraction`` real ones,
 ``times`` is a uniform grid from 0 (``solver.time_step``), coeffs has
 shape (len(times), nx, ny), and the box and the dealias fraction make a
 grid (``make_grid``).  It returns the grid, the times, their step and the
-source of the blocks, which ``kpblab norms`` gathers into a mode form
-(``ModeForm.gather``).  A
-``coeffs`` of another dtype, order or format version, or one whose data
-is shorter or longer than its shape, raises ``ValueError``; zipfile
-raises ``BadZipFile`` on a CRC mismatch, which every read pass checks.
+source of the blocks, which ``kpblab norms`` passes as it is to
+``ModeForm.gather(grid, blocks)``.  A ``coeffs`` of another dtype, order
+or format version, or one whose data is shorter or longer than its shape,
+raises ``ValueError``; zipfile raises ``BadZipFile`` on a CRC mismatch,
+which every read pass checks.
 
 The CLI imports this module only in the commands that touch the file.
 """

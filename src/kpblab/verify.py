@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .modes import ModeForm, select_columns
+from .modes import ModeForm
 from .norms import WindowedPower, sobolev_norm, taper_transform
 from .semigroup import w_multiplier
 from .solver import Trajectory, dx_product
@@ -104,22 +104,22 @@ def _free_modes(phi: SpectralField, T: float, M: int,
                 cutoff: bool = True) -> tuple[np.ndarray, ModeForm]:
     """(times, mode form) of psi(t - T/2) W(t - T/2) phi sampled on [0, T].
 
-    The columns and weights are those ``select_columns`` gives phi itself,
-    as one time row.  W acts mode by mode, so only those modes are
-    evaluated, all times at once.  P is odd and xi^2 even, so the mirror of
-    an exact pair stays the conjugate of its first mode at every time, and
-    the evolution has phi's columns and weights.
+    The columns and weights are those of phi's own mode form, gathered as
+    one time row (``ModeForm.gather``), and its values are phi there.  W
+    acts mode by mode, so only those modes are evaluated, all times at
+    once.  P is odd and xi^2 even, so the mirror of an exact pair stays the
+    conjugate of its first mode at every time, and the evolution has phi's
+    columns and weights.
     """
     grid = phi.grid
     times = np.linspace(0.0, T, M + 1)
     shifted = (times - 0.5 * T)[:, None]
     amp = psi_cutoff(shifted) if cutoff else 1.0
-    coeffs = phi.coeffs.reshape(1, -1)
-    cols, colw = select_columns(grid, (coeffs,))
-    P = dispersion_values(grid).reshape(-1)[cols]
-    xi = grid.xi[cols // grid.ny]
-    values = amp * w_multiplier(P, xi, shifted) * coeffs[0, cols]
-    return times, ModeForm(grid, cols, colw, values)
+    datum = ModeForm.gather(grid, lambda: (phi.coeffs.reshape(1, -1),))
+    P = dispersion_values(grid).reshape(-1)[datum.cols]
+    xi = grid.xi[datum.cols // grid.ny]
+    values = amp * w_multiplier(P, xi, shifted) * datum.values[0]
+    return times, ModeForm(grid, datum.cols, datum.colw, values)
 
 
 def free_trajectory(phi: SpectralField, T: float, M: int,
@@ -204,8 +204,8 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
     """||d/dx(uv)||_{X^{-1/2+delta, s1-2delta+eps, s2}} over the product of
     ||u||_{X^{1/2,s1,s2}} and ||v||_{X^{1/2,s1,s2}}.
 
-    u and v are reduced to their mode forms (``ModeForm.gather``), and the
-    ratio is taken on those as the bilinear suite takes it on its free
+    u and v are reduced to their mode forms, each coeffs gathered as one
+    block (``ModeForm.gather``), and the ratio is taken on those as the bilinear suite takes it on its free
     evolutions.  ``solver.dx_product`` multiplies d/dx(uv) on the smallest
     even grid that holds the product's band without aliasing, 34 x 34 for
     two fields in |k| <= 8, and gathers its mode form straight from there.
@@ -225,10 +225,8 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
         raise ValueError(f"eps must be in (0, delta/10], got {eps}")
     if u.grid is not v.grid or not np.array_equal(u.times, v.times):
         raise ValueError("u and v must share grid and time grid")
-    forms = []
-    for traj in (u, v):
-        flat = traj.coeffs.reshape(traj.n_times, -1)
-        forms.append(ModeForm.gather(traj.grid, traj.n_times, lambda: (flat,), flat.dtype))
+    forms = [ModeForm.gather(traj.grid, lambda: (traj.coeffs.reshape(traj.n_times, -1),))
+             for traj in (u, v)]
     return _bilinear_modes(u.dt, *forms, s1, s2, delta, eps)
 
 

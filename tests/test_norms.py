@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import kpblab.norms as norms_module
-from kpblab.modes import ModeForm, select_columns
+from kpblab.modes import ModeForm
 from kpblab.norms import (
     WindowedPower,
     bourgain_norm,
@@ -529,7 +529,7 @@ class TestHermitianHalf:
         for step in (1, 5, traj.n_times - 1):
             def blocks():
                 return (flat[t:t + step] for t in range(0, traj.n_times, step))
-            form = ModeForm.gather(traj.grid, traj.n_times, blocks, flat.dtype)
+            form = ModeForm.gather(traj.grid, blocks)
             got = WindowedPower.of_modes(form, traj.dt)
             for name in ("tau", "power", "cols", "colw"):
                 a, b = getattr(got, name), getattr(whole, name)
@@ -611,8 +611,8 @@ class TestModeForm:
             assert (extent[0] > nx or extent[1] > ny) == wide
         got = dx_product(u, v)
         product = dx_product_full(a, b, grid).reshape(17, -1)
-        cols, colw = select_columns(grid, (product,))
-        for x, y in zip((got.cols, got.colw, got.values), (cols, colw, product[:, cols])):
+        want = ModeForm.gather(grid, lambda: (product,))
+        for x, y in zip((got.cols, got.colw, got.values), (want.cols, want.colw, want.values)):
             assert same_bits(x, y)
 
 
@@ -649,6 +649,18 @@ class TestModeForm:
         v = _free_modes(random_field(make_grid(32, 32, 2.0, np.pi), rng), 4.0, 48)[1]
         with pytest.raises(ValueError, match="mode forms on one grid"):
             dx_product(u, v)
+
+    def test_gather_counts_ragged_real_rows_as_complex(self, grid):
+        # the selection pass counts the rows of blocks of 3, 5 and 1, and
+        # real blocks gather as complex128 values equal to them
+        rng = np.random.default_rng(0)
+        coeffs = rng.standard_normal((9, grid.nx, grid.ny))
+        coeffs[:, rng.random((grid.nx, grid.ny)) < 0.5] = 0.0
+        rows = exactly_hermitian(coeffs).reshape(9, -1)
+        form = ModeForm.gather(grid, lambda: (rows[:3], rows[3:8], rows[8:]))
+        assert rows.dtype == np.float64 and form.values.dtype == np.complex128
+        assert len(form.values) == 9 and np.any(form.colw == 2.0)
+        assert np.array_equal(form.values, rows[:, form.cols])
 
 
 class TestColumnBlocks:

@@ -654,10 +654,8 @@ def dx_product_full(a, b, grid):
 def mode_product(a, b, grid):
     """``dx_product`` of the mode forms of the full spectra ``a`` and ``b``
     (leading axes batch), expanded to full spectra."""
-    forms = []
-    for c in (a,) if b is a else (a, b):
-        flat = c.reshape(-1, grid.nx * grid.ny)
-        forms.append(ModeForm.gather(grid, len(flat), lambda: (flat,), flat.dtype))
+    forms = [ModeForm.gather(grid, lambda: (c.reshape(-1, grid.nx * grid.ny),))
+             for c in ((a,) if b is a else (a, b))]
     u, v = forms * 2 if b is a else forms
     return dx_product(u, v).expand().reshape(a.shape)
 
