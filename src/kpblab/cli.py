@@ -28,9 +28,10 @@ into the output directory after the CSV and the manifest and removed if
 the run fails.  ``norms`` reads it back with ``states.read``, refuses
 too few time steps (``check_steps``) before it reads any coeffs, gathers
 its mode form from the blocks of time rows alone (``ModeForm.gather``
-counts the rows), takes the Sobolev norm from the form's last row and then the three time-dependent
-norms from ``WindowedPower.of_modes``, which keeps only the form's
-power, so neither side holds a full trajectory.
+counts the rows), takes the Sobolev norm from the form's last row and
+then the three time-dependent norms from ``WindowedPower.of_modes``,
+which keeps only the form's power, so neither side holds a full
+trajectory.
 """
 
 from __future__ import annotations

@@ -205,14 +205,15 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
     ||u||_{X^{1/2,s1,s2}} and ||v||_{X^{1/2,s1,s2}}.
 
     u and v are reduced to their mode forms, each coeffs gathered as one
-    block (``ModeForm.gather``), and the ratio is taken on those as the bilinear suite takes it on its free
-    evolutions.  ``solver.dx_product`` multiplies d/dx(uv) on the smallest
-    even grid that holds the product's band without aliasing, 34 x 34 for
-    two fields in |k| <= 8, and gathers its mode form straight from there.
-    It is exact up to rounding and zero outside |k| <= 16, so the
-    numerator's norm transforms 528 columns, the Hermitian half of
-    33 * 32 = 1056 modes.  On the 32 x 32 suite grid (refine = 1) the band
-    does not fit, and the product is taken on the whole grid.
+    block (``ModeForm.gather``), and the ratio is taken on those as the
+    bilinear suite takes it on its free evolutions.  ``solver.dx_product``
+    multiplies d/dx(uv) on the smallest even grid that holds the product's
+    band without aliasing, 34 x 34 for two fields in |k| <= 8, and gathers
+    its mode form straight from there.  It is exact up to rounding and
+    zero outside |k| <= 16, so the numerator's norm transforms 528
+    columns, the Hermitian half of 33 * 32 = 1056 modes.  On the 32 x 32
+    suite grid (refine = 1) the band does not fit, and the product is
+    taken on the whole grid.
 
     Returns 0 when both sides vanish and inf on a violation (nonzero
     numerator over a zero denominator).
