@@ -12,9 +12,10 @@ the optional ones.  Exit codes: 0 success, 2 config error (parse errors
 reported with line numbers, precondition violations named by field; the
 library checks its own preconditions, and ``run`` reports the
 ``ValueError`` it raises as a config error, and a ``MemoryError`` as a run
-that needs more memory than the machine has), 3 numerical failure
-(non-convergence where convergence was required, or a result that is not
-finite).
+that needs more memory than the machine has; ``main`` reports an
+``OSError`` from ``run`` as outputs that cannot be written), 3 numerical
+failure (non-convergence where convergence was required, a result that is
+not finite, or an ``OverflowError``).
 
 Outputs are deterministic for a fixed config: rows are computed from sorted
 sweep points, gathered from worker threads, and written in sorted order;
@@ -39,16 +40,16 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
+import csv
 import hashlib
 import json
 import math
 import os
 import sys
-import zipfile
 
 import numpy as np
 
-from . import TOLERANCES, __version__
+from . import TOLERANCES, __version__, states
 from .illposedness import build_phi_N, chi_bound_check, scaling_study
 from .modes import ModeForm
 from .norms import WindowedPower, check_steps, sobolev_norm
@@ -203,17 +204,10 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            text = _fmt(cell)
-            if "," in text or '"' in text:
-                text = '"' + text.replace('"', '""') + '"'
-            cells.append(text)
-        lines.append(",".join(cells))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(cell) for cell in row] for row in rows)
 
 
 def _manifest(cfg: dict, command: str, parameters: dict, results: dict) -> str:
@@ -262,12 +256,10 @@ def _write_outputs(out_dir: str, command: str, header: list[str], rows: list[lis
 # ---------------------------------------------------------------- solve
 
 def _run_solve(p: dict, threads, states_path: str):
-    nx, ny, M, integrator = p["nx"], p["ny"], p["M"], p["integrator"]
-    tol, max_iter = p["tol"], p["max_iter"]
-    grid = make_grid(nx, ny, p["Lx"], p["Ly"])
+    M, integrator, tol, max_iter = p["M"], p["integrator"], p["tol"], p["max_iter"]
+    grid = make_grid(p["nx"], p["ny"], p["Lx"], p["Ly"])
     phi = _build_phi(p["phi_spec"], grid)
     if p["save_states"]:
-        from . import states
         states.check_fits(grid, M)
 
     results: dict = {"integrator": integrator}
@@ -295,10 +287,7 @@ def _run_solve(p: dict, threads, states_path: str):
             yield state
 
     if p["save_states"]:
-        states.write(states_path, {
-            "times": times, "coeffs": ((times.size, nx, ny), finite_states()),
-            "nx": nx, "ny": ny, "Lx": p["Lx"], "Ly": p["Ly"],
-            "dealias_fraction": grid.dealias_fraction})
+        states.write(states_path, grid, times, finite_states())
     else:
         for _ in finite_states():
             pass
@@ -356,14 +345,13 @@ def _run_verify(p: dict, threads, states_path: str):
 
 def _run_norms(p: dict, threads, states_path: str):
     input_path, b, s1, s2 = p["input_path"], p["b"], p["s1"], p["s2"]
-    from . import states
     try:
         grid, times, dt, blocks = states.read(input_path)
         check_steps(times.size)
         form = ModeForm.gather(grid, blocks)
     except OSError as exc:
         raise ConfigError(f"cannot read input_path {input_path!r}: {exc}") from exc
-    except (KeyError, TypeError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except ValueError as exc:
         raise ConfigError(f"input_path {input_path!r}: {exc}") from exc
     # the final state's norm first, so that the form can go once it is
     # transformed: the three time-dependent norms read only its power
@@ -429,7 +417,8 @@ def _read(cfg: dict, command: str) -> dict:
 
 def run(command: str, config_path: str, out_dir: str,
         threads: int | None = None) -> None:
-    """Execute one subcommand; raises ConfigError / NumericalFailure.
+    """Execute one subcommand; raises ConfigError / NumericalFailure, or
+    OSError if the outputs cannot be written.
 
     ``threads`` is the illposed sweep's worker count (None: every CPU).
     """
@@ -445,6 +434,8 @@ def run(command: str, config_path: str, out_dir: str,
         except MemoryError as exc:
             raise ConfigError(
                 f"the run needs more memory than this machine has: {exc}") from exc
+        except OverflowError as exc:
+            raise NumericalFailure(f"a value overflowed the float range: {exc}") from exc
         manifest = _manifest(cfg, command, parameters, results)
         _write_outputs(out_dir, command, header, rows, manifest, states_path)
     finally:  # a failed run leaves no states file behind
@@ -475,6 +466,9 @@ def main(argv=None) -> int:
     except NumericalFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"config error: cannot write outputs to {args.out}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

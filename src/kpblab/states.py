@@ -3,25 +3,25 @@
 
 The file is the one ``np.savez`` writes for the members ``times``,
 ``coeffs``, ``nx``, ``ny``, ``Lx``, ``Ly`` and ``dealias_fraction``, byte
-for byte.  ``coeffs`` is a C-order '<c16' array of shape
+for byte; the last five are the grid's, named as its attributes and as
+``make_grid``'s keywords.  ``coeffs`` is a C-order '<c16' array of shape
 (len(times), nx, ny); it is written one time row at a time, as the solver
-produces the states, and read back in blocks of whole time rows.
+produces the states, and read back one time row per block.
 ``read`` checks the rest before any row is read: ``nx`` and ``ny`` are
 integer scalars, ``Lx``, ``Ly`` and ``dealias_fraction`` real ones,
 ``times`` is a uniform grid from 0 (``solver.time_step``), coeffs has
 shape (len(times), nx, ny), and the box and the dealias fraction make a
 grid (``make_grid``).  It returns the grid, the times, their step and the
 source of the blocks, which ``kpblab norms`` passes as it is to
-``ModeForm.gather(grid, blocks)``.  A ``coeffs`` of another dtype, order
-or format version, or one whose data is shorter or longer than its shape,
-raises ``ValueError``; zipfile raises ``BadZipFile`` on a CRC mismatch,
-which every read pass checks.
-
-The CLI imports this module only in the commands that touch the file.
+``ModeForm.gather(grid, blocks)``.  Every malformed file raises
+``ValueError``: one that is not a zip file or lacks a member, a ``coeffs``
+of another dtype, order or format version, one whose data is shorter or
+longer than its shape, and a CRC mismatch, which every read pass checks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import zipfile
 
 import numpy as np
@@ -29,32 +29,48 @@ import numpy as np
 from .solver import check_memory, time_step
 from .spectral_core import make_grid
 
-_READ_BLOCK = 2 ** 18  # bytes of coeffs.npy read at a time: whole rows, one if larger
+# the members after times and coeffs, in np.savez order: the grid's attributes
+_GRID = ("nx", "ny", "Lx", "Ly", "dealias_fraction")
 
 
 def check_fits(grid, M: int) -> None:
-    """Raise ``ValueError`` if the coeffs of M+1 states on ``grid``, which
-    ``kpblab norms`` may gather whole, exceed physical memory."""
+    """Raise ``ValueError`` if the coeffs of M+1 states on ``grid`` exceed
+    physical memory.  Their size bounds what ``kpblab norms`` holds of the
+    file: the mode form, at most the Hermitian half of the coeffs, and the
+    form's real power, half the form's bytes."""
     check_memory("states.npz", grid, M, band_tables=0, full_tables=1)
 
 
-def write(path: str, members: dict) -> None:
-    """Write the file ``np.savez(path, **members)`` writes, byte for byte,
-    where a member may also be a pair (shape, rows): a C-order complex128
-    array of ``shape`` given as an iterable of its rows, each written as it
-    comes."""
+def write(path: str, grid, times: np.ndarray, states) -> None:
+    """Write the file that ``np.savez`` writes for ``times``, the states
+    stacked as ``coeffs`` and the grid members, byte for byte.  ``states``
+    is an iterable of the len(times) full (nx, ny) states in time order;
+    each is written as it comes."""
     with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as archive:
-        for name, value in members.items():
+        for name in ("times", "coeffs", *_GRID):
             # np.savez forces zip64 on every member
             with archive.open(name + ".npy", "w", force_zip64=True) as fid:
-                if isinstance(value, tuple):
-                    shape, rows = value
-                    np.lib.format.write_array_header_1_0(
-                        fid, {"descr": "<c16", "fortran_order": False, "shape": shape})
-                    for row in rows:
-                        fid.write(np.asarray(row, dtype="<c16"))
+                if name == "coeffs":
+                    np.lib.format.write_array_header_1_0(fid, {
+                        "descr": "<c16", "fortran_order": False,
+                        "shape": (times.size, grid.nx, grid.ny)})
+                    for state in states:
+                        fid.write(np.asarray(state, dtype="<c16"))
                 else:
+                    value = times if name == "times" else getattr(grid, name)
                     np.lib.format.write_array(fid, np.asanyarray(value))
+
+
+@contextlib.contextmanager
+def _archive(path: str):
+    """The zip file at ``path``, open for reading; zipfile's errors for a
+    file that is not a zip file, lacks a member or fails a CRC check leave
+    as ``ValueError``."""
+    try:
+        with zipfile.ZipFile(path) as archive:
+            yield archive
+    except (KeyError, EOFError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"not a readable states file: {exc}") from exc
 
 
 def _coeffs_shape(fid) -> tuple:
@@ -75,45 +91,39 @@ def read(path: str):
     """(grid, times, dt, blocks) of the file at ``path``, checked as the
     module docstring says; each call of ``blocks()`` reads the time rows of
     coeffs anew (``_coeff_blocks``)."""
-    with zipfile.ZipFile(path) as archive:
+    with _archive(path) as archive:
         def member(name):
             with archive.open(name + ".npy") as fid:
                 return np.lib.format.read_array(fid, allow_pickle=False)
-        times, nx, ny, Lx, Ly, fraction = map(
-            member, ("times", "nx", "ny", "Lx", "Ly", "dealias_fraction"))
+        times = member("times")
+        values = {name: member(name) for name in _GRID}
         with archive.open("coeffs.npy") as fid:
             shape = _coeffs_shape(fid)
-    for name, value, kinds in (("nx", nx, "iu"), ("ny", ny, "iu"), ("Lx", Lx, "iuf"),
-                               ("Ly", Ly, "iuf"), ("dealias_fraction", fraction, "iuf")):
+    for name, value in values.items():
+        kinds = "iu" if name in ("nx", "ny") else "iuf"
         if value.ndim != 0 or value.dtype.kind not in kinds:
             raise ValueError(
                 f"{name} must be {'an integer' if kinds == 'iu' else 'a real'} scalar, "
                 f"got a {value.dtype.str!r} array of shape {value.shape}")
     dt = time_step(times)
-    if shape != (times.size, int(nx), int(ny)):
+    box = {name: value.item() for name, value in values.items()}
+    if shape != (times.size, box["nx"], box["ny"]):
         raise ValueError(f"coeffs has shape {shape}, not (len(times), nx, ny) = "
-                         f"{(times.size, int(nx), int(ny))}")
-    grid = make_grid(int(nx), int(ny), float(Lx), float(Ly), float(fraction))
-    return grid, times, dt, lambda: _coeff_blocks(path, shape)
+                         f"{(times.size, box['nx'], box['ny'])}")
+    return make_grid(**box), times, dt, lambda: _coeff_blocks(path, shape)
 
 
 def _coeff_blocks(path: str, shape: tuple):
-    """The time rows of coeffs, of ``shape``, as blocks (n, nx * ny) of
-    whole rows: as many as fit in ``_READ_BLOCK`` bytes, or one row where
-    a row is larger (at 256^2 a row is 1 MiB, so each block is one row).
-    The member is read to its end, so zipfile checks its CRC."""
-    n_t, nx, ny = shape
-    row = nx * ny * 16
-    step = max(1, _READ_BLOCK // row)
-    with zipfile.ZipFile(path) as archive, archive.open("coeffs.npy") as fid:
+    """The time rows of coeffs, of ``shape``, one block (1, nx * ny) per
+    row.  The member is read to its end, so zipfile checks its CRC."""
+    row = 16 * shape[1] * shape[2]
+    with _archive(path) as archive, archive.open("coeffs.npy") as fid:
         if _coeffs_shape(fid) != shape:
             raise ValueError("coeffs.npy changed while it was read")
-        for t in range(0, n_t, step):
-            size = min(step, n_t - t) * row
-            data = fid.read(size)
-            if len(data) != size:
-                raise ValueError(
-                    f"coeffs.npy ends inside time row {t + len(data) // row} of {n_t}")
-            yield np.frombuffer(data, dtype="<c16").reshape(-1, nx * ny)
+        for t in range(shape[0]):
+            data = fid.read(row)
+            if len(data) != row:
+                raise ValueError(f"coeffs.npy ends inside time row {t} of {shape[0]}")
+            yield np.frombuffer(data, dtype="<c16").reshape(1, -1)
         if fid.read(1):
             raise ValueError(f"coeffs.npy holds more data than its shape {shape}")

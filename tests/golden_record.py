@@ -12,7 +12,9 @@ compared value by value; without it only the hashes are kept.
 ``tests/test_golden.py`` runs the same configs and compares the hashes with
 ``tests/golden_outputs.json``.  A change that moves output bytes on purpose
 regenerates the record with this script in the same commit, and lists each
-moved value and its largest relative move.
+moved value and its largest relative move.  Before it rewrites the record,
+the script prints each output whose hash moved, appeared or disappeared
+against the record it replaces.
 
 The set covers the three criterion-10 configs, a Picard and an ETD solve
 that save their states, ``kpblab norms`` on both saved states, the
@@ -95,6 +97,13 @@ def run_cases(root: str) -> dict:
         os.chdir(here)
 
 
+def moved(recorded: dict, hashes: dict) -> list:
+    """The sorted output paths whose hash differs between two
+    {path: hash} records, a path in only one of them included."""
+    return sorted(path for path in set(recorded) | set(hashes)
+                  if recorded.get(path) != hashes.get(path))
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Rewrite the golden record.")
     parser.add_argument("--keep", metavar="DIR",
@@ -106,6 +115,17 @@ def main(argv=None) -> int:
             parser.error(f"--keep {args.keep}: the directory is not empty")
     with tempfile.TemporaryDirectory() as scratch:
         record = {**environment(), "outputs": run_cases(args.keep or scratch)}
+    previous = {}
+    if os.path.exists(RECORD):
+        with open(RECORD, encoding="utf-8") as fh:
+            previous = json.load(fh)["outputs"]
+    changes = moved(previous, record["outputs"])
+    for path in changes:
+        state = ("appeared" if path not in previous else
+                 "disappeared" if path not in record["outputs"] else "moved")
+        print(f"{state}: {path}")
+    print(f"{len(changes)} of {len(record['outputs'])} outputs moved, appeared "
+          "or disappeared against the record")
     with open(RECORD, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

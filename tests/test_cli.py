@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 import kpblab
-from kpblab import cli, illposedness, modes, norms, semigroup, solver, spectral_core, verify
+from kpblab import (cli, illposedness, modes, norms, semigroup, solver, spectral_core,
+                    states, verify)
 from kpblab.cli import main
 
 
@@ -57,6 +58,18 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+def flip_last_coeffs_byte(path):
+    """Flip one bit of the last byte of coeffs.npy in the zip file at
+    ``path``: a CRC error."""
+    raw = bytearray(path.read_bytes())
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo("coeffs.npy")
+    name_len, extra_len = struct.unpack(
+        "<HH", raw[info.header_offset + 26:info.header_offset + 30])
+    raw[info.header_offset + 30 + name_len + extra_len + info.file_size - 1] ^= 1
+    path.write_bytes(bytes(raw))
+
+
 class TestConfigErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         rc = main(["solve", "--config", str(tmp_path / "nope.json"),
@@ -71,6 +84,15 @@ class TestConfigErrors:
         assert rc == 2
         err = capsys.readouterr().err
         assert "line 2" in err
+
+    def test_unwritable_out_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "afile").write_text("", encoding="utf-8")
+        cfg = write_cfg(tmp_path, "c.json", {
+            "command": "verify", "estimate_id": "free", "suite_size": 1, "seed": 0})
+        out = tmp_path / "afile" / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot write outputs to {out}: ")
 
     def test_command_mismatch(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "c.json", solve_cfg(command="norms"))
@@ -385,6 +407,29 @@ class TestNumericalFailure:
         assert "not finite" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, over", [
+        # _window_density's amplitude
+        ("illposed", {"s": -300.0}),
+        # t_N = N^(-3-eps0) in second_iterate_norm
+        ("illposed", {"eps0": -200.0}),
+        # the chi-bound samples' range
+        ("illposed", {"N_list": [16, 32, 64, 1e300]}),
+        # build_phi_N's amplitude
+        ("solve", {"nx": 64, "ny": 64, "Ly": 400.0,
+                   "phi_spec": {"type": "phi_N", "N": 8, "s": -400.0}})],
+        ids=["window_density", "t_N", "chi_samples", "phi_N"])
+    def test_overflow_exits_3_and_writes_nothing(self, tmp_path, capsys, command, over):
+        base = solve_cfg() if command == "solve" else {
+            "command": "illposed", "s": -0.7, "eps0": 0.01, "cells": 64,
+            "samples": 10000, "N_list": [16, 32, 64, 128]}
+        cfg = write_cfg(tmp_path, "c.json", {**base, **over})
+        out = tmp_path / "out"
+        rc = main([command, "--config", cfg, "--out", str(out), "--threads", "1"])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith(
+            "numerical failure: a value overflowed the float range: ")
+        assert os.listdir(tmp_path) == ["c.json"]
+
 
 class TestSolve:
     def test_zero_datum_outputs(self, tmp_path):
@@ -579,14 +624,8 @@ class TestSolveNormsRoundTrip:
                                      data if name == "coeffs" else array.getvalue())
         else:
             np.savez(path, **arrays)
-        if case == "corrupt":  # flip one bit of the last coeffs byte: a CRC error
-            raw = bytearray(path.read_bytes())
-            with zipfile.ZipFile(path) as archive:
-                info = archive.getinfo("coeffs.npy")
-            name_len, extra_len = struct.unpack(
-                "<HH", raw[info.header_offset + 26:info.header_offset + 30])
-            raw[info.header_offset + 30 + name_len + extra_len + info.file_size - 1] ^= 1
-            path.write_bytes(bytes(raw))
+        if case == "corrupt":
+            flip_last_coeffs_byte(path)
         out = tmp_path / "o"
         rc = main(["norms", "--config", norms_cfg(tmp_path, path), "--out", str(out)])
         assert rc == 2
@@ -609,7 +648,6 @@ class TestSolveNormsRoundTrip:
     def test_short_trajectory_rejected_before_coeffs_are_read(self, tmp_path, capsys,
                                                                monkeypatch):
         # 11 samples are 10 time steps: refused from len(times) alone
-        from kpblab import states
         times = np.linspace(0.0, 1.0, 11)
         coeffs = np.zeros((11, 8, 8), complex)
         coeffs[:, 1, 2] = coeffs[:, -1, -2] = 1.0
@@ -696,6 +734,24 @@ class TestStreamedStates:
             "bourgain": norms.bourgain_norm(traj, 0.5, -0.3, 0.2),
             "equivalence_gap": norms.equivalence_gap(traj, 0.5, -0.3, 0.2)}
         assert fft_columns[1:] == fft_columns[:1] * 3
+
+    @pytest.mark.parametrize("case", ["no_coeffs", "not_a_zip", "crc"])
+    def test_read_raises_value_error_on_malformed_file(self, tmp_path, case):
+        # the library contract under test_norms_input_contract's exit 2
+        arrays = {"times": np.linspace(0.0, 1.0, 17), "coeffs": np.zeros((17, 8, 8), complex),
+                  "nx": 8, "ny": 8, "Lx": 1.0, "Ly": 1.0, "dealias_fraction": 2.0 / 3.0}
+        path = tmp_path / "states.npz"
+        if case == "no_coeffs":
+            del arrays["coeffs"]
+        np.savez(path, **arrays)
+        if case == "not_a_zip":
+            path.write_text("not an npz archive\n", encoding="utf-8")
+        elif case == "crc":
+            flip_last_coeffs_byte(path)
+        with pytest.raises(ValueError):
+            blocks = states.read(path)[3]
+            for _ in blocks():  # each pass checks the CRC
+                pass
 
     def test_norms_of_a_nan_pair_exit_3(self, tmp_path, capsys):
         traj = self.library_solve("picard")

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from golden_record import RECORD, environment, run_cases
+from golden_record import RECORD, environment, moved, run_cases
 
 
 def test_outputs_match_golden_record(tmp_path):
@@ -26,7 +26,5 @@ def test_outputs_match_golden_record(tmp_path):
     if environment() != recorded_env:
         pytest.skip(f"golden record made with {recorded_env}, this is "
                     f"{environment()}; regenerate it with tests/golden_record.py")
-    hashes = run_cases(str(tmp_path))
-    moved = sorted(path for path in set(hashes) | set(record["outputs"])
-                   if hashes.get(path) != record["outputs"].get(path))
-    assert not moved, f"outputs differ from the golden record: {moved}"
+    changed = moved(record["outputs"], run_cases(str(tmp_path)))
+    assert not changed, f"outputs differ from the golden record: {changed}"

@@ -596,7 +596,7 @@ class TestTrajectoryMemory:
 
         # `kpblab solve` keeps the two band tables of a Picard solve and
         # streams the states; a states.npz counts as one full table, which
-        # `kpblab norms` may gather whole.  ETD without states: never checked.
+        # bounds what `kpblab norms` holds of it.  ETD without states: never checked.
         config = {"command": "solve", "nx": 32, "ny": 32, "Lx": np.pi, "Ly": np.pi,
                   "T": 0.1, "M": 20, "tol": 1e-10, "max_iter": 25,
                   "phi_spec": {"type": "gaussian", "amplitude": 0.05, "widths": [1, 1]}}
