@@ -9,7 +9,7 @@ for byte; the last five are the grid's, named as its attributes and as
 produces the states, and read back one time row per block.
 ``read`` checks the rest before any row is read: ``nx`` and ``ny`` are
 integer scalars, ``Lx``, ``Ly`` and ``dealias_fraction`` real ones,
-``times`` is a uniform grid from 0 (``solver.time_step``), coeffs has
+``times`` is a real, uniform grid from 0 (``solver.time_step``), coeffs has
 shape (len(times), nx, ny), and the box and the dealias fraction make a
 grid (``make_grid``).  It returns the grid, the times, their step and the
 source of the blocks, which ``kpblab norms`` passes as it is to
@@ -105,6 +105,8 @@ def read(path: str):
             raise ValueError(
                 f"{name} must be {'an integer' if kinds == 'iu' else 'a real'} scalar, "
                 f"got a {value.dtype.str!r} array of shape {value.shape}")
+    if times.dtype.kind not in "iuf":
+        raise ValueError(f"times must be a real array, got a {times.dtype.str!r} one")
     dt = time_step(times)
     box = {name: value.item() for name, value in values.items()}
     if shape != (times.size, box["nx"], box["ny"]):

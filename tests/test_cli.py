@@ -568,10 +568,10 @@ class TestSolveNormsRoundTrip:
         "complex64", "float64", "big_endian", "fortran", "shape", "times",
         "truncated", "trailing", "corrupt", "no_coeffs", "nan_box", "nx_float",
         "nx_string", "ny_vector", "nonuniform", "late_start", "lx_string",
-        "fraction_string", "ly_vector", "lx_bool"])
+        "fraction_string", "ly_vector", "lx_bool", "complex_times"])
     def test_norms_input_contract(self, tmp_path, capsys, case):
         # norms streams C-order '<c16' coeffs of shape (len(times), nx, ny),
-        # on a uniform time grid from 0, a grid of integer scalars nx, ny,
+        # on a real, uniform time grid from 0, a grid of integer scalars nx, ny,
         # a finite box and real scalars Lx, Ly and dealias_fraction, exactly
         # what solve writes; anything else is a config error
         times = np.linspace(0.0, 1.0, 17)
@@ -605,6 +605,8 @@ class TestSolveNormsRoundTrip:
                            "fraction_string": {"dealias_fraction": "0.5"},
                            "ly_vector": {"Ly": np.array([1.0])},
                            "lx_bool": {"Lx": True}}[case])
+        elif case == "complex_times":  # a real part that alone would pass
+            arrays["times"] = times + 1j * np.linspace(0.0, 5.0, 17)
         elif case in ("nonuniform", "late_start"):
             arrays["times"] = times.copy()
             if case == "nonuniform":
