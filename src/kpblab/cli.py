@@ -26,13 +26,13 @@ has succeeded, so a failed run leaves no partial outputs.  The one
 exception is ``solve``'s ``states.npz`` (see ``kpblab.states``): it is
 streamed, one state at a time, into a temporary file, which is renamed
 into the output directory after the CSV and the manifest and removed if
-the run fails.  ``norms`` reads it back with ``states.read``, refuses
-too few time steps (``check_steps``) before it reads any coeffs, gathers
-its mode form from the blocks of time rows alone (``ModeForm.gather``
-counts the rows), takes the Sobolev norm from the form's last row and
-then the three time-dependent norms from ``WindowedPower.of_modes``,
-which keeps only the form's power, so neither side holds a full
-trajectory.
+the run fails.  It holds the states on the solver band.  ``norms`` reads
+it back with ``states.read``, refuses too few time steps
+(``check_steps``) before it reads any band row, builds its mode form in
+one pass over the blocks of time rows (``solver.band_form``), takes the
+Sobolev norm from the form's last row and then the three time-dependent
+norms from ``WindowedPower.of_modes``, which keeps only the form's
+power, so neither side holds a full trajectory.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from . import TOLERANCES, __version__, states
 from .illposedness import build_phi_N, chi_bound_check, scaling_study
 from .modes import ModeForm
 from .norms import WindowedPower, check_steps, sobolev_norm
-from .solver import solve_states
+from .solver import band_form, solve_states
 from .spectral_core import Grid2D, SpectralField, forward_transform, make_grid
 from .verify import run_suite
 
@@ -263,7 +263,7 @@ def _run_solve(p: dict, threads, states_path: str):
         states.check_fits(grid, M)
 
     results: dict = {"integrator": integrator}
-    times, report, full_states = solve_states(phi, p["T"], M, integrator, tol, max_iter)
+    times, report, band_states = solve_states(phi, p["T"], M, integrator, tol, max_iter)
     if report is not None:
         results["iterations"] = report.iterations
         results["converged"] = report.converged
@@ -277,8 +277,8 @@ def _run_solve(p: dict, threads, states_path: str):
     history = []
 
     def finite_states():
-        """The full states in time order, each L^2 norm appended to history."""
-        for k, state, l2 in full_states:
+        """The band states in time order, each L^2 norm appended to history."""
+        for k, state, l2 in band_states:
             if not math.isfinite(l2):
                 raise NumericalFailure(
                     f"{integrator} solution is not finite at step {k} "
@@ -348,7 +348,7 @@ def _run_norms(p: dict, threads, states_path: str):
     try:
         grid, times, dt, blocks = states.read(input_path)
         check_steps(times.size)
-        form = ModeForm.gather(grid, blocks)
+        form = band_form(grid, times.size, blocks)
     except OSError as exc:
         raise ConfigError(f"cannot read input_path {input_path!r}: {exc}") from exc
     except ValueError as exc:
@@ -358,8 +358,9 @@ def _run_norms(p: dict, threads, states_path: str):
     last = ModeForm(grid, form.cols, form.colw, form.values[-1:]).expand()
     sobolev_final = sobolev_norm(SpectralField(grid, last.reshape(grid.nx, grid.ny)),
                                  s1, s2)
+    del last
     power = WindowedPower.of_modes(form, dt)
-    del form, last
+    del form
 
     row = [b, s1, s2, sobolev_final,
            power.spacetime(b, s1, s2), power.bourgain(b, s1, s2), power.gap(b, s1, s2)]

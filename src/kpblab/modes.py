@@ -12,14 +12,16 @@ on the grid, with the same xi, so P is even along that row and the norms'
 sigma = tau - P does not mirror.  ``cols`` lists the exact first modes,
 then the other occupied modes in flat order.
 
-``ModeForm.gather(grid, blocks)`` is the one way from arrays to a mode
-form.  It selects the columns and counts the rows in one pass over
+``ModeForm.gather(grid, blocks)`` is the one way from full arrays to a
+mode form.  It selects the columns and counts the rows in one pass over
 consecutive blocks of time rows and gathers the complex values in a
-second: an in-memory trajectory is one block, and ``kpblab norms``
-streams the blocks that ``states.read`` returns for ``states.npz``.
-``ModeForm.expand`` writes the field back at any flat modes; ``kpblab
-norms`` expands the last row of its form to take the final state's
-Sobolev norm.  The verify suites build their free evolutions and products
+second; an in-memory trajectory is one block.  States kept on the
+solver band become a form through ``solver.band_form`` instead, in one
+pass, with the columns, weights and values that ``gather`` gives of
+their full spectra: ``kpblab norms`` streams the band rows that
+``states.read`` returns for ``states.npz``.  ``ModeForm.expand`` writes
+the field back at any flat modes; ``kpblab norms`` expands the last row
+of its form to take the final state's Sobolev norm.  The verify suites build their free evolutions and products
 as mode forms and never expand them to the whole grid.
 """
 

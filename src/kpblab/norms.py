@@ -33,8 +33,8 @@ A ``WindowedPower`` is the windowed transform's power of a mode form
 (``WindowedPower.of_modes``, or ``of`` for an in-memory trajectory), and
 its ``spacetime``, ``bourgain`` and ``gap`` methods are the three
 time-dependent norms, so one transform serves all three.  ``kpblab norms``
-gathers the form of a saved trajectory from ``states.npz`` and calls
-``of_modes``.
+builds the form of a saved trajectory from the band states of
+``states.npz`` (``solver.band_form``) and calls ``of_modes``.
 ``spacetime_norm``, ``bourgain_norm`` and ``equivalence_gap`` are the
 methods on the power of one in-memory trajectory.
 """
@@ -124,6 +124,21 @@ def taper_transform(columns: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndar
     return _bin_frequencies(n_t, dt), uhat
 
 
+def _squared_modulus_into(out: np.ndarray, uhat: np.ndarray) -> None:
+    """Write |uhat|^2 into ``out``, a block of columns of a larger array.
+    It is taken half the rows of ``uhat`` at a time, in a contiguous
+    scratch that is then copied into ``out``: numpy runs a strided output
+    through buffered loops.  The scratch, a quarter of ``uhat``'s bytes,
+    is allocated after the transform has released its own buffers."""
+    half = -(-len(uhat) // 2)
+    scratch = np.empty((half, uhat.shape[1]))
+    for t in range(0, len(uhat), half):
+        rows = uhat[t:t + half]
+        square = np.abs(rows, out=scratch[:len(rows)])
+        square **= 2
+        out[t:t + half] = square
+
+
 def _on_modes(table: np.ndarray, grid, cols: np.ndarray) -> np.ndarray:
     """A per-mode table (anything that broadcasts to (nx, ny)) at the flat
     mode indices ``cols``."""
@@ -161,9 +176,10 @@ class WindowedPower:
         ``dt``, whose time steps are counted first (``check_steps``).  The
         form is left unchanged.  ``power`` is allocated once, and blocks of
         about ``_TRANSFORM_BLOCK`` bytes of columns are tapered and
-        transformed (``taper_transform``) one at a time, each squared
-        modulus written straight into ``power``; so no complex copy of the
-        whole form is made, and the bits are those of one block.
+        transformed (``taper_transform``) one at a time, and each squared
+        modulus is copied into its columns of ``power``
+        (``_squared_modulus_into``); so no complex copy of the whole form
+        is made, and the bits are those of one block.
         """
         values = form.values
         n_t = len(values)
@@ -171,9 +187,8 @@ class WindowedPower:
         power = np.empty(values.shape)
         step = max(1, _TRANSFORM_BLOCK // (16 * n_t))
         for start in range(0, values.shape[1], step):
-            block = power[:, start:start + step]
-            np.abs(taper_transform(values[:, start:start + step], dt)[1], out=block)
-            block **= 2
+            _squared_modulus_into(power[:, start:start + step],
+                                  taper_transform(values[:, start:start + step], dt)[1])
         return cls(form.grid, dt, n_t, _bin_frequencies(n_t, dt), power,
                    form.cols, form.colw)
 

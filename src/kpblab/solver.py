@@ -24,17 +24,20 @@ leading columns ky = 0 .. f ny/2, for the grid's dealias fraction f.  At
 entries.  ``_dx_product`` transforms a band without its zero columns (see
 there), bit for bit as ``irfft2``/``rfft2`` of its half spectrum.
 ``_full`` expands a band by conjugate mirroring at the ``Trajectory``
-boundary only, and writes +0.0 off it.  ``Trajectory``, ``picard_step``,
-``nonlinearity`` and ``l2_history`` take and return full spectra.
-``picard_step`` takes a trajectory that need not be band-limited, so it
-passes a whole half spectrum as its band.  The solvers' trajectories are
-exactly Hermitian.  ``dx_product`` is the one product of two fields kept
-as mode forms (``modes.ModeForm``), as ``verify`` keeps them;
-``nonlinearity`` is the product of a field's mode form with itself.
+boundary and for the L^2 norms only, and writes +0.0 off it.
+``Trajectory``, ``picard_step``, ``nonlinearity`` and ``l2_history`` take
+and return full spectra.  ``picard_step`` takes a trajectory that need
+not be band-limited, so it passes a whole half spectrum as its band.  The
+solvers' trajectories are exactly Hermitian.  ``_band_form`` is the one
+way from bands to a mode form (``modes.ModeForm``): ``band_form`` of the
+solver's bands, as ``kpblab norms`` reads them from ``states.npz``, and
+``dx_product``, the one product of two fields kept as mode forms, as
+``verify`` keeps them; ``nonlinearity`` is the product of a field's mode
+form with itself.
 
 ``solve_states`` is the one path from a datum to the states of either
-integrator, one full state at a time with its L^2 norm; ``solve_picard``
-and ``solve_etd`` collect them into a ``Trajectory``.  A Picard solve
+integrator, one band state at a time with its L^2 norm; ``solve_picard``
+and ``solve_etd`` expand and collect them into a ``Trajectory``.  A Picard solve
 holds two band trajectories while it iterates (the W(t_k) phi table and
 the one iterate, updated in place) and one after; an ETD stream holds
 one band state; a collector adds one full (M+1, nx, ny) trajectory.
@@ -69,6 +72,7 @@ __all__ = [
 ]
 
 _MIN_SOLVE_STEPS = 8  # smallest M (time steps) of a solve
+_COMPACT_BLOCK = 2 ** 20  # bytes of live values a mode form moves at a time
 PHI_SERIES_CUTOFF = 1e-2  # |z| below which phi1, phi2 use their Taylor series
 
 
@@ -146,6 +150,12 @@ def _band(grid: Grid2D) -> tuple[np.ndarray, int]:
     of leading columns ky = 0 .. cols-1 it keeps."""
     half = grid.dealias_mask[:, :grid.ny // 2 + 1]
     return np.flatnonzero(half[:, 0]), int(np.count_nonzero(half[0]))
+
+
+def band_shape(grid: Grid2D) -> tuple[int, int]:
+    """(rows, cols), the shape of one state on the solver band (``_band``)."""
+    rows, cols = _band(grid)
+    return rows.size, cols
 
 
 def _whole(grid: Grid2D) -> tuple[np.ndarray, int]:
@@ -285,6 +295,69 @@ def _product_layout(grid: Grid2D, mx: int,
     return (mx, my), rows, table
 
 
+def _band_form(grid: Grid2D, rows: np.ndarray, cols: int, n: int, blocks) -> ModeForm:
+    """The mode form of the n band states that ``blocks()`` returns as
+    consecutive blocks (m, len(rows), cols) of time rows, each the band
+    of a full spectrum that ``_full`` expands, with the columns, weights
+    and values that ``ModeForm.gather`` gives of the expanded rows, bit
+    for bit, from one pass over the blocks.
+
+    The gather map is the gathered form of one row that ``_full`` expands
+    from a tag of each band entry: it names the band entry behind each
+    column and whether the column holds its conjugate or its real part
+    alone (a self-conjugate mode); the entries that ``_full`` rebuilds
+    from their mirrors, the kx < 0 rows of the ky = 0 column whose kx > 0
+    row is in the band, are never read.  A column that stays zero at every time is dropped in place,
+    after the pass, so the values never take more than the mapped
+    columns.  Rows holding NaN, whose pairs are then not exact, are
+    expanded and gathered whole, which calls ``blocks`` twice more.
+    """
+    shape = (grid.nx, grid.ny)
+    tags = (1.0 + 1.0j) * np.arange(1, rows.size * cols + 1).reshape(rows.size, cols)
+    tagged = _full(tags, rows, shape).reshape(1, -1)
+    tag_form = ModeForm.gather(grid, lambda: (tagged,))
+    tag = tag_form.values[0]
+    source, conjugated, real = tag.real.astype(np.intp) - 1, tag.imag < 0.0, tag.imag == 0.0
+    values = np.empty((n, source.size), dtype=complex)
+    live = np.zeros(source.size, dtype=bool)
+    has_nan = False
+    t = 0
+    for block in blocks():
+        chunk = values[t:t + len(block)]
+        # mode="clip" (source is in range) lets take write into values unbuffered
+        np.take(block.reshape(len(block), -1), source, axis=1, out=chunk, mode="clip")
+        np.conjugate(chunk, out=chunk, where=conjugated)
+        chunk.imag[:, real] = 0.0
+        live |= np.any(chunk, axis=0)
+        has_nan = has_nan or bool(np.isnan(chunk).any())
+        t += len(block)
+    if has_nan:
+        del values
+        return ModeForm.gather(grid, lambda: (_full(block, rows, shape).reshape(len(block), -1)
+                                              for block in blocks()))
+    k = int(np.count_nonzero(live))
+    if k < live.size:
+        # row t's live values move to flat[t k:(t+1) k], below its own
+        # row, so each block of rows is copied out before it is overwritten
+        flat = values.reshape(-1)
+        step = max(1, _COMPACT_BLOCK // (16 * max(k, 1)))
+        for t in range(0, n, step):
+            end = min(t + step, n)
+            flat[t * k:end * k] = values[t:end, live].reshape(-1)
+        values = flat[:n * k].reshape(n, k)
+    return ModeForm(grid, tag_form.cols[live], tag_form.colw[live], values)
+
+
+def band_form(grid: Grid2D, n: int, blocks) -> ModeForm:
+    """The mode form of the n states on the solver band of ``grid`` (the
+    ``solve_states`` bands) that ``blocks()`` returns as consecutive
+    blocks (m, rows, cols) of time rows: the gathered form
+    (``ModeForm.gather``) of their full spectra, from one pass over the
+    blocks (``_band_form``)."""
+    rows, cols = _band(grid)
+    return _band_form(grid, rows, cols, n, blocks)
+
+
 def dx_product(u: ModeForm, v: ModeForm) -> ModeForm:
     """The mode form of d/dx(u v), dealiased and KP-projected, for mode
     forms u and v on one grid and time grid; passing one form twice
@@ -293,12 +366,10 @@ def dx_product(u: ModeForm, v: ModeForm) -> ModeForm:
     u and v are placed straight into the half spectra of the band grid of
     ``_band_extent``, laid out by ``_product_layout``, and multiplied
     there: exactly up to rounding, and zero outside the product's band,
-    on a band grid that fits.  The gather map is the gathered form
-    (``ModeForm.gather``) of one row that ``_full`` expands from a tag of
-    each band entry, so the columns, weights and values are those of the
-    gathered form of the expanded product.  A product holding NaN, whose
-    pairs are then not exact, is expanded and gathered whole.  Forms on
-    two grids, or with different numbers of time rows, are a ValueError.
+    on a band grid that fits.  The product's band becomes a mode form
+    through ``_band_form``, so the columns, weights and values are those
+    of the gathered form of the expanded product.  Forms on two grids, or
+    with different numbers of time rows, are a ValueError.
     """
     grid = u.grid
     n = len(u.values)
@@ -314,18 +385,7 @@ def dx_product(u: ModeForm, v: ModeForm) -> ModeForm:
     ha = u.expand(pos)
     hb = ha if v is u else v.expand(pos)
     w = _dx_product(ha, hb, shape, np.arange(shape[0]), table)
-    tags = (1.0 + 1.0j) * np.arange(1, w[0].size + 1).reshape(w.shape[1:])
-    tagged = _full(tags, rows, (grid.nx, grid.ny)).reshape(1, -1)
-    tag_form = ModeForm.gather(grid, lambda: (tagged,))
-    tag, cols, colw = tag_form.values[0], tag_form.cols, tag_form.colw
-    values = w.reshape(n, -1)[:, tag.real.astype(np.intp) - 1]
-    np.conjugate(values, out=values, where=tag.imag < 0.0)
-    values.imag[:, tag.imag == 0.0] = 0.0
-    if np.isnan(values).any():
-        full = _full(w, rows, (grid.nx, grid.ny)).reshape(n, -1)
-        return ModeForm.gather(grid, lambda: (full,))
-    live = np.any(values, axis=0)
-    return ModeForm(grid, cols[live], colw[live], values[:, live])
+    return _band_form(grid, rows, table.shape[-1], n, lambda: (w,))
 
 
 def nonlinearity(f: SpectralField) -> SpectralField:
@@ -529,9 +589,11 @@ def solve_states(phi: SpectralField, T: float, M: int, integrator: str = "picard
     keeps no full trajectory.
 
     ``states`` yields (k, u_k, its L^2 norm) for k = 0, 1, ...: u_k is the
-    full (nx, ny) spectrum at ``times[k]`` in one reused buffer, which the
-    next state overwrites.  The buffer is row 0 of a two-row batch whose
-    row 1 stays zero: einsum sums a one-row batch in a single pass but a
+    state at ``times[k]`` on the solver band, a (rows, cols) array of
+    ``band_shape(grid)`` that the caller must not modify; ``_full``
+    expands it to the full (nx, ny) spectrum.  The norm is taken of that
+    expansion, in one reused buffer: row 0 of a two-row batch whose row 1
+    stays zero.  einsum sums a one-row batch in a single pass but a
     longer one in chunks, and only the batch keeps ``l2_history``'s
     summation order, so the norms equal it bit for bit.
 
@@ -559,7 +621,7 @@ def solve_states(phi: SpectralField, T: float, M: int, integrator: str = "picard
         buf = np.zeros((2, grid.nx, grid.ny), dtype=complex)
         for k, u in band_states:
             _full(u, rows, (grid.nx, grid.ny), out=buf[0])
-            yield k, buf[0], float(_l2_rows(buf, grid.cell_measure)[0])
+            yield k, u, float(_l2_rows(buf, grid.cell_measure)[0])
 
     return times, report, states()
 
@@ -572,9 +634,10 @@ def _collect(phi: SpectralField, T: float, M: int, integrator: str,
     band_tables = 2 if integrator == "picard" else 0
     check_memory(f"solve_{integrator}", grid, M, band_tables, full_tables=1)
     times, report, states = solve_states(phi, T, M, integrator, **options)
-    out = np.empty((times.size, grid.nx, grid.ny), dtype=complex)
-    for k, state, _ in states:
-        out[k] = state
+    rows, _ = _band(grid)
+    out = np.zeros((times.size, grid.nx, grid.ny), dtype=complex)
+    for k, band, _ in states:
+        _full(band, rows, (grid.nx, grid.ny), out=out[k])
     out[k + 1:] = np.nan
     return Trajectory(grid=grid, times=times, coeffs=out), report
 

@@ -58,12 +58,12 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
-def flip_last_coeffs_byte(path):
-    """Flip one bit of the last byte of coeffs.npy in the zip file at
+def flip_last_band_byte(path):
+    """Flip one bit of the last byte of band.npy in the zip file at
     ``path``: a CRC error."""
     raw = bytearray(path.read_bytes())
     with zipfile.ZipFile(path) as archive:
-        info = archive.getinfo("coeffs.npy")
+        info = archive.getinfo("band.npy")
     name_len, extra_len = struct.unpack(
         "<HH", raw[info.header_offset + 26:info.header_offset + 30])
     raw[info.header_offset + 30 + name_len + extra_len + info.file_size - 1] ^= 1
@@ -519,8 +519,8 @@ class TestSolveNormsRoundTrip:
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         states = out / "states.npz"
         assert states.exists()
-        with np.load(states) as data:
-            assert data["coeffs"].shape == (21, 32, 32)
+        with np.load(states) as data:  # |kx| <= 10, ky = 0 .. 10
+            assert data["band"].shape == (21, 21, 11)
 
         ncfg = write_cfg(tmp_path, "norms.json", {
             "command": "norms", "input_path": str(states),
@@ -551,7 +551,7 @@ class TestSolveNormsRoundTrip:
             path.write_text("not an npz archive\n", encoding="utf-8")
         elif content == "bad_grid":
             np.savez(path, times=np.linspace(0.0, 1.0, 17),
-                     coeffs=np.zeros((17, 7, 8), complex), nx=7, ny=8,
+                     band=np.zeros((17, 5, 3), complex), nx=7, ny=8,
                      Lx=1.0, Ly=1.0, dealias_fraction=2.0 / 3.0)
         else:
             path.write_bytes(b"PK\x03\x04" + b"\x00" * 60)
@@ -570,31 +570,32 @@ class TestSolveNormsRoundTrip:
         "nx_string", "ny_vector", "nonuniform", "late_start", "lx_string",
         "fraction_string", "ly_vector", "lx_bool", "complex_times"])
     def test_norms_input_contract(self, tmp_path, capsys, case):
-        # norms streams C-order '<c16' coeffs of shape (len(times), nx, ny),
-        # on a real, uniform time grid from 0, a grid of integer scalars nx, ny,
-        # a finite box and real scalars Lx, Ly and dealias_fraction, exactly
-        # what solve writes; anything else is a config error
+        # norms streams C-order '<c16' band states of shape (len(times), rows,
+        # cols), the grid's solver band, on a real, uniform time grid from 0,
+        # a grid of integer scalars nx, ny, a finite box and real scalars Lx,
+        # Ly and dealias_fraction, exactly what solve writes; anything else
+        # is a config error
         times = np.linspace(0.0, 1.0, 17)
-        coeffs = np.zeros((17, 8, 8), complex)
-        coeffs[:, 1, 2] = coeffs[:, -1, -2] = 1.0
+        band = np.zeros((17, 5, 3), complex)  # rows kx = 0, 1, 2, -2, -1; ky = 0 .. 2
+        band[:, 1, 2] = 1.0  # the pair (1, 2), (-1, -2)
         rest = {"nx": 8, "ny": 8, "Lx": 1.0, "Ly": 1.0, "dealias_fraction": 2.0 / 3.0}
         path = tmp_path / "input.npz"
-        np.savez(path, times=times, coeffs=coeffs, **rest)
+        np.savez(path, times=times, band=band, **rest)
         assert main(["norms", "--config", norms_cfg(tmp_path, path),
                      "--out", str(tmp_path / "ok")]) == 0
-        arrays = {"times": times, "coeffs": coeffs, **rest}
+        arrays = {"times": times, "band": band, **rest}
         if case in ("complex64", "float64", "big_endian"):
-            arrays["coeffs"] = {"complex64": coeffs.astype(np.complex64),
-                                "float64": coeffs.real.copy(),
-                                "big_endian": coeffs.astype(">c16")}[case]
+            arrays["band"] = {"complex64": band.astype(np.complex64),
+                              "float64": band.real.copy(),
+                              "big_endian": band.astype(">c16")}[case]
         elif case == "fortran":
-            arrays["coeffs"] = np.asfortranarray(coeffs)
+            arrays["band"] = np.asfortranarray(band)
         elif case == "shape":
-            arrays["coeffs"] = coeffs[:, :, :6]
+            arrays["band"] = band[:, :, :2]
         elif case == "times":
             arrays["times"] = np.linspace(0.0, 1.0, 18)
         elif case == "no_coeffs":
-            del arrays["coeffs"]
+            del arrays["band"]
         elif case == "nan_box":
             arrays["Lx"] = math.nan
         elif case in ("nx_float", "nx_string", "ny_vector", "lx_string",
@@ -615,7 +616,7 @@ class TestSolveNormsRoundTrip:
                 arrays["times"] += 0.5
         if case in ("truncated", "trailing"):
             data = io.BytesIO()
-            np.lib.format.write_array(data, coeffs)
+            np.lib.format.write_array(data, band)
             data = data.getvalue()
             data = data[:-16] if case == "truncated" else data + bytes(16)
             with zipfile.ZipFile(path, "w") as archive:
@@ -623,11 +624,11 @@ class TestSolveNormsRoundTrip:
                     array = io.BytesIO()
                     np.lib.format.write_array(array, np.asanyarray(value))
                     archive.writestr(name + ".npy",
-                                     data if name == "coeffs" else array.getvalue())
+                                     data if name == "band" else array.getvalue())
         else:
             np.savez(path, **arrays)
         if case == "corrupt":
-            flip_last_coeffs_byte(path)
+            flip_last_band_byte(path)
         out = tmp_path / "o"
         rc = main(["norms", "--config", norms_cfg(tmp_path, path), "--out", str(out)])
         assert rc == 2
@@ -651,14 +652,14 @@ class TestSolveNormsRoundTrip:
                                                                monkeypatch):
         # 11 samples are 10 time steps: refused from len(times) alone
         times = np.linspace(0.0, 1.0, 11)
-        coeffs = np.zeros((11, 8, 8), complex)
-        coeffs[:, 1, 2] = coeffs[:, -1, -2] = 1.0
+        band = np.zeros((11, 5, 3), complex)
+        band[:, 1, 2] = 1.0
         path = tmp_path / "input.npz"
-        np.savez(path, times=times, coeffs=coeffs, nx=8, ny=8, Lx=1.0, Ly=1.0,
+        np.savez(path, times=times, band=band, nx=8, ny=8, Lx=1.0, Ly=1.0,
                  dealias_fraction=2.0 / 3.0)
         passes = []
-        blocks = states._coeff_blocks
-        monkeypatch.setattr(states, "_coeff_blocks",
+        blocks = states._band_blocks
+        monkeypatch.setattr(states, "_band_blocks",
                             lambda *args: passes.append(args) or blocks(*args))
         rc = main(["norms", "--config", norms_cfg(tmp_path, path),
                    "--out", str(tmp_path / "o")])
@@ -669,25 +670,50 @@ class TestSolveNormsRoundTrip:
 
 
 class TestStreamedStates:
-    """solve writes states.npz one state at a time and norms reads it in
-    blocks of time rows: the files and numbers are those of np.savez and of
-    the in-memory library, and neither side holds a full trajectory."""
+    """solve writes the band states of states.npz one state at a time and
+    norms reads it in blocks of time rows: the files and numbers are those
+    of np.savez and of the in-memory library, and neither side holds a full
+    trajectory."""
 
     @staticmethod
-    def library_solve(integrator):
+    def library_phi(integrator):
         cfg = solve_cfg(integrator=integrator)
         grid = spectral_core.make_grid(cfg["nx"], cfg["ny"], cfg["Lx"], cfg["Ly"])
-        phi = cli._build_phi(cfg["phi_spec"], grid)
+        return cfg, cli._build_phi(cfg["phi_spec"], grid)
+
+    @classmethod
+    def library_solve(cls, integrator):
+        cfg, phi = cls.library_phi(integrator)
         if integrator == "picard":
             return solver.solve_picard(phi, cfg["T"], cfg["M"], tol=cfg["tol"],
                                        max_iter=cfg["max_iter"])[0]
         return solver.solve_etd(phi, cfg["T"], cfg["M"])
 
+    @classmethod
+    def library_band(cls, integrator):
+        """(grid, times, the (len(times), rows, cols) band states) of the
+        library's ``solve_states``."""
+        cfg, phi = cls.library_phi(integrator)
+        times, _, band_states = solver.solve_states(phi, cfg["T"], cfg["M"], integrator,
+                                                    cfg["tol"], cfg["max_iter"])
+        return phi.grid, times, np.array([band for _, band, _ in band_states])
+
     @staticmethod
-    def savez(path, traj):
-        np.savez(path, times=traj.times, coeffs=traj.coeffs, nx=traj.grid.nx,
-                 ny=traj.grid.ny, Lx=math.pi, Ly=math.pi,
-                 dealias_fraction=traj.grid.dealias_fraction)
+    def expand(grid, times, band):
+        """The trajectory whose full spectra ``band`` holds on the solver band."""
+        rows, _ = solver._band(grid)
+        return solver.Trajectory(grid=grid, times=times,
+                                 coeffs=solver._full(band, rows, (grid.nx, grid.ny)))
+
+    @staticmethod
+    def savez(path, grid, times, band):
+        np.savez(path, times=times, band=band, nx=grid.nx, ny=grid.ny, Lx=math.pi,
+                 Ly=math.pi, dealias_fraction=grid.dealias_fraction)
+
+    @staticmethod
+    def band_row(grid, kx):
+        """The index of the half-spectrum row kx in the solver band."""
+        return int(np.flatnonzero(solver._band(grid)[0] == kx % grid.nx)[0])
 
     @pytest.mark.parametrize("integrator", ["picard", "etd"])
     def test_states_bytes_equal_np_savez(self, tmp_path, integrator):
@@ -696,33 +722,31 @@ class TestStreamedStates:
                                                       save_states=True))
         out = tmp_path / "out"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        traj = self.library_solve(integrator)
-        self.savez(tmp_path / "library.npz", traj)
+        self.savez(tmp_path / "library.npz", *self.library_band(integrator))
         assert (out / "states.npz").read_bytes() == (tmp_path / "library.npz").read_bytes()
+        traj = self.library_solve(integrator)
         l2 = np.array([float(row[2]) for row in read_csv(out / "solve.csv")[1:]])
         assert l2.tobytes() == solver.l2_history(traj).tobytes()
 
-    @pytest.mark.parametrize("case", ["solver", "inexact_pair", "signed_zeros"])
+    # A band file's full spectra are exactly Hermitian (``_full``), so an
+    # inexact pair cannot be stored in one; the gather of an inexact pair
+    # is checked in tests/test_norms.py (test_inexact_pair_adds_one_column).
+    @pytest.mark.parametrize("case", ["solver", "signed_zeros"])
     def test_norms_equal_library_bitwise(self, tmp_path, fft_columns, case):
         # sobolev_final comes from the last row of the mode form, expanded
-        traj = self.library_solve("picard")
-        coeffs = traj.coeffs.copy()
-        if case == "inexact_pair":  # one ulp off the conjugate of its mirror
-            at = (7, 3, -2 % traj.grid.ny)
-            assert coeffs[at] != 0
-            coeffs[at] = np.nextafter(coeffs[at].real, np.inf) + 1j * coeffs[at].imag
-        elif case == "signed_zeros":
-            # -0.0 on every mode the form leaves out (expand writes +0.0
-            # there), and one occupied pair exactly 0 in the last row only
-            unoccupied = ~np.any(coeffs, axis=0)
+        grid, times, band = self.library_band("picard")
+        if case == "signed_zeros":
+            # -0.0 on every band entry the form leaves out (expand writes
+            # +0.0 there), and one occupied pair exactly 0 in the last row
+            # only: (-3, 2), the band entry of the pair (3, -2), (-3, 2)
+            unoccupied = ~np.any(band, axis=0)
             assert unoccupied.any()
-            coeffs[:, unoccupied] = complex(-0.0, -0.0)
-            nx, ny = traj.grid.nx, traj.grid.ny
-            for kx, ky in ((3, ny - 2), (nx - 3, 2)):  # a conjugate pair
-                assert np.all(coeffs[:-1, kx, ky] != 0)
-                coeffs[-1, kx, ky] = 0.0
-        traj = solver.Trajectory(grid=traj.grid, times=traj.times, coeffs=coeffs)
-        self.savez(tmp_path / "states.npz", traj)
+            band[:, unoccupied] = complex(-0.0, -0.0)
+            at = (self.band_row(grid, -3), 2)
+            assert np.all(band[(slice(None, -1),) + at] != 0)
+            band[(-1,) + at] = 0.0
+        traj = self.expand(grid, times, band)
+        self.savez(tmp_path / "states.npz", grid, times, band)
         out = tmp_path / "out"
         fft_columns.clear()
         assert main(["norms", "--config",
@@ -740,25 +764,40 @@ class TestStreamedStates:
     @pytest.mark.parametrize("case", ["no_coeffs", "not_a_zip", "crc"])
     def test_read_raises_value_error_on_malformed_file(self, tmp_path, case):
         # the library contract under test_norms_input_contract's exit 2
-        arrays = {"times": np.linspace(0.0, 1.0, 17), "coeffs": np.zeros((17, 8, 8), complex),
+        arrays = {"times": np.linspace(0.0, 1.0, 17), "band": np.zeros((17, 5, 3), complex),
                   "nx": 8, "ny": 8, "Lx": 1.0, "Ly": 1.0, "dealias_fraction": 2.0 / 3.0}
         path = tmp_path / "states.npz"
         if case == "no_coeffs":
-            del arrays["coeffs"]
+            del arrays["band"]
         np.savez(path, **arrays)
         if case == "not_a_zip":
             path.write_text("not an npz archive\n", encoding="utf-8")
         elif case == "crc":
-            flip_last_coeffs_byte(path)
+            flip_last_band_byte(path)
         with pytest.raises(ValueError):
             blocks = states.read(path)[3]
             for _ in blocks():  # each pass checks the CRC
                 pass
 
-    def test_norms_of_a_nan_pair_exit_3(self, tmp_path, capsys):
+    def test_old_full_spectrum_layout_exits_2_naming_it(self, tmp_path, capsys):
+        # the states.npz layout before the solver band: full spectra as coeffs
         traj = self.library_solve("picard")
-        traj.coeffs[7, 3, -2 % traj.grid.ny] = np.nan
-        self.savez(tmp_path / "states.npz", traj)
+        path = tmp_path / "states.npz"
+        np.savez(path, times=traj.times, coeffs=traj.coeffs, nx=traj.grid.nx,
+                 ny=traj.grid.ny, Lx=math.pi, Ly=math.pi,
+                 dealias_fraction=traj.grid.dealias_fraction)
+        out = tmp_path / "out"
+        rc = main(["norms", "--config", norms_cfg(tmp_path, path, 0.5), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "input_path" in err
+        assert "old full-spectrum layout" in err and "'coeffs'" in err and "'band'" in err
+        assert not out.exists()
+
+    def test_norms_of_a_nan_pair_exit_3(self, tmp_path, capsys):
+        grid, times, band = self.library_band("picard")
+        band[7, self.band_row(grid, -3), 2] = np.nan  # the pair (3, -2), (-3, 2)
+        self.savez(tmp_path / "states.npz", grid, times, band)
         out = tmp_path / "out"
         rc = main(["norms", "--config", norms_cfg(tmp_path, tmp_path / "states.npz", 0.5),
                    "--out", str(out)])

@@ -25,7 +25,7 @@ from kpblab.norms import (
     time_window,
 )
 from kpblab.semigroup import free_table, semigroup_table
-from kpblab.solver import Trajectory, dx_product, solve_picard
+from kpblab.solver import Trajectory, band_form, dx_product, solve_picard, solve_states
 from kpblab.spectral_core import (
     SpectralField,
     dispersion_values,
@@ -665,9 +665,9 @@ class TestModeForm:
 
 class TestColumnBlocks:
     """``WindowedPower.of_modes`` tapers and transforms blocks of about
-    ``_TRANSFORM_BLOCK`` bytes of columns and writes each squared modulus
-    straight into ``power``.  Every column gets its own 1-D transform, so
-    the blocks change no bit."""
+    ``_TRANSFORM_BLOCK`` bytes of columns and copies each squared modulus
+    into ``power``.  Every column gets its own 1-D transform, so the blocks
+    change no bit."""
 
     @pytest.mark.parametrize("seed", range(3))
     def test_blocks_match_one_block(self, monkeypatch, fft_columns, seed):
@@ -701,10 +701,27 @@ class TestColumnBlocks:
         assert power.power.shape == (n_t, 0)
         assert power.spacetime(0.5, 0.1, 0.2) == 0.0
 
+    def test_solve_norms_form_power_keeps_its_bits(self):
+        # the form of the benchmark's 256^2 Picard states (M = 32), whose
+        # blocks of 1985 columns take |uhat|^2 through a contiguous scratch:
+        # the power of one block over all columns, bit for bit
+        grid = make_grid(256, 256, np.pi, np.pi)
+        u0 = 0.05 * np.exp(-(grid.x[:, None] ** 2 + grid.y[None, :] ** 2) / (2 * 0.7 ** 2))
+        times, _, states = solve_states(forward_transform(u0, grid), 0.1, 32)
+        band = np.array([state for _, state, _ in states])
+        form = band_form(grid, times.size, lambda: (band,))
+        assert form.values.shape == (33, 14535)
+        dt = float(times[1])
+        want = np.abs(taper_transform(form.values, dt)[1])
+        want **= 2
+        got = WindowedPower.of_modes(form, dt).power
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_holds_power_and_one_block(self, alloc_peak):
         # The whole complex transform would add twice the power (4.03 MiB
         # above it measured); the blocks add one block of tapered samples
-        # and numpy's ufunc buffers, 1.25 MiB measured.  The slack is
+        # and the transform's buffers, or that block and a quarter-block
+        # scratch for the squared modulus, 1.26 MiB measured.  The slack is
         # three 128 KiB buffers.
         grid = make_grid(128, 128, np.pi, np.pi)
         rng = np.random.default_rng(0)

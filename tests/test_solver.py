@@ -19,6 +19,7 @@ from kpblab.solver import (
     PicardReport,
     Trajectory,
     _band_extent,
+    _band_form,
     _dx_product,
     _dx_table,
     _full,
@@ -498,9 +499,10 @@ class TestStreamingEtd:
         times, _, states = solve_states(phi, 0.2, M)
         assert report.converged
         assert times.tobytes() == traj.times.tobytes()
+        rows, _ = _band(g)
         l2 = []
-        for k, state, norm in states:
-            assert state.tobytes() == traj.coeffs[k].tobytes()
+        for k, state, norm in states:  # band states, expanded as the collector does
+            assert _full(state, rows, (n, n)).tobytes() == traj.coeffs[k].tobytes()
             l2.append(norm)
         assert np.array(l2).tobytes() == l2_history(traj).tobytes()
 
@@ -595,14 +597,14 @@ class TestTrajectoryMemory:
                 pass  # the ETD stream keeps no trajectory: never checked
 
         # `kpblab solve` keeps the two band tables of a Picard solve and
-        # streams the states; a states.npz counts as one full table, which
+        # streams the states; a states.npz counts as one band table, which
         # bounds what `kpblab norms` holds of it.  ETD without states: never checked.
         config = {"command": "solve", "nx": 32, "ny": 32, "Lx": np.pi, "Ly": np.pi,
                   "T": 0.1, "M": 20, "tol": 1e-10, "max_iter": 25,
                   "phi_spec": {"type": "gaussian", "amplitude": 0.05, "widths": [1, 1]}}
         for estimate, over in [(2 * band, {"integrator": "picard"}),
-                               (full, {"integrator": "picard", "save_states": True}),
-                               (full, {"integrator": "etd", "save_states": True}),
+                               (2 * band, {"integrator": "picard", "save_states": True}),
+                               (band, {"integrator": "etd", "save_states": True}),
                                (0, {"integrator": "etd"})]:
             path = tmp_path / "c.json"
             path.write_text(json.dumps(dict(config, **over)), encoding="utf-8")
@@ -712,3 +714,65 @@ class TestBandProduct:
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         band = (np.abs(grid.kx_int)[:, None] <= 16) & (np.abs(grid.ky_int)[None, :] <= 16)
         assert not np.any(got[~band])
+
+
+class TestBandForm:
+    """``_band_form``, the one way from bands to a mode form (``kpblab norms``
+    on the solver band of states.npz, ``dx_product`` on its band grid),
+    gives the columns, weights and values that ``ModeForm.gather`` gives of
+    the ``_full`` expansions, bit for bit."""
+
+    @staticmethod
+    def layout(name):
+        """(grid, rows, cols) of the 256^2 solver band, or of the band grid
+        of a product that fits a 64 x 48 grid, or of one too wide for it,
+        which takes every row and the Nyquist row and column too."""
+        if name == "solver_256":
+            grid = make_grid(256, 256, np.pi, np.pi)
+            return (grid, *_band(grid))
+        grid = make_grid(64, 48, np.pi, 2.0)
+        _, rows, table = _product_layout(grid, 34 if name == "product_fits" else 66, 34)
+        return grid, rows, table.shape[-1]
+
+    @staticmethod
+    def random_band(rng, grid, rows, cols, n, nan):
+        """n random bands with zero and -0.0 entries, purely imaginary
+        self-conjugate entries, NaN and nonzero kx < 0 entries in the ky = 0
+        column where ``_full`` rebuilds them from kx > 0, and one NaN on a
+        mapped entry when ``nan``."""
+        shape = (n, rows.size, cols)
+        band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        band[:, rng.random(shape[1:]) < 0.3] = 0.0  # zero at every time
+        band[:, rng.random(shape[1:]) < 0.1] = complex(-0.0, -0.0)
+        band[rng.random(shape) < 0.05] = complex(-0.0, 0.0)
+        edges = [0, cols - 1] if cols == grid.ny // 2 + 1 else [0]
+        for r in np.flatnonzero(rows % (grid.nx // 2) == 0):  # kx = 0, -nx/2
+            band[:, r, edges] = 1j * rng.standard_normal((n, len(edges)))
+        negative = np.flatnonzero((rows > grid.nx // 2) & np.isin(-rows % grid.nx, rows))
+        band[:, negative, 0] = 7.0 + 3.0j
+        band[1, negative[0], 0] = np.nan
+        if nan:
+            band[2, 1, 1] = complex(np.nan, 1.0)
+        return band
+
+    @pytest.mark.parametrize("layout", ["solver_256", "product_fits", "product_wide"])
+    @pytest.mark.parametrize("nan", [False, True])
+    def test_equals_gather_of_expanded_rows(self, monkeypatch, layout, nan):
+        grid, rows, cols = self.layout(layout)
+        n = 5
+        band = self.random_band(np.random.default_rng([n, cols]), grid, rows, cols, n, nan)
+        full = _full(band, rows, (grid.nx, grid.ny)).reshape(n, -1)
+        want = ModeForm.gather(grid, lambda: (full,))
+        assert np.any(want.colw == 2.0)
+        assert np.isnan(want.values).any() == nan
+        for one_row in (False, True):  # blocks of one row and one block
+            if one_row:  # and live values moved one row at a time
+                monkeypatch.setattr(solver_module, "_COMPACT_BLOCK", 1)
+
+            def blocks():
+                return (band[t:t + 1] for t in range(n)) if one_row else (band,)
+            got = _band_form(grid, rows, cols, n, blocks)
+            for name in ("cols", "colw", "values"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape, name
+                assert a.tobytes() == b.tobytes(), name
