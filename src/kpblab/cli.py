@@ -348,7 +348,7 @@ def _run_norms(p: dict, threads, states_path: str):
     try:
         grid, times, dt, blocks = states.read(input_path)
         check_steps(times.size)
-        form = band_form(grid, times.size, blocks)
+        form = band_form(grid, times.size, blocks())
     except OSError as exc:
         raise ConfigError(f"cannot read input_path {input_path!r}: {exc}") from exc
     except ValueError as exc:

@@ -354,12 +354,10 @@ def second_iterate_hat(N: float, s: float, t: float, xi: float, eta: float,
     when the interaction set is empty.
     """
     _check_cells(cells)
-    if N < 4:
-        raise ValueError(f"N must be >= 4, got {N}")
+    amp = build_phi_N(N, s).amplitude
     rect = interaction_rectangle(N, xi, eta)
     if rect is None:
         return 0.0 + 0.0j
-    amp = float(N) ** (-1.5 - s)
     x_nodes, hx = _midpoints(np.float64(rect.xi_min), np.float64(rect.xi_max), cells)
     y_nodes, hy = _midpoints(np.float64(rect.eta_min), np.float64(rect.eta_max), cells)
     K = kernel_K(t, xi, x_nodes[:, None], eta, y_nodes[None, :])

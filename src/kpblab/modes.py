@@ -5,24 +5,27 @@ Parseval weights ``colw`` and the (n_times, cols.size) values on them.
 Real fields are Hermitian, u(t, -k) = conj(u(t, k)), so an exact pair, an
 occupied first mode whose mirror equals its conjugate bit for bit at every
 time, is kept on its first mode with weight 2.  Every other occupied mode
-is kept with weight 1: the self-conjugate modes, inexact pairs (one
-holding NaN included) and modes whose mirror is unoccupied.  The
-kx = -nx/2 row is never paired: the mirror of (-nx/2, ky) is (-nx/2, -ky)
-on the grid, with the same xi, so P is even along that row and the norms'
-sigma = tau - P does not mirror.  ``cols`` lists the exact first modes,
-then the other occupied modes in flat order.
+is kept with weight 1: the self-conjugate modes, inexact pairs and modes
+whose mirror is unoccupied.  The kx = -nx/2 row is never paired: the
+mirror of (-nx/2, ky) is (-nx/2, -ky) on the grid, with the same xi, so
+P is even along that row and the norms' sigma = tau - P does not mirror.
+``cols`` lists the exact first modes, then the other occupied modes in
+flat order.
 
-``ModeForm.gather(grid, blocks)`` is the one way from full arrays to a
-mode form.  It selects the columns and counts the rows in one pass over
-consecutive blocks of time rows and gathers the complex values in a
-second; an in-memory trajectory is one block.  States kept on the
+``ModeForm.gather(grid, values)`` is the one way from full arrays to a
+mode form: it selects the columns of the (n, nx * ny) time rows
+``values`` and gathers them as complex128 values.  States kept on the
 solver band become a form through ``solver.band_form`` instead, in one
-pass, with the columns, weights and values that ``gather`` gives of
-their full spectra: ``kpblab norms`` streams the band rows that
-``states.read`` returns for ``states.npz``.  ``ModeForm.expand`` writes
-the field back at any flat modes; ``kpblab norms`` expands the last row
-of its form to take the final state's Sobolev norm.  The verify suites build their free evolutions and products
-as mode forms and never expand them to the whole grid.
+pass over their blocks, with the columns, weights and values that
+``gather`` gives of their full spectra: ``kpblab norms`` streams the
+band rows of ``states.npz`` that ``states.read`` opens.  The one
+difference is NaN: ``gather`` splits a pair holding NaN into two
+columns, and a band form, whose mirrors are conjugates by construction,
+keeps it as one column of weight 2.  ``ModeForm.expand`` writes the
+field back at any flat modes; ``kpblab norms`` expands the last row of
+its form to take the final state's Sobolev norm.  The verify suites
+build their free evolutions and products as mode forms and never
+expand them to the whole grid.
 """
 
 from __future__ import annotations
@@ -38,15 +41,14 @@ __all__ = ["ModeForm"]
 _PAIR_BLOCK = 2 ** 14  # complex values per gathered block of the pair check
 
 
-def _select_columns(grid: Grid2D, blocks) -> tuple[np.ndarray, np.ndarray, int]:
-    """(cols, colw, n_rows): the flat modes of a trajectory's mode form,
-    how many times each counts in a weighted sum, and the trajectory's
-    number of time rows, for a trajectory given as consecutive blocks of
-    time rows (n, nx * ny).
+def _select_columns(grid: Grid2D, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, colw): the flat modes of the mode form of the trajectory
+    whose time rows are ``values`` (n, nx * ny), and how many times each
+    counts in a weighted sum.
 
-    Within a block only the pairs with an occupied mode are compared (two
-    zero columns agree), over runs of rows of at most ``_PAIR_BLOCK``
-    gathered values, so no full-size copy of the mirrors is made.
+    Only the pairs with an occupied mode are compared (two zero columns
+    agree), over runs of rows of at most ``_PAIR_BLOCK`` gathered values,
+    so no full-size copy of the mirrors is made.
     """
     nx, ny = grid.nx, grid.ny
     # the conjugate pairs: first < mirror, the flat index of -first, off
@@ -56,31 +58,24 @@ def _select_columns(grid: Grid2D, blocks) -> tuple[np.ndarray, np.ndarray, int]:
     first = np.arange(nx * ny) < mirror
     first[(nx // 2) * ny:(nx // 2 + 1) * ny] = False
     first, mirror = np.flatnonzero(first), mirror[first]
-    occupied = np.zeros(nx * ny, dtype=bool)
-    exact = np.ones(first.size, dtype=bool)
-    n_rows = 0
-    for block in blocks:
-        n_rows += len(block)
-        live = np.any(block, axis=0)
-        occupied |= live
-        pairs = np.flatnonzero(live[first] | live[mirror])
-        ahead, behind = first[pairs], mirror[pairs]
-        agree = np.ones(pairs.size, dtype=bool)
-        step = max(1, _PAIR_BLOCK // max(pairs.size, 1))
-        for t in range(0, len(block), step):
-            rows = block[t:t + step]
-            mirrored = np.take(rows, behind, axis=1)
-            agree &= np.all(np.take(rows, ahead, axis=1)
-                            == np.conjugate(mirrored, out=mirrored), axis=0)
-        exact[pairs] &= agree
-    exact &= occupied[first]
+    occupied = np.any(values, axis=0)
+    pairs = np.flatnonzero(occupied[first] | occupied[mirror])
+    ahead, behind = first[pairs], mirror[pairs]
+    agree = np.ones(pairs.size, dtype=bool)
+    step = max(1, _PAIR_BLOCK // max(pairs.size, 1))
+    for t in range(0, len(values), step):
+        rows = values[t:t + step]
+        mirrored = np.take(rows, behind, axis=1)
+        agree &= np.all(np.take(rows, ahead, axis=1)
+                        == np.conjugate(mirrored, out=mirrored), axis=0)
+    ahead, behind = ahead[agree], behind[agree]  # the exact pairs
     rest = occupied  # the occupied modes outside the exact pairs
-    rest[first[exact]] = False
-    rest[mirror[exact]] = False
-    cols = np.concatenate((first[exact], np.flatnonzero(rest)))
+    rest[ahead] = False
+    rest[behind] = False
+    cols = np.concatenate((ahead, np.flatnonzero(rest)))
     colw = np.ones(cols.size)
-    colw[:np.count_nonzero(exact)] = 2.0
-    return cols, colw, n_rows
+    colw[:ahead.size] = 2.0
+    return cols, colw
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,21 +90,13 @@ class ModeForm:
     values: np.ndarray
 
     @classmethod
-    def gather(cls, grid: Grid2D, blocks) -> ModeForm:
-        """The mode form of the trajectory that ``blocks()`` returns as
-        consecutive blocks (n, nx * ny) of time rows.  ``blocks`` is
-        called twice: to select the columns and count the rows, and to
-        gather the columns into complex128 values.
-        """
-        cols, colw, n_rows = _select_columns(grid, blocks())
-        values = np.empty((n_rows, cols.size), dtype=complex)
-        t = 0
-        for block in blocks():
-            # mode="clip" (cols are in range) lets take write into values unbuffered
-            np.take(np.asarray(block, complex), cols, axis=1,
-                    out=values[t:t + len(block)], mode="clip")
-            t += len(block)
-        return cls(grid, cols, colw, values)
+    def gather(cls, grid: Grid2D, values: np.ndarray) -> ModeForm:
+        """The mode form of the trajectory whose time rows are ``values``
+        (n, nx * ny), of any real or complex dtype; the gathered columns
+        are converted to complex128."""
+        cols, colw = _select_columns(grid, values)
+        gathered = np.take(values, cols, axis=1)
+        return cls(grid, cols, colw, gathered.astype(complex, copy=False))
 
     def expand(self, pos: np.ndarray | None = None) -> np.ndarray:
         """The field at the flat modes ``pos`` (default: every mode), of

@@ -165,9 +165,9 @@ class WindowedPower:
 
     @classmethod
     def of(cls, traj: Trajectory) -> WindowedPower:
-        """The windowed power of ``traj``'s mode form, gathered from
-        ``traj.coeffs`` as one block (``ModeForm.gather``)."""
-        form = ModeForm.gather(traj.grid, lambda: (traj.coeffs.reshape(traj.n_times, -1),))
+        """The windowed power of ``traj``'s mode form, gathered from the
+        array of ``traj.coeffs``' time rows (``ModeForm.gather``)."""
+        form = ModeForm.gather(traj.grid, traj.coeffs.reshape(traj.n_times, -1))
         return cls.of_modes(form, traj.dt)
 
     @classmethod

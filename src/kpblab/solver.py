@@ -296,45 +296,38 @@ def _product_layout(grid: Grid2D, mx: int,
 
 
 def _band_form(grid: Grid2D, rows: np.ndarray, cols: int, n: int, blocks) -> ModeForm:
-    """The mode form of the n band states that ``blocks()`` returns as
-    consecutive blocks (m, len(rows), cols) of time rows, each the band
-    of a full spectrum that ``_full`` expands, with the columns, weights
-    and values that ``ModeForm.gather`` gives of the expanded rows, bit
-    for bit, from one pass over the blocks.
+    """The mode form of the n band states that the iterable ``blocks``
+    yields as consecutive blocks (m, len(rows), cols) of time rows, each
+    the band of a full spectrum that ``_full`` expands, from one pass over
+    the blocks.  Its columns, weights and values are those that
+    ``ModeForm.gather`` gives of the expanded rows, bit for bit, when no
+    mapped entry is NaN (see ``modes`` for the NaN rule).
 
     The gather map is the gathered form of one row that ``_full`` expands
     from a tag of each band entry: it names the band entry behind each
     column and whether the column holds its conjugate or its real part
     alone (a self-conjugate mode); the entries that ``_full`` rebuilds
     from their mirrors, the kx < 0 rows of the ky = 0 column whose kx > 0
-    row is in the band, are never read.  A column that stays zero at every time is dropped in place,
-    after the pass, so the values never take more than the mapped
-    columns.  Rows holding NaN, whose pairs are then not exact, are
-    expanded and gathered whole, which calls ``blocks`` twice more.
+    row is in the band, are never read.  A column that stays zero at
+    every time is dropped in place, after the pass, so the values never
+    take more than the mapped columns.
     """
     shape = (grid.nx, grid.ny)
     tags = (1.0 + 1.0j) * np.arange(1, rows.size * cols + 1).reshape(rows.size, cols)
-    tagged = _full(tags, rows, shape).reshape(1, -1)
-    tag_form = ModeForm.gather(grid, lambda: (tagged,))
+    tag_form = ModeForm.gather(grid, _full(tags, rows, shape).reshape(1, -1))
     tag = tag_form.values[0]
     source, conjugated, real = tag.real.astype(np.intp) - 1, tag.imag < 0.0, tag.imag == 0.0
     values = np.empty((n, source.size), dtype=complex)
     live = np.zeros(source.size, dtype=bool)
-    has_nan = False
     t = 0
-    for block in blocks():
+    for block in blocks:
         chunk = values[t:t + len(block)]
         # mode="clip" (source is in range) lets take write into values unbuffered
         np.take(block.reshape(len(block), -1), source, axis=1, out=chunk, mode="clip")
         np.conjugate(chunk, out=chunk, where=conjugated)
         chunk.imag[:, real] = 0.0
         live |= np.any(chunk, axis=0)
-        has_nan = has_nan or bool(np.isnan(chunk).any())
         t += len(block)
-    if has_nan:
-        del values
-        return ModeForm.gather(grid, lambda: (_full(block, rows, shape).reshape(len(block), -1)
-                                              for block in blocks()))
     k = int(np.count_nonzero(live))
     if k < live.size:
         # row t's live values move to flat[t k:(t+1) k], below its own
@@ -350,10 +343,10 @@ def _band_form(grid: Grid2D, rows: np.ndarray, cols: int, n: int, blocks) -> Mod
 
 def band_form(grid: Grid2D, n: int, blocks) -> ModeForm:
     """The mode form of the n states on the solver band of ``grid`` (the
-    ``solve_states`` bands) that ``blocks()`` returns as consecutive
-    blocks (m, rows, cols) of time rows: the gathered form
-    (``ModeForm.gather``) of their full spectra, from one pass over the
-    blocks (``_band_form``)."""
+    ``solve_states`` bands) that the iterable ``blocks`` yields as
+    consecutive blocks (m, rows, cols) of time rows: the gathered form
+    (``ModeForm.gather``) of their full spectra, a NaN pair aside (see
+    ``modes``), from one pass over the blocks (``_band_form``)."""
     rows, cols = _band(grid)
     return _band_form(grid, rows, cols, n, blocks)
 
@@ -368,8 +361,9 @@ def dx_product(u: ModeForm, v: ModeForm) -> ModeForm:
     there: exactly up to rounding, and zero outside the product's band,
     on a band grid that fits.  The product's band becomes a mode form
     through ``_band_form``, so the columns, weights and values are those
-    of the gathered form of the expanded product.  Forms on two grids, or
-    with different numbers of time rows, are a ValueError.
+    of the gathered form of the expanded product, a NaN pair aside.
+    Forms on two grids, or with different numbers of time rows, are a
+    ValueError.
     """
     grid = u.grid
     n = len(u.values)
@@ -385,13 +379,13 @@ def dx_product(u: ModeForm, v: ModeForm) -> ModeForm:
     ha = u.expand(pos)
     hb = ha if v is u else v.expand(pos)
     w = _dx_product(ha, hb, shape, np.arange(shape[0]), table)
-    return _band_form(grid, rows, table.shape[-1], n, lambda: (w,))
+    return _band_form(grid, rows, table.shape[-1], n, (w,))
 
 
 def nonlinearity(f: SpectralField) -> SpectralField:
     """Return the spectral field of d/dx(u^2) for the real field behind ``f``:
     ``dx_product`` of its mode form with itself, expanded to the grid."""
-    form = ModeForm.gather(f.grid, lambda: (f.coeffs.reshape(1, -1),))
+    form = ModeForm.gather(f.grid, f.coeffs.reshape(1, -1))
     coeffs = dx_product(form, form).expand().reshape(f.coeffs.shape)
     return SpectralField(grid=f.grid, coeffs=coeffs)
 

@@ -15,7 +15,8 @@ integer scalars, ``Lx``, ``Ly`` and ``dealias_fraction`` real ones,
 ``times`` is a real, uniform grid from 0 (``solver.time_step``), the box
 and the dealias fraction make a grid (``make_grid``), and band has the
 shape of its solver band.  It returns the grid, the times, their step
-and the source of the blocks, which ``kpblab norms`` passes as it is to
+and the opener of the blocks, which ``kpblab norms`` calls once, after
+it has counted the time steps, and passes the blocks to
 ``solver.band_form``.  Every malformed file raises ``ValueError``: one
 that is not a zip file or lacks a member, a ``band`` of another dtype,
 order or format version, one whose data is shorter or longer than its
@@ -92,8 +93,9 @@ def _band_header(fid) -> tuple:
 
 def read(path: str):
     """(grid, times, dt, blocks) of the file at ``path``, checked as the
-    module docstring says; each call of ``blocks()`` reads the time rows of
-    band anew (``_band_blocks``)."""
+    module docstring says; nothing of band past its header is read until
+    ``blocks()`` is called, and each call returns an iterator that reads
+    the time rows of band once (``_band_blocks``)."""
     with _archive(path) as archive:
         names = archive.namelist()
         if "coeffs.npy" in names and "band.npy" not in names:

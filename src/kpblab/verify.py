@@ -115,7 +115,7 @@ def _free_modes(phi: SpectralField, T: float, M: int,
     times = np.linspace(0.0, T, M + 1)
     shifted = (times - 0.5 * T)[:, None]
     amp = psi_cutoff(shifted) if cutoff else 1.0
-    datum = ModeForm.gather(grid, lambda: (phi.coeffs.reshape(1, -1),))
+    datum = ModeForm.gather(grid, phi.coeffs.reshape(1, -1))
     P = dispersion_values(grid).reshape(-1)[datum.cols]
     xi = grid.xi[datum.cols // grid.ny]
     values = amp * w_multiplier(P, xi, shifted) * datum.values[0]
@@ -204,16 +204,16 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
     """||d/dx(uv)||_{X^{-1/2+delta, s1-2delta+eps, s2}} over the product of
     ||u||_{X^{1/2,s1,s2}} and ||v||_{X^{1/2,s1,s2}}.
 
-    u and v are reduced to their mode forms, each coeffs gathered as one
-    block (``ModeForm.gather``), and the ratio is taken on those as the
-    bilinear suite takes it on its free evolutions.  ``solver.dx_product``
-    multiplies d/dx(uv) on the smallest even grid that holds the product's
-    band without aliasing, 34 x 34 for two fields in |k| <= 8, and gathers
-    its mode form straight from there.  It is exact up to rounding and
-    zero outside |k| <= 16, so the numerator's norm transforms 528
-    columns, the Hermitian half of 33 * 32 = 1056 modes.  On the 32 x 32
-    suite grid (refine = 1) the band does not fit, and the product is
-    taken on the whole grid.
+    u and v are reduced to their mode forms, each gathered from its
+    coeffs' time rows (``ModeForm.gather``), and the ratio is taken on
+    those as the bilinear suite takes it on its free evolutions.
+    ``solver.dx_product`` multiplies d/dx(uv) on the smallest even grid
+    that holds the product's band without aliasing, 34 x 34 for two
+    fields in |k| <= 8, and gathers its mode form straight from there.
+    It is exact up to rounding and zero outside |k| <= 16, so the
+    numerator's norm transforms 528 columns, the Hermitian half of
+    33 * 32 = 1056 modes.  On the 32 x 32 suite grid (refine = 1) the band
+    does not fit, and the product is taken on the whole grid.
 
     Returns 0 when both sides vanish and inf on a violation (nonzero
     numerator over a zero denominator).
@@ -226,7 +226,7 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
         raise ValueError(f"eps must be in (0, delta/10], got {eps}")
     if u.grid is not v.grid or not np.array_equal(u.times, v.times):
         raise ValueError("u and v must share grid and time grid")
-    forms = [ModeForm.gather(traj.grid, lambda: (traj.coeffs.reshape(traj.n_times, -1),))
+    forms = [ModeForm.gather(traj.grid, traj.coeffs.reshape(traj.n_times, -1))
              for traj in (u, v)]
     return _bilinear_modes(u.dt, *forms, s1, s2, delta, eps)
 

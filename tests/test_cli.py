@@ -805,6 +805,20 @@ class TestStreamedStates:
         assert "numerical failure" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_norms_of_nan_states_read_the_band_once(self, tmp_path, capsys, monkeypatch):
+        # a NaN entry is mapped like any other: one pass over band.npy
+        grid, times, band = self.library_band("picard")
+        band[7, self.band_row(grid, -3), 2] = np.nan
+        self.savez(tmp_path / "states.npz", grid, times, band)
+        passes = []
+        blocks = states._band_blocks
+        monkeypatch.setattr(states, "_band_blocks",
+                            lambda *args: passes.append(args) or blocks(*args))
+        rc = main(["norms", "--config", norms_cfg(tmp_path, tmp_path / "states.npz", 0.5),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3 and len(passes) == 1
+        assert "numerical failure" in capsys.readouterr().err
+
     def test_solve_and_norms_keep_no_full_trajectory(self, tmp_path, alloc_peak):
         M, n = 32, 64
         full = (M + 1) * n * n * 16

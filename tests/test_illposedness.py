@@ -358,6 +358,10 @@ class TestSecondIterate:
         with pytest.raises(ValueError):
             second_iterate_hat(16, -0.7, 1e-3, 36.0, 400.0, cells=32)
 
+    def test_small_n_rejected(self):
+        with pytest.raises(ValueError, match="N must be >= 4"):
+            second_iterate_hat(3, -0.7, 1e-3, 36.0, 400.0, cells=64)
+
     def test_blocked_table_matches_pointwise_density(self):
         # The first and last column of every group must reproduce the
         # one-point path.  Groups are runs of non-empty columns, so one
