@@ -358,7 +358,7 @@ class TestSecondIterate:
         with pytest.raises(ValueError):
             second_iterate_hat(16, -0.7, 1e-3, 36.0, 400.0, cells=32)
 
-    def test_small_n_rejected(self):
+    def test_hat_n_below_4_rejected(self):
         with pytest.raises(ValueError, match="N must be >= 4"):
             second_iterate_hat(3, -0.7, 1e-3, 36.0, 400.0, cells=64)
 
