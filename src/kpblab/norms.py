@@ -14,9 +14,9 @@ non-computable infimum over extensions of the restricted norm, and every
 comparison in this package uses the same window so ratios are like-to-like.
 
 The discrete time-frequency grid is tau_j = 2*pi*j/(M*dt) (FFT bins), and
-sigma is reduced modulo the tau-grid period into [-pi/dt, pi/dt) so the
-modulation weight is evaluated on the same aliased bins the transform
-actually populates.
+sigma is reduced modulo the tau-grid period into [-pi/dt, pi/dt)
+(``wrapped_sigma``) so the modulation weight is evaluated on the same
+aliased bins the transform actually populates.
 
 The time-dependent norms transform a trajectory's mode form (``modes``):
 only the modes that are nonzero at some time, and an exact conjugate pair
@@ -42,7 +42,7 @@ methods on the power of one in-memory trajectory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -139,6 +139,18 @@ def _squared_modulus_into(out: np.ndarray, uhat: np.ndarray) -> None:
         out[t:t + half] = square
 
 
+def wrapped_sigma(tau: np.ndarray, P: np.ndarray, dt: float) -> np.ndarray:
+    """sigma = tau - P on (tau, P), tau the bin frequencies of samples
+    ``dt`` apart and P the symbol on a mode form's columns, reduced into
+    the principal tau band [-pi/dt, pi/dt)."""
+    sigma = tau[:, None] - P[None, :]
+    half_band = np.pi / dt
+    sigma += half_band
+    np.mod(sigma, 2.0 * half_band, out=sigma)
+    sigma -= half_band
+    return sigma
+
+
 def _on_modes(table: np.ndarray, grid, cols: np.ndarray) -> np.ndarray:
     """A per-mode table (anything that broadcasts to (nx, ny)) at the flat
     mode indices ``cols``."""
@@ -153,6 +165,13 @@ class WindowedPower:
     uhat = dt * FFT_t(window * states), normalised so that
     sum_j |uhat_j|^2 / (n_times * dt) is the quadrature of the windowed
     squared time signal.
+
+    ``sigma`` is None after construction, and ``bourgain`` and ``gap``
+    then each wrap sigma = tau - P on ``cols`` themselves
+    (``wrapped_sigma``).  A caller that already holds that array for
+    these bins and columns may set it: the verify suites share one per
+    suite among the free evolutions of their cases.  The methods read it
+    and never write it.
     """
 
     grid: Grid2D
@@ -162,6 +181,7 @@ class WindowedPower:
     power: np.ndarray
     cols: np.ndarray
     colw: np.ndarray
+    sigma: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def of(cls, traj: Trajectory) -> WindowedPower:
@@ -203,16 +223,17 @@ class WindowedPower:
         weight *= self.power
         return float(np.sum(weight) * mu)
 
-    def _wrapped_sigma(self) -> np.ndarray:
-        """sigma = tau - P(nu) on the modes ``cols``, reduced into the
-        principal tau band [-pi/dt, pi/dt)."""
-        P = _on_modes(dispersion_values(self.grid), self.grid, self.cols)
-        sigma = self.tau[:, None] - P[None, :]
-        half_band = np.pi / self.dt
-        sigma += half_band
-        np.mod(sigma, 2.0 * half_band, out=sigma)
-        sigma -= half_band
-        return sigma
+    def _sigma_weight(self) -> np.ndarray:
+        """1 + sigma^2 on (tau, cols), in a new array: sigma is ``sigma``
+        when it is set, and is wrapped here (``wrapped_sigma``) when not."""
+        if self.sigma is None:
+            P = _on_modes(dispersion_values(self.grid), self.grid, self.cols)
+            weight = wrapped_sigma(self.tau, P, self.dt)
+            weight **= 2
+        else:
+            weight = np.square(self.sigma)
+        weight += 1.0
+        return weight
 
     def spacetime(self, b: float, s1: float, s2: float) -> float:
         """H^{b,s1,s2} norm of the tapered trajectory."""
@@ -222,11 +243,9 @@ class WindowedPower:
 
     def bourgain(self, b: float, s1: float, s2: float) -> float:
         """X^{b,s1,s2} norm with sigma = tau - P(nu) per (tau, nu) bin."""
-        weight = self._wrapped_sigma()
+        weight = self._sigma_weight()
         xi4 = _on_modes((self.grid.xi ** 4)[:, None], self.grid, self.cols)[None, :]
         # (1 + sigma^2 + xi^4)^b (1 + xi^2)^s1 (1 + eta^2)^s2, in place
-        weight **= 2
-        weight += 1.0
         weight += xi4
         weight **= b
         weight *= self._sobolev(s1, s2)[None, :]
@@ -244,9 +263,7 @@ class WindowedPower:
         """
         ws = self._sobolev(s1, s2)[None, :]
         xi2 = _on_modes((self.grid.xi ** 2)[:, None], self.grid, self.cols)[None, :]
-        shifted_w = self._wrapped_sigma()
-        shifted_w **= 2
-        shifted_w += 1.0  # 1 + sigma^2
+        shifted_w = self._sigma_weight()
         weight = shifted_w + xi2 ** 2
         weight **= b
         weight *= ws

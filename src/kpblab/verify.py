@@ -17,18 +17,26 @@ Gaussian coefficients damped by a power-law decay exponent drawn from
 {0, 1, 2}, Hermitian-symmetrized and KP-projected.  The generator fixes
 continuum-normalized hat values on the mode box, so the same draw embeds as
 the identical physical field on any refinement of the grid.
+
+Every datum of a free or bilinear suite lies on the same columns (the
+Hermitian half of the mode box off kx = 0) and is evolved at the same
+times, so ``run_suite`` builds the multiplier psi(t-2) W(t-2) on those
+columns and their wrapped sigma = tau - P once per suite, and each case's
+free evolutions and their Bourgain norms take them.  A datum off those
+columns builds its own.  Either way every ratio has the same bits.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .modes import ModeForm
-from .norms import WindowedPower, sobolev_norm, taper_transform
+from .norms import WindowedPower, sobolev_norm, taper_transform, wrapped_sigma
 from .semigroup import w_multiplier
 from .solver import Trajectory, dx_product
 from .spectral_core import Grid2D, SpectralField, dispersion_values, make_grid
@@ -100,6 +108,68 @@ def random_field(grid: Grid2D, rng: np.random.Generator,
     return SpectralField(grid=grid, coeffs=coeffs)
 
 
+class _FreeTables:
+    """What the free evolutions of data on the flat modes ``cols`` share:
+    the M + 1 ``times`` of [0, T], the ``multiplier`` psi(t - T/2)
+    W(t - T/2) on (times, cols) (or W alone without the cutoff), and the
+    wrapped ``sigma`` of those modes (``norms.wrapped_sigma``), which
+    ``_windowed_power`` makes when the power of one of the evolutions
+    first asks for it."""
+
+    def __init__(self, grid: Grid2D, cols: np.ndarray, T: float, M: int,
+                 cutoff: bool):
+        self.grid, self.cols, self.key = grid, cols, (T, M, cutoff)
+        self.times = np.linspace(0.0, T, M + 1)
+        self.dt = float(self.times[1] - self.times[0])
+        shifted = (self.times - 0.5 * T)[:, None]
+        amp = psi_cutoff(shifted) if cutoff else 1.0
+        self.P = dispersion_values(grid).reshape(-1)[cols]
+        xi = grid.xi[cols // grid.ny]
+        self.multiplier = amp * w_multiplier(self.P, xi, shifted)
+        self.sigma = None
+
+    def fits(self, grid: Grid2D, cols: np.ndarray, T: float, M: int,
+             cutoff: bool) -> bool:
+        return (grid is self.grid and (T, M, cutoff) == self.key
+                and np.array_equal(cols, self.cols))
+
+
+# The free-evolution tables of the suite that ``run_suite`` is running: a
+# list that the suite's first free evolution fills with its tables, and
+# None outside ``run_suite``.  A context variable, not a parameter: the
+# free cases reach the tables through the public ``free_estimate_ratio``,
+# and a suite run in another thread holds its own.
+_suite_tables: ContextVar[list[_FreeTables] | None] = ContextVar(
+    "_suite_tables", default=None)
+
+
+def _free_tables(grid: Grid2D, cols: np.ndarray, T: float, M: int,
+                 cutoff: bool) -> _FreeTables:
+    """The running suite's tables when they fit these modes and times, else
+    new ones, which become the suite's when it holds none yet."""
+    held = _suite_tables.get()
+    if held and held[0].fits(grid, cols, T, M, cutoff):
+        return held[0]
+    tables = _FreeTables(grid, cols, T, M, cutoff)
+    if held is not None and not held:
+        held.append(tables)
+    return tables
+
+
+def _windowed_power(form: ModeForm, dt: float) -> WindowedPower:
+    """``WindowedPower.of_modes(form, dt)``, holding the running suite's
+    wrapped sigma when ``form`` is a free evolution on the suite's
+    tables."""
+    power = WindowedPower.of_modes(form, dt)
+    held = _suite_tables.get()
+    if held and form.cols is held[0].cols and dt == held[0].dt:
+        tables = held[0]
+        if tables.sigma is None:
+            tables.sigma = wrapped_sigma(power.tau, tables.P, dt)
+        power.sigma = tables.sigma
+    return power
+
+
 def _free_modes(phi: SpectralField, T: float, M: int,
                 cutoff: bool = True) -> tuple[np.ndarray, ModeForm]:
     """(times, mode form) of psi(t - T/2) W(t - T/2) phi sampled on [0, T].
@@ -107,19 +177,19 @@ def _free_modes(phi: SpectralField, T: float, M: int,
     The columns and weights are those of phi's own mode form, gathered as
     one time row (``ModeForm.gather``), and its values are phi there.  W
     acts mode by mode, so only those modes are evaluated, all times at
-    once.  P is odd and xi^2 even, so the mirror of an exact pair stays the
-    conjugate of its first mode at every time, and the evolution has phi's
-    columns and weights.
+    once: the values are the multiplier table of those columns
+    (``_FreeTables``) times phi.  Inside ``run_suite`` the table is the
+    suite's, built by its first free evolution and taken by every later
+    one on the same columns; the product is the same either way.  P is
+    odd and xi^2 even, so the mirror of an exact pair stays the conjugate
+    of its first mode at every time, and the evolution has phi's columns
+    and weights.
     """
     grid = phi.grid
-    times = np.linspace(0.0, T, M + 1)
-    shifted = (times - 0.5 * T)[:, None]
-    amp = psi_cutoff(shifted) if cutoff else 1.0
     datum = ModeForm.gather(grid, phi.coeffs.reshape(1, -1))
-    P = dispersion_values(grid).reshape(-1)[datum.cols]
-    xi = grid.xi[datum.cols // grid.ny]
-    values = amp * w_multiplier(P, xi, shifted) * datum.values[0]
-    return times, ModeForm(grid, datum.cols, datum.colw, values)
+    tables = _free_tables(grid, datum.cols, T, M, cutoff)
+    values = tables.multiplier * datum.values[0]
+    return tables.times, ModeForm(grid, tables.cols, datum.colw, values)
 
 
 def free_trajectory(phi: SpectralField, T: float, M: int,
@@ -146,7 +216,7 @@ def free_estimate_ratio(phi: SpectralField, b: float, s1: float, s2: float,
     if denom == 0.0:
         return 0.0
     times, modes = _free_modes(phi, T=4.0, M=M)
-    power = WindowedPower.of_modes(modes, float(times[1] - times[0]))
+    power = _windowed_power(modes, float(times[1] - times[0]))
     return power.bourgain(b, s1, s2) / denom
 
 
@@ -237,8 +307,8 @@ def _bilinear_modes(dt: float, u: ModeForm, v: ModeForm,
     prod = dx_product(u, v)
     numer = WindowedPower.of_modes(prod, dt).bourgain(
         -0.5 + delta, s1 - 2.0 * delta + eps, s2)
-    denom = (WindowedPower.of_modes(u, dt).bourgain(0.5, s1, s2)
-             * WindowedPower.of_modes(v, dt).bourgain(0.5, s1, s2))
+    denom = (_windowed_power(u, dt).bourgain(0.5, s1, s2)
+             * _windowed_power(v, dt).bourgain(0.5, s1, s2))
     if denom == 0.0:
         return 0.0 if numer == 0.0 else math.inf
     return numer / denom
@@ -298,7 +368,10 @@ def run_suite(estimate_id: str, suite_size: int, seed: int,
     the first cases of a larger suite are those of a smaller one.  The free
     and bilinear cases draw on the 32 refine x 32 refine grid on the box
     [-pi, pi)^2, built once per suite; the smoothing cases take
-    256 refine + 1 time samples.
+    256 refine + 1 time samples.  While the cases run, ``_suite_tables``
+    holds the suite's free-evolution tables (``_FreeTables``): the first
+    free evolution builds them and the later ones on its columns take
+    them, so they are built once per call and dropped when it returns.
     """
     try:
         case, params = _SUITES[estimate_id]
@@ -312,10 +385,15 @@ def run_suite(estimate_id: str, suite_size: int, seed: int,
             raise ValueError(f"{name} must be >= {least}, got {value}")
     grid = make_grid(32 * refine, 32 * refine, np.pi, np.pi)
     rows = []
-    for k in range(suite_size):
-        case_params, ratio = case(grid, np.random.default_rng([int(seed), k]), k, refine)
-        rows.append({"estimate_id": estimate_id, "seed": k, "params": case_params,
-                     "ratio": ratio})
+    token = _suite_tables.set([])
+    try:
+        for k in range(suite_size):
+            case_params, ratio = case(grid, np.random.default_rng([int(seed), k]),
+                                      k, refine)
+            rows.append({"estimate_id": estimate_id, "seed": k,
+                         "params": case_params, "ratio": ratio})
+    finally:
+        _suite_tables.reset(token)
     ratios = [row["ratio"] for row in rows]
     report = RatioReport(estimate_id=estimate_id, samples=suite_size,
                          max_ratio=float(np.max(ratios)),

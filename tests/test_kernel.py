@@ -3,7 +3,8 @@
 The kernel tests in test_illposedness stop at t <= 0.5 and |eta| <= 10.  The
 quadrature evaluates K at t = N^{-3.01}, with (xi, eta) in the output window
 and (xi1, eta1) in k1(xi, eta), where t chi runs from about 2 to 71.  These
-tests draw such nodes for N in {16, 128}.
+tests draw such nodes for N in {16, 128}, and the 40-digit oracle also
+for N = 1024.
 """
 
 import numpy as np
@@ -69,3 +70,33 @@ def test_small_time_matches_complex_expm1(N, t):
     expect = decay * np.expm1(t * (cross + 1j * chi)) / (1j * chi - cross)
     got = kernel_K(t, xi, xi1, eta, eta1)
     np.testing.assert_allclose(got, expect, rtol=1e-13, atol=0.0)
+
+
+def _oracle_K(t, xi, xi1, eta, eta1):
+    """K at one node from its defining formula, in 40-digit arithmetic on
+    the float64 inputs: chi and both exponentials exact to about 25 digits
+    even where the numerator cancels."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        t, xi, xi1, eta, eta1 = (mpmath.mpf(float(a)) for a in (t, xi, xi1, eta, eta1))
+        xi2 = xi - xi1
+        chi = 3 * xi * xi1 * xi2 + (xi1 * eta - xi * eta1) ** 2 / (xi * xi1 * xi2)
+        numer = (mpmath.exp(-t * (xi1 ** 2 + xi2 ** 2)) * mpmath.expj(t * chi)
+                 - mpmath.exp(-t * xi ** 2))
+        return complex(numer / mpmath.mpc(-2 * xi1 * xi2, chi))
+
+
+@pytest.mark.parametrize("N", [16, 128, 1024])
+@pytest.mark.parametrize("eps0, rtol", [(0.01, 5e-12), (2.0, 2e-15)])
+def test_matches_40_digit_oracle(N, eps0, rtol):
+    # At t = N^{-3-eps0} on 64 fixed nodes.  Largest relative error over 20
+    # node seeds: 6.2e-14, 4.6e-13 and 1.3e-12 (N = 16, 128, 1024) at
+    # eps0 = 0.01, where t chi reaches about 70 rad and an ulp of chi costs
+    # about 70 ulps of phase; 4.4e-16 at eps0 = 2.  Each bound is 4x the
+    # largest at its eps0.
+    t = float(N) ** -(3.0 + eps0)
+    nodes = [a[:64] for a in quadrature_nodes(N, n=200)]
+    want = np.array([_oracle_K(t, *node) for node in zip(*nodes)])
+    got = kernel_K(t, *nodes)
+    assert len(want) == 64
+    assert np.max(np.abs(got - want) / np.abs(want)) <= rtol

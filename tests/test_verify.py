@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from kpblab import verify
+from kpblab import norms, verify
 from kpblab.norms import bourgain_norm, sobolev_norm
 from kpblab.spectral_core import (
     SpectralField,
@@ -294,6 +294,51 @@ class TestBilinearRatio:
         assert r2 <= 2.0 * r4
 
 
+def _count_table_builds(monkeypatch):
+    """{"multiplier": evaluations of the free-evolution multiplier, and per
+    column count, the sigma wraps on that many columns}, counted from now."""
+    counts = {"multiplier": 0}
+    multiplier, wrap = verify.w_multiplier, norms.wrapped_sigma
+
+    def counted_multiplier(*args, **kwargs):
+        counts["multiplier"] += 1
+        return multiplier(*args, **kwargs)
+
+    def counted_wrap(tau, P, dt):
+        counts[P.size] = counts.get(P.size, 0) + 1
+        return wrap(tau, P, dt)
+
+    monkeypatch.setattr(verify, "w_multiplier", counted_multiplier)
+    monkeypatch.setattr(verify, "wrapped_sigma", counted_wrap)
+    monkeypatch.setattr(norms, "wrapped_sigma", counted_wrap)
+    return counts
+
+
+def _zero_pair(phi):
+    """phi without the mode pair (1, 2), (-1, -2)."""
+    coeffs = phi.coeffs.copy()
+    coeffs[idx(phi.grid, 1, 2)] = coeffs[idx(phi.grid, -1, -2)] = 0.0
+    return SpectralField(grid=phi.grid, coeffs=coeffs)
+
+
+def _standalone_ratio(suite, seed, k, refine, alter=None):
+    """Case k of the free or bilinear suite through the public functions on
+    a grid of its own, with ``alter`` applied to the case's first datum."""
+    grid = make_grid(32 * refine, 32 * refine, np.pi, np.pi)
+    rng = np.random.default_rng([seed, k])
+    first = random_field(grid, rng)
+    if alter is not None:
+        first = alter(first)
+    M = 48 * refine
+    if suite == "free":
+        return free_estimate_ratio(first, (0.0, 0.25, 0.5)[k % 3], 0.0, 0.0, M=M)
+    s1 = (-0.4, -0.2, 0.0)[k % 3]
+    delta = min(0.05, (s1 + 0.5) / 8.0)
+    return bilinear_ratio(free_trajectory(first, 4.0, M),
+                          free_trajectory(random_field(grid, rng), 4.0, M),
+                          s1, 0.0, delta, delta / 10.0)
+
+
 class TestSuites:
     def test_free_suite_rows_and_report(self):
         report, rows = run_suite("free", 6, seed=0)
@@ -367,6 +412,48 @@ class TestSuites:
             monkeypatch.setattr(verify, name, counted)
         run_suite(suite, 4, seed=0)
         assert counts == {"make_grid": 1, fn: 4 * calls}
+
+    @pytest.mark.parametrize("suite, size, wraps", [
+        ("free", 12, {136: 1}), ("bilinear", 8, {136: 1, 528: 8})])
+    def test_one_free_table_per_suite(self, monkeypatch, suite, size, wraps):
+        # every datum of a suite lies on the same 136 columns (the Hermitian
+        # half of the |k| <= 8 box off kx = 0), so the multiplier and the
+        # wrapped sigma of those columns are built once per suite; each
+        # product's sigma, on its 528 columns, is wrapped per case
+        counts = _count_table_builds(monkeypatch)
+        run_suite(suite, size, 0, refine=2)
+        assert counts.pop("multiplier") == 1
+        assert counts == wraps
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("suite", ["free", "bilinear"])
+    def test_rows_equal_the_standalone_path(self, suite, refine):
+        _, rows = run_suite(suite, 4, 5, refine=refine)
+        assert [row["ratio"] for row in rows] == [
+            _standalone_ratio(suite, 5, k, refine) for k in range(4)]
+
+    @pytest.mark.parametrize("suite, draws_per_case", [("free", 1), ("bilinear", 2)])
+    def test_datum_off_the_suite_columns(self, monkeypatch, suite, draws_per_case):
+        # the first datum of case 1 lacks one mode pair: its evolution builds
+        # its own multiplier and its power wraps its own sigma, and every row
+        # still equals the standalone path
+        draws = []
+
+        def drawn(grid, rng, decay=None, _draw=verify.random_field):
+            draws.append(_draw(grid, rng, decay))
+            if len(draws) == 1 + draws_per_case:
+                return _zero_pair(draws[-1])
+            return draws[-1]
+
+        monkeypatch.setattr(verify, "random_field", drawn)
+        counts = _count_table_builds(monkeypatch)
+        _, rows = run_suite(suite, 3, 9)
+        assert counts["multiplier"] == 2
+        assert counts[135] == 1
+        monkeypatch.undo()
+        assert [row["ratio"] for row in rows] == [
+            _standalone_ratio(suite, 9, k, 1, _zero_pair if k == 1 else None)
+            for k in range(3)]
 
     def test_reports_do_not_share_params(self):
         first, _ = run_suite("bilinear", 1, seed=0)
