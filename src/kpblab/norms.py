@@ -16,7 +16,11 @@ comparison in this package uses the same window so ratios are like-to-like.
 The discrete time-frequency grid is tau_j = 2*pi*j/(M*dt) (FFT bins), and
 sigma is reduced modulo the tau-grid period into [-pi/dt, pi/dt)
 (``wrapped_sigma``) so the modulation weight is evaluated on the same
-aliased bins the transform actually populates.
+aliased bins the transform actually populates.  The transform of a prime
+number of samples above 11 runs through Rader's algorithm on two
+transforms of one sample fewer (``taper_transform``): pocketfft has no
+pass of its own for such a prime and is several times slower there, and
+the verify suites' refine = 2 trajectories have 97 samples.
 
 The time-dependent norms transform a trajectory's mode form (``modes``):
 only the modes that are nonzero at some time, and an exact conjugate pair
@@ -41,6 +45,7 @@ methods on the power of one in-memory trajectory.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -111,15 +116,59 @@ def _bin_frequencies(n_t: int, dt: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt)
 
 
+@functools.lru_cache(maxsize=8)
+def _rader_plan(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """Rader's tables for a prime length n above 11, else None: for a
+    primitive root g mod n, (gather, scatter, kernel) with gather[p] =
+    g^p mod n, scatter[q] = g^(-q) mod n, and kernel the length n-1 DFT of
+    e^(-2 pi i scatter / n).  Built on first use."""
+    if n <= 11 or any(n % d == 0 for d in range(2, math.isqrt(n) + 1)):
+        return None
+    # g has order n - 1 when no g^((n-1)/d), d > 1 a divisor of n - 1, is 1
+    divisors = [d for d in range(2, n) if (n - 1) % d == 0]
+    g = next(g for g in range(2, n)
+             if all(pow(g, (n - 1) // d, n) != 1 for d in divisors))
+    gather = np.array([pow(g, p, n) for p in range(n - 1)])
+    scatter = gather[-np.arange(n - 1) % (n - 1)]
+    kernel = np.fft.fft(np.exp(-2j * np.pi * scatter / n))
+    for table in (gather, scatter, kernel):
+        table.flags.writeable = False  # shared by every caller of the cache
+    return gather, scatter, kernel
+
+
 def taper_transform(columns: np.ndarray, dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(tau, uhat) for time samples ``columns`` of shape (n_t, n_cols), which
     are left unchanged: tau the FFT bin frequencies and uhat =
     dt * FFT_t(window * columns), transformed in place in a tapered copy of
     the samples.  Each column gets its own 1-D transform, so a block of
-    columns transforms bit for bit as it does among all of them."""
+    columns transforms bit for bit as it does among all of them.
+
+    A prime n_t above 11 goes through Rader's algorithm (C. M. Rader, Proc.
+    IEEE 56, 1968).  For a primitive root g mod n_t, bin g^(-q) is the
+    first tapered sample x_0 plus the cyclic convolution over p of
+    x_(g^p) with e^(-2 pi i g^(-p) / n_t), which two transforms of length
+    n_t - 1 take (``_rader_plan``), and bin 0 is the sum of all samples.
+    pocketfft has no pass of its own for a prime above 11 and takes
+    several times longer per column there than at a nearby even length,
+    such as the verify suites' 97 samples against 96.  Every other length
+    is transformed as it is."""
     n_t = columns.shape[0]
-    uhat = np.multiply(columns, time_window(n_t)[:, None], dtype=complex)
-    np.fft.fft(uhat, axis=0, out=uhat)
+    window = time_window(n_t)
+    plan = _rader_plan(n_t)
+    if plan is None:
+        uhat = np.multiply(columns, window[:, None], dtype=complex)
+        np.fft.fft(uhat, axis=0, out=uhat)
+    else:
+        gather, scatter, kernel = plan
+        conv = np.multiply(columns[gather], window[gather, None], dtype=complex)
+        np.fft.fft(conv, axis=0, out=conv)
+        first = columns[0] * window[0]
+        uhat = np.empty((n_t,) + columns.shape[1:], dtype=complex)
+        uhat[0] = conv[0] + first
+        conv *= kernel[:, None]
+        np.fft.ifft(conv, axis=0, out=conv)
+        conv += first
+        uhat[scatter] = conv
     uhat *= dt
     return _bin_frequencies(n_t, dt), uhat
 

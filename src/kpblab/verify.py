@@ -228,15 +228,39 @@ def _y_norm(samples: np.ndarray, dt: float, xi: float, b: float) -> float:
     return math.sqrt(float(np.sum(w[:, None] * np.abs(ghat) ** 2)) / (n * dt))
 
 
+def _walk(f: np.ndarray, dt: float, xi: float) -> np.ndarray:
+    """int_0^t e^{-|t-t'| xi^2} f(t') dt' at every node t of the samples
+    ``f``, ``dt`` apart on a grid of odd length centred on t = 0, by the
+    trapezoid rule walking out from t = 0 on each side: with
+    a = e^{-dt xi^2}, the sum one node further out is
+    A' = a A + (dt/2)(a f + f'), and the integral is -A for t < 0.
+
+    The walk is a recursive-doubling scan of that recurrence, both sides
+    at once.  Each node starts with its step term (dt/2)(a f + f'); the
+    stage of offset s = 2^j adds a^s times the value s nodes further in,
+    after which a node holds the last 2s step terms, each times a to the
+    power of its distance.  The multipliers are only a^(2^j), so a power
+    of a only ever shrinks (to 0 at large xi) and nothing overflows.
+    """
+    mid = f.size // 2
+    a = math.exp(-dt * xi * xi)
+    sides = np.stack([f[mid::-1], f[mid:]])  # into the past, into the future
+    sums = np.zeros_like(sides)
+    sums[:, 1:] = 0.5 * dt * (a * sides[:, :-1] + sides[:, 1:])
+    s, power = 1, a
+    while s <= mid:
+        sums[:, s:] += power * sums[:, :-s]
+        s, power = 2 * s, power * power
+    return np.concatenate([-sums[0, :0:-1], sums[1]])
+
+
 def smoothing_ratio(f_samples: np.ndarray, xi: float, delta: float) -> float:
     """||K_xi||_{Y^{1/2}} / (<xi>^{-2 delta} ||f||_{Y^{-1/2+delta}}).
 
     ``f_samples`` holds time samples of f on a uniform grid over [-2, 2]
     (odd length, so t = 0 is a node).  K_xi(t) = psi(t) int_0^t
-    e^{-|t-t'| xi^2} f(t') dt' is the trapezoid rule on the sample grid,
-    accumulated walking out from t = 0 on each side: with a = e^{-dt xi^2},
-    the sum one node further out is A' = a A + (dt/2)(a f + f'), and K is
-    -A for t < 0.
+    e^{-|t-t'| xi^2} f(t') dt', the integral by the trapezoid rule on the
+    sample grid (``_walk``).
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
@@ -245,22 +269,9 @@ def smoothing_ratio(f_samples: np.ndarray, xi: float, delta: float) -> float:
         raise ValueError("need a 1-D odd-length signal with at least 17 samples")
     if not np.any(f):
         return 0.0
-    n = f.size
-    t = np.linspace(-2.0, 2.0, n)
+    t = np.linspace(-2.0, 2.0, f.size)
     dt = t[1] - t[0]
-    mid = n // 2
-
-    a = math.exp(-dt * xi * xi)
-    half = 0.5 * dt
-
-    def walk(values: list[complex]) -> list[complex]:
-        sums = [0j]
-        for prev, cur in zip(values, values[1:]):
-            sums.append(a * sums[-1] + half * (a * prev + cur))
-        return sums
-
-    past = walk(f[mid::-1].tolist())
-    K = np.array([-v for v in past[:0:-1]] + walk(f[mid:].tolist())) * psi_cutoff(t)
+    K = _walk(f, dt, xi) * psi_cutoff(t)
 
     left = _y_norm(K, dt, xi, 0.5)
     right = (1.0 + xi * xi) ** (-delta) * _y_norm(f, dt, xi, -0.5 + delta)
@@ -278,8 +289,9 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
     coeffs' time rows (``ModeForm.gather``), and the ratio is taken on
     those as the bilinear suite takes it on its free evolutions.
     ``solver.dx_product`` multiplies d/dx(uv) on the smallest even grid
-    that holds the product's band without aliasing, 34 x 34 for two
-    fields in |k| <= 8, and gathers its mode form straight from there.
+    with no prime factor above 5 that holds the product's band without
+    aliasing, 36 x 36 for two fields in |k| <= 8, and gathers its mode
+    form straight from there.
     It is exact up to rounding and zero outside |k| <= 16, so the
     numerator's norm transforms 528 columns, the Hermitian half of
     33 * 32 = 1056 modes.  On the 32 x 32 suite grid (refine = 1) the band

@@ -639,6 +639,47 @@ class TestModeForm:
         assert np.array_equal(form.values, rows[:, form.cols])
 
 
+class TestRaderTransform:
+    """A prime number of samples above 11 is transformed by Rader's
+    algorithm, on two transforms of one sample fewer (``_rader_plan``);
+    every other length by one transform of its own length."""
+
+    @staticmethod
+    def samples(n_t, cols, seed=0):
+        rng = np.random.default_rng([n_t, cols, seed])
+        return rng.standard_normal((n_t, cols)) + 1j * rng.standard_normal((n_t, cols))
+
+    @pytest.mark.parametrize("n_t", [17, 97, 257])
+    @pytest.mark.parametrize("cols", [1, 136, 528])
+    def test_matches_direct_transform(self, n_t, cols):
+        # up to 9.0e-16 of the max was measured over 20 seeds per case
+        x, dt = self.samples(n_t, cols), 4.0 / (n_t - 1)
+        tau, got = taper_transform(x, dt)
+        want = np.fft.fft(time_window(n_t)[:, None] * x, axis=0) * dt
+        assert norms_module._rader_plan(n_t) is not None
+        assert same_bits(tau, 2.0 * np.pi * np.fft.fftfreq(n_t, d=dt))
+        assert np.max(np.abs(got - want)) <= 1.5e-15 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n_t", [17, 97, 257])
+    def test_block_keeps_its_bits(self, n_t):
+        x, dt = self.samples(n_t, 528), 4.0 / (n_t - 1)
+        whole = taper_transform(x, dt)[1]
+        for block in (slice(0, 1), slice(100, 236), slice(400, 528)):
+            assert same_bits(taper_transform(x[:, block], dt)[1], whole[:, block])
+
+    def test_only_primes_above_11(self):
+        primes = [n for n in range(2, 61) if norms_module._rader_plan(n) is not None]
+        assert primes == [13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59]
+
+    @pytest.mark.parametrize("n_t", [11, 18, 33, 49, 129, 513])
+    def test_other_lengths_take_one_transform(self, n_t):
+        x, dt = self.samples(n_t, 40), 4.0 / (n_t - 1)
+        want = np.multiply(x, time_window(n_t)[:, None], dtype=complex)
+        np.fft.fft(want, axis=0, out=want)
+        want *= dt
+        assert same_bits(taper_transform(x, dt)[1], want)
+
+
 class TestColumnBlocks:
     """``WindowedPower.of_modes`` tapers and transforms blocks of about
     ``_TRANSFORM_BLOCK`` bytes of columns and copies each squared modulus

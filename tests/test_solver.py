@@ -22,6 +22,7 @@ from kpblab.solver import (
     _band_form,
     _dx_product,
     _dx_table,
+    _fast_size,
     _full,
     _band,
     _nonlin,
@@ -675,7 +676,7 @@ def full_grid_product(a, b, grid):
                              _dx_table(grid, rows, h)), rows, shape)
 
 
-def band_grid(a, b, grid):
+def band_extent(a, b, grid):
     """``_band_extent`` of the fields behind the full spectra ``a`` and
     ``b`` (leading axes batch), or None when either is zero."""
     occupied = []
@@ -687,15 +688,22 @@ def band_grid(a, b, grid):
     return _band_extent(grid, *occupied)
 
 
+def band_grid(a, b, grid):
+    """The band grid (mx, my) of ``band_extent``, or None when either field
+    is zero."""
+    extent = band_extent(a, b, grid)
+    return None if extent is None else extent[0]
+
+
 def dx_product_full(a, b, grid):
     """d/dx(uv) from full spectra (leading axes batch), multiplied on the
-    band grid of ``band_grid`` laid out by ``_product_layout``: the fields'
-    half spectra are gathered onto it, multiplied, and expanded back with
-    ``_full``.  The oracle of ``dx_product`` on mode forms."""
-    band = band_grid(a, b, grid)
-    if band is None:
+    band grid of ``band_extent`` laid out by ``_product_layout``: the
+    fields' half spectra are gathered onto it, multiplied, and expanded
+    back with ``_full``.  The oracle of ``dx_product`` on mode forms."""
+    extent = band_extent(a, b, grid)
+    if extent is None:
         return np.zeros(a.shape, dtype=complex)
-    shape, rows, table = _product_layout(grid, *band)
+    shape, rows, table = _product_layout(grid, *extent)
     cols = table.shape[-1]
     ha = a[..., rows, :cols]
     hb = ha if b is a else b[..., rows, :cols]
@@ -713,8 +721,38 @@ def mode_product(a, b, grid):
 
 
 class TestBandProduct:
-    """dx_product multiplies on the smallest even grid that holds the
-    product's band without aliasing, and on the whole grid otherwise."""
+    """dx_product multiplies on the smallest even grid with no prime factor
+    above 5 that holds the product's band without aliasing; on the
+    alias-free size 2B + 2 when only that fits the grid; and on the whole
+    grid otherwise."""
+
+    @pytest.mark.parametrize("band, n, size", [
+        (16, 64, 36), (17, 64, 36), (16, 34, 34), (16, 32, 34), (20, 44, 42),
+        (20, 48, 48), (2, 8, 6), (0, 8, 2)])
+    def test_band_grid_size(self, band, n, size):
+        # a size past n makes the product take the whole grid
+        assert _fast_size(band, n) == size
+
+    @pytest.mark.parametrize("n, band", [(34, 8), (44, 10)])
+    def test_fast_size_past_the_grid_keeps_the_alias_free_grid(self, n, band):
+        # 2B + 2 (34, 42) fits the grid and 36, 48 do not: the product is
+        # taken on the 2B + 2 band grid, bit for bit as the layout that
+        # drops only that grid's Nyquist row and column gives it.  (On
+        # either grid the grid's own dealias table keeps |k| <= 2n/6.)
+        grid = make_grid(n, n, np.pi, np.pi)
+        keep = (np.abs(grid.kx_int)[:, None] <= band) & (np.abs(grid.ky_int)[None, :] <= band)
+        a, b = (np.where(keep, random_real_field(grid, seed).coeffs, 0.0) for seed in (3, 4))
+        m = 4 * band + 2
+        assert band_grid(a, b, grid) == (m, m)
+        rows = np.fft.fftfreq(m, d=1.0 / m).astype(np.int64) % n
+        table = _dx_table(grid, rows, m // 2 + 1) * (m * m / (n * n))
+        table[m // 2] = 0.0
+        table[:, m // 2] = 0.0
+        cols = m // 2 + 1
+        want = _full(_dx_product(a[rows, :cols], b[rows, :cols], (m, m), np.arange(m), table),
+                     rows, (n, n))
+        assert np.array_equal(mode_product(a, b, grid), want)
+        assert np.array_equal(dx_product_full(a, b, grid), want)
 
     @pytest.fixture(scope="class")
     def pair(self):
@@ -725,7 +763,7 @@ class TestBandProduct:
 
     def test_matches_full_grid_on_band_and_zero_off_it(self, pair):
         a, b, grid = pair
-        assert band_grid(a, b, grid) == (34, 34)
+        assert band_grid(a, b, grid) == (36, 36)
         got = mode_product(a, b, grid)
         want = full_grid_product(a, b, grid)
         band = (np.abs(grid.kx_int)[:, None] <= 16) & (np.abs(grid.ky_int)[None, :] <= 16)
@@ -760,7 +798,7 @@ class TestBandProduct:
         f = random_field(grid, np.random.default_rng(8))
         got = nonlinearity(f).coeffs
         want = old_full_fft_nonlin(f.coeffs, grid)
-        assert band_grid(f.coeffs, f.coeffs, grid) == (34, 34)
+        assert band_grid(f.coeffs, f.coeffs, grid) == (36, 36)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         band = (np.abs(grid.kx_int)[:, None] <= 16) & (np.abs(grid.ky_int)[None, :] <= 16)
         assert not np.any(got[~band])
@@ -782,7 +820,8 @@ class TestBandForm:
             grid = make_grid(256, 256, np.pi, np.pi)
             return (grid, *_band(grid))
         grid = make_grid(64, 48, np.pi, 2.0)
-        _, rows, table = _product_layout(grid, 34 if name == "product_fits" else 66, 34)
+        extent = ((36, 36), (16, 16)) if name == "product_fits" else ((66, 34), (32, 16))
+        _, rows, table = _product_layout(grid, *extent)
         return grid, rows, table.shape[-1]
 
     @staticmethod

@@ -248,6 +248,34 @@ class TestSmoothingRatio:
                 assert smoothing_ratio(f, xi, delta) == pytest.approx(
                     self.reference_ratio(f, xi, delta), rel=1e-13)
 
+    @staticmethod
+    def recurrence(f, dt, xi):
+        """The trapezoid walk as a sequential recurrence, one node at a
+        time: A' = a A + (dt/2)(a f + f') out from t = 0, -A for t < 0."""
+        mid, a, half = f.size // 2, math.exp(-dt * xi * xi), 0.5 * dt
+
+        def walk(values):
+            sums = [0j]
+            for prev, cur in zip(values, values[1:]):
+                sums.append(a * sums[-1] + half * (a * prev + cur))
+            return sums
+
+        past = walk(f[mid::-1].tolist())
+        return np.array([-v for v in past[:0:-1]] + walk(f[mid:].tolist()))
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("xi", [0.0, 1.0, 4.0, 16.0, 64.0, 1000.0])
+    def test_doubling_walk_matches_recurrence(self, refine, xi):
+        # up to 2.4e-15 of the max was measured over 30 signals; at xi = 64
+        # the powers a^(2^j) underflow to 0, and at xi = 1000 a itself does
+        n = 256 * refine + 1
+        dt = 4.0 / (n - 1)
+        for seed in range(3):
+            f = self.signal(seed, n)
+            got, want = verify._walk(f, dt, xi), self.recurrence(f, dt, xi)
+            assert np.all(np.isfinite(got))
+            assert np.max(np.abs(got - want)) <= 5e-15 * np.max(np.abs(want))
+
 
 class TestBilinearRatio:
     def test_zero_input_gives_zero(self, grid):
@@ -368,6 +396,30 @@ class TestSuites:
         report, rows = run_suite("bilinear", 6, seed=2)
         assert math.isfinite(report.max_ratio)
         assert all(math.isfinite(r["ratio"]) for r in rows)
+
+    def test_refine2_transforms_take_fast_lengths(self, monkeypatch):
+        # the band grid (36) and Rader's transforms for the 97 time samples
+        # (96) have no prime factor above 5, and nothing calls numpy's
+        # matrix products
+        lengths = []
+        for name in ("fft", "ifft", "rfft", "irfft"):
+            def spied(a, n=None, axis=-1, *args, _fn=getattr(np.fft, name), **kwargs):
+                lengths.append(n if n is not None else np.shape(a)[axis])
+                return _fn(a, n, axis, *args, **kwargs)
+            monkeypatch.setattr(np.fft, name, spied)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("a matrix product ran")
+        monkeypatch.setattr(np, "matmul", refused)
+        monkeypatch.setattr(np, "dot", refused)
+        for suite in ("free", "bilinear"):
+            run_suite(suite, 1, 0, refine=2)
+        assert {96, 36} <= set(lengths)
+        for n in set(lengths):
+            for p in (2, 3, 5):
+                while n % p == 0:
+                    n //= p
+            assert n == 1
 
     def test_bilinear_suite_holds_no_full_trajectory(self, alloc_peak):
         # the suite works on mode forms and band grids: its peak stays below
