@@ -218,9 +218,9 @@ class WindowedPower:
     ``sigma`` is None after construction, and ``bourgain`` and ``gap``
     then each wrap sigma = tau - P on ``cols`` themselves
     (``wrapped_sigma``).  A caller that already holds that array for
-    these bins and columns may set it: the verify suites share one per
-    suite among the free evolutions of their cases.  The methods read it
-    and never write it.
+    these bins and columns may set it: the verify suites set it on every
+    power they take, from one array per column set per suite
+    (``verify._shared``).  The methods read it and never write it.
     """
 
     grid: Grid2D

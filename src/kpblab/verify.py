@@ -20,10 +20,13 @@ the identical physical field on any refinement of the grid.
 
 Every datum of a free or bilinear suite lies on the same columns (the
 Hermitian half of the mode box off kx = 0) and is evolved at the same
-times, so ``run_suite`` builds the multiplier psi(t-2) W(t-2) on those
-columns and their wrapped sigma = tau - P once per suite, and each case's
-free evolutions and their Bourgain norms take them.  A datum off those
-columns builds its own.  Either way every ratio has the same bits.
+times, and the products of two of them all lie on one column set of
+their own.  So ``run_suite`` keeps a memo keyed by content (``_shared``):
+the multiplier psi(t-2) W(t-2) and the wrapped sigma = tau - P of a
+column set are built once per suite, by the first case that needs them,
+and each later case's free evolutions and Bourgain norms take them.  A
+datum off those columns builds its own, kept under its own key.  Either
+way every ratio has the same bits; outside ``run_suite`` nothing is kept.
 """
 
 from __future__ import annotations
@@ -108,65 +111,47 @@ def random_field(grid: Grid2D, rng: np.random.Generator,
     return SpectralField(grid=grid, coeffs=coeffs)
 
 
-class _FreeTables:
-    """What the free evolutions of data on the flat modes ``cols`` share:
-    the M + 1 ``times`` of [0, T], the ``multiplier`` psi(t - T/2)
-    W(t - T/2) on (times, cols) (or W alone without the cutoff), and the
-    wrapped ``sigma`` of those modes (``norms.wrapped_sigma``), which
-    ``_windowed_power`` makes when the power of one of the evolutions
-    first asks for it."""
-
-    def __init__(self, grid: Grid2D, cols: np.ndarray, T: float, M: int,
-                 cutoff: bool):
-        self.grid, self.cols, self.key = grid, cols, (T, M, cutoff)
-        self.times = np.linspace(0.0, T, M + 1)
-        self.dt = float(self.times[1] - self.times[0])
-        shifted = (self.times - 0.5 * T)[:, None]
-        amp = psi_cutoff(shifted) if cutoff else 1.0
-        self.P = dispersion_values(grid).reshape(-1)[cols]
-        xi = grid.xi[cols // grid.ny]
-        self.multiplier = amp * w_multiplier(self.P, xi, shifted)
-        self.sigma = None
-
-    def fits(self, grid: Grid2D, cols: np.ndarray, T: float, M: int,
-             cutoff: bool) -> bool:
-        return (grid is self.grid and (T, M, cutoff) == self.key
-                and np.array_equal(cols, self.cols))
+# The tables that the cases of the running suite share, by key: a dict
+# that ``_shared`` fills, and None outside ``run_suite``.  A context
+# variable, not a parameter: the free cases reach it through the public
+# ``free_estimate_ratio``, and a suite run in another thread holds its own.
+_suite_memo: ContextVar[dict | None] = ContextVar("_suite_memo", default=None)
 
 
-# The free-evolution tables of the suite that ``run_suite`` is running: a
-# list that the suite's first free evolution fills with its tables, and
-# None outside ``run_suite``.  A context variable, not a parameter: the
-# free cases reach the tables through the public ``free_estimate_ratio``,
-# and a suite run in another thread holds its own.
-_suite_tables: ContextVar[list[_FreeTables] | None] = ContextVar(
-    "_suite_tables", default=None)
+def _shared(key, build):
+    """``build()``; inside ``run_suite`` the result is kept under ``key``
+    until the suite returns, and a later call with an equal key returns it
+    without building."""
+    memo = _suite_memo.get()
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
 
 
-def _free_tables(grid: Grid2D, cols: np.ndarray, T: float, M: int,
-                 cutoff: bool) -> _FreeTables:
-    """The running suite's tables when they fit these modes and times, else
-    new ones, which become the suite's when it holds none yet."""
-    held = _suite_tables.get()
-    if held and held[0].fits(grid, cols, T, M, cutoff):
-        return held[0]
-    tables = _FreeTables(grid, cols, T, M, cutoff)
-    if held is not None and not held:
-        held.append(tables)
-    return tables
+def _evolution_table(grid: Grid2D, cols: np.ndarray, T: float, M: int,
+                    cutoff: bool) -> tuple[np.ndarray, np.ndarray]:
+    """(times, multiplier): the M + 1 times of [0, T] and psi(t - T/2)
+    W(t - T/2) on (times, cols), the flat modes ``cols`` (W alone without
+    the cutoff)."""
+    times = np.linspace(0.0, T, M + 1)
+    shifted = (times - 0.5 * T)[:, None]
+    amp = psi_cutoff(shifted) if cutoff else 1.0
+    P = dispersion_values(grid).reshape(-1)[cols]
+    xi = grid.xi[cols // grid.ny]
+    return times, amp * w_multiplier(P, xi, shifted)
 
 
 def _windowed_power(form: ModeForm, dt: float) -> WindowedPower:
-    """``WindowedPower.of_modes(form, dt)``, holding the running suite's
-    wrapped sigma when ``form`` is a free evolution on the suite's
-    tables."""
+    """``WindowedPower.of_modes(form, dt)`` with its wrapped sigma set
+    (``norms.wrapped_sigma``), one per grid, time axis and column set in a
+    suite (``_shared``)."""
     power = WindowedPower.of_modes(form, dt)
-    held = _suite_tables.get()
-    if held and form.cols is held[0].cols and dt == held[0].dt:
-        tables = held[0]
-        if tables.sigma is None:
-            tables.sigma = wrapped_sigma(power.tau, tables.P, dt)
-        power.sigma = tables.sigma
+    grid, cols = form.grid, form.cols
+    power.sigma = _shared(
+        ("sigma", grid, power.n_times, dt, cols.tobytes()),
+        lambda: wrapped_sigma(power.tau, dispersion_values(grid).reshape(-1)[cols], dt))
     return power
 
 
@@ -178,18 +163,19 @@ def _free_modes(phi: SpectralField, T: float, M: int,
     one time row (``ModeForm.gather``), and its values are phi there.  W
     acts mode by mode, so only those modes are evaluated, all times at
     once: the values are the multiplier table of those columns
-    (``_FreeTables``) times phi.  Inside ``run_suite`` the table is the
-    suite's, built by its first free evolution and taken by every later
-    one on the same columns; the product is the same either way.  P is
-    odd and xi^2 even, so the mirror of an exact pair stays the conjugate
-    of its first mode at every time, and the evolution has phi's columns
-    and weights.
+    (``_evolution_table``) times phi.  Inside ``run_suite`` the table is
+    kept per column set (``_shared``), so the suite's first free evolution
+    on a set builds it and every later one takes it; the product is the
+    same either way.  P is odd and xi^2 even, so the mirror of an exact
+    pair stays the conjugate of its first mode at every time, and the
+    evolution has phi's columns and weights.
     """
     grid = phi.grid
     datum = ModeForm.gather(grid, phi.coeffs.reshape(1, -1))
-    tables = _free_tables(grid, datum.cols, T, M, cutoff)
-    values = tables.multiplier * datum.values[0]
-    return tables.times, ModeForm(grid, tables.cols, datum.colw, values)
+    cols = datum.cols
+    times, multiplier = _shared(("free", grid, T, M, cutoff, cols.tobytes()),
+                                lambda: _evolution_table(grid, cols, T, M, cutoff))
+    return times, ModeForm(grid, cols, datum.colw, multiplier * datum.values[0])
 
 
 def free_trajectory(phi: SpectralField, T: float, M: int,
@@ -291,11 +277,14 @@ def bilinear_ratio(u: Trajectory, v: Trajectory, s1: float, s2: float,
     ``solver.dx_product`` multiplies d/dx(uv) on the smallest even grid
     with no prime factor above 5 that holds the product's band without
     aliasing, 36 x 36 for two fields in |k| <= 8, and gathers its mode
-    form straight from there.
-    It is exact up to rounding and zero outside |k| <= 16, so the
-    numerator's norm transforms 528 columns, the Hermitian half of
-    33 * 32 = 1056 modes.  On the 32 x 32 suite grid (refine = 1) the band
-    does not fit, and the product is taken on the whole grid.
+    form straight from there.  On a grid that holds that band grid, such
+    as the 64 x 64 suite grid (refine = 2), the product is exact up to
+    rounding and zero outside |k| <= 16, so the numerator's norm
+    transforms 528 columns, the Hermitian half of 33 * 32 = 1056 modes.
+    The 32 x 32 suite grid (refine = 1) holds neither 36 nor 34 points, so
+    the product is taken on the whole grid with its 2/3 dealias table:
+    the numerator is the product cut to |k| <= 10, 210 columns, not the
+    exact product.
 
     Returns 0 when both sides vanish and inf on a violation (nonzero
     numerator over a zero denominator).
@@ -317,7 +306,7 @@ def _bilinear_modes(dt: float, u: ModeForm, v: ModeForm,
                     s1: float, s2: float, delta: float, eps: float) -> float:
     """``bilinear_ratio`` of the mode forms u and v sampled every ``dt``."""
     prod = dx_product(u, v)
-    numer = WindowedPower.of_modes(prod, dt).bourgain(
+    numer = _windowed_power(prod, dt).bourgain(
         -0.5 + delta, s1 - 2.0 * delta + eps, s2)
     denom = (_windowed_power(u, dt).bourgain(0.5, s1, s2)
              * _windowed_power(v, dt).bourgain(0.5, s1, s2))
@@ -380,10 +369,10 @@ def run_suite(estimate_id: str, suite_size: int, seed: int,
     the first cases of a larger suite are those of a smaller one.  The free
     and bilinear cases draw on the 32 refine x 32 refine grid on the box
     [-pi, pi)^2, built once per suite; the smoothing cases take
-    256 refine + 1 time samples.  While the cases run, ``_suite_tables``
-    holds the suite's free-evolution tables (``_FreeTables``): the first
-    free evolution builds them and the later ones on its columns take
-    them, so they are built once per call and dropped when it returns.
+    256 refine + 1 time samples.  While the cases run, ``_suite_memo``
+    holds the tables that ``_shared`` keeps for them: the free-evolution
+    multipliers and the wrapped sigmas, one per column set, so each is
+    built once per call and dropped when it returns.
     """
     try:
         case, params = _SUITES[estimate_id]
@@ -397,7 +386,7 @@ def run_suite(estimate_id: str, suite_size: int, seed: int,
             raise ValueError(f"{name} must be >= {least}, got {value}")
     grid = make_grid(32 * refine, 32 * refine, np.pi, np.pi)
     rows = []
-    token = _suite_tables.set([])
+    token = _suite_memo.set({})
     try:
         for k in range(suite_size):
             case_params, ratio = case(grid, np.random.default_rng([int(seed), k]),
@@ -405,7 +394,7 @@ def run_suite(estimate_id: str, suite_size: int, seed: int,
             rows.append({"estimate_id": estimate_id, "seed": k,
                          "params": case_params, "ratio": ratio})
     finally:
-        _suite_tables.reset(token)
+        _suite_memo.reset(token)
     ratios = [row["ratio"] for row in rows]
     report = RatioReport(estimate_id=estimate_id, samples=suite_size,
                          max_ratio=float(np.max(ratios)),

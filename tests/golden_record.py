@@ -16,13 +16,13 @@ moved value and its largest relative move.  Before it rewrites the record,
 the script prints each output whose hash moved, appeared or disappeared
 against the record it replaces.
 
-The set covers the three criterion-10 configs, a Picard and an ETD solve
-that save their states, ``kpblab norms`` on both saved states, the
-bilinear verify suite at refine 1 (the whole-grid product) and refine 2
-(the band-grid product), and the smoothing verify suite.  Every command
-runs with the working directory at the run's root and relative paths, so
-the norms manifests, which record ``input_path``, do not depend on where
-the run happens.
+The set covers the three criterion-10 configs, the free verify suite at
+refine 2, a Picard and an ETD solve that save their states, ``kpblab
+norms`` on both saved states, the bilinear verify suite at refine 1 (the
+whole-grid product) and refine 2 (the band-grid product), and the
+smoothing verify suite.  Every command runs with the working directory
+at the run's root and relative paths, so the norms manifests, which
+record ``input_path``, do not depend on where the run happens.
 """
 
 from __future__ import annotations
@@ -53,6 +53,8 @@ CASES = [
                   "samples": 10000, "seed": 0, "N_list": [8, 10, 12, 14]}),
     ("verify", {"command": "verify", "estimate_id": "free", "suite_size": 4,
                 "seed": 7}),
+    ("verify_free_refine2", {"command": "verify", "estimate_id": "free",
+                             "suite_size": 4, "seed": 7, "params": {"refine": 2}}),
     ("solve_picard_states", {**_SOLVE, "save_states": True}),
     ("solve_etd_states", {**_SOLVE, "integrator": "etd", "save_states": True}),
     ("norms_picard", {**_NORMS, "input_path": "solve_picard_states/states.npz"}),

@@ -7,12 +7,14 @@ and stability of suite statistics under seed/refinement changes.
 """
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from kpblab import norms, verify
 from kpblab.norms import bourgain_norm, sobolev_norm
+from kpblab.solver import dx_product
 from kpblab.spectral_core import (
     SpectralField,
     hermitian_defect,
@@ -466,16 +468,75 @@ class TestSuites:
         assert counts == {"make_grid": 1, fn: 4 * calls}
 
     @pytest.mark.parametrize("suite, size, wraps", [
-        ("free", 12, {136: 1}), ("bilinear", 8, {136: 1, 528: 8})])
+        ("free", 12, {136: 1}), ("bilinear", 8, {136: 1, 528: 1})])
     def test_one_free_table_per_suite(self, monkeypatch, suite, size, wraps):
         # every datum of a suite lies on the same 136 columns (the Hermitian
-        # half of the |k| <= 8 box off kx = 0), so the multiplier and the
-        # wrapped sigma of those columns are built once per suite; each
-        # product's sigma, on its 528 columns, is wrapped per case
+        # half of the |k| <= 8 box off kx = 0), and every product on the
+        # same 528, so the multiplier and each column set's wrapped sigma
+        # are built once per suite
         counts = _count_table_builds(monkeypatch)
         run_suite(suite, size, 0, refine=2)
         assert counts.pop("multiplier") == 1
         assert counts == wraps
+
+    def test_standalone_calls_keep_nothing(self, monkeypatch, grid):
+        # outside run_suite each call builds its own tables
+        phi = random_field(grid, np.random.default_rng(0))
+        counts = _count_table_builds(monkeypatch)
+        first = free_estimate_ratio(phi, 0.25, 0.0, 0.0)
+        assert free_estimate_ratio(phi, 0.25, 0.0, 0.0) == first
+        assert counts == {"multiplier": 2, 136: 2}
+
+    def test_suites_on_two_threads_hold_their_own_tables(self, monkeypatch):
+        # suites "a" and "b" run at once on two threads, each starting
+        # before the other returns: "b" starts after "a" has built its
+        # tables, and "a" returns before "b" goes on past its first build.
+        # Each builds its own tables once and gives the serial rows
+        _, serial = run_suite("free", 4, 3, refine=2)
+        counts = _count_table_builds(monkeypatch)
+        built = {"a": threading.Event(), "b": threading.Event()}
+        a_done = threading.Event()
+        waits = {"a": built["b"], "b": a_done}
+
+        def paused(*args, _build=verify.w_multiplier, **kwargs):
+            table = _build(*args, **kwargs)
+            name = threading.current_thread().name
+            if not built[name].is_set():
+                built[name].set()
+                waits[name].wait(60)
+            return table
+
+        monkeypatch.setattr(verify, "w_multiplier", paused)
+        rows = {}
+
+        def run():
+            rows[threading.current_thread().name] = run_suite("free", 4, 3, refine=2)[1]
+
+        a = threading.Thread(target=run, name="a")
+        b = threading.Thread(target=run, name="b")
+        a.start()
+        assert built["a"].wait(60)
+        b.start()
+        a.join(60)
+        a_done.set()
+        b.join(60)
+        assert rows == {"a": serial, "b": serial}
+        assert counts == {"multiplier": 2, 136: 2}
+
+    @pytest.mark.parametrize("refine, cols, band", [(1, 210, 10), (2, 528, 16)])
+    def test_bilinear_numerator_band(self, refine, cols, band):
+        # the product of two |k| <= 8 fields occupies |k| <= 16.  At refine 2
+        # its band grid fits, and the numerator is the exact product; at
+        # refine 1 it does not, and the numerator is the product cut to the
+        # 32 x 32 grid's 2/3 dealias band |k| <= 10
+        g = make_grid(32 * refine, 32 * refine, np.pi, np.pi)
+        rng = np.random.default_rng([7, 0])
+        _, u = verify._free_modes(random_field(g, rng), 4.0, 48 * refine)
+        _, v = verify._free_modes(random_field(g, rng), 4.0, 48 * refine)
+        prod = dx_product(u, v)
+        kx, ky = np.divmod(prod.cols, g.ny)
+        assert prod.cols.size == cols
+        assert max(np.max(np.abs(g.kx_int[kx])), np.max(np.abs(g.ky_int[ky]))) == band
 
     @pytest.mark.parametrize("refine", [1, 2])
     @pytest.mark.parametrize("suite", ["free", "bilinear"])
