@@ -511,9 +511,9 @@ def _window_density(N: float, s: float, t: float, cells: int) -> tuple[np.ndarra
     row call broadcasts, and the denominator's imaginary part is set once
     per group.  Every call releases the interpreter lock and lets
     scaling_study's other thread take it, so the calls are few and large.
-    On a 2-vCPU Xeon a four-N sweep at cells=64 cost 0.96 s of CPU on one
-    thread, and 1.11 s of CPU and 0.63 s of wall time on two, with about
-    7.5K voluntary context switches (medians of 10 alternating runs).
+    On a 2-vCPU Xeon a four-N sweep at cells=64 cost 0.85 s of CPU on one
+    thread, and 1.09 s of CPU and 0.62 s of wall time on two, with about
+    7.8K voluntary context switches (medians of 20 alternating runs).
     Rows of 10K nodes (two groups per row at cells=64) once made 47K
     switches.
 
@@ -665,9 +665,10 @@ def scaling_study(N_list, s: float, eps0: float, cells: int,
     The N values run on ``threads`` worker threads (None: ``os.cpu_count()``;
     fewer than 1 is a ValueError), and the results do not depend on it.
     The threads queue on the interpreter lock between numpy calls: on 2
-    CPUs the four-N sweep at cells=64 costs 17% more CPU on two threads
-    than on one (0.96 -> 1.11 s user+sys, medians of 10 alternating runs),
-    with about 7.5K voluntary context switches (:func:`_window_density`).
+    CPUs the four-N sweep at cells=64 costs about 22% more CPU on two
+    threads than on one (0.85 -> 1.09 s user+sys, medians of 20
+    alternating runs) for a 1.46x shorter wall time, with about 7.8K
+    voluntary context switches (:func:`_window_density`).
     """
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")

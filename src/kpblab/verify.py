@@ -21,12 +21,23 @@ the identical physical field on any refinement of the grid.
 Every datum of a free or bilinear suite lies on the same columns (the
 Hermitian half of the mode box off kx = 0) and is evolved at the same
 times, and the products of two of them all lie on one column set of
-their own.  So ``run_suite`` keeps a memo keyed by content (``_shared``):
-the multiplier psi(t-2) W(t-2) and the wrapped sigma = tau - P of a
-column set are built once per suite, by the first case that needs them,
-and each later case's free evolutions and Bourgain norms take them.  A
-datum off those columns builds its own, kept under its own key.  Either
-way every ratio has the same bits; outside ``run_suite`` nothing is kept.
+their own.  So ``run_suite`` keeps a memo keyed by content (``_shared``)
+of the tables that do not depend on a case's random draw, each built once
+per suite by the first case that needs it: per column set the multiplier
+psi(t-2) W(t-2), its windowed power and the wrapped sigma = tau - P, and
+the smoothing suite's wave table and psi(t) samples.  A datum off those
+columns builds its own, kept under its own key; outside ``run_suite``
+nothing is kept.
+
+The time transform is linear in each column, and column c of a free
+evolution is the datum's phi_c times the multiplier's column c, so the
+free suite takes an evolution's power as |phi_c|^2 times the multiplier's
+power (``_free_power``): one transform per column set, and the
+evolution's values are never formed.  That power is the one of the
+evolution's own transform up to rounding, not bit for bit.  The bilinear
+suite still evolves and transforms its factors: its product needs their
+values, and its ratios are those of the public ``bilinear_ratio`` on
+``free_trajectory`` bit for bit.
 """
 
 from __future__ import annotations
@@ -192,18 +203,39 @@ def free_trajectory(phi: SpectralField, T: float, M: int,
     return Trajectory(grid=phi.grid, times=times, coeffs=coeffs)
 
 
+def _free_power(phi: SpectralField, T: float, M: int) -> WindowedPower:
+    """The windowed power of psi(t - T/2) W(t - T/2) phi sampled on [0, T]
+    (``_free_modes``), without forming its values: the power of the
+    multiplier table on phi's columns, with its wrapped sigma, taken once
+    per column set in a suite (``_shared``), times |phi_c|^2 in column c,
+    on the weights of phi's mode form.  The time transform is linear in
+    each column, so this is the evolution's own power up to rounding.
+    """
+    grid = phi.grid
+    datum = ModeForm.gather(grid, phi.coeffs.reshape(1, -1))
+    cols = datum.cols
+
+    def table() -> WindowedPower:
+        times, multiplier = _evolution_table(grid, cols, T, M, True)
+        return _windowed_power(ModeForm(grid, cols, datum.colw, multiplier),
+                               float(times[1] - times[0]))
+
+    power = copy.copy(_shared(("free power", grid, T, M, cols.tobytes()), table))
+    power.power = power.power * np.abs(datum.values[0]) ** 2
+    power.colw = datum.colw
+    return power
+
+
 def free_estimate_ratio(phi: SpectralField, b: float, s1: float, s2: float,
                         M: int = 48) -> float:
     """||psi(t) W(t) phi||_{X^{b,s1,s2}} / ||phi||_{H^{s1+2b-1,s2}}, the
-    numerator on the free evolution's mode form."""
+    numerator on the free evolution's windowed power (``_free_power``)."""
     if not 0.0 <= b <= 0.5:
         raise ValueError(f"b must be in [0, 1/2], got {b}")
     denom = sobolev_norm(phi, s1 + 2.0 * b - 1.0, s2)
     if denom == 0.0:
         return 0.0
-    times, modes = _free_modes(phi, T=4.0, M=M)
-    power = _windowed_power(modes, float(times[1] - times[0]))
-    return power.bourgain(b, s1, s2) / denom
+    return _free_power(phi, T=4.0, M=M).bourgain(b, s1, s2) / denom
 
 
 def _y_norm(samples: np.ndarray, dt: float, xi: float, b: float) -> float:
@@ -246,7 +278,8 @@ def smoothing_ratio(f_samples: np.ndarray, xi: float, delta: float) -> float:
     ``f_samples`` holds time samples of f on a uniform grid over [-2, 2]
     (odd length, so t = 0 is a node).  K_xi(t) = psi(t) int_0^t
     e^{-|t-t'| xi^2} f(t') dt', the integral by the trapezoid rule on the
-    sample grid (``_walk``).
+    sample grid (``_walk``).  Inside ``run_suite`` the samples of psi(t)
+    are kept per length (``_shared``).
     """
     if not 0.0 < delta <= 0.5:
         raise ValueError(f"delta must be in (0, 1/2], got {delta}")
@@ -257,7 +290,7 @@ def smoothing_ratio(f_samples: np.ndarray, xi: float, delta: float) -> float:
         return 0.0
     t = np.linspace(-2.0, 2.0, f.size)
     dt = t[1] - t[0]
-    K = _walk(f, dt, xi) * psi_cutoff(t)
+    K = _walk(f, dt, xi) * _shared(("psi", f.size), lambda: psi_cutoff(t))
 
     left = _y_norm(K, dt, xi, 0.5)
     right = (1.0 + xi * xi) ** (-delta) * _y_norm(f, dt, xi, -0.5 + delta)
@@ -323,14 +356,24 @@ def _free_case(grid: Grid2D, rng: np.random.Generator, k: int, refine: int):
             free_estimate_ratio(phi, b, 0.0, 0.0, M=48 * refine))
 
 
+def _wave_table(refine: int) -> np.ndarray:
+    """e^{i pi m t / 2} on the 256 refine + 1 times t of [-2, 2] (rows)
+    and the modes |m| <= 8 (columns)."""
+    m = np.arange(-_BAND, _BAND + 1)
+    t = np.linspace(-2.0, 2.0, 256 * refine + 1)
+    return np.exp(0.5j * np.pi * m[None, :] * t[:, None])
+
+
 def _smoothing_case(grid: Grid2D, rng: np.random.Generator, k: int, refine: int):
-    """smoothing_ratio of a random signal, sweeping (xi, delta) pairs."""
+    """smoothing_ratio of a random signal, sweeping (xi, delta) pairs: the
+    signal is a random combination of the columns of the wave table
+    (``_wave_table``), one per suite (``_shared``)."""
     decay = int(rng.integers(0, 3))
     m = np.arange(-_BAND, _BAND + 1)
     amp = (rng.standard_normal(m.size) + 1j * rng.standard_normal(m.size))
     amp *= (1.0 + np.abs(m)) ** (-float(decay))
-    t = np.linspace(-2.0, 2.0, 256 * refine + 1)
-    f = (amp[None, :] * np.exp(0.5j * np.pi * m[None, :] * t[:, None])).sum(axis=1)
+    wave = _shared(("wave", refine), lambda: _wave_table(refine))
+    f = (amp[None, :] * wave).sum(axis=1)
     xi, delta = _XI_DELTA_SWEEP[k % len(_XI_DELTA_SWEEP)]
     return {"xi": xi, "delta": delta}, smoothing_ratio(f, xi, delta)
 
@@ -371,8 +414,9 @@ def run_suite(estimate_id: str, suite_size: int, seed: int,
     [-pi, pi)^2, built once per suite; the smoothing cases take
     256 refine + 1 time samples.  While the cases run, ``_suite_memo``
     holds the tables that ``_shared`` keeps for them: the free-evolution
-    multipliers and the wrapped sigmas, one per column set, so each is
-    built once per call and dropped when it returns.
+    multipliers, their windowed powers and the wrapped sigmas, one per
+    column set, and the smoothing wave table and psi(t), so each is built
+    once per call and dropped when it returns.
     """
     try:
         case, params = _SUITES[estimate_id]

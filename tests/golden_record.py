@@ -7,7 +7,17 @@ Run from the root of a checkout to (re)write the record::
 
 With ``--keep DIR`` the run also leaves every output (and each case's
 config) under DIR, one directory per case, so two trees' outputs can be
-compared value by value; without it only the hashes are kept.
+compared value by value; without it only the hashes are kept.  To compare
+two such directories, say of the parent commit and of a change, without
+running anything or writing the record::
+
+    python tests/golden_record.py --compare OLD NEW
+
+prints each file whose bytes differ and the largest relative move,
+|new - old| / |old|, over its numbers: the cells of a CSV and the numbers
+of a JSON manifest.  A changed text value, a changed layout or a file of
+another format reads "not numeric"; a file in one directory only is
+named as such.
 
 ``tests/test_golden.py`` runs the same configs and compares the hashes with
 ``tests/golden_outputs.json``.  A change that moves output bytes on purpose
@@ -28,6 +38,7 @@ record ``input_path``, do not depend on where the run happens.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -106,11 +117,89 @@ def moved(recorded: dict, hashes: dict) -> list:
                   if recorded.get(path) != hashes.get(path))
 
 
+def _values(path: str) -> list | None:
+    """The values of an output file in order, numbers as floats: the cells
+    of a CSV, or the leaves of a JSON document with their keys; None for
+    a file of another format."""
+    def number(text):
+        try:
+            return float(text)
+        except ValueError:
+            return text
+
+    def leaves(doc, where=()):
+        if isinstance(doc, dict):
+            return [leaf for key in sorted(doc) for leaf in leaves(doc[key], where + (key,))]
+        if isinstance(doc, list):
+            return [leaf for item in doc for leaf in leaves(item, where)]
+        if isinstance(doc, (int, float)) and not isinstance(doc, bool):
+            return [where, float(doc)]
+        return [where, doc]
+
+    if path.endswith(".csv"):
+        with open(path, newline="", encoding="utf-8") as fh:
+            return [number(cell) for row in csv.reader(fh) for cell in row]
+    if path.endswith(".json"):
+        with open(path, encoding="utf-8") as fh:
+            return leaves(json.load(fh))
+    return None
+
+
+def largest_move(old_path: str, new_path: str) -> float:
+    """The largest |new - old| / |old| over the paired numbers of two
+    output files, 0.0 when none moved, and inf when they differ in
+    anything else (a text value, the layout, or a format without
+    numbers)."""
+    old, new = _values(old_path), _values(new_path)
+    if old is None or new is None or len(old) != len(new):
+        return math.inf
+    move = 0.0
+    for a, b in zip(old, new):
+        if a == b:
+            continue
+        if not (isinstance(a, float) and isinstance(b, float)) or a == 0.0:
+            return math.inf
+        move = max(move, abs(b - a) / abs(a))
+    return move
+
+
+def compare(old_root: str, new_root: str) -> list[str]:
+    """A line for each file under ``old_root`` or ``new_root`` whose bytes
+    differ between the two (``largest_move``), or that only one holds."""
+    def files(root):
+        return {os.path.relpath(os.path.join(top, name), root)
+                for top, _, names in os.walk(root) for name in names}
+
+    old, new = files(old_root), files(new_root)
+    lines = []
+    for path in sorted(old | new):
+        if path not in new or path not in old:
+            lines.append(f"{path}: only in {old_root if path in old else new_root}")
+            continue
+        paths = (os.path.join(old_root, path), os.path.join(new_root, path))
+        contents = []
+        for name in paths:
+            with open(name, "rb") as fh:
+                contents.append(fh.read())
+        if contents[0] != contents[1]:
+            move = largest_move(*paths)
+            lines.append(f"{path}: " + ("not numeric" if math.isinf(move) else
+                                        f"largest relative move {move:.2e}"))
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Rewrite the golden record.")
-    parser.add_argument("--keep", metavar="DIR",
-                        help="also write the outputs to DIR (made if missing)")
+    runs = parser.add_mutually_exclusive_group()
+    runs.add_argument("--keep", metavar="DIR",
+                      help="also write the outputs to DIR (made if missing)")
+    runs.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                      help="compare two --keep directories and exit")
     args = parser.parse_args(argv)
+    if args.compare is not None:
+        lines = compare(*args.compare)
+        print("\n".join(lines + [f"{len(lines)} files differ"]))
+        return 0
     if args.keep is not None:
         os.makedirs(args.keep, exist_ok=True)
         if os.listdir(args.keep):

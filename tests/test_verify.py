@@ -344,6 +344,21 @@ def _count_table_builds(monkeypatch):
     return counts
 
 
+def _count_transforms(monkeypatch):
+    """Per column count, the calls of ``norms.taper_transform`` on that many
+    columns, counted from now."""
+    counts = {}
+    transform = norms.taper_transform
+
+    def counted(columns, dt):
+        counts[columns.shape[1]] = counts.get(columns.shape[1], 0) + 1
+        return transform(columns, dt)
+
+    monkeypatch.setattr(norms, "taper_transform", counted)
+    monkeypatch.setattr(verify, "taper_transform", counted)
+    return counts
+
+
 def _zero_pair(phi):
     """phi without the mode pair (1, 2), (-1, -2)."""
     coeffs = phi.coeffs.copy()
@@ -487,6 +502,43 @@ class TestSuites:
         assert free_estimate_ratio(phi, 0.25, 0.0, 0.0) == first
         assert counts == {"multiplier": 2, 136: 2}
 
+    @pytest.mark.parametrize("suite, size, transforms", [
+        ("free", 12, {136: 1}), ("bilinear", 8, {136: 16, 528: 8})])
+    def test_one_transform_per_free_column_set(self, monkeypatch, suite, size,
+                                               transforms):
+        # a free evolution's power is |phi_c|^2 times the power of the
+        # suite's multiplier table, so the free suite transforms its 136
+        # columns once; the bilinear suite transforms both factors and the
+        # product of every case
+        counts = _count_transforms(monkeypatch)
+        run_suite(suite, size, 0, refine=2)
+        assert counts == transforms
+
+    def test_standalone_free_ratio_transforms_once_per_call(self, monkeypatch, grid):
+        phi = random_field(grid, np.random.default_rng(0))
+        counts = _count_transforms(monkeypatch)
+        for b in (0.25, 0.5):
+            free_estimate_ratio(phi, b, 0.0, 0.0)
+        assert counts == {136: 2}
+
+    def test_one_wave_table_per_smoothing_suite(self, monkeypatch):
+        # the signals' wave table and the samples of psi(t) are built once;
+        # each case still takes its two Y norms, one column each
+        builds = {"wave": 0, "psi": 0}
+
+        def counted(name, build):
+            def call(*args):
+                builds[name] += 1
+                return build(*args)
+            return call
+
+        monkeypatch.setattr(verify, "_wave_table", counted("wave", verify._wave_table))
+        monkeypatch.setattr(verify, "psi_cutoff", counted("psi", verify.psi_cutoff))
+        counts = _count_transforms(monkeypatch)
+        run_suite("smoothing", 10, 0, refine=2)
+        assert builds == {"wave": 1, "psi": 1}
+        assert counts == {1: 20}
+
     def test_suites_on_two_threads_hold_their_own_tables(self, monkeypatch):
         # suites "a" and "b" run at once on two threads, each starting
         # before the other returns: "b" starts after "a" has built its
@@ -578,3 +630,46 @@ class TestSuites:
         r1, _ = run_suite("free", 4, seed=3, refine=1)
         r2, _ = run_suite("free", 4, seed=3, refine=2)
         assert 0.5 <= r2.max_ratio / r1.max_ratio <= 2.0
+
+
+class TestFreePowerLinearity:
+    """The free suite's powers by linearity against a transform per case."""
+
+    @staticmethod
+    def transformed(phi, M):
+        """The windowed power of the free evolution's own mode form."""
+        times, modes = verify._free_modes(phi, 4.0, M)
+        return norms.WindowedPower.of_modes(modes, float(times[1] - times[0]))
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("alter, cols", [(None, 136), (_zero_pair, 135)],
+                             ids=["suite_columns", "off_columns"])
+    def test_scaled_power_equals_own_transform(self, refine, alter, cols):
+        # over 40 seeds on either column set at refine 1 and 2, an entry
+        # moved by at most 2.2e-15 of its column's largest power (tail
+        # entries far below it move by up to 7.3e-13 of themselves)
+        g = make_grid(32 * refine, 32 * refine, np.pi, np.pi)
+        for seed in range(5):
+            phi = random_field(g, np.random.default_rng([seed, 0]))
+            if alter is not None:
+                phi = alter(phi)
+            scaled = verify._free_power(phi, 4.0, 48 * refine)
+            want = self.transformed(phi, 48 * refine)
+            assert scaled.cols.size == cols
+            assert np.array_equal(scaled.cols, want.cols)
+            assert np.array_equal(scaled.colw, want.colw)
+            assert np.all(np.abs(scaled.power - want.power)
+                          <= 1e-14 * np.max(want.power, axis=0))
+
+    @pytest.mark.parametrize("refine", [1, 2])
+    @pytest.mark.parametrize("seed", [0, 5, 7])
+    def test_free_rows_match_a_transform_per_case(self, seed, refine):
+        # measured: at most 3.5e-16 relative
+        g = make_grid(32 * refine, 32 * refine, np.pi, np.pi)
+        _, rows = run_suite("free", 12, seed, refine=refine)
+        for k, row in enumerate(rows):
+            phi = random_field(g, np.random.default_rng([seed, k]))
+            b = row["params"]["b"]
+            want = (self.transformed(phi, 48 * refine).bourgain(b, 0.0, 0.0)
+                    / sobolev_norm(phi, 2.0 * b - 1.0, 0.0))
+            assert abs(row["ratio"] - want) <= 1e-15 * want
