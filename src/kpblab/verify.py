@@ -24,8 +24,8 @@ times, and the products of two of them all lie on one column set of
 their own.  So ``run_suite`` keeps a memo keyed by content (``_shared``)
 of the tables that do not depend on a case's random draw, each built once
 per suite by the first case that needs it: per column set the multiplier
-psi(t-2) W(t-2), its windowed power and the wrapped sigma = tau - P, and
-the smoothing suite's wave table and psi(t) samples.  A datum off those
+psi(t-2) W(t-2) (bilinear) or its windowed power (free) and the wrapped
+sigma = tau - P, and the smoothing suite's wave table and psi(t) samples.  A datum off those
 columns builds its own, kept under its own key; outside ``run_suite``
 nothing is kept.
 

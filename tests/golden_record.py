@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import filecmp
 import hashlib
 import json
 import math
@@ -155,11 +156,14 @@ def largest_move(old_path: str, new_path: str) -> float:
         return math.inf
     move = 0.0
     for a, b in zip(old, new):
-        if a == b:
+        if a == b or repr(a) == repr(b):  # repr: a NaN is not equal to itself
             continue
         if not (isinstance(a, float) and isinstance(b, float)) or a == 0.0:
             return math.inf
-        move = max(move, abs(b - a) / abs(a))
+        rel = abs(b - a) / abs(a)
+        if math.isnan(rel):  # a NaN or an infinity on one side
+            return math.inf
+        move = max(move, rel)
     return move
 
 
@@ -177,11 +181,7 @@ def compare(old_root: str, new_root: str) -> list[str]:
             lines.append(f"{path}: only in {old_root if path in old else new_root}")
             continue
         paths = (os.path.join(old_root, path), os.path.join(new_root, path))
-        contents = []
-        for name in paths:
-            with open(name, "rb") as fh:
-                contents.append(fh.read())
-        if contents[0] != contents[1]:
+        if not filecmp.cmp(*paths, shallow=False):
             move = largest_move(*paths)
             lines.append(f"{path}: " + ("not numeric" if math.isinf(move) else
                                         f"largest relative move {move:.2e}"))
